@@ -21,7 +21,10 @@ COMBINE_CAVEAT = (
     "next to the number."
 )
 
-SWEEP_CAVEAT = "swept P-values are local: scanning offsets multiplies hypotheses."
+SWEEP_CAVEAT = (
+    "swept P-values are local: scanning offsets multiplies hypotheses. p_bonferroni, "
+    "min(1, m * p_local_min) over the m offsets scanned, bounds the global P-value."
+)
 
 
 class CliError(ValueError):
@@ -129,14 +132,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     trialset = trials_mod.read_trials(args.trials)
     if len(trialset) == 0:
         raise CliError(f"{args.trials}: no trials")
-    k, n = trials_mod.aggregate(trialset)
-    estimate = trials_mod.chsh_s(trialset)
+    table = trials_mod.CellTable.from_trials(trialset)
+    k, n = table.k_n()
+    estimate = trials_mod.chsh(table)
     params = _params(args, ("trials", "f", "tau", "beta_form"))
     bias = pvalues.BiasParams(f=args.f, tau=args.tau)
     beta = pvalues.beta_win(bias, form=args.beta_form)
     cells = {
         f"tag={tag},a={a},b={b}": {"e": cell.e, "count": cell.count, "stderr": cell.stderr}
-        for (tag, a, b), cell in sorted(trials_mod.correlators(trialset).items())
+        for (tag, a, b), cell in sorted(table.correlators().items())
     }
     # sigma = 0 means every populated cell is perfectly correlated; the
     # Gaussian analysis is undefined there and reported as missing.
@@ -365,9 +369,26 @@ def _cmd_herald_sweep(args: argparse.Namespace) -> int:
     offsets = _parse_range(args.offsets)
     rows = heralding.sweep(events, records, windows, offsets, beta=args.beta)
     heralding.write_sweep_csv(args.sweep_out, rows)
+    local = [(row.p_local, row.offset_ps) for row in rows if row.p_local is not None]
+    p_min, p_min_offset = min(local) if local else (None, None)
     payload = {
         "offsets": offsets,
         "rows": len(rows),
+        "attempts": len(records),
+        "detections": len(events),
+        "herald_counts": [
+            {
+                "offset_ps": row.offset_ps,
+                "heralded": row.n,
+                "extra_click": row.extra_click,
+                "missing_round": row.missing_round,
+                "no_click": row.no_click,
+            }
+            for row in rows
+        ],
+        "p_local_min": p_min,
+        "p_local_min_offset_ps": p_min_offset,
+        "p_bonferroni": None if p_min is None else min(1.0, len(rows) * p_min),
         "sweep_file": args.sweep_out,
         "note": SWEEP_CAVEAT,
     }
@@ -477,6 +498,14 @@ def _iter_parsers(parser: argparse.ArgumentParser):
         if isinstance(action, argparse._SubParsersAction):
             for child in action.choices.values():
                 yield from _iter_parsers(child)
+
+
+def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.ArgumentParser:
+    """The innermost subparser of the command that `args` was parsed for."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _command_parser(action.choices[getattr(args, action.dest)], args)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,6 +677,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             for sub_parser in _iter_parsers(parser):
                 sub_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
+        if known.config:
+            command = _command_parser(parser, args)
+            unknown = sorted(set(defaults) - {action.dest for action in command._actions} - {"help"})
+            if unknown:
+                raise CliError(f"{known.config}: keys {unknown} name no option of {command.prog}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

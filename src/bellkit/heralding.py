@@ -7,10 +7,17 @@ clicks on the same channel the other (tag +1). Everything else, including
 extra in-window clicks, is no herald (tag 0). Out-of-window clicks are
 ignored, never reused.
 
+Detections travel as int64 columns (attempt_id, channel, time_ps) in a
+`DetectionTable`, attempts as columns in an `AttemptTable`, from the
+generators and readers through classification to the sweep rows. The
+single-object types `DetectionEvent` and `AttemptRecord` remain as inputs
+and as what iterating a table yields.
+
 The window sweep re-runs that classification with both channel window
-starts offset by a common shift and reports S, trial counts and the
-complete-analysis P-value per offset. Swept P-values are LOCAL: scanning
-offsets multiplies hypotheses, so they carry no global significance.
+starts offset by a common shift and reports S, trial counts, the
+complete-analysis P-value and the non-herald counts per offset. Swept
+P-values are LOCAL: scanning offsets multiplies hypotheses, so they carry
+no global significance.
 
 A phenomenological stream generator produces synthetic detections:
 exponentially decaying emission from the window start, a Gaussian
@@ -23,26 +30,18 @@ degrade S.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import rngstream
 from .pvalues import pvalue_complete
-from .trials import (
-    CHSH_SIGNS,
-    HERALD_NONE,
-    HERALD_PSI_MINUS,
-    HERALD_PSI_PLUS,
-    SETTING_PAIRS,
-    Trial,
-    TrialSet,
-    aggregate,
-    correlators,
-)
+from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, CellTable, Trial, TrialSet, chsh
 
 _WINDOW_FIELDS = (
     "start_ch0_ps",
@@ -135,80 +134,184 @@ class AttemptRecord:
     outcome_b: int
 
 
-def classify(events: Iterable[DetectionEvent], windows: WindowConfig) -> int:
-    """Herald tag for one attempt's clicks (events sorted by time).
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Time-tagged clicks as equal-length int64 columns.
+
+    Classification ignores row order; the generators emit rows sorted by
+    (attempt_id, time_ps) and the writer keeps the order it is given.
+    """
+
+    attempt_id: np.ndarray
+    channel: np.ndarray
+    time_ps: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: "DetectionTable | Iterable[DetectionEvent]") -> "DetectionTable":
+        """Table of the given events; a table is returned as it is."""
+        if isinstance(events, DetectionTable):
+            return events
+        rows = np.array([(e.attempt_id, e.channel, e.time_ps) for e in events], dtype=np.int64)
+        return cls(*_columns(rows.reshape(-1, 3)))
+
+    def __len__(self) -> int:
+        return len(self.attempt_id)
+
+    def __iter__(self) -> Iterator[DetectionEvent]:
+        return map(DetectionEvent, self.attempt_id.tolist(), self.channel.tolist(), self.time_ps.tolist())
+
+
+_ATTEMPT_FIELDS = ("attempt_id", "setting_a", "setting_b", "outcome_a", "outcome_b")
+
+
+@dataclass(frozen=True, eq=False)
+class AttemptTable:
+    """Attempt records as int64 columns, sorted by attempt_id, ids unique.
+
+    `from_records` and `read_attempts` check the settings and outcomes
+    and the ids, and establish the order.
+    """
+
+    attempt_id: np.ndarray
+    setting_a: np.ndarray
+    setting_b: np.ndarray
+    outcome_a: np.ndarray
+    outcome_b: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: "AttemptTable | Iterable[AttemptRecord]") -> "AttemptTable":
+        """Checked, sorted table of the given records; a table is returned as it is."""
+        if isinstance(records, AttemptTable):
+            return records
+        rows = np.array([[getattr(r, f) for f in _ATTEMPT_FIELDS] for r in records], dtype=np.int64)
+        rows = rows.reshape(-1, len(_ATTEMPT_FIELDS))
+        return _checked_attempts(rows, range(1, len(rows) + 1), "record")
+
+    def __len__(self) -> int:
+        return len(self.attempt_id)
+
+    def __iter__(self) -> Iterator[AttemptRecord]:
+        return map(AttemptRecord, *(getattr(self, f).tolist() for f in _ATTEMPT_FIELDS))
+
+
+def _columns(rows: np.ndarray) -> list[np.ndarray]:
+    return [np.ascontiguousarray(column) for column in rows.T]
+
+
+def _checked_attempts(rows: np.ndarray, lines: Sequence[int], unit: str) -> AttemptTable:
+    """Attempt table from (n, 5) rows after domain and uniqueness checks.
+
+    Errors name the offending row as `{unit} {lines[i]}`.
+    """
+    valid = np.column_stack([np.isin(rows[:, 1:3], (0, 1)), np.isin(rows[:, 3:], (-1, 1))])
+    bad = np.flatnonzero(~valid.all(axis=1))
+    if bad.size:
+        i = bad[0]
+        field = int(np.flatnonzero(~valid[i])[0]) + 1
+        domain = "the bit 0 or 1" if field <= 2 else "+1 or -1"
+        raise ValueError(f"{unit} {lines[i]}: {_ATTEMPT_FIELDS[field]} must be {domain}, got {rows[i, field]}")
+    order = np.argsort(rows[:, 0], kind="stable")
+    ids = rows[order, 0]
+    repeats = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeats.size:
+        later = order[repeats + 1]
+        j = int(np.argmin(later))
+        first = order[repeats[j]]
+        raise ValueError(
+            f"{unit} {lines[later[j]]}: duplicate attempt_id {ids[repeats[j]]}, first on {unit} {lines[first]}"
+        )
+    return AttemptTable(*_columns(rows[order]))
+
+
+def _attempt_rows(detections: DetectionTable, attempts: AttemptTable) -> np.ndarray:
+    """Row in `attempts` of each detection's attempt; unknown attempt ids raise."""
+    rows = np.searchsorted(attempts.attempt_id, detections.attempt_id)
+    known = rows < len(attempts)
+    known[known] = attempts.attempt_id[rows[known]] == detections.attempt_id[known]
+    if not known.all():
+        unknown = np.flatnonzero(~known)
+        raise ValueError(
+            f"{unknown.size} detections name attempt ids missing from the attempt records, "
+            f"first attempt_id {detections.attempt_id[unknown[0]]}"
+        )
+    return rows
+
+
+def _round_clicks(
+    detections: DetectionTable, rows: np.ndarray, size: int, windows: WindowConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-window clicks per attempt row in round 1 and round 2, and the herald tag.
+
+    `rows[i]` is the attempt row, out of `size`, of detection i. The windows
+    are the half-open ones `WindowConfig.in_first` and `in_second` test.
+    """
+    on_ch1 = detections.channel == 1
+    since_start = detections.time_ps - np.where(on_ch1, windows.start_ch1_ps, windows.start_ch0_ps)
+    first = (since_start >= 0) & (since_start < windows.len_first_ps)
+    since_second = since_start - windows.second_window_offset_ps
+    len_second = np.where(on_ch1, windows.len_second_ch1_ps, windows.len_second_ch0_ps)
+    second = (since_second >= 0) & (since_second < len_second)
+    clicks_1 = np.bincount(rows[first], minlength=size)
+    clicks_2 = np.bincount(rows[second], minlength=size)
+    # With one click per round, a round's channel is its count of channel-1 clicks.
+    same_channel = np.bincount(rows[first & on_ch1], minlength=size) == np.bincount(
+        rows[second & on_ch1], minlength=size
+    )
+    heralded = (clicks_1 == 1) & (clicks_2 == 1)
+    tag = np.where(heralded, np.where(same_channel, HERALD_PSI_PLUS, HERALD_PSI_MINUS), HERALD_NONE)
+    return clicks_1, clicks_2, tag
+
+
+def classify(events: DetectionTable | Iterable[DetectionEvent], windows: WindowConfig) -> int:
+    """Herald tag for one attempt's clicks.
 
     Exactly one in-window click per round: different channels tag -1, the
     same channel +1. Anything else, including extra in-window clicks, is 0.
     """
-    first = [e for e in events if windows.in_first(e.channel, e.time_ps)]
-    second = [e for e in events if windows.in_second(e.channel, e.time_ps)]
-    if len(first) == 1 and len(second) == 1:
-        return HERALD_PSI_MINUS if first[0].channel != second[0].channel else HERALD_PSI_PLUS
-    return HERALD_NONE
+    detections = DetectionTable.from_events(events)
+    return int(_round_clicks(detections, np.zeros(len(detections), dtype=np.intp), 1, windows)[2][0])
 
 
-def classify_attempts(events: Iterable[DetectionEvent], windows: WindowConfig) -> dict[int, int]:
+def classify_attempts(
+    events: DetectionTable | Iterable[DetectionEvent], windows: WindowConfig
+) -> dict[int, int]:
     """Herald tag per attempt id; attempts without clicks are absent."""
-    by_attempt: dict[int, list[DetectionEvent]] = {}
-    for event in events:
-        by_attempt.setdefault(event.attempt_id, []).append(event)
-    return {
-        attempt_id: classify(sorted(clicks, key=lambda e: e.time_ps), windows)
-        for attempt_id, clicks in by_attempt.items()
-    }
+    detections = DetectionTable.from_events(events)
+    ids, rows = np.unique(detections.attempt_id, return_inverse=True)
+    tags = _round_clicks(detections, rows.reshape(-1), len(ids), windows)[2]
+    return dict(zip(ids.tolist(), tags.tolist()))
 
 
 def build_trialset(
-    events: Iterable[DetectionEvent],
-    attempts: Sequence[AttemptRecord],
+    events: DetectionTable | Iterable[DetectionEvent],
+    attempts: AttemptTable | Iterable[AttemptRecord],
     windows: WindowConfig,
     label: str = "",
 ) -> TrialSet:
-    """Merge classification tags with recorded settings and outcomes."""
-    tags = classify_attempts(events, windows)
-    trials = []
-    for i, record in enumerate(sorted(attempts, key=lambda r: r.attempt_id)):
-        trials.append(
-            Trial(
-                index=i + 1,
-                tag=tags.get(record.attempt_id, HERALD_NONE),
-                setting_a=record.setting_a,
-                setting_b=record.setting_b,
-                outcome_a=record.outcome_a,
-                outcome_b=record.outcome_b,
-            )
-        )
-    return TrialSet(trials=tuple(trials), label=label)
+    """Merge classification tags with recorded settings and outcomes, in attempt_id order.
 
-
-def _chsh_weighted_lenient(trials: TrialSet) -> tuple[float | None, float | None]:
-    """Count-weighted S over the states whose four cells are all populated.
-
-    Sweep rows keep their (n, k) even when a state's cells are too sparse
-    for an S estimate; S is then reported missing rather than guessed.
+    Detections of an attempt id that has no record raise.
     """
-    cells = correlators(trials)
-    parts = []
-    for tag, signs in CHSH_SIGNS.items():
-        state_cells = [cells.get((tag, a, b)) for a, b in SETTING_PAIRS]
-        if any(c is None for c in state_cells):
-            continue
-        s = sum(sign * cell.e for sign, cell in zip(signs, state_cells))
-        var = sum(cell.stderr**2 for cell in state_cells)
-        count = sum(cell.count for cell in state_cells)
-        parts.append((s, var, count))
-    if not parts:
-        return None, None
-    total = sum(count for _, _, count in parts)
-    s_weighted = sum(s * count for s, _, count in parts) / total
-    sigma = math.sqrt(sum(var * (count / total) ** 2 for _, var, count in parts))
-    return s_weighted, sigma
+    detections = DetectionTable.from_events(events)
+    table = AttemptTable.from_records(attempts)
+    tags = _round_clicks(detections, _attempt_rows(detections, table), len(table), windows)[2]
+    columns = zip(tags.tolist(), *(getattr(table, f).tolist() for f in _ATTEMPT_FIELDS[1:]))
+    trials = tuple(
+        Trial(index=i, tag=tag, setting_a=sa, setting_b=sb, outcome_a=oa, outcome_b=ob)
+        for i, (tag, sa, sb, oa, ob) in enumerate(columns, start=1)
+    )
+    return TrialSet(trials=trials, label=label)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One window offset's reclassified analysis. P-values are local only."""
+    """One window offset's reclassified analysis. P-values are local only.
+
+    Attempts that do not herald are counted by the first reason that
+    applies: more than one in-window click in some round (`extra_click`),
+    in-window clicks in one round only (`missing_round`), none at all
+    (`no_click`). With n, these add up to the number of attempts.
+    """
 
     offset_ps: int
     s: float | None
@@ -216,25 +319,47 @@ class SweepRow:
     n: int
     k: int
     p_local: float | None
+    no_click: int
+    missing_round: int
+    extra_click: int
 
 
 def sweep(
-    events: Sequence[DetectionEvent],
-    attempts: Sequence[AttemptRecord],
+    events: DetectionTable | Iterable[DetectionEvent],
+    attempts: AttemptTable | Iterable[AttemptRecord],
     windows: WindowConfig,
     offsets_ps: Iterable[int],
     beta: float = 0.75,
 ) -> list[SweepRow]:
-    """Reclassify at each common window-start offset and score the result."""
-    rows = []
+    """Reclassify at each common window-start offset and score the result.
+
+    Detections of an attempt id that has no record raise.
+    """
+    detections = DetectionTable.from_events(events)
+    table = AttemptTable.from_records(attempts)
+    rows = _attempt_rows(detections, table)
+    out = []
     for offset in offsets_ps:
-        shifted = windows.shifted(int(offset))
-        trialset = build_trialset(events, attempts, shifted, label=f"offset {offset} ps")
-        k, n = aggregate(trialset)
-        s, sigma = _chsh_weighted_lenient(trialset)
-        p_local = pvalue_complete(n, k, beta) if n >= 1 else None
-        rows.append(SweepRow(offset_ps=int(offset), s=s, sigma=sigma, n=n, k=k, p_local=p_local))
-    return rows
+        offset = int(offset)
+        clicks_1, clicks_2, tag = _round_clicks(detections, rows, len(table), windows.shifted(offset))
+        cells = CellTable.from_columns(tag, table.setting_a, table.setting_b, table.outcome_a, table.outcome_b)
+        k, n = cells.k_n()
+        estimate = chsh(cells, strict=False)
+        extra = (clicks_1 > 1) | (clicks_2 > 1)
+        out.append(
+            SweepRow(
+                offset_ps=offset,
+                s=None if estimate is None else estimate.s_weighted,
+                sigma=None if estimate is None else estimate.sigma,
+                n=n,
+                k=k,
+                p_local=pvalue_complete(n, k, beta) if n >= 1 else None,
+                no_click=int(np.count_nonzero((clicks_1 == 0) & (clicks_2 == 0))),
+                missing_round=int(np.count_nonzero(~extra & ((clicks_1 > 0) != (clicks_2 > 0)))),
+                extra_click=int(np.count_nonzero(extra)),
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,17 +403,26 @@ def _generate_detections(
     attempts: int,
     rng: np.random.Generator,
     signal_rounds: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> list[DetectionEvent]:
+) -> DetectionTable:
     """Common machinery behind the stream and experiment generators.
 
     `signal_rounds` holds, per round, (attempt indices, channels) of signal
-    photons; reflections, afterpulses and dark counts are added here.
+    photons; reflections, afterpulses and dark counts are added here. Rows
+    come out sorted by (attempt, exact time), ties in draw order, and times
+    are rounded half to even and clamped at 0.
     """
-    raw: list[tuple[int, int, float]] = []
-    for round_index, (idx, channels) in enumerate(signal_rounds):
-        anchors = np.array([_round_anchor(windows, int(c), round_index) for c in channels])
-        times = anchors + rng.exponential(params.decay_ps, size=len(idx))
-        raw.extend(zip(idx.tolist(), channels.tolist(), times.tolist()))
+    ids: list[np.ndarray] = []
+    channels: list[np.ndarray] = []
+    times: list[np.ndarray] = []
+
+    def add(attempt: np.ndarray, channel: np.ndarray | int, time: np.ndarray) -> None:
+        ids.append(attempt)
+        channels.append(np.broadcast_to(channel, attempt.shape))
+        times.append(time)
+
+    for round_index, (idx, chans) in enumerate(signal_rounds):
+        anchors = np.where(chans == 0, _round_anchor(windows, 0, round_index), _round_anchor(windows, 1, round_index))
+        add(idx, chans, anchors + rng.exponential(params.decay_ps, size=len(idx)))
 
     if params.reflection_amplitude > 0.0:
         for round_index in (0, 1):
@@ -296,19 +430,19 @@ def _generate_detections(
                 counts = rng.poisson(params.reflection_amplitude, size=attempts)
                 hits = np.repeat(np.arange(attempts), counts)
                 center = _round_anchor(windows, channel, round_index) + params.reflection_center_ps
-                times = rng.normal(center, params.reflection_sigma_ps, size=len(hits))
-                raw.extend((int(a), channel, t) for a, t in zip(hits.tolist(), times.tolist()))
+                add(hits, channel, rng.normal(center, params.reflection_sigma_ps, size=len(hits)))
 
     if params.afterpulse_prob > 0.0:
         # Clicks that precede the second round can retrigger their channel.
-        second_start = {c: _round_anchor(windows, c, 1) for c in (0, 1)}
-        first_clicks = [(a, c) for a, c, t in raw if t < second_start[c]]
-        if first_clicks:
-            mask = rng.random(len(first_clicks)) < params.afterpulse_prob
-            delays = rng.exponential(params.afterpulse_decay_ps, size=len(first_clicks))
-            for (a, c), fired, delay in zip(first_clicks, mask.tolist(), delays.tolist()):
-                if fired:
-                    raw.append((a, c, second_start[c] + delay))
+        second_start = np.array([_round_anchor(windows, c, 1) for c in (0, 1)])
+        attempt, channel, time = (np.concatenate(column) for column in (ids, channels, times))
+        early = time < second_start[channel]
+        candidates = int(np.count_nonzero(early))
+        if candidates:
+            fired = rng.random(candidates) < params.afterpulse_prob
+            delays = rng.exponential(params.afterpulse_decay_ps, size=candidates)
+            retriggered = channel[early][fired]
+            add(attempt[early][fired], retriggered, second_start[retriggered] + delays[fired])
 
     if params.dark_rate > 0.0:
         lo = min(windows.start_ch0_ps, windows.start_ch1_ps) - 10_000
@@ -320,14 +454,15 @@ def _generate_detections(
         for channel in (0, 1):
             counts = rng.poisson(params.dark_rate, size=attempts)
             hits = np.repeat(np.arange(attempts), counts)
-            times = rng.uniform(lo, hi, size=len(hits))
-            raw.extend((int(a), channel, t) for a, t in zip(hits.tolist(), times.tolist()))
+            add(hits, channel, rng.uniform(lo, hi, size=len(hits)))
 
-    raw.sort(key=lambda item: (item[0], item[2]))
-    return [
-        DetectionEvent(attempt_id=a, channel=c, time_ps=max(0, round(t)))
-        for a, c, t in raw
-    ]
+    attempt, channel, time = (np.concatenate(column) for column in (ids, channels, times))
+    order = np.lexsort((time, attempt))
+    return DetectionTable(
+        attempt_id=attempt[order].astype(np.int64),
+        channel=channel[order].astype(np.int64),
+        time_ps=np.maximum(np.rint(time[order]), 0.0).astype(np.int64),
+    )
 
 
 def synth_stream(
@@ -335,7 +470,7 @@ def synth_stream(
     windows: WindowConfig,
     attempts: int,
     seed: int,
-) -> list[DetectionEvent]:
+) -> DetectionTable:
     """Synthetic detection stream without any entanglement bookkeeping.
 
     Each round emits a signal photon with probability signal_prob on a
@@ -361,7 +496,7 @@ def synth_experiment(
     seed: int,
     entangle_prob: float = 0.3,
     win_prob: float = (2.0 + math.sqrt(2.0)) / 4.0,
-) -> tuple[list[DetectionEvent], list[AttemptRecord]]:
+) -> tuple[DetectionTable, AttemptTable]:
     """Detections plus per-attempt settings and outcomes.
 
     Entangled attempts emit one signal photon in each round; their outcomes
@@ -381,94 +516,130 @@ def synth_experiment(
     idx = np.flatnonzero(entangled)
     ch_round1 = rng.integers(0, 2, size=len(idx))
     ch_round2 = rng.integers(0, 2, size=len(idx))
-    events = _generate_detections(params, windows, attempts, rng, [(idx, ch_round1), (idx, ch_round2)])
+    detections = _generate_detections(params, windows, attempts, rng, [(idx, ch_round1), (idx, ch_round2)])
 
-    true_tag = np.zeros(attempts, dtype=int)
+    true_tag = np.zeros(attempts, dtype=np.int64)
     true_tag[idx] = np.where(ch_round1 != ch_round2, HERALD_PSI_MINUS, HERALD_PSI_PLUS)
     u = rng.random((attempts, 5))
-    settings_a = (u[:, 0] < 0.5).astype(int)
-    settings_b = (u[:, 1] < 0.5).astype(int)
+    settings_a = (u[:, 0] < 0.5).astype(np.int64)
+    settings_b = (u[:, 1] < 0.5).astype(np.int64)
     out_a = np.where(u[:, 2] < 0.5, 1, -1)
     wins = u[:, 3] < win_prob
-
-    records = []
-    for i in range(attempts):
-        sa, sb, oa = int(settings_a[i]), int(settings_b[i]), int(out_a[i])
-        if true_tag[i] == 0:
-            ob = 1 if u[i, 4] < 0.5 else -1
-        else:
-            goal = sa & (sb ^ 1 if true_tag[i] == HERALD_PSI_PLUS else sb)
-            required = 1 - 2 * goal
-            ob = required * oa if wins[i] else -required * oa
-        records.append(
-            AttemptRecord(attempt_id=i, setting_a=sa, setting_b=sb, outcome_a=oa, outcome_b=int(ob))
-        )
-    return events, records
+    goal = settings_a & np.where(true_tag == HERALD_PSI_PLUS, settings_b ^ 1, settings_b)
+    required = 1 - 2 * goal
+    out_b = np.where(
+        true_tag == HERALD_NONE,
+        np.where(u[:, 4] < 0.5, 1, -1),
+        np.where(wins, required * out_a, -required * out_a),
+    )
+    attempt_table = AttemptTable(np.arange(attempts, dtype=np.int64), settings_a, settings_b, out_a, out_b)
+    return detections, attempt_table
 
 
 # ---------------------------------------------------------------------------
 # File formats
 
+_DETECTION_HEADER = "attempt_id,channel,time_ps"
+_DETECTION_ROW = "%d,%d,%d\r\n"
+_ATTEMPT_ROW = '{"attempt_id":%d,"setting_a":%d,"setting_b":%d,"outcome_a":%d,"outcome_b":%d}\n'
+# Rows formatted per write call; bounds the transient strings of a large table.
+_WRITE_CHUNK = 65_536
 
-def write_detections(target: str | IO[str], events: Iterable[DetectionEvent]) -> None:
-    """CSV with header attempt_id,channel,time_ps."""
+
+def _write_rows(target: IO[str], row_format: str, columns: Sequence[np.ndarray]) -> None:
+    rows = np.column_stack(columns)
+    for begin in range(0, len(rows), _WRITE_CHUNK):
+        chunk = rows[begin : begin + _WRITE_CHUNK]
+        target.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def write_detections(target: str | IO[str], events: DetectionTable | Iterable[DetectionEvent]) -> None:
+    """CSV with header attempt_id,channel,time_ps and CRLF line ends, rows in the order given."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="") as handle:
             write_detections(handle, events)
         return
-    writer = csv.writer(target)
-    writer.writerow(["attempt_id", "channel", "time_ps"])
-    for e in events:
-        writer.writerow([e.attempt_id, e.channel, e.time_ps])
+    detections = DetectionTable.from_events(events)
+    target.write(_DETECTION_HEADER + "\r\n")
+    _write_rows(target, _DETECTION_ROW, (detections.attempt_id, detections.channel, detections.time_ps))
 
 
-def read_detections(source: str | IO[str]) -> list[DetectionEvent]:
+def _body_lines(body: str) -> Iterator[tuple[int, str]]:
+    """(file line number, text) of each non-empty line after the header."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.rstrip("\r")
+        if line:
+            yield lineno, line
+
+
+def _malformed_detection_line(body: str) -> str:
+    """Message naming the first line of a detections CSV body that is not three integers."""
+    for lineno, line in _body_lines(body):
+        fields = line.split(",")
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 fields, got {len(fields)}")
+            for field in fields:
+                np.int64(int(field))
+        except (ValueError, OverflowError) as exc:
+            return f"line {lineno}: {exc}"
+    return "detections are not rows of three integers"
+
+
+def read_detections(source: str | IO[str]) -> DetectionTable:
+    """Read a detections CSV into columns; a bad row raises, naming its line.
+
+    Empty lines are skipped. Every other line must hold three integers, a
+    channel of 0 or 1 and a time of at least 0.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return read_detections(handle)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != ["attempt_id", "channel", "time_ps"]:
-        raise ValueError(f"expected header attempt_id,channel,time_ps, got {header}")
-    events = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    header = source.readline().rstrip("\r\n")
+    if header != _DETECTION_HEADER:
+        raise ValueError(f"expected header {_DETECTION_HEADER}, got {header!r}")
+    body = source.read()
+    if not body.replace("\r", "").replace("\n", ""):
+        return DetectionTable.from_events(())
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != 3:
+        raise ValueError(_malformed_detection_line(body))
+    detections = DetectionTable(*_columns(rows))
+    bad = np.flatnonzero(((detections.channel != 0) & (detections.channel != 1)) | (detections.time_ps < 0))
+    if bad.size:
+        i = int(bad[0])
+        lineno = next(itertools.islice(_body_lines(body), i, None))[0]
         try:
-            events.append(DetectionEvent(int(row[0]), int(row[1]), int(row[2])))
-        except (IndexError, ValueError) as exc:
+            DetectionEvent(int(detections.attempt_id[i]), int(detections.channel[i]), int(detections.time_ps[i]))
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return events
+    return detections
 
 
-def write_attempts(target: str | IO[str], attempts: Iterable[AttemptRecord]) -> None:
-    """JSON-lines of attempt records."""
+def write_attempts(target: str | IO[str], attempts: AttemptTable | Iterable[AttemptRecord]) -> None:
+    """JSON-lines of attempt records, compact, in attempt_id order."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as handle:
             write_attempts(handle, attempts)
         return
-    for a in attempts:
-        target.write(
-            json.dumps(
-                {
-                    "attempt_id": a.attempt_id,
-                    "setting_a": a.setting_a,
-                    "setting_b": a.setting_b,
-                    "outcome_a": a.outcome_a,
-                    "outcome_b": a.outcome_b,
-                },
-                separators=(",", ":"),
-            )
-        )
-        target.write("\n")
+    table = AttemptTable.from_records(attempts)
+    _write_rows(target, _ATTEMPT_ROW, [getattr(table, f) for f in _ATTEMPT_FIELDS])
 
 
-def read_attempts(source: str | IO[str]) -> list[AttemptRecord]:
+def read_attempts(source: str | IO[str]) -> AttemptTable:
+    """Read JSON-lines attempt records; a bad record raises, naming its line.
+
+    Every field must be an integer, settings 0 or 1, outcomes +1 or -1, and
+    no attempt_id may repeat.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return read_attempts(handle)
-    records = []
-    fields = ("attempt_id", "setting_a", "setting_b", "outcome_a", "outcome_b")
+    rows = []
+    lines = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
@@ -477,10 +648,18 @@ def read_attempts(source: str | IO[str]) -> list[AttemptRecord]:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        if not all(f in data and isinstance(data[f], int) and not isinstance(data[f], bool) for f in fields):
-            raise ValueError(f"line {lineno}: need integer fields {fields}")
-        records.append(AttemptRecord(**{f: data[f] for f in fields}))
-    return records
+        if not isinstance(data, dict) or not all(
+            f in data and isinstance(data[f], int) and not isinstance(data[f], bool) for f in _ATTEMPT_FIELDS
+        ):
+            raise ValueError(f"line {lineno}: need integer fields {_ATTEMPT_FIELDS}")
+        rows.append([data[f] for f in _ATTEMPT_FIELDS])
+        lines.append(lineno)
+    try:
+        table_rows = np.array(rows, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS))
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row))
+        raise ValueError(f"line {lines[i]}: fields must fit in 64-bit integers") from None
+    return _checked_attempts(table_rows, lines, "line")
 
 
 def write_sweep_csv(target: str | IO[str], rows: Sequence[SweepRow]) -> None:

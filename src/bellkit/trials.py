@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping
 
+import numpy as np
+
 HERALD_PSI_MINUS = -1
 HERALD_NONE = 0
 HERALD_PSI_PLUS = 1
@@ -114,12 +116,7 @@ def win_indicator(tag: int, setting_a: int, setting_b: int, outcome_a: int, outc
 
 def aggregate(trials: TrialSet | Iterable[Trial]) -> tuple[int, int]:
     """(k, n): total wins and total heralded trials."""
-    k = 0
-    n = 0
-    for t in trials:
-        k += win_indicator(t.tag, t.setting_a, t.setting_b, t.outcome_a, t.outcome_b)
-        n += abs(t.tag)
-    return k, n
+    return CellTable.from_trials(trials).k_n()
 
 
 @dataclass(frozen=True)
@@ -131,25 +128,77 @@ class CorrelatorCell:
     stderr: float
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """Heralded trials tabulated over the 2x4 (tag, setting_a, setting_b) cells.
+
+    Entry i of `count` and `product_sum` (the sum of outcome_a * outcome_b)
+    belongs to cell i = 4 * (tag == +1) + 2 * setting_a + setting_b, so the
+    four cells of each state follow SETTING_PAIRS. k, n, the correlators and
+    S are all read from this table.
+    """
+
+    count: tuple[int, ...]
+    product_sum: tuple[int, ...]
+
+    @classmethod
+    def from_columns(
+        cls,
+        tag: np.ndarray,
+        setting_a: np.ndarray,
+        setting_b: np.ndarray,
+        outcome_a: np.ndarray,
+        outcome_b: np.ndarray,
+    ) -> "CellTable":
+        """Tabulate equal-length integer columns of in-domain values; tag 0 rows are skipped."""
+        heralded = tag != HERALD_NONE
+        cell = 4 * (tag[heralded] > 0) + 2 * setting_a[heralded] + setting_b[heralded]
+        agree = outcome_a[heralded] == outcome_b[heralded]
+        count = np.bincount(cell, minlength=8)
+        agreeing = np.bincount(cell[agree], minlength=8)
+        return cls(count=tuple(count.tolist()), product_sum=tuple((2 * agreeing - count).tolist()))
+
+    @classmethod
+    def from_trials(cls, trials: TrialSet | Iterable[Trial]) -> "CellTable":
+        rows = np.array(
+            [(t.tag, t.setting_a, t.setting_b, t.outcome_a, t.outcome_b) for t in trials], dtype=np.int64
+        ).reshape(-1, 5)
+        return cls.from_columns(*rows.T)
+
+    def _cells(self) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """(tag, a, b, win sign, count, product sum) per cell.
+
+        The win sign (-1)^(a*(b + (t+1)/2)) of the win indicator equals the
+        state's CHSH sign for that setting pair.
+        """
+        for t, (tag, signs) in enumerate(CHSH_SIGNS.items()):
+            for p, ((a, b), sign) in enumerate(zip(SETTING_PAIRS, signs)):
+                yield tag, a, b, sign, self.count[4 * t + p], self.product_sum[4 * t + p]
+
+    def k_n(self) -> tuple[int, int]:
+        """(k, n): wins and heralded trials; a cell wins (count + sign * product_sum) / 2 times."""
+        k = sum((count + sign * total) // 2 for _, _, _, sign, count, total in self._cells())
+        return k, sum(self.count)
+
+    def correlators(self) -> dict[tuple[int, int, int], CorrelatorCell]:
+        """Per populated (tag, setting_a, setting_b) cell: E = <x*y>, count, stderr."""
+        out = {}
+        for tag, a, b, _, count, total in self._cells():
+            if count:
+                e = total / count
+                out[(tag, a, b)] = CorrelatorCell(
+                    e=e, count=count, stderr=math.sqrt(max(0.0, 1.0 - e * e) / count)
+                )
+        return out
+
+
 def correlators(trials: TrialSet | Iterable[Trial]) -> dict[tuple[int, int, int], CorrelatorCell]:
     """Per (tag, setting_a, setting_b) cell: E = <x*y>, count, stderr.
 
     stderr is sqrt((1 - E^2) / count). Cells without trials are absent from
     the result; they are never reported as zero correlation.
     """
-    sums: dict[tuple[int, int, int], int] = {}
-    counts: dict[tuple[int, int, int], int] = {}
-    for t in trials:
-        if t.tag == 0:
-            continue
-        key = (t.tag, t.setting_a, t.setting_b)
-        sums[key] = sums.get(key, 0) + t.outcome_a * t.outcome_b
-        counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for key, count in counts.items():
-        e = sums[key] / count
-        out[key] = CorrelatorCell(e=e, count=count, stderr=math.sqrt(max(0.0, 1.0 - e * e) / count))
-    return out
+    return CellTable.from_trials(trials).correlators()
 
 
 @dataclass(frozen=True)
@@ -169,29 +218,37 @@ class ChshEstimate:
     n_psi_plus: int
 
 
-def chsh_s(trials: TrialSet | Iterable[Trial]) -> ChshEstimate:
+def chsh(table: CellTable, strict: bool = True) -> ChshEstimate | None:
     """CHSH combination per state and the count-weighted average.
 
-    Raises if a state that has heralded trials is missing one of its four
-    setting cells, naming the cell, or if there are no heralded trials.
+    A state that has heralded trials but misses one of its four setting
+    cells raises, naming the cell, when `strict`; otherwise the state is
+    left out, and with no state left the result is None instead of an
+    error. Window sweeps use the lenient form, so a sparse offset still
+    reports its (n, k) with S missing rather than guessed.
     """
-    cells = correlators(trials)
+    cells = table.correlators()
     per_state: dict[int, tuple[float, float, int]] = {}
     for tag, signs in CHSH_SIGNS.items():
-        count = sum(cell.count for (t, _, _), cell in cells.items() if t == tag)
+        state_cells = [cells.get((tag, a, b)) for a, b in SETTING_PAIRS]
+        count = sum(cell.count for cell in state_cells if cell is not None)
         if count == 0:
             continue
+        if None in state_cells:
+            if not strict:
+                continue
+            a, b = SETTING_PAIRS[state_cells.index(None)]
+            state = "psi-minus" if tag == HERALD_PSI_MINUS else "psi-plus"
+            raise ValueError(f"{state} has heralded trials but no events in setting cell ({a},{b})")
         s = 0.0
         var = 0.0
-        for (a, b), sign in zip(SETTING_PAIRS, signs):
-            cell = cells.get((tag, a, b))
-            if cell is None:
-                state = "psi-minus" if tag == HERALD_PSI_MINUS else "psi-plus"
-                raise ValueError(f"{state} has heralded trials but no events in setting cell ({a},{b})")
+        for sign, cell in zip(signs, state_cells):
             s += sign * cell.e
             var += cell.stderr**2
         per_state[tag] = (s, var, count)
     if not per_state:
+        if not strict:
+            return None
         raise ValueError("no heralded trials: S is undefined")
     total = sum(count for _, _, count in per_state.values())
     s_weighted = sum(s * count for s, _, count in per_state.values()) / total
@@ -206,6 +263,15 @@ def chsh_s(trials: TrialSet | Iterable[Trial]) -> ChshEstimate:
         n_psi_minus=minus[2] if minus else 0,
         n_psi_plus=plus[2] if plus else 0,
     )
+
+
+def chsh_s(trials: TrialSet | Iterable[Trial]) -> ChshEstimate:
+    """CHSH combination per state and the count-weighted average.
+
+    Raises if a state that has heralded trials is missing one of its four
+    setting cells, naming the cell, or if there are no heralded trials.
+    """
+    return chsh(CellTable.from_trials(trials))
 
 
 _JSON_FIELDS = ("index", "tag", "setting_a", "setting_b", "outcome_a", "outcome_b")

@@ -1,10 +1,12 @@
 """Command-line surface: pipelines, exit codes, determinism."""
+import hashlib
 import json
 import math
 
 import pytest
 
 from bellkit import cli
+from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 
 
@@ -211,6 +213,28 @@ class TestHerald:
         lines = open(sweep_csv).read().strip().splitlines()
         assert lines[0] == "offset_ps,S,sigma,n,k,p_local"
         assert len(lines) == 4
+        rows = [line.split(",") for line in lines[1:]]
+        assert report["attempts"] == 3000
+        assert [c["offset_ps"] for c in report["herald_counts"]] == [-800, -400, 0]
+        for counts, row in zip(report["herald_counts"], rows):
+            assert counts["heralded"] == int(row[3])
+            parts = counts["heralded"] + counts["extra_click"] + counts["missing_round"] + counts["no_click"]
+            assert parts == report["attempts"]
+        p_local = [float(row[5]) for row in rows]
+        assert report["p_local_min"] == min(p_local)
+        assert report["p_local_min_offset_ps"] == [-800, -400, 0][p_local.index(min(p_local))]
+        assert report["p_bonferroni"] == min(1.0, 3 * min(p_local))
+
+    def test_sweep_rejects_detections_of_unknown_attempts(self, capsys, tmp_path):
+        detections = tmp_path / "d.csv"
+        detections.write_text("attempt_id,channel,time_ps\r\n0,0,5426100\r\n99,1,5425200\r\n", encoding="utf-8")
+        attempts = tmp_path / "a.jsonl"
+        attempts.write_text('{"attempt_id":0,"setting_a":0,"setting_b":0,"outcome_a":1,"outcome_b":1}\n')
+        code, _, err = run(
+            capsys, "herald", "sweep", "--detections", str(detections), "--attempts", str(attempts),
+            "--offsets=0:0:1", "--sweep-out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 1 and "1 detections" in err and "99" in err
 
     def test_stream_mode_requires_no_attempts_out(self, capsys, tmp_path):
         detections = str(tmp_path / "d.csv")
@@ -242,6 +266,43 @@ class TestHerald:
             str(tmp_path / "d.csv"),
         )
         assert code == 1 and "attempts-out" in err
+
+
+def sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+class TestHeraldOutputsPinned:
+    """Digests of the per-click generator and classifier's outputs, which the columnar code must reproduce."""
+
+    def test_experiment_synth_and_sweep_bytes(self, capsys, tmp_path):
+        windows = tmp_path / "windows.json"
+        windows.write_text(json.dumps(WindowConfig().to_dict()), encoding="utf-8")
+        detections, attempts, sweep_csv = (str(tmp_path / n) for n in ("d.csv", "a.jsonl", "sweep.csv"))
+        run_json(
+            capsys, "herald", "synth", "--attempts", "30000", "--seed", "11", "--window-config", str(windows),
+            "--entangle-prob", "0.55", "--decay-ps", "2500", "--reflection-amplitude", "2.0",
+            "--reflection-center-ps=-1800", "--reflection-sigma-ps", "250", "--afterpulse-prob", "0.02",
+            "--dark-rate", "0.005", "--detections-out", detections, "--attempts-out", attempts,
+        )
+        report = run_json(
+            capsys, "herald", "sweep", "--detections", detections, "--attempts", attempts,
+            "--window-config", str(windows), "--offsets=-2000:0:500", "--sweep-out", sweep_csv,
+        )
+        assert sha256(detections) == "37b86e5b5d187a73944df3c4d2ade8ab67886e58993f42b239b738488bf0e548"
+        assert sha256(attempts) == "5a7566abf9bce34c96ed5ac5601fd6f024548ceb9831d4a7e3b6f2e55e83f665"
+        assert sha256(sweep_csv) == "3ca64af393fa1b6ff427dac3f43c6c20f25cbd01efd2166c89780bf60d503eab"
+        assert report["attempts"] == 30000
+
+    def test_stream_synth_bytes(self, capsys, tmp_path):
+        detections = str(tmp_path / "d.csv")
+        run_json(
+            capsys, "herald", "synth", "--mode", "stream", "--attempts", "2000", "--seed", "6",
+            "--reflection-amplitude", "0.5", "--afterpulse-prob", "0.3", "--dark-rate", "0.01",
+            "--detections-out", detections,
+        )
+        assert sha256(detections) == "809a76f1f8e2ea23a6f838e354f83e2f52fcf2eb857298258fba5ab186ad59ee"
+        assert len(open(detections, "rb").read().splitlines()) == 7441
 
 
 class TestRng:
@@ -361,6 +422,14 @@ class TestInfrastructure:
             capsys, "--config", str(config), "audit", "--counts", "53,79,62,51", "--seed", "12"
         )
         assert report["seed"] == 12
+
+    def test_config_key_naming_no_option_exits_one(self, capsys, tmp_path):
+        trials_file = str(tmp_path / "ref.jsonl")
+        run_json(capsys, "simulate-reference", "--win-prob-minus", "0.9", "--attempts", "200", "--trials-out", trials_file)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tua": 0.01}), encoding="utf-8")
+        code, out, err = run(capsys, "--config", str(config), "analyze", trials_file)
+        assert code == 1 and "tua" in err and out == ""
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "audit", "--counts", "1,2,3,4", "--bogus")

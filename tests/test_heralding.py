@@ -162,6 +162,127 @@ class TestBuildAndSweep:
         assert row.p_local is not None and 0.0 < row.p_local <= 1.0
 
 
+def loop_tag_and_reason(clicks, windows):
+    """Per-attempt reference: herald tag and non-herald reason from in_first / in_second."""
+    first = [c for c, t in clicks if windows.in_first(c, t)]
+    second = [c for c, t in clicks if windows.in_second(c, t)]
+    if len(first) == 1 and len(second) == 1:
+        return (-1 if first[0] != second[0] else 1), "heralded"
+    if len(first) > 1 or len(second) > 1:
+        return 0, "extra_click"
+    if first or second:
+        return 0, "missing_round"
+    return 0, "no_click"
+
+
+def boundary_clicks(rng, windows, attempts):
+    """Random click sets whose times sit on and next to every window edge of `windows`."""
+    edges = []
+    for channel in (0, 1):
+        start = windows.start(channel)
+        second = start + windows.second_window_offset_ps
+        for edge in (start, start + windows.len_first_ps, second, second + windows.len_second(channel)):
+            edges.extend([edge - 1, edge, edge + 1])
+    lo = min(edges) - 3_000
+    hi = max(edges) + 3_000
+    clicks = {}
+    for attempt in range(attempts):
+        clicks[attempt] = [
+            (
+                int(rng.integers(0, 2)),
+                int(rng.choice(edges)) if rng.random() < 0.6 else int(rng.integers(lo, hi)),
+            )
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+    return clicks
+
+
+class TestColumnarRule:
+    SHIFTS = [(0, None), (-1, None), (1, None), (-900, None), (-100, -300), (250, 0), (0, -900)]
+
+    def test_tags_match_per_attempt_loop(self):
+        rng = np.random.default_rng(21)
+        for offset, offset_ch1 in self.SHIFTS:
+            windows = WINDOWS.shifted(offset, offset_ch1)
+            clicks = boundary_clicks(rng, windows, 400)
+            events = [click(a, c, t) for a, pairs in clicks.items() for c, t in pairs]
+            tags = classify_attempts(events, windows)
+            expected = {a: loop_tag_and_reason(pairs, windows)[0] for a, pairs in clicks.items() if pairs}
+            assert tags == expected
+            assert {a: classify([e for e in events if e.attempt_id == a], windows) for a in range(25)} == {
+                a: loop_tag_and_reason(clicks[a], windows)[0] for a in range(25)
+            }
+
+    def test_sweep_counts_match_per_attempt_loop(self):
+        rng = np.random.default_rng(22)
+        clicks = boundary_clicks(rng, WINDOWS, 600)
+        events = [click(a, c, t) for a, pairs in clicks.items() for c, t in pairs]
+        attempts = [
+            AttemptRecord(a, int(rng.integers(0, 2)), int(rng.integers(0, 2)), 1, int(1 - 2 * rng.integers(0, 2)))
+            for a in clicks
+        ]
+        offsets = [-1, 0, 1, -400]
+        for row in sweep(events, attempts, WINDOWS, offsets):
+            windows = WINDOWS.shifted(row.offset_ps)
+            reasons = [loop_tag_and_reason(pairs, windows)[1] for pairs in clicks.values()]
+            assert row.n == reasons.count("heralded")
+            assert row.extra_click == reasons.count("extra_click")
+            assert row.missing_round == reasons.count("missing_round")
+            assert row.no_click == reasons.count("no_click")
+            assert row.n + row.extra_click + row.missing_round + row.no_click == len(attempts)
+            trialset = build_trialset(events, attempts, windows)
+            assert (row.k, row.n) == aggregate(trialset)
+
+
+class TestInputChecks:
+    def test_sweep_rejects_detections_of_unknown_attempts(self):
+        events, attempts = small_dataset()
+        events = events + [click(99, 0, 5_426_100), click(99, 1, 5_425_200)]
+        with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
+            sweep(events, attempts, WINDOWS, [0])
+        with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
+            build_trialset(events, attempts, WINDOWS)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"attempt_id":1,"setting_a":7,"setting_b":0,"outcome_a":1,"outcome_b":1}', r"line 3: setting_a .* 7"),
+            ('{"attempt_id":1,"setting_a":0,"setting_b":0,"outcome_a":1,"outcome_b":0}', r"line 3: outcome_b .* 0"),
+            (
+                '{"attempt_id":0,"setting_a":0,"setting_b":0,"outcome_a":1,"outcome_b":1}',
+                r"line 3: duplicate attempt_id 0, first on line 1",
+            ),
+            (
+                '{"attempt_id":9223372036854775808,"setting_a":0,"setting_b":0,"outcome_a":1,"outcome_b":1}',
+                r"line 3: fields must fit in 64-bit integers",
+            ),
+        ],
+    )
+    def test_read_attempts_rejects_bad_records(self, line, message):
+        good = '{"attempt_id":0,"setting_a":1,"setting_b":0,"outcome_a":-1,"outcome_b":1}'
+        with pytest.raises(ValueError, match=message):
+            read_attempts(io.StringIO(f"{good}\n\n{line}\n"))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,0,5\r\n0,2,7\r\n", r"line 3: channel must be 0 or 1, got 2"),
+            ("0,0,5\r\n\r\n0,1,-7\r\n", r"line 4: time_ps must be >= 0, got -7"),
+            ("0,0,5\r\n0,x,7\r\n", r"line 3: .*'x'"),
+            ("0,0,5\r\n0,1,7,9\r\n", r"line 3: expected 3 fields, got 4"),
+            ("0,0,5\r\n9223372036854775808,1,7\r\n", r"line 3: .*int"),
+        ],
+    )
+    def test_read_detections_names_bad_line(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            read_detections(io.StringIO("attempt_id,channel,time_ps\r\n" + body))
+
+    def test_read_detections_skips_empty_lines(self):
+        back = read_detections(io.StringIO("attempt_id,channel,time_ps\r\n0,0,5\r\n\r\n1,1,6\r\n"))
+        assert list(back) == [click(0, 0, 5), click(1, 1, 6)]
+        assert len(read_detections(io.StringIO("attempt_id,channel,time_ps\r\n"))) == 0
+
+
 class TestSynthStream:
     def test_no_reflection_no_dark_all_clicks_from_window_start(self):
         params = StreamParams(signal_prob=0.8)
@@ -288,7 +409,7 @@ class TestFileFormats:
         buffer = io.StringIO()
         write_detections(buffer, events)
         back = read_detections(io.StringIO(buffer.getvalue()))
-        assert back == events
+        assert list(back) == events
 
     def test_detections_header_required(self):
         with pytest.raises(ValueError, match="header"):
@@ -299,7 +420,7 @@ class TestFileFormats:
         buffer = io.StringIO()
         write_attempts(buffer, records)
         back = read_attempts(io.StringIO(buffer.getvalue()))
-        assert back == records
+        assert list(back) == records
 
     def test_attempts_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -182,6 +182,17 @@ class TestChshS:
         with pytest.raises(ValueError, match="no heralded"):
             chsh_s(ts)
 
+    def test_lenient_form_skips_incomplete_state(self):
+        complete_plus = [(1, a, b, 1, 1) for a, b in trials.SETTING_PAIRS]
+        incomplete_minus = [(-1, 0, 0, 1, 1)]
+        table = trials.CellTable.from_trials(make_trials(complete_plus + incomplete_minus))
+        with pytest.raises(ValueError, match=r"psi-minus.*\(0,1\)"):
+            trials.chsh(table)
+        lenient = trials.chsh(table, strict=False)
+        plus_only = chsh_s(make_trials(complete_plus))
+        assert lenient == plus_only
+        assert trials.chsh(trials.CellTable.from_trials(make_trials([(0, 0, 0, 1, 1)])), strict=False) is None
+
     def test_weighted_average_uses_trial_counts(self):
         # Two psi-minus rounds and one psi-plus round at maximal scores:
         # weights 8:4.
