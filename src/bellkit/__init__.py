@@ -30,7 +30,6 @@ from .pvalues import (  # noqa: F401
 )
 from .trials import (  # noqa: F401
     ChshEstimate,
-    Trial,
     TrialSet,
     aggregate,
     chsh_s,

@@ -132,7 +132,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     trialset = trials_mod.read_trials(args.trials)
     if len(trialset) == 0:
         raise CliError(f"{args.trials}: no trials")
-    table = trials_mod.CellTable.from_trials(trialset)
+    table = trialset.cells()
     k, n = table.k_n()
     estimate = trials_mod.chsh(table)
     params = _params(args, ("trials", "f", "tau", "beta_form"))

@@ -32,7 +32,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -41,7 +40,18 @@ import numpy as np
 
 from . import rngstream
 from .pvalues import pvalue_complete
-from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, CellTable, Trial, TrialSet, chsh
+from .trials import (
+    HERALD_NONE,
+    HERALD_PSI_MINUS,
+    HERALD_PSI_PLUS,
+    CellTable,
+    TrialSet,
+    _check_domains,
+    _read_path,
+    _read_records,
+    _write_rows,
+    chsh,
+)
 
 _WINDOW_FIELDS = (
     "start_ch0_ps",
@@ -203,13 +213,7 @@ def _checked_attempts(rows: np.ndarray, lines: Sequence[int], unit: str) -> Atte
 
     Errors name the offending row as `{unit} {lines[i]}`.
     """
-    valid = np.column_stack([np.isin(rows[:, 1:3], (0, 1)), np.isin(rows[:, 3:], (-1, 1))])
-    bad = np.flatnonzero(~valid.all(axis=1))
-    if bad.size:
-        i = bad[0]
-        field = int(np.flatnonzero(~valid[i])[0]) + 1
-        domain = "the bit 0 or 1" if field <= 2 else "+1 or -1"
-        raise ValueError(f"{unit} {lines[i]}: {_ATTEMPT_FIELDS[field]} must be {domain}, got {rows[i, field]}")
+    _check_domains(dict(zip(_ATTEMPT_FIELDS, rows.T)), lines, unit)
     order = np.argsort(rows[:, 0], kind="stable")
     ids = rows[order, 0]
     repeats = np.flatnonzero(ids[1:] == ids[:-1])
@@ -286,7 +290,6 @@ def build_trialset(
     events: DetectionTable | Iterable[DetectionEvent],
     attempts: AttemptTable | Iterable[AttemptRecord],
     windows: WindowConfig,
-    label: str = "",
 ) -> TrialSet:
     """Merge classification tags with recorded settings and outcomes, in attempt_id order.
 
@@ -295,12 +298,9 @@ def build_trialset(
     detections = DetectionTable.from_events(events)
     table = AttemptTable.from_records(attempts)
     tags = _round_clicks(detections, _attempt_rows(detections, table), len(table), windows)[2]
-    columns = zip(tags.tolist(), *(getattr(table, f).tolist() for f in _ATTEMPT_FIELDS[1:]))
-    trials = tuple(
-        Trial(index=i, tag=tag, setting_a=sa, setting_b=sb, outcome_a=oa, outcome_b=ob)
-        for i, (tag, sa, sb, oa, ob) in enumerate(columns, start=1)
+    return TrialSet(
+        np.arange(1, len(table) + 1), tags, table.setting_a, table.setting_b, table.outcome_a, table.outcome_b
     )
-    return TrialSet(trials=trials, label=label)
 
 
 @dataclass(frozen=True)
@@ -542,15 +542,6 @@ def synth_experiment(
 _DETECTION_HEADER = "attempt_id,channel,time_ps"
 _DETECTION_ROW = "%d,%d,%d\r\n"
 _ATTEMPT_ROW = '{"attempt_id":%d,"setting_a":%d,"setting_b":%d,"outcome_a":%d,"outcome_b":%d}\n'
-# Rows formatted per write call; bounds the transient strings of a large table.
-_WRITE_CHUNK = 65_536
-
-
-def _write_rows(target: IO[str], row_format: str, columns: Sequence[np.ndarray]) -> None:
-    rows = np.column_stack(columns)
-    for begin in range(0, len(rows), _WRITE_CHUNK):
-        chunk = rows[begin : begin + _WRITE_CHUNK]
-        target.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_detections(target: str | IO[str], events: DetectionTable | Iterable[DetectionEvent]) -> None:
@@ -590,11 +581,11 @@ def read_detections(source: str | IO[str]) -> DetectionTable:
     """Read a detections CSV into columns; a bad row raises, naming its line.
 
     Empty lines are skipped. Every other line must hold three integers, a
-    channel of 0 or 1 and a time of at least 0.
+    channel of 0 or 1 and a time of at least 0. Given a path, errors also
+    name the file.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return read_detections(handle)
+        return _read_path(source, read_detections, newline="")
     header = source.readline().rstrip("\r\n")
     if header != _DETECTION_HEADER:
         raise ValueError(f"expected header {_DETECTION_HEADER}, got {header!r}")
@@ -633,33 +624,12 @@ def read_attempts(source: str | IO[str]) -> AttemptTable:
     """Read JSON-lines attempt records; a bad record raises, naming its line.
 
     Every field must be an integer, settings 0 or 1, outcomes +1 or -1, and
-    no attempt_id may repeat.
+    no attempt_id may repeat. Given a path, errors also name the file.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_attempts(handle)
-    rows = []
-    lines = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(data, dict) or not all(
-            f in data and isinstance(data[f], int) and not isinstance(data[f], bool) for f in _ATTEMPT_FIELDS
-        ):
-            raise ValueError(f"line {lineno}: need integer fields {_ATTEMPT_FIELDS}")
-        rows.append([data[f] for f in _ATTEMPT_FIELDS])
-        lines.append(lineno)
-    try:
-        table_rows = np.array(rows, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS))
-    except OverflowError:
-        i = next(i for i, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row))
-        raise ValueError(f"line {lines[i]}: fields must fit in 64-bit integers") from None
-    return _checked_attempts(table_rows, lines, "line")
+        return _read_path(source, read_attempts)
+    rows, lines = _read_records(source, _ATTEMPT_FIELDS)
+    return _checked_attempts(rows, lines, "line")
 
 
 def write_sweep_csv(target: str | IO[str], rows: Sequence[SweepRow]) -> None:

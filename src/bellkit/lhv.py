@@ -22,7 +22,6 @@ bound in `pvalues` dominates every representable strategy.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import rngstream
 from .pvalues import BiasParams, beta_win_lemma, pvalue_complete
-from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, Trial, TrialSet
+from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet
 
 BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")
 
@@ -311,9 +310,9 @@ class SimStats:
         return self.wins / self.heralded if self.heralded else math.nan
 
 
-def _required_output_xor(tag: int, setting_a: int, setting_b: int) -> int:
-    """XOR of the two output bits that wins this trial's game."""
-    return setting_a & (setting_b ^ 1 if tag == HERALD_PSI_PLUS else setting_b)
+def _required_output_xor(tag, setting_a, setting_b):
+    """XOR of the two output bits that wins the game; scalars or integer arrays alike."""
+    return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
 
 
 def _run_tape(
@@ -323,17 +322,18 @@ def _run_tape(
     *,
     stop_after_heralds: int | None = None,
     record: bool = True,
-    start_index: int = 1,
     force_setting_b: Mapping[int, int] | None = None,
-) -> tuple[list[Trial], SimStats]:
+) -> tuple[TrialSet | None, SimStats]:
     """Play the tape sequentially. The strategy is NOT reset here.
 
-    `force_setting_b` overrides side B's setting at given 0-based attempt
-    positions; used by locality checks to replay a run with one setting
-    flipped while keeping the rest of the tape identical.
+    With `record`, the played attempts come back as trials indexed from 1;
+    without, the trial set is None. `force_setting_b` overrides side B's
+    setting at given 0-based attempt positions; used by locality checks to
+    replay a run with one setting flipped while keeping the rest of the
+    tape identical.
     """
     f = rng_model.f
-    records: list[Trial] = []
+    rows: list[tuple[int, int, int, int, int]] = []
     heralded = wins = early_a = early_b = early_any = 0
     attempts = 0
     for pos, row in enumerate(tape):
@@ -366,16 +366,7 @@ def _run_tape(
             early_b += is_early_b
             early_any += is_early_a or is_early_b
         if record:
-            records.append(
-                Trial(
-                    index=start_index + pos,
-                    tag=tag,
-                    setting_a=setting_a,
-                    setting_b=setting_b,
-                    outcome_a=1 - 2 * bit_a,
-                    outcome_b=1 - 2 * bit_b,
-                )
-            )
+            rows.append((tag, setting_a, setting_b, bit_a, bit_b))
         strategy.observe(tag, setting_a, setting_b, bit_a, bit_b, won)
         if stop_after_heralds is not None and heralded >= stop_after_heralds:
             break
@@ -387,7 +378,10 @@ def _run_tape(
         early_b=early_b,
         early_any=early_any,
     )
-    return records, stats
+    if not record:
+        return None, stats
+    tag, setting_a, setting_b, bit_a, bit_b = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return TrialSet(np.arange(1, attempts + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b), stats
 
 
 def simulate_with_stats(
@@ -395,21 +389,13 @@ def simulate_with_stats(
     rng_model: RngModel,
     attempts: int,
     seed: int,
-    label: str = "",
 ) -> tuple[TrialSet, SimStats]:
     """Run `attempts` sequential attempts and return trials plus counters."""
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     tape = rngstream.stream(seed).random((attempts, 9)).tolist()
     strategy.reset()
-    records, stats = _run_tape(strategy, rng_model, tape)
-    trialset = TrialSet(
-        trials=tuple(records),
-        label=label or strategy.name,
-        seed=seed,
-        generator=f"lhv/{strategy.name}/{rngstream.GENERATOR_NAME}",
-    )
-    return trialset, stats
+    return _run_tape(strategy, rng_model, tape)
 
 
 def simulate(
@@ -417,10 +403,9 @@ def simulate(
     rng_model: RngModel,
     attempts: int,
     seed: int,
-    label: str = "",
 ) -> TrialSet:
     """Sequential adversary simulation; see simulate_with_stats."""
-    return simulate_with_stats(strategy, rng_model, attempts, seed, label=label)[0]
+    return simulate_with_stats(strategy, rng_model, attempts, seed)[0]
 
 
 def replay(
@@ -429,12 +414,11 @@ def replay(
     attempts: int,
     seed: int,
     force_setting_b: Mapping[int, int] | None = None,
-) -> list[Trial]:
+) -> TrialSet:
     """Re-run the exact tape of simulate(), optionally forcing B settings."""
     tape = rngstream.stream(seed).random((attempts, 9)).tolist()
     strategy.reset()
-    records, _ = _run_tape(strategy, rng_model, tape, force_setting_b=force_setting_b)
-    return records
+    return _run_tape(strategy, rng_model, tape, force_setting_b=force_setting_b)[0]
 
 
 def play_heralded(
@@ -490,7 +474,6 @@ def simulate_reference(
     attempts: int,
     seed: int,
     psi_plus_share: float = 0.5,
-    label: str = "reference",
 ) -> TrialSet:
     """I.i.d. synthetic experiment with uniform settings.
 
@@ -530,24 +513,13 @@ def simulate_reference(
         win_prob[tags == state] = w
     wins = u[:, 4] < win_prob
     out_a = np.where(u[:, 5] < 0.5, 1, -1)
-
-    trials = []
-    for i in range(attempts):
-        tag = int(tags[i])
-        sa, sb = int(settings_a[i]), int(settings_b[i])
-        oa = int(out_a[i])
-        if tag == 0:
-            ob = 1 if u[i, 6] < 0.5 else -1
-        else:
-            required = 1 - 2 * _required_output_xor(tag, sa, sb)
-            ob = required * oa if wins[i] else -required * oa
-        trials.append(Trial(index=i + 1, tag=tag, setting_a=sa, setting_b=sb, outcome_a=oa, outcome_b=int(ob)))
-    return TrialSet(
-        trials=tuple(trials),
-        label=label,
-        seed=seed,
-        generator=f"reference/{rngstream.GENERATOR_NAME}",
+    required = 1 - 2 * _required_output_xor(tags, settings_a, settings_b)
+    out_b = np.where(
+        tags == HERALD_NONE,
+        np.where(u[:, 6] < 0.5, 1, -1),
+        np.where(wins, required * out_a, -required * out_a),
     )
+    return TrialSet(np.arange(1, attempts + 1), tags, settings_a, settings_b, out_a, out_b)
 
 
 @dataclass(frozen=True)
@@ -587,9 +559,6 @@ class AdversaryReport:
                 for name, (r, m) in self.by_strategy.items()
             },
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def adversary_suite(

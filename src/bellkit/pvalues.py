@@ -32,7 +32,6 @@ P-values and the tau sensitivity curve of the complete analysis.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
@@ -180,6 +179,3 @@ class PValueReport:
         if self.note:
             out["note"] = self.note
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

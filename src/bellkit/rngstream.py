@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-GENERATOR_NAME = "philox4x64"
-
 _U64_MAX = (1 << 64) - 1
 
 
@@ -29,10 +27,3 @@ def philox_key(seed: int, stream_id: int = 0) -> int:
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Generator for the given (seed, stream) pair."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, stream_id)))
-
-
-def streams(seed: int, count: int, first_id: int = 0) -> list[np.random.Generator]:
-    """`count` independent generators with consecutive stream ids."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return [stream(seed, first_id + i) for i in range(count)]

@@ -19,16 +19,16 @@ function.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import special
 
 from . import exact, rngstream
+from .trials import _check_domains, _read_path, _read_records
 
 ORDERINGS = ("probability", "chi2")
 
@@ -79,37 +79,30 @@ class SettingCounts:
         return np.array([self.n00, self.n01, self.n10, self.n11], dtype=np.int64)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SettingCounts":
-        counts = [0, 0, 0, 0]
-        for a, b in pairs:
-            if a not in (0, 1) or b not in (0, 1):
-                raise ValueError(f"settings must be bits, got ({a!r}, {b!r})")
-            counts[2 * a + b] += 1
-        return cls(*counts)
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]], lines: Sequence[int] | None = None) -> "SettingCounts":
+        """Tabulate (setting_a, setting_b) pairs.
+
+        A pair that is not two bits raises, naming its row, counted from 1,
+        or its file line when `lines` gives the line of each pair.
+        """
+        pairs = np.asarray(pairs)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError("settings must be integers")
+        setting_a, setting_b = pairs.astype(np.int64).reshape(-1, 2).T
+        unit = "row" if lines is None else "line"
+        lines = range(1, len(setting_a) + 1) if lines is None else lines
+        _check_domains({"setting_a": setting_a, "setting_b": setting_b}, lines, unit)
+        return cls(*np.bincount(2 * setting_a + setting_b, minlength=4).tolist())
 
 
-def read_settings_stream(source) -> SettingCounts:
-    """Tabulate a raw settings stream: JSON-lines of setting_a, setting_b."""
+def read_settings_stream(source: str | IO[str]) -> SettingCounts:
+    """Tabulate a raw settings stream: JSON-lines of setting_a, setting_b.
+
+    A bad record raises, naming its line (and the file, given a path).
+    """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_settings_stream(handle)
-    pairs = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        try:
-            a, b = record["setting_a"], record["setting_b"]
-        except (TypeError, KeyError):
-            raise ValueError(f"line {lineno}: need setting_a and setting_b fields") from None
-        if a not in (0, 1) or b not in (0, 1) or isinstance(a, bool) or isinstance(b, bool):
-            raise ValueError(f"line {lineno}: settings must be bits, got ({a!r}, {b!r})")
-        pairs.append((a, b))
-    return SettingCounts.from_pairs(pairs)
+        return _read_path(source, read_settings_stream)
+    return SettingCounts.from_pairs(*_read_records(source, ("setting_a", "setting_b")))
 
 
 @dataclass(frozen=True)
@@ -404,9 +397,6 @@ class AuditRow:
             "seed": self.seed,
             "ordering": self.ordering,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def audit_row(

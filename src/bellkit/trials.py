@@ -1,4 +1,4 @@
-"""Event-ready CHSH trial data model and scoring.
+"""Event-ready CHSH trial records and their scoring.
 
 A trial is one event-ready attempt: a herald tag from the third station,
 one binary setting and one +-1 outcome per side. The tag selects which of
@@ -9,15 +9,23 @@ the two sign-flipped CHSH games the pair of stations is playing:
 * tag  0: no herald, the attempt is never scored.
 
 Both game variants share the single win indicator
-|t| * ((-1)^(a*(b + (t+1)/2)) * x*y + 1) / 2, which this module implements
-verbatim. Everything here is a pure function over immutable values.
+|t| * ((-1)^(a*(b + (t+1)/2)) * x*y + 1) / 2, which `win_indicator`
+implements verbatim. A `TrialSet` holds trials as checked int64 columns,
+and k, n, the correlators and S are read from the `CellTable` tabulated
+over them.
+
+This module also owns the JSON-lines format of integer records that trial,
+attempt and settings files share: one reader, one chunked row writer and
+one vectorised domain check, whose errors name the file line.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping
+import operator
+from dataclasses import InitVar, dataclass
+from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,79 +42,93 @@ CHSH_SIGNS = {
     HERALD_PSI_PLUS: (1, 1, -1, 1),
 }
 
-_TAGS = (-1, 0, 1)
-_BITS = (0, 1)
-_SIGNS = (-1, 1)
+_TRIAL_FIELDS = ("index", "tag", "setting_a", "setting_b", "outcome_a", "outcome_b")
+
+# Allowed values of each record field that has a domain, and how errors name them.
+_DOMAINS = {
+    "tag": ((HERALD_PSI_MINUS, HERALD_NONE, HERALD_PSI_PLUS), "-1, 0 or +1"),
+    "setting_a": ((0, 1), "the bit 0 or 1"),
+    "setting_b": ((0, 1), "the bit 0 or 1"),
+    "outcome_a": ((-1, 1), "+1 or -1"),
+    "outcome_b": ((-1, 1), "+1 or -1"),
+}
 
 
-def _check_domains(tag: int, setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> None:
-    if tag not in _TAGS:
-        raise ValueError(f"herald tag must be -1, 0 or +1, got {tag!r}")
-    for name, value in (("setting_a", setting_a), ("setting_b", setting_b)):
-        if value not in _BITS or isinstance(value, bool):
-            raise ValueError(f"{name} must be the bit 0 or 1, got {value!r}")
-    for name, value in (("outcome_a", outcome_a), ("outcome_b", outcome_b)):
-        if value not in _SIGNS or isinstance(value, bool):
-            raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+def _check_domains(columns: Mapping[str, np.ndarray], lines: Sequence[int], unit: str) -> None:
+    """Raise if a column with a domain holds a value outside it.
+
+    Names the first offending row i as `{unit} {lines[i]}`, and within it
+    the first such field in column order.
+    """
+    names = [name for name in columns if name in _DOMAINS]
+    valid = np.column_stack([np.isin(columns[name], _DOMAINS[name][0]) for name in names])
+    bad = np.flatnonzero(~valid.all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        name = names[int(np.flatnonzero(~valid[i])[0])]
+        raise ValueError(f"{unit} {lines[i]}: {name} must be {_DOMAINS[name][1]}, got {columns[name][i]}")
 
 
-@dataclass(frozen=True, slots=True)
-class Trial:
-    """One event-ready attempt.
+@dataclass(frozen=True, eq=False)
+class TrialSet:
+    """Trials as equal-length, read-only int64 columns.
 
-    Outcomes are recorded even when tag = 0, but such attempts never enter
-    any statistic.
+    Construction checks every row: index at least 1 and above the previous
+    row's, tag -1, 0 or +1, settings 0 or 1, outcomes +1 or -1. Errors name
+    the row, counted from 1, or its file line when `lines` gives the line of
+    each row. Outcomes are recorded even when tag = 0, but such trials never
+    enter any statistic.
     """
 
-    index: int
-    tag: int
-    setting_a: int
-    setting_b: int
-    outcome_a: int
-    outcome_b: int
+    index: np.ndarray
+    tag: np.ndarray
+    setting_a: np.ndarray
+    setting_b: np.ndarray
+    outcome_a: np.ndarray
+    outcome_b: np.ndarray
+    lines: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.index, bool) or int(self.index) != self.index or self.index < 1:
-            raise ValueError(f"trial index must be a positive integer, got {self.index!r}")
-        _check_domains(self.tag, self.setting_a, self.setting_b, self.outcome_a, self.outcome_b)
-
-    @property
-    def heralded(self) -> bool:
-        return self.tag != 0
-
-
-@dataclass(frozen=True)
-class TrialSet:
-    """Ordered collection of trials with run provenance."""
-
-    trials: tuple[Trial, ...]
-    label: str = ""
-    seed: int | None = None
-    generator: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", tuple(self.trials))
-        last = 0
-        for trial in self.trials:
-            if trial.index <= last:
-                raise ValueError(
-                    f"trial indices must be strictly increasing, got {trial.index} after {last}"
-                )
-            last = trial.index
+    def __post_init__(self, lines: Sequence[int] | None) -> None:
+        columns = {}
+        for name in _TRIAL_FIELDS:
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be a one-dimensional column of integers")
+            column = column.astype(np.int64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            columns[name] = column
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("trial columns must have equal lengths")
+        unit = "row" if lines is None else "line"
+        lines = range(1, len(self.index) + 1) if lines is None else lines
+        index = self.index
+        bad = np.flatnonzero(index < 1)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{unit} {lines[i]}: trial index must be a positive integer, got {index[i]}")
+        bad = np.flatnonzero(index[1:] <= index[:-1])
+        if bad.size:
+            i = int(bad[0]) + 1
+            raise ValueError(
+                f"{unit} {lines[i]}: trial indices must be strictly increasing, got {index[i]} after {index[i - 1]}"
+            )
+        _check_domains(columns, lines, unit)
 
     def __len__(self) -> int:
-        return len(self.trials)
+        return len(self.index)
 
-    def __iter__(self) -> Iterator[Trial]:
-        return iter(self.trials)
-
-    def heralded_trials(self) -> tuple[Trial, ...]:
-        return tuple(t for t in self.trials if t.tag != 0)
+    def cells(self) -> CellTable:
+        """The heralded trials tabulated over the 2x4 (tag, setting_a, setting_b) cells."""
+        return CellTable.from_columns(self.tag, self.setting_a, self.setting_b, self.outcome_a, self.outcome_b)
 
 
 def win_indicator(tag: int, setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> int:
     """1 if the trial wins its game, 0 otherwise (always 0 when tag = 0)."""
-    _check_domains(tag, setting_a, setting_b, outcome_a, outcome_b)
+    for name, value in zip(_DOMAINS, (tag, setting_a, setting_b, outcome_a, outcome_b)):
+        allowed, described = _DOMAINS[name]
+        if isinstance(value, bool) or value not in allowed:
+            raise ValueError(f"{name} must be {described}, got {value!r}")
     if tag == 0:
         return 0
     exponent = setting_a * (setting_b + (tag + 1) // 2)
@@ -114,9 +136,9 @@ def win_indicator(tag: int, setting_a: int, setting_b: int, outcome_a: int, outc
     return (product + 1) // 2
 
 
-def aggregate(trials: TrialSet | Iterable[Trial]) -> tuple[int, int]:
+def aggregate(trials: TrialSet) -> tuple[int, int]:
     """(k, n): total wins and total heralded trials."""
-    return CellTable.from_trials(trials).k_n()
+    return trials.cells().k_n()
 
 
 @dataclass(frozen=True)
@@ -158,13 +180,6 @@ class CellTable:
         agreeing = np.bincount(cell[agree], minlength=8)
         return cls(count=tuple(count.tolist()), product_sum=tuple((2 * agreeing - count).tolist()))
 
-    @classmethod
-    def from_trials(cls, trials: TrialSet | Iterable[Trial]) -> "CellTable":
-        rows = np.array(
-            [(t.tag, t.setting_a, t.setting_b, t.outcome_a, t.outcome_b) for t in trials], dtype=np.int64
-        ).reshape(-1, 5)
-        return cls.from_columns(*rows.T)
-
     def _cells(self) -> Iterator[tuple[int, int, int, int, int, int]]:
         """(tag, a, b, win sign, count, product sum) per cell.
 
@@ -192,13 +207,13 @@ class CellTable:
         return out
 
 
-def correlators(trials: TrialSet | Iterable[Trial]) -> dict[tuple[int, int, int], CorrelatorCell]:
+def correlators(trials: TrialSet) -> dict[tuple[int, int, int], CorrelatorCell]:
     """Per (tag, setting_a, setting_b) cell: E = <x*y>, count, stderr.
 
     stderr is sqrt((1 - E^2) / count). Cells without trials are absent from
     the result; they are never reported as zero correlation.
     """
-    return CellTable.from_trials(trials).correlators()
+    return trials.cells().correlators()
 
 
 @dataclass(frozen=True)
@@ -265,42 +280,47 @@ def chsh(table: CellTable, strict: bool = True) -> ChshEstimate | None:
     )
 
 
-def chsh_s(trials: TrialSet | Iterable[Trial]) -> ChshEstimate:
+def chsh_s(trials: TrialSet) -> ChshEstimate:
     """CHSH combination per state and the count-weighted average.
 
     Raises if a state that has heralded trials is missing one of its four
     setting cells, naming the cell, or if there are no heralded trials.
     """
-    return chsh(CellTable.from_trials(trials))
+    return chsh(trials.cells())
 
 
-_JSON_FIELDS = ("index", "tag", "setting_a", "setting_b", "outcome_a", "outcome_b")
+# ---------------------------------------------------------------------------
+# JSON-lines records of integer fields
+
+_TRIAL_ROW = '{"index":%d,"tag":%d,"setting_a":%d,"setting_b":%d,"outcome_a":%d,"outcome_b":%d}\n'
+# Rows formatted per write call; bounds the transient strings of a large table.
+_WRITE_CHUNK = 65_536
+
+_T = TypeVar("_T")
 
 
-def _trial_from_record(record: Mapping[str, object], where: str) -> Trial:
-    if not isinstance(record, Mapping):
-        raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
-    missing = [f for f in _JSON_FIELDS if f not in record]
-    if missing:
-        raise ValueError(f"{where}: missing fields {missing}")
-    values = {}
-    for name in _JSON_FIELDS:
-        value = record[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{where}: field {name} must be an integer, got {value!r}")
-        values[name] = value
-    try:
-        return Trial(**values)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+def _read_path(path: str, reader: Callable[[IO[str]], _T], newline: str | None = None) -> _T:
+    """`reader` applied to the text file at `path`; its errors are prefixed with the path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        try:
+            return reader(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
-def read_trials(source: str | IO[str], label: str = "") -> TrialSet:
-    """Read a JSON-lines trial file, rejecting out-of-domain records."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_trials(handle, label=label or source)
-    trials = []
+def _read_records(source: IO[str], fields: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+    """(rows, line numbers) of a JSON-lines file of integer records.
+
+    Empty lines are skipped. Every other line must be a JSON object with an
+    integer (not bool) for each of `fields` (two or more), within 64 bits;
+    other keys are ignored. Row i holds the values in `fields` order and
+    came from line `lines[i]`. A bad record raises, naming its line; JSON
+    and missing-field errors are found in line order, type and range errors
+    once the whole file is parsed.
+    """
+    values_of = operator.itemgetter(*fields)
+    rows = []
+    lines = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
@@ -309,28 +329,44 @@ def read_trials(source: str | IO[str], label: str = "") -> TrialSet:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        trials.append(_trial_from_record(record, f"line {lineno}"))
-    return TrialSet(trials=tuple(trials), label=label)
+        if not isinstance(record, dict):
+            raise ValueError(f"line {lineno}: expected a JSON object, got {type(record).__name__}")
+        try:
+            rows.append(values_of(record))
+        except KeyError:
+            raise ValueError(f"line {lineno}: missing fields {[f for f in fields if f not in record]}") from None
+        lines.append(lineno)
+    # One pass over all values in C; the slow scan below only locates an error.
+    if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, value in enumerate(row) if type(value) is not int)
+        raise ValueError(f"line {lines[i]}: field {fields[j]} must be an integer, got {rows[i][j]!r}")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, len(fields)), lines
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row))
+        raise ValueError(f"line {lines[i]}: fields must fit in 64-bit integers") from None
 
 
-def write_trials(target: str | IO[str], trials: TrialSet | Iterable[Trial]) -> None:
-    """Write trials as JSON-lines, one record per line."""
+def _write_rows(target: IO[str], row_format: str, columns: Sequence[np.ndarray]) -> None:
+    """Write `row_format` filled from each row of the integer columns, in chunks of rows."""
+    rows = np.column_stack(columns)
+    for begin in range(0, len(rows), _WRITE_CHUNK):
+        chunk = rows[begin : begin + _WRITE_CHUNK]
+        target.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def read_trials(source: str | IO[str]) -> TrialSet:
+    """Read a JSON-lines trial file; a bad record raises, naming its line (and the file, given a path)."""
+    if isinstance(source, str):
+        return _read_path(source, read_trials)
+    rows, lines = _read_records(source, _TRIAL_FIELDS)
+    return TrialSet(*rows.T, lines=lines)
+
+
+def write_trials(target: str | IO[str], trials: TrialSet) -> None:
+    """Write trials as compact JSON-lines, one record per line, keys in field order."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as handle:
             write_trials(handle, trials)
         return
-    for t in trials:
-        target.write(
-            json.dumps(
-                {
-                    "index": t.index,
-                    "tag": t.tag,
-                    "setting_a": t.setting_a,
-                    "setting_b": t.setting_b,
-                    "outcome_a": t.outcome_a,
-                    "outcome_b": t.outcome_b,
-                },
-                separators=(",", ":"),
-            )
-        )
-        target.write("\n")
+    _write_rows(target, _TRIAL_ROW, [getattr(trials, name) for name in _TRIAL_FIELDS])

@@ -72,6 +72,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1 and "line 1" in err
 
+    def test_repeated_index_names_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "repeated.jsonl"
+        record = '{"index": 1, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1, "outcome_b": 1}\n'
+        bad.write_text(record * 2, encoding="utf-8")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert f"{bad}: line 2: trial indices must be strictly increasing, got 1 after 1" in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/trials.jsonl")
         assert code == 2
@@ -303,6 +311,43 @@ class TestHeraldOutputsPinned:
         )
         assert sha256(detections) == "809a76f1f8e2ea23a6f838e354f83e2f52fcf2eb857298258fba5ab186ad59ee"
         assert len(open(detections, "rb").read().splitlines()) == 7441
+
+
+class TestTrialOutputsPinned:
+    """Digests of trial files and their analyze reports as the per-row Trial code wrote them.
+
+    Run in the temporary directory with relative file names, since each
+    report's config hash covers the trial file path.
+    """
+
+    @pytest.mark.parametrize(
+        "simulate_args, trials_file, trials_digest, report_digest",
+        [
+            (
+                ("simulate-reference", "--attempts", "5000", "--win-prob-minus", "0.78", "--win-prob-plus", "0.78",
+                 "--herald-rate", "0.3", "--seed", "11"),
+                "ref.jsonl",
+                "73f7aa3dd2d4a24a56d2e44ca0e2411263fe5653090a7fe4b0b6914025a295ef",
+                "9562112f89175eabe2ae71a81aa276d9d486cdb488ca91b6f363ade1f2df7baa",
+            ),
+            (
+                ("simulate", "--strategy", "herald-gating", "--attempts", "3000", "--seed", "11"),
+                "lhv.jsonl",
+                "4757374fd2649d2203d787aa833523294e511b37cf5c3367e2118a83b747854b",
+                "a7c6f192e103ab325b4553e4bc227c68497b58192cee807be4a2c0fe11d844f1",
+            ),
+        ],
+        ids=["simulate-reference", "simulate"],
+    )
+    def test_trial_file_and_analyze_bytes(
+        self, capsys, tmp_path, monkeypatch, simulate_args, trials_file, trials_digest, report_digest
+    ):
+        monkeypatch.chdir(tmp_path)
+        run_json(capsys, *simulate_args, "--trials-out", trials_file)
+        code, _, err = run(capsys, "analyze", trials_file, "--out", "report.json")
+        assert code == 0, err
+        assert sha256(trials_file) == trials_digest
+        assert sha256("report.json") == report_digest
 
 
 class TestRng:

@@ -1,6 +1,7 @@
 """Window classification, offset sweeps and the synthetic stream generator."""
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ class TestBuildAndSweep:
     def test_build_trialset_tags(self):
         events, attempts = small_dataset()
         ts = build_trialset(events, attempts, WINDOWS)
-        assert [t.tag for t in ts.trials] == [-1, 1, 0, 0]
+        assert ts.tag.tolist() == [-1, 1, 0, 0]
 
     def test_sweep_offset_zero_matches_direct(self):
         events, attempts = small_dataset()
@@ -133,8 +134,8 @@ class TestBuildAndSweep:
         ts = build_trialset(events, attempts, WINDOWS)
         k, n = aggregate(ts)
         assert rows[0].n == n and rows[0].k == k
-        ts_tags = [t.tag for t in ts.trials]
-        shifted_tags = [t.tag for t in build_trialset(events, attempts, WINDOWS.shifted(0)).trials]
+        ts_tags = ts.tag.tolist()
+        shifted_tags = build_trialset(events, attempts, WINDOWS.shifted(0)).tag.tolist()
         assert ts_tags == shifted_tags
 
     def test_sweep_no_extra_events_unchanged(self):
@@ -276,6 +277,16 @@ class TestInputChecks:
     def test_read_detections_names_bad_line(self, body, message):
         with pytest.raises(ValueError, match=message):
             read_detections(io.StringIO("attempt_id,channel,time_ps\r\n" + body))
+
+    def test_readers_given_a_path_name_the_file(self, tmp_path):
+        attempts = tmp_path / "a.jsonl"
+        attempts.write_text('{"attempt_id":0,"setting_a":2,"setting_b":0,"outcome_a":1,"outcome_b":1}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(attempts))}: line 1: setting_a"):
+            read_attempts(str(attempts))
+        detections = tmp_path / "d.csv"
+        detections.write_text("attempt_id,channel,time_ps\r\n0,2,5\r\n", newline="")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(detections))}: line 2: channel"):
+            read_detections(str(detections))
 
     def test_read_detections_skips_empty_lines(self):
         back = read_detections(io.StringIO("attempt_id,channel,time_ps\r\n0,0,5\r\n\r\n1,1,6\r\n"))

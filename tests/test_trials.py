@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from bellkit import trials
 from bellkit.trials import (
     ChshEstimate,
-    Trial,
     TrialSet,
     aggregate,
     chsh_s,
@@ -31,7 +31,14 @@ def win_rule_oracle(tag, setting_a, setting_b, outcome_a, outcome_b):
 
 
 def make_trials(rows):
-    return TrialSet(trials=tuple(Trial(i + 1, *row) for i, row in enumerate(rows)))
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return TrialSet(np.arange(1, len(rows) + 1), *columns)
+
+
+def trial_rows(ts):
+    """(index, tag, setting_a, setting_b, outcome_a, outcome_b) per trial."""
+    fields = ("index", "tag", "setting_a", "setting_b", "outcome_a", "outcome_b")
+    return list(zip(*(getattr(ts, f).tolist() for f in fields)))
 
 
 class TestWinIndicator:
@@ -185,13 +192,13 @@ class TestChshS:
     def test_lenient_form_skips_incomplete_state(self):
         complete_plus = [(1, a, b, 1, 1) for a, b in trials.SETTING_PAIRS]
         incomplete_minus = [(-1, 0, 0, 1, 1)]
-        table = trials.CellTable.from_trials(make_trials(complete_plus + incomplete_minus))
+        table = make_trials(complete_plus + incomplete_minus).cells()
         with pytest.raises(ValueError, match=r"psi-minus.*\(0,1\)"):
             trials.chsh(table)
         lenient = trials.chsh(table, strict=False)
         plus_only = chsh_s(make_trials(complete_plus))
         assert lenient == plus_only
-        assert trials.chsh(trials.CellTable.from_trials(make_trials([(0, 0, 0, 1, 1)])), strict=False) is None
+        assert trials.chsh(make_trials([(0, 0, 0, 1, 1)]).cells(), strict=False) is None
 
     def test_weighted_average_uses_trial_counts(self):
         # Two psi-minus rounds and one psi-plus round at maximal scores:
@@ -216,11 +223,11 @@ class TestChshS:
 class TestTrialSetValidation:
     def test_indices_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            TrialSet(trials=(Trial(2, -1, 0, 0, 1, 1), Trial(2, -1, 0, 0, 1, 1)))
+            TrialSet([2, 2], [-1, -1], [0, 0], [0, 0], [1, 1], [1, 1])
 
     def test_index_positive(self):
         with pytest.raises(ValueError):
-            Trial(0, -1, 0, 0, 1, 1)
+            TrialSet([0], [-1], [0], [0], [1], [1])
 
 
 class TestJsonLines:
@@ -229,7 +236,7 @@ class TestJsonLines:
         buffer = io.StringIO()
         write_trials(buffer, ts)
         back = read_trials(io.StringIO(buffer.getvalue()))
-        assert back.trials == ts.trials
+        assert trial_rows(back) == trial_rows(ts)
 
     @pytest.mark.parametrize(
         "record",
@@ -240,6 +247,8 @@ class TestJsonLines:
             {"index": 1, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1.0, "outcome_b": 1},
             {"index": 1, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1},
             {"index": 1, "tag": -1, "setting_a": 0, "setting_b": True, "outcome_a": 1, "outcome_b": 1},
+            {"index": 99999999999999999999999, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1, "outcome_b": 1},
+            {"index": 0, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1, "outcome_b": 1},
         ],
     )
     def test_rejects_out_of_domain(self, record):
@@ -252,3 +261,19 @@ class TestJsonLines:
         )
         with pytest.raises(ValueError, match="line 2"):
             read_trials(io.StringIO(good + "\nnot json\n"))
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [(1, r"line 3: trial indices must be strictly increasing, got 1 after 1"), (0, r"line 3: .*positive.*got 0")],
+        ids=["repeated", "zero"],
+    )
+    def test_index_errors_name_their_line(self, tmp_path, index, message):
+        record = {"tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1, "outcome_b": 1}
+        path = tmp_path / "trials.jsonl"
+        path.write_text(
+            json.dumps({"index": 1, **record}) + "\n\n" + json.dumps({"index": index, **record}) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=message):
+            read_trials(io.StringIO(path.read_text(encoding="utf-8")))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_trials(str(path))
