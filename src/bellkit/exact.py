@@ -11,10 +11,10 @@ the observed outcome's pmf, with a small relative tolerance for ties.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy import special
 
 # Relative tolerance when comparing pmf values for "as extreme or more
 # extreme" orderings; the usual exact-test tie convention.
@@ -25,6 +25,15 @@ _LOG_TIE = math.log1p(TIE_RELATIVE_EPS)
 # Above this n the binomial tail switches from explicit summation to the
 # regularized incomplete beta identity.
 BINOM_SUM_LIMIT = 10_000
+
+
+@functools.cache
+def _special():
+    """`scipy.special`, imported on first use so that commands which
+    compute nothing with it start without loading scipy."""
+    from scipy import special
+
+    return special
 
 
 def log_choose(n: int, k: int) -> float:
@@ -57,10 +66,11 @@ def _check_binom_args(k: int, n: int, p: float) -> None:
 def binom_logpmf_vector(n: int, p: float) -> np.ndarray:
     """log pmf of Binomial(n, p) over k = 0..n."""
     k = np.arange(n + 1)
+    lg = _special().gammaln
     return (
-        special.gammaln(n + 1)
-        - special.gammaln(k + 1)
-        - special.gammaln(n - k + 1)
+        lg(n + 1)
+        - lg(k + 1)
+        - lg(n - k + 1)
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
@@ -77,7 +87,7 @@ def binom_survival(k: int, n: int, p: float) -> float:
     if k <= 0:
         return 1.0
     if n > BINOM_SUM_LIMIT:
-        return float(special.betainc(k, n - k + 1, p))
+        return float(_special().betainc(k, n - k + 1, p))
     tail = binom_logpmf_vector(n, p)[k:]
     return min(1.0, _sum_exp(tail))
 
@@ -123,14 +133,15 @@ def fisher_two_sided(n00: int, n01: int, n10: int, n11: int) -> float:
     a_min = max(0, c0 - r1)
     a_max = min(r0, c0)
     a = np.arange(a_min, a_max + 1)
+    lg = _special().gammaln
     lp = (
-        special.gammaln(r0 + 1)
-        - special.gammaln(a + 1)
-        - special.gammaln(r0 - a + 1)
-        + special.gammaln(r1 + 1)
-        - special.gammaln(c0 - a + 1)
-        - special.gammaln(r1 - (c0 - a) + 1)
-        - (special.gammaln(n + 1) - special.gammaln(c0 + 1) - special.gammaln(n - c0 + 1))
+        lg(r0 + 1)
+        - lg(a + 1)
+        - lg(r0 - a + 1)
+        + lg(r1 + 1)
+        - lg(c0 - a + 1)
+        - lg(r1 - (c0 - a) + 1)
+        - (lg(n + 1) - lg(c0 + 1) - lg(n - c0 + 1))
     )
     lp_obs = lp[n00 - a_min]
     keep = lp <= lp_obs + _LOG_TIE
@@ -142,20 +153,25 @@ def fisher_two_sided_tables(tables: np.ndarray, max_cells: int = 4_000_000) -> n
 
     `tables` has shape (R, 4) holding [n00, n01, n10, n11] rows that all
     share the same grand total. Rows are processed in chunks so the padded
-    support matrix never exceeds `max_cells` entries.
+    support matrix never exceeds `max_cells` entries. log k! is evaluated
+    once for k = 0..N, N the largest grand total, and looked up per cell.
     """
     tables = np.asarray(tables, dtype=np.int64)
     if tables.ndim != 2 or tables.shape[1] != 4:
         raise ValueError("tables must have shape (R, 4)")
+    if (tables < 0).any():
+        raise ValueError("cell counts must be nonnegative")
     out = np.empty(len(tables))
     width_bound = int(tables.sum(axis=1).max()) + 1 if len(tables) else 1
+    log_factorial = _special().gammaln(np.arange(width_bound) + 1)
     chunk = max(1, max_cells // width_bound)
     for lo in range(0, len(tables), chunk):
-        out[lo : lo + chunk] = _fisher_chunk(tables[lo : lo + chunk])
+        out[lo : lo + chunk] = _fisher_chunk(tables[lo : lo + chunk], log_factorial)
     return out
 
 
-def _fisher_chunk(tables: np.ndarray) -> np.ndarray:
+def _fisher_chunk(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """Fisher P-values of one chunk; `lg[k]` is log k! for every k the chunk needs."""
     r0 = tables[:, 0] + tables[:, 1]
     r1 = tables[:, 2] + tables[:, 3]
     c0 = tables[:, 0] + tables[:, 2]
@@ -167,13 +183,12 @@ def _fisher_chunk(tables: np.ndarray) -> np.ndarray:
     valid = a <= a_max[:, None]
     a = np.where(valid, a, 0)
     b = c0[:, None] - a
-    lg = special.gammaln
     lp = (
-        (lg(r0 + 1) + lg(r1 + 1) - lg(n + 1) + lg(c0 + 1) + lg(n - c0 + 1))[:, None]
-        - lg(a + 1)
-        - lg(np.where(valid, r0[:, None] - a, 0) + 1)
-        - lg(np.where(valid, b, 0) + 1)
-        - lg(np.where(valid, r1[:, None] - b, 0) + 1)
+        (lg[r0] + lg[r1] - lg[n] + lg[c0] + lg[n - c0])[:, None]
+        - lg[a]
+        - lg[np.where(valid, r0[:, None] - a, 0)]
+        - lg[np.where(valid, b, 0)]
+        - lg[np.where(valid, r1[:, None] - b, 0)]
     )
     lp = np.where(valid, lp, -np.inf)
     lp_obs = lp[np.arange(len(tables)), tables[:, 0] - a_min]
@@ -198,9 +213,9 @@ def chi2_survival(x: float, df: int) -> float:
     if df % 2 == 0:
         m = df // 2
         i = np.arange(m)
-        log_terms = -x / 2.0 + i * math.log(x / 2.0) - special.gammaln(i + 1)
+        log_terms = -x / 2.0 + i * math.log(x / 2.0) - _special().gammaln(i + 1)
         return min(1.0, _sum_exp(log_terms))
-    return float(special.gammaincc(df / 2.0, x / 2.0))
+    return float(_special().gammaincc(df / 2.0, x / 2.0))
 
 
 def normal_survival(z: float) -> float:
@@ -211,8 +226,9 @@ def normal_survival(z: float) -> float:
 def uniform4_logpmf(counts: np.ndarray, n: int) -> np.ndarray:
     """log pmf of Multinomial(n; 1/4, 1/4, 1/4, 1/4) at `counts` (..., 4)."""
     counts = np.asarray(counts)
+    lg = _special().gammaln
     return (
-        special.gammaln(n + 1)
-        - special.gammaln(counts + 1).sum(axis=-1)
+        lg(n + 1)
+        - lg(counts + 1).sum(axis=-1)
         + n * math.log(0.25)
     )

@@ -33,7 +33,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -178,8 +178,10 @@ _ATTEMPT_FIELDS = ("attempt_id", "setting_a", "setting_b", "outcome_a", "outcome
 class AttemptTable:
     """Attempt records as int64 columns, sorted by attempt_id, ids unique.
 
-    `from_records` and `read_attempts` check the settings and outcomes
-    and the ids, and establish the order.
+    Construction checks every row, vectorised: settings 0 or 1, outcomes
+    +1 or -1, no attempt_id twice. It then sorts the rows by attempt_id.
+    Errors name the row, counted from 1 in the given order, or its file
+    line when `lines` gives the line of each row.
     """
 
     attempt_id: np.ndarray
@@ -187,6 +189,32 @@ class AttemptTable:
     setting_b: np.ndarray
     outcome_a: np.ndarray
     outcome_b: np.ndarray
+    lines: InitVar[Sequence[int] | None] = None
+
+    def __post_init__(self, lines: Sequence[int] | None) -> None:
+        columns = {}
+        for name in _ATTEMPT_FIELDS:
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be a one-dimensional column of integers")
+            columns[name] = column.astype(np.int64, copy=False)
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("attempt columns must have equal lengths")
+        unit = "row" if lines is None else "line"
+        lines = range(1, len(columns["attempt_id"]) + 1) if lines is None else lines
+        _check_domains(columns, lines, unit)
+        order = np.argsort(columns["attempt_id"], kind="stable")
+        ids = columns["attempt_id"][order]
+        repeats = np.flatnonzero(ids[1:] == ids[:-1])
+        if repeats.size:
+            later = order[repeats + 1]
+            j = int(np.argmin(later))
+            first = order[repeats[j]]
+            raise ValueError(
+                f"{unit} {lines[later[j]]}: duplicate attempt_id {ids[repeats[j]]}, first on {unit} {lines[first]}"
+            )
+        for name, column in columns.items():
+            object.__setattr__(self, name, column[order])
 
     @classmethod
     def from_records(cls, records: "AttemptTable | Iterable[AttemptRecord]") -> "AttemptTable":
@@ -194,8 +222,7 @@ class AttemptTable:
         if isinstance(records, AttemptTable):
             return records
         rows = np.array([[getattr(r, f) for f in _ATTEMPT_FIELDS] for r in records], dtype=np.int64)
-        rows = rows.reshape(-1, len(_ATTEMPT_FIELDS))
-        return _checked_attempts(rows, range(1, len(rows) + 1), "record")
+        return cls(*rows.reshape(-1, len(_ATTEMPT_FIELDS)).T)
 
     def __len__(self) -> int:
         return len(self.attempt_id)
@@ -206,25 +233,6 @@ class AttemptTable:
 
 def _columns(rows: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(column) for column in rows.T]
-
-
-def _checked_attempts(rows: np.ndarray, lines: Sequence[int], unit: str) -> AttemptTable:
-    """Attempt table from (n, 5) rows after domain and uniqueness checks.
-
-    Errors name the offending row as `{unit} {lines[i]}`.
-    """
-    _check_domains(dict(zip(_ATTEMPT_FIELDS, rows.T)), lines, unit)
-    order = np.argsort(rows[:, 0], kind="stable")
-    ids = rows[order, 0]
-    repeats = np.flatnonzero(ids[1:] == ids[:-1])
-    if repeats.size:
-        later = order[repeats + 1]
-        j = int(np.argmin(later))
-        first = order[repeats[j]]
-        raise ValueError(
-            f"{unit} {lines[later[j]]}: duplicate attempt_id {ids[repeats[j]]}, first on {unit} {lines[first]}"
-        )
-    return AttemptTable(*_columns(rows[order]))
 
 
 def _attempt_rows(detections: DetectionTable, attempts: AttemptTable) -> np.ndarray:
@@ -629,7 +637,7 @@ def read_attempts(source: str | IO[str]) -> AttemptTable:
     if isinstance(source, str):
         return _read_path(source, read_attempts)
     rows, lines = _read_records(source, _ATTEMPT_FIELDS)
-    return _checked_attempts(rows, lines, "line")
+    return AttemptTable(*rows.T, lines=lines)
 
 
 def write_sweep_csv(target: str | IO[str], rows: Sequence[SweepRow]) -> None:

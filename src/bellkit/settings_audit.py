@@ -13,9 +13,11 @@ Running several tests on one dataset inflates the chance that some local
 P-value dips below any fixed threshold (the look-elsewhere effect). The
 `lee_joint` Monte Carlo estimates that joint probability under uniform
 settings, and `lee_threshold` inverts it: the largest per-test threshold
-whose joint rejection probability stays at the target level. Both use
-common random numbers so the threshold search bisects a fixed step
-function.
+whose joint rejection probability stays at the target level. Both read
+one Monte Carlo tape of per-rep smallest local P-values (common random
+numbers), which `audit_row` draws once for both. On that tape the joint
+rate is a step function of the threshold, so the threshold is an order
+statistic of the tape, read off without a search.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import exact, rngstream
 from .trials import _check_domains, _read_path, _read_records
@@ -206,24 +207,27 @@ def pearson_chi2(counts: SettingCounts) -> float:
 def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact null CDF of the log pmf statistic under Multinomial(n; 1/4 each).
 
-    Enumerates every table (c0, c1, c2, c3) with sum n. Returns the sorted
-    statistic values and the cumulative probability up to each.
+    Enumerates every table (c0, c1, c2, c3) with sum n, one block of fixed
+    c0 at a time in (c0, c1, c2) order. Returns the sorted statistic values
+    and the cumulative probability up to each; tied statistics have equal
+    probabilities, so their order within a tie leaves the sums unchanged.
     """
     lg = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n + 1))]))  # lg[k] = log k!
     ln_quarter = n * math.log(0.25)
-    stats = []
-    probs = []
+    stat = np.empty((n + 1) * (n + 2) * (n + 3) // 6)
+    start = 0
     for c0 in range(n + 1):
-        for c1 in range(n - c0 + 1):
-            c2 = np.arange(n - c0 - c1 + 1)
-            c3 = n - c0 - c1 - c2
-            logpmf = lg[n] - (lg[c0] + lg[c1] + lg[c2] + lg[c3]) + ln_quarter
-            stats.append(logpmf)
-            probs.append(np.exp(logpmf))
-    stat = np.concatenate(stats)
-    prob = np.concatenate(probs)
-    order = np.argsort(stat, kind="stable")
-    return stat[order], np.minimum(np.cumsum(prob[order]), 1.0)
+        m = n - c0
+        runs = np.arange(m + 1, 0, -1)  # number of c2 values for c1 = 0..m
+        c1 = np.repeat(np.arange(m + 1), runs)
+        c2 = np.arange(c1.size) - np.repeat(np.cumsum(runs) - runs, runs)
+        c3 = m - c1 - c2
+        stat[start : start + c1.size] = lg[n] - (lg[c0] + lg[c1] + lg[c2] + lg[c3]) + ln_quarter
+        start += c1.size
+    stat.sort()
+    cum = np.exp(stat)
+    np.cumsum(cum, out=cum)
+    return stat, np.minimum(cum, 1.0, out=cum)
 
 
 def _pearson_many(tables: np.ndarray) -> np.ndarray:
@@ -239,7 +243,7 @@ def _pearson_many(tables: np.ndarray) -> np.ndarray:
     for column, (row, col) in enumerate(((r0, c0), (r0, c1), (r1, c0), (r1, c1))):
         expected = np.where(degenerate, 1.0, row * col / n)
         statistic += (tables[:, column] - expected) ** 2 / expected
-    p = special.erfc(np.sqrt(np.maximum(statistic, 0.0) / 2.0))
+    p = exact._special().erfc(np.sqrt(np.maximum(statistic, 0.0) / 2.0))
     return np.where(degenerate, 1.0, p)
 
 
@@ -312,9 +316,7 @@ def lee_joint(
         return McPValue(p=1.0, mc_error=0.0, reps=reps)
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    min_p = _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
-    p = float(np.mean(min_p < alpha))
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps), reps=reps)
+    return _joint_rejection(_lee_min_pvalues(n, reps, seed, ordering), alpha)
 
 
 def lee_threshold(
@@ -323,32 +325,52 @@ def lee_threshold(
     reps: int,
     seed: int,
     ordering: str = "probability",
-    iterations: int = 60,
 ) -> float:
     """Largest per-test threshold with joint rejection probability <= target.
 
-    Bisects the Monte Carlo estimate on a fixed random tape (common random
-    numbers), so the objective is one deterministic step function.
+    On a fixed Monte Carlo tape (common random numbers) the joint rate
+    `mean(min_p < t)` counts the reps whose smallest local P-value lies
+    below t. With k the largest count such that k / reps <= target, the
+    rate stays within the target exactly for t up to the k-th smallest
+    min_p (counted from 0), which is therefore the threshold. It is
+    floored to a multiple of 2^-60, the grid a 60-step bisection of
+    [0, 1] resolves; this changes only thresholds below 1/256, where
+    float64 is finer than that grid.
+
+    The result is a Monte Carlo quantile and is reported with no error:
+    at n = 245 and target 0.05 with 10^4 reps it ranged over
+    0.0150-0.0213 across seeds 0-1499.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
     if target >= 1.0:
         return 1.0
-    min_p = _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
+    return _threshold_quantile(_lee_min_pvalues(n, reps, seed, ordering), target)
 
-    def joint(threshold: float) -> float:
-        return float(np.mean(min_p < threshold))
 
-    if joint(1.0) <= target:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if joint(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _lee_min_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarray:
+    """The look-elsewhere tape: each rep's smallest of the four local P-values."""
+    return _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
+
+
+def _joint_rejection(min_p: np.ndarray, alpha: float) -> McPValue:
+    p = float(np.mean(min_p < alpha))
+    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / min_p.size), reps=min_p.size)
+
+
+_THRESHOLD_GRID = 2.0**60
+
+
+def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
+    reps = min_p.size
+    # k / reps is the same correctly rounded division np.mean makes.
+    k = min(int(target * reps), reps - 1)
+    while k + 1 < reps and (k + 1) / reps <= target:
+        k += 1
+    while k > 0 and k / reps > target:
+        k -= 1
+    v = float(np.partition(min_p, k)[k])
+    return math.floor(v * _THRESHOLD_GRID) / _THRESHOLD_GRID
 
 
 @dataclass(frozen=True)
@@ -408,13 +430,24 @@ def audit_row(
     alpha: float = 0.05,
     ordering: str = "probability",
 ) -> AuditRow:
-    """Run all four tests plus the look-elsewhere correction on one table."""
+    """Run all four tests plus the look-elsewhere correction on one table.
+
+    `p_threshold` and `p_joint_lee` are `lee_threshold(n, alpha, ...)` and
+    `lee_joint(n, alpha, ...)` on `lee_reps` reps, read off one tape.
+    """
     n = counts.total
     lee_reps = lee_reps if lee_reps is not None else max(_MIN_MC_REPS, reps // 10)
     if n < FISHER_PEARSON_SWITCH:
         test_name, p_indep = "fisher", fisher_2x2(counts)
     else:
         test_name, p_indep = "pearson", pearson_chi2(counts)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if alpha == 1.0:
+        p_threshold, p_joint_lee = 1.0, McPValue(p=1.0, mc_error=0.0, reps=lee_reps)
+    else:
+        min_p = _lee_min_pvalues(n, lee_reps, seed, ordering)
+        p_threshold, p_joint_lee = _threshold_quantile(min_p, alpha), _joint_rejection(min_p, alpha)
     return AuditRow(
         label=label,
         n=n,
@@ -423,8 +456,8 @@ def audit_row(
         p_joint_uniform=multinomial_uniform_mc(counts, reps=reps, seed=seed, ordering=ordering),
         independence_test=test_name,
         p_independence=p_indep,
-        p_threshold=lee_threshold(n, target=alpha, reps=lee_reps, seed=seed, ordering=ordering),
-        p_joint_lee=lee_joint(n, alpha=alpha, reps=lee_reps, seed=seed, ordering=ordering),
+        p_threshold=p_threshold,
+        p_joint_lee=p_joint_lee,
         alpha=alpha,
         seed=seed,
         ordering=ordering,

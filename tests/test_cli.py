@@ -2,9 +2,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bellkit
 from bellkit import cli
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
@@ -350,6 +354,33 @@ class TestTrialOutputsPinned:
         assert sha256("report.json") == report_digest
 
 
+class TestAuditOutputsPinned:
+    """Digests of audit reports as the bisecting, twice-taped audit wrote them."""
+
+    @pytest.mark.parametrize(
+        "args, json_digest, csv_digest",
+        [
+            (
+                ("--counts", "53,79,62,51"),
+                "7e5e77c12b9063c9b485435b4cb8113648a15686208c149083ee928524fe1e3b",
+                "ff6b37d1be48317da8f7482468857e3369596cb45d77715d21fc357186113e3e",
+            ),
+            (
+                ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
+                "bf888f8840f9eb4d10d1a0115d60eaa19047cd662b33c0100ad4579298849448",
+                "81dfa48b9f9d2e0463949744cf770968d4ec6ebed8266929ad44f2d89ad1915f",
+            ),
+        ],
+        ids=["paper-counts", "n4000"],
+    )
+    def test_report_bytes(self, capsys, tmp_path, args, json_digest, csv_digest):
+        for fmt, digest in (("json", json_digest), ("csv", csv_digest)):
+            out = str(tmp_path / f"audit.{fmt}")
+            code, _, err = run(capsys, "audit", *args, "--seed", "11", "--format", fmt, "--out", out)
+            assert code == 0, err
+            assert sha256(out) == digest
+
+
 class TestRng:
     def test_extract_bias_combine_independence(self, capsys, tmp_path):
         messages = tmp_path / "messages.txt"
@@ -428,6 +459,13 @@ class TestAudit:
 
 
 class TestInfrastructure:
+    def test_import_leaves_scipy_unloaded(self):
+        # Commands that compute nothing with scipy must not pay for loading it.
+        src = os.path.dirname(os.path.dirname(bellkit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        check = "import sys, bellkit.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         out_a = str(tmp_path / "a.json")
         out_b = str(tmp_path / "b.json")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bellkit import exact
 
@@ -97,6 +97,35 @@ class TestBinomTwoSided:
             assert table[m] == pytest.approx(exact.binom_two_sided(m, 245, 0.5), rel=1e-12)
 
 
+def fisher_tables_gammaln(tables: np.ndarray, max_cells: int) -> np.ndarray:
+    """`fisher_two_sided_tables` as it was, with gammaln evaluated on every padded cell."""
+    lg = special.gammaln
+    out = np.empty(len(tables))
+    chunk = max(1, max_cells // (int(tables.sum(axis=1).max()) + 1))
+    for lo in range(0, len(tables), chunk):
+        t = tables[lo : lo + chunk]
+        r0, r1, c0 = t[:, 0] + t[:, 1], t[:, 2] + t[:, 3], t[:, 0] + t[:, 2]
+        n = r0 + r1
+        a_min, a_max = np.maximum(0, c0 - r1), np.minimum(r0, c0)
+        a = a_min[:, None] + np.arange(int((a_max - a_min).max()) + 1)[None, :]
+        valid = a <= a_max[:, None]
+        a = np.where(valid, a, 0)
+        b = c0[:, None] - a
+        lp = (
+            (lg(r0 + 1) + lg(r1 + 1) - lg(n + 1) + lg(c0 + 1) + lg(n - c0 + 1))[:, None]
+            - lg(a + 1)
+            - lg(np.where(valid, r0[:, None] - a, 0) + 1)
+            - lg(np.where(valid, b, 0) + 1)
+            - lg(np.where(valid, r1[:, None] - b, 0) + 1)
+        )
+        lp = np.where(valid, lp, -np.inf)
+        lp_obs = lp[np.arange(len(t)), t[:, 0] - a_min]
+        p = np.where(lp <= lp_obs[:, None] + math.log1p(exact.TIE_RELATIVE_EPS), np.exp(lp), 0.0).sum(axis=1)
+        degenerate = (r0 == 0) | (r1 == 0) | (c0 == 0) | (c0 == n)
+        out[lo : lo + chunk] = np.where(degenerate, 1.0, np.minimum(p, 1.0))
+    return out
+
+
 class TestFisherTwoSided:
     def test_matches_enumeration_oracle(self):
         tables = [(5, 0, 0, 5), (3, 7, 6, 2), (10, 10, 10, 10), (1, 9, 9, 1), (8, 2, 3, 12),
@@ -130,9 +159,18 @@ class TestFisherTwoSided:
         for row, p in zip(draws, vec):
             assert p == pytest.approx(exact.fisher_two_sided(*(int(c) for c in row)), rel=1e-10)
 
+    @pytest.mark.parametrize("n, reps, max_cells", [(1, 50, 4_000_000), (37, 300, 500), (245, 2000, 4_000_000),
+                                                    (4000, 2000, 4_000_000)])
+    def test_table_lookup_matches_gammaln_form(self, n, reps, max_cells):
+        draws = np.random.default_rng(n).multinomial(n, [0.25] * 4, size=reps)
+        got = exact.fisher_two_sided_tables(draws, max_cells=max_cells)
+        assert np.array_equal(got, fisher_tables_gammaln(draws, max_cells))
+
     def test_rejects_bad_cells(self):
         with pytest.raises(ValueError):
             exact.fisher_two_sided(-1, 2, 3, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact.fisher_two_sided_tables(np.array([[-1, 2, 3, 4]]))
 
 
 class TestChi2Survival:

@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
+from bellkit import heralding
 from bellkit.heralding import (
     AttemptRecord,
+    AttemptTable,
     DetectionEvent,
     StreamParams,
     WindowConfig,
@@ -263,6 +265,34 @@ class TestInputChecks:
         good = '{"attempt_id":0,"setting_a":1,"setting_b":0,"outcome_a":-1,"outcome_b":1}'
         with pytest.raises(ValueError, match=message):
             read_attempts(io.StringIO(f"{good}\n\n{line}\n"))
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"setting_a": [7]}, r"row 1: setting_a must be the bit 0 or 1, got 7"),
+            ({"outcome_a": [5]}, r"row 1: outcome_a .* 5"),
+            ({"attempt_id": [4, 4]}, r"row 2: duplicate attempt_id 4, first on row 1"),
+        ],
+    )
+    def test_attempt_table_checks_on_construction(self, columns, message):
+        size = len(next(iter(columns.values())))
+        fields = {"attempt_id": list(range(size)), "setting_a": [0] * size, "setting_b": [1] * size,
+                  "outcome_a": [1] * size, "outcome_b": [-1] * size, **columns}
+        with pytest.raises(ValueError, match=message):
+            AttemptTable(**fields)
+
+    def test_readers_check_attempts_once(self, monkeypatch):
+        calls = []
+        check = heralding._check_domains
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(heralding, "_check_domains", counted)
+        table = read_attempts(io.StringIO('{"attempt_id":1,"setting_a":0,"setting_b":1,"outcome_a":1,"outcome_b":-1}\n'))
+        AttemptTable.from_records(list(table))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "body, message",

@@ -181,9 +181,76 @@ class TestLeeJoint:
             lee_joint(245, 0.05, reps=10, seed=0)
 
 
+def bisected_threshold(min_p: np.ndarray, target: float) -> float:
+    """The threshold search as a 60-step bisection of the joint rate on one tape."""
+
+    def joint(threshold):
+        return float(np.mean(min_p < threshold))
+
+    if joint(1.0) <= target:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if joint(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def null_table_double_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact joint-uniformity null, enumerated row by row as it first was."""
+    lg = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n + 1))]))
+    ln_quarter = n * math.log(0.25)
+    stats, probs = [], []
+    for c0 in range(n + 1):
+        for c1 in range(n - c0 + 1):
+            c2 = np.arange(n - c0 - c1 + 1)
+            c3 = n - c0 - c1 - c2
+            logpmf = lg[n] - (lg[c0] + lg[c1] + lg[c2] + lg[c3]) + ln_quarter
+            stats.append(logpmf)
+            probs.append(np.exp(logpmf))
+    stat, prob = np.concatenate(stats), np.concatenate(probs)
+    order = np.argsort(stat, kind="stable")
+    return stat[order], np.minimum(np.cumsum(prob[order]), 1.0)
+
+
+class TestUniform4NullTable:
+    @pytest.mark.parametrize("n", [1, 2, 5, 37, 245])
+    def test_matches_double_loop(self, n):
+        stat, cum = sa._uniform4_null_table.__wrapped__(n)
+        want_stat, want_cum = null_table_double_loop(n)
+        assert np.array_equal(stat, want_stat)
+        assert np.array_equal(cum, want_cum)
+
+
 class TestLeeThreshold:
     def test_target_one(self):
         assert lee_threshold(245, 1.0, reps=2000, seed=0) == 1.0
+
+    @pytest.mark.parametrize(
+        "n, reps, seed, ordering",
+        [(1, 1000, 3, "probability"), (7, 2000, 4, "probability"), (60, 3000, 5, "chi2"),
+         (245, 10_000, 19, "probability"), (400, 1000, 6, "probability"), (6000, 1000, 7, "probability")],
+    )
+    def test_order_statistic_equals_bisection(self, n, reps, seed, ordering):
+        min_p = sa._lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
+        # target * reps rounds below the count k with k / reps == target for 0.29
+        # (3000 reps) and 0.57 (3000, 10000), and up to k + 1 for the value just
+        # below 0.05 (3000) and just below 0.0037 (10000).
+        edges = (0.29, 0.57, math.nextafter(0.05, 0.0), math.nextafter(0.0037, 0.0))
+        for target in (1e-4, 5e-4, 1e-3, 3e-3, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9, 0.999, *edges):
+            got = lee_threshold(n, target, reps=reps, seed=seed, ordering=ordering)
+            assert got == bisected_threshold(min_p, target), target
+
+    def test_thresholds_below_the_bisection_grid_step_are_floored(self):
+        # 0.0031 is finer than the 2^-60 grid; 1e-19 lies below its first step.
+        min_p = np.array([1e-19, 0.0031, 0.2, 0.7])
+        assert sa._threshold_quantile(min_p, 0.0) == bisected_threshold(min_p, 0.0) == 0.0
+        floored = sa._threshold_quantile(min_p, 0.25)
+        assert floored == bisected_threshold(min_p, 0.25) < 0.0031
+        assert sa._threshold_quantile(min_p, 0.5) == bisected_threshold(min_p, 0.5) == 0.2
 
     def test_self_consistency_fixed_point(self):
         alpha0 = 0.07
@@ -211,6 +278,32 @@ class TestAuditRow:
         csv_row = row.to_csv_row()
         assert csv_row.startswith("run-1,245,")
         assert len(csv_row.split(",")) == len(sa.AuditRow.CSV_HEADER.split(","))
+
+    @pytest.mark.parametrize("counts, lee_reps", [(FIRST_RUN, 2000), (SettingCounts(1300, 1210, 1280, 1250), 1000)])
+    def test_one_tape_gives_both_look_elsewhere_values(self, monkeypatch, counts, lee_reps):
+        calls = []
+        tape = sa._lee_local_pvalues
+
+        def counted(*args):
+            calls.append(args)
+            return tape(*args)
+
+        monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
+        row = audit_row(counts, reps=2000, seed=3, lee_reps=lee_reps, alpha=0.02)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert row.p_threshold == lee_threshold(counts.total, 0.02, reps=lee_reps, seed=3)
+        assert row.p_joint_lee == lee_joint(counts.total, 0.02, reps=lee_reps, seed=3)
+
+    def test_alpha_one_needs_no_tape(self, monkeypatch):
+        monkeypatch.setattr(sa, "_lee_local_pvalues", None)
+        row = audit_row(FIRST_RUN, reps=2000, seed=3, lee_reps=1000, alpha=1.0)
+        assert row.p_threshold == 1.0 and row.p_joint_lee == McPValue(p=1.0, mc_error=0.0, reps=1000)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            audit_row(FIRST_RUN, reps=2000, seed=3, lee_reps=1000, alpha=alpha)
 
     def test_pearson_branch_for_large_n(self):
         big = SettingCounts(2600, 2400, 2400, 2600)
