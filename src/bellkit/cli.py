@@ -399,7 +399,10 @@ def _cmd_herald_sweep(args: argparse.Namespace) -> int:
 def _cmd_rng_extract(args: argparse.Namespace) -> int:
     params = _params(args, ("messages", "max_chars", "bits_out", "packed"))
     messages = randomness.read_messages(args.messages)
-    stream = randomness.extract_bits(messages, max_chars=args.max_chars, source=args.messages)
+    try:
+        stream = randomness.extract_bits(messages, max_chars=args.max_chars)
+    except ValueError as exc:
+        raise CliError(f"{args.messages}: {exc}") from None
     randomness.write_bits(args.bits_out, stream, packed=args.packed)
     payload = {"messages": len(messages), "bits": len(stream), "bits_file": args.bits_out}
     _emit_json(_report_envelope("rng extract", params, payload), args.out)
@@ -439,8 +442,7 @@ def _cmd_rng_independence(args: argparse.Namespace) -> int:
     stream_b = randomness.read_bits(args.b, packed=args.packed)
     if args.truncate:
         n = min(len(stream_a), len(stream_b))
-        stream_a = randomness.BitStream(bits=stream_a.bits[:n], source=stream_a.source)
-        stream_b = randomness.BitStream(bits=stream_b.bits[:n], source=stream_b.source)
+        stream_a, stream_b = (randomness.BitStream(stream.bits[:n]) for stream in (stream_a, stream_b))
     p = randomness.independence_test(stream_a, stream_b)
     payload = {"n": len(stream_a), "p": p}
     _emit_json(_report_envelope("rng independence", params, payload), args.out)

@@ -36,13 +36,6 @@ def _special():
     return special
 
 
-def log_choose(n: int, k: int) -> float:
-    """log of the binomial coefficient; -inf outside the support."""
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _sum_exp(log_terms: np.ndarray) -> float:
     """Compensated sum of exp(log_terms), stable against under/overflow."""
     if log_terms.size == 0:

@@ -7,11 +7,10 @@ clicks on the same channel the other (tag +1). Everything else, including
 extra in-window clicks, is no herald (tag 0). Out-of-window clicks are
 ignored, never reused.
 
-Detections travel as int64 columns (attempt_id, channel, time_ps) in a
-`DetectionTable`, attempts as columns in an `AttemptTable`, from the
-generators and readers through classification to the sweep rows. The
-single-object types `DetectionEvent` and `AttemptRecord` remain as inputs
-and as what iterating a table yields.
+Detections travel as checked, read-only int64 columns (attempt_id,
+channel, time_ps) in a `DetectionTable`, attempts as columns in an
+`AttemptTable`, from the generators and readers through classification to
+the sweep rows.
 
 The window sweep re-runs that classification with both channel window
 starts offset by a common shift and reports S, trial counts, the
@@ -46,7 +45,8 @@ from .trials import (
     HERALD_PSI_PLUS,
     CellTable,
     TrialSet,
-    _check_domains,
+    _check_columns,
+    _read_only,
     _read_path,
     _read_records,
     _write_rows,
@@ -61,21 +61,6 @@ _WINDOW_FIELDS = (
     "len_second_ch1_ps",
     "second_window_offset_ps",
 )
-
-
-@dataclass(frozen=True, slots=True)
-class DetectionEvent:
-    """One time-tagged click: attempt, channel, picoseconds after sync."""
-
-    attempt_id: int
-    channel: int
-    time_ps: int
-
-    def __post_init__(self) -> None:
-        if self.channel not in (0, 1):
-            raise ValueError(f"channel must be 0 or 1, got {self.channel!r}")
-        if self.time_ps < 0:
-            raise ValueError(f"time_ps must be >= 0, got {self.time_ps}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +81,12 @@ class WindowConfig:
     second_window_offset_ps: int = 250_000
 
     def __post_init__(self) -> None:
-        for name in ("len_first_ps", "len_second_ch0_ps", "len_second_ch1_ps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in _WINDOW_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer number of picoseconds, got {value!r}")
+            if name.startswith("len_") and value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
     def start(self, channel: int) -> int:
         return self.start_ch0_ps if channel == 0 else self.start_ch1_ps
@@ -133,42 +121,30 @@ class WindowConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True, slots=True)
-class AttemptRecord:
-    """Settings and outcomes recorded for one attempt, herald-independent."""
-
-    attempt_id: int
-    setting_a: int
-    setting_b: int
-    outcome_a: int
-    outcome_b: int
+_DETECTION_FIELDS = ("attempt_id", "channel", "time_ps")
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionTable:
-    """Time-tagged clicks as equal-length int64 columns.
+    """Time-tagged clicks (attempt, channel, picoseconds after sync) as read-only int64 columns.
 
-    Classification ignores row order; the generators emit rows sorted by
-    (attempt_id, time_ps) and the writer keeps the order it is given.
+    Construction checks every row: channel 0 or 1, time_ps at least 0.
+    Errors name the row, counted from 1, or its file line when `lines`
+    gives the line of each row. Classification ignores row order; the
+    generators emit rows sorted by (attempt_id, time_ps) and the writer
+    keeps the order it is given.
     """
 
     attempt_id: np.ndarray
     channel: np.ndarray
     time_ps: np.ndarray
+    lines: InitVar[Sequence[int] | None] = None
 
-    @classmethod
-    def from_events(cls, events: "DetectionTable | Iterable[DetectionEvent]") -> "DetectionTable":
-        """Table of the given events; a table is returned as it is."""
-        if isinstance(events, DetectionTable):
-            return events
-        rows = np.array([(e.attempt_id, e.channel, e.time_ps) for e in events], dtype=np.int64)
-        return cls(*_columns(rows.reshape(-1, 3)))
+    def __post_init__(self, lines: Sequence[int] | None) -> None:
+        _check_columns(self, _DETECTION_FIELDS, lines)
 
     def __len__(self) -> int:
         return len(self.attempt_id)
-
-    def __iter__(self) -> Iterator[DetectionEvent]:
-        return map(DetectionEvent, self.attempt_id.tolist(), self.channel.tolist(), self.time_ps.tolist())
 
 
 _ATTEMPT_FIELDS = ("attempt_id", "setting_a", "setting_b", "outcome_a", "outcome_b")
@@ -176,7 +152,7 @@ _ATTEMPT_FIELDS = ("attempt_id", "setting_a", "setting_b", "outcome_a", "outcome
 
 @dataclass(frozen=True, eq=False)
 class AttemptTable:
-    """Attempt records as int64 columns, sorted by attempt_id, ids unique.
+    """Herald-independent settings and outcomes per attempt as read-only int64 columns.
 
     Construction checks every row, vectorised: settings 0 or 1, outcomes
     +1 or -1, no attempt_id twice. It then sorts the rows by attempt_id.
@@ -192,19 +168,9 @@ class AttemptTable:
     lines: InitVar[Sequence[int] | None] = None
 
     def __post_init__(self, lines: Sequence[int] | None) -> None:
-        columns = {}
-        for name in _ATTEMPT_FIELDS:
-            column = np.asarray(getattr(self, name))
-            if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
-                raise ValueError(f"{name} must be a one-dimensional column of integers")
-            columns[name] = column.astype(np.int64, copy=False)
-        if len({len(column) for column in columns.values()}) > 1:
-            raise ValueError("attempt columns must have equal lengths")
-        unit = "row" if lines is None else "line"
-        lines = range(1, len(columns["attempt_id"]) + 1) if lines is None else lines
-        _check_domains(columns, lines, unit)
-        order = np.argsort(columns["attempt_id"], kind="stable")
-        ids = columns["attempt_id"][order]
+        lines, unit = _check_columns(self, _ATTEMPT_FIELDS, lines)
+        order = np.argsort(self.attempt_id, kind="stable")
+        ids = self.attempt_id[order]
         repeats = np.flatnonzero(ids[1:] == ids[:-1])
         if repeats.size:
             later = order[repeats + 1]
@@ -213,26 +179,11 @@ class AttemptTable:
             raise ValueError(
                 f"{unit} {lines[later[j]]}: duplicate attempt_id {ids[repeats[j]]}, first on {unit} {lines[first]}"
             )
-        for name, column in columns.items():
-            object.__setattr__(self, name, column[order])
-
-    @classmethod
-    def from_records(cls, records: "AttemptTable | Iterable[AttemptRecord]") -> "AttemptTable":
-        """Checked, sorted table of the given records; a table is returned as it is."""
-        if isinstance(records, AttemptTable):
-            return records
-        rows = np.array([[getattr(r, f) for f in _ATTEMPT_FIELDS] for r in records], dtype=np.int64)
-        return cls(*rows.reshape(-1, len(_ATTEMPT_FIELDS)).T)
+        for name in _ATTEMPT_FIELDS:
+            object.__setattr__(self, name, _read_only(getattr(self, name)[order]))
 
     def __len__(self) -> int:
         return len(self.attempt_id)
-
-    def __iter__(self) -> Iterator[AttemptRecord]:
-        return map(AttemptRecord, *(getattr(self, f).tolist() for f in _ATTEMPT_FIELDS))
-
-
-def _columns(rows: np.ndarray) -> list[np.ndarray]:
-    return [np.ascontiguousarray(column) for column in rows.T]
 
 
 def _attempt_rows(detections: DetectionTable, attempts: AttemptTable) -> np.ndarray:
@@ -274,37 +225,22 @@ def _round_clicks(
     return clicks_1, clicks_2, tag
 
 
-def classify(events: DetectionTable | Iterable[DetectionEvent], windows: WindowConfig) -> int:
-    """Herald tag for one attempt's clicks.
+def classify_attempts(detections: DetectionTable, windows: WindowConfig) -> dict[int, int]:
+    """Herald tag per attempt id; attempts without clicks are absent.
 
     Exactly one in-window click per round: different channels tag -1, the
     same channel +1. Anything else, including extra in-window clicks, is 0.
     """
-    detections = DetectionTable.from_events(events)
-    return int(_round_clicks(detections, np.zeros(len(detections), dtype=np.intp), 1, windows)[2][0])
-
-
-def classify_attempts(
-    events: DetectionTable | Iterable[DetectionEvent], windows: WindowConfig
-) -> dict[int, int]:
-    """Herald tag per attempt id; attempts without clicks are absent."""
-    detections = DetectionTable.from_events(events)
     ids, rows = np.unique(detections.attempt_id, return_inverse=True)
     tags = _round_clicks(detections, rows.reshape(-1), len(ids), windows)[2]
     return dict(zip(ids.tolist(), tags.tolist()))
 
 
-def build_trialset(
-    events: DetectionTable | Iterable[DetectionEvent],
-    attempts: AttemptTable | Iterable[AttemptRecord],
-    windows: WindowConfig,
-) -> TrialSet:
+def build_trialset(detections: DetectionTable, table: AttemptTable, windows: WindowConfig) -> TrialSet:
     """Merge classification tags with recorded settings and outcomes, in attempt_id order.
 
     Detections of an attempt id that has no record raise.
     """
-    detections = DetectionTable.from_events(events)
-    table = AttemptTable.from_records(attempts)
     tags = _round_clicks(detections, _attempt_rows(detections, table), len(table), windows)[2]
     return TrialSet(
         np.arange(1, len(table) + 1), tags, table.setting_a, table.setting_b, table.outcome_a, table.outcome_b
@@ -333,8 +269,8 @@ class SweepRow:
 
 
 def sweep(
-    events: DetectionTable | Iterable[DetectionEvent],
-    attempts: AttemptTable | Iterable[AttemptRecord],
+    detections: DetectionTable,
+    table: AttemptTable,
     windows: WindowConfig,
     offsets_ps: Iterable[int],
     beta: float = 0.75,
@@ -343,8 +279,6 @@ def sweep(
 
     Detections of an attempt id that has no record raise.
     """
-    detections = DetectionTable.from_events(events)
-    table = AttemptTable.from_records(attempts)
     rows = _attempt_rows(detections, table)
     out = []
     for offset in offsets_ps:
@@ -466,11 +400,7 @@ def _generate_detections(
 
     attempt, channel, time = (np.concatenate(column) for column in (ids, channels, times))
     order = np.lexsort((time, attempt))
-    return DetectionTable(
-        attempt_id=attempt[order].astype(np.int64),
-        channel=channel[order].astype(np.int64),
-        time_ps=np.maximum(np.rint(time[order]), 0.0).astype(np.int64),
-    )
+    return DetectionTable(attempt[order], channel[order], np.maximum(np.rint(time[order]), 0.0).astype(np.int64))
 
 
 def synth_stream(
@@ -552,28 +482,35 @@ _DETECTION_ROW = "%d,%d,%d\r\n"
 _ATTEMPT_ROW = '{"attempt_id":%d,"setting_a":%d,"setting_b":%d,"outcome_a":%d,"outcome_b":%d}\n'
 
 
-def write_detections(target: str | IO[str], events: DetectionTable | Iterable[DetectionEvent]) -> None:
+def write_detections(target: str | IO[str], detections: DetectionTable) -> None:
     """CSV with header attempt_id,channel,time_ps and CRLF line ends, rows in the order given."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_detections(handle, events)
+            write_detections(handle, detections)
         return
-    detections = DetectionTable.from_events(events)
     target.write(_DETECTION_HEADER + "\r\n")
-    _write_rows(target, _DETECTION_ROW, (detections.attempt_id, detections.channel, detections.time_ps))
+    _write_rows(target, _DETECTION_ROW, [getattr(detections, f) for f in _DETECTION_FIELDS])
 
 
-def _body_lines(body: str) -> Iterator[tuple[int, str]]:
-    """(file line number, text) of each non-empty line after the header."""
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        line = line.rstrip("\r")
-        if line:
-            yield lineno, line
+class _BodyLines:
+    """(file line number, text) of each non-empty line of a detections CSV body; `[row]` finds one row's line."""
+
+    def __init__(self, body: str) -> None:
+        self._body = body
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        for lineno, line in enumerate(self._body.split("\n"), start=2):
+            line = line.rstrip("\r")
+            if line:
+                yield lineno, line
+
+    def __getitem__(self, row: int) -> int:
+        return next(itertools.islice(self, row, None))[0]
 
 
 def _malformed_detection_line(body: str) -> str:
     """Message naming the first line of a detections CSV body that is not three integers."""
-    for lineno, line in _body_lines(body):
+    for lineno, line in _BodyLines(body):
         fields = line.split(",")
         try:
             if len(fields) != 3:
@@ -599,32 +536,22 @@ def read_detections(source: str | IO[str]) -> DetectionTable:
         raise ValueError(f"expected header {_DETECTION_HEADER}, got {header!r}")
     body = source.read()
     if not body.replace("\r", "").replace("\n", ""):
-        return DetectionTable.from_events(())
+        return DetectionTable([], [], [])
     try:
         rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     except ValueError:
         rows = None
     if rows is None or rows.shape[1] != 3:
         raise ValueError(_malformed_detection_line(body))
-    detections = DetectionTable(*_columns(rows))
-    bad = np.flatnonzero(((detections.channel != 0) & (detections.channel != 1)) | (detections.time_ps < 0))
-    if bad.size:
-        i = int(bad[0])
-        lineno = next(itertools.islice(_body_lines(body), i, None))[0]
-        try:
-            DetectionEvent(int(detections.attempt_id[i]), int(detections.channel[i]), int(detections.time_ps[i]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return detections
+    return DetectionTable(*rows.T, lines=_BodyLines(body))
 
 
-def write_attempts(target: str | IO[str], attempts: AttemptTable | Iterable[AttemptRecord]) -> None:
+def write_attempts(target: str | IO[str], table: AttemptTable) -> None:
     """JSON-lines of attempt records, compact, in attempt_id order."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as handle:
-            write_attempts(handle, attempts)
+            write_attempts(handle, table)
         return
-    table = AttemptTable.from_records(attempts)
     _write_rows(target, _ATTEMPT_ROW, [getattr(table, f) for f in _ATTEMPT_FIELDS])
 
 

@@ -542,10 +542,6 @@ class AdversaryReport:
         rate = self.rejection_rate
         return math.sqrt(rate * (1.0 - rate) / self.runs)
 
-    def strategy_rate(self, name: str) -> float:
-        rejected, runs = self.by_strategy[name]
-        return rejected / runs
-
     def to_dict(self) -> dict[str, object]:
         return {
             "n": self.n,

@@ -21,30 +21,31 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import exact
+from .trials import _check_columns, _read_only, _read_path
 
 MAX_MESSAGE_CHARS = 140
 
 _BITS = (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitStream:
-    """Immutable ordered bit sequence with a source label."""
+    """Ordered bits as one read-only uint8 column.
 
-    bits: tuple[int, ...]
-    source: str = ""
+    Construction takes a tuple or an array of integers and checks every
+    bit, vectorised; bools are rejected. Errors name the row, counted from 1.
+    """
+
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
-        for b in self.bits:
-            if b not in _BITS or isinstance(b, bool):
-                raise ValueError(f"stream may contain only bits 0 and 1, got {b!r}")
+        if not isinstance(self.bits, np.ndarray) and bool in set(map(type, self.bits)):
+            raise ValueError("bits must be integers, not bools")
+        _check_columns(self, ("bits",), None)
+        object.__setattr__(self, "bits", _read_only(self.bits.astype(np.uint8)))
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,19 @@ def message_to_bit(text: str, max_chars: int = MAX_MESSAGE_CHARS) -> int:
     return parity
 
 
-def extract_bits(messages: Iterable[str], max_chars: int = MAX_MESSAGE_CHARS, source: str = "") -> BitStream:
-    """One parity bit per message."""
-    return BitStream(bits=tuple(message_to_bit(m, max_chars) for m in messages), source=source)
+def extract_bits(messages: Iterable[str], max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
+    """One parity bit per message.
+
+    An over-long message raises, naming its line: messages are counted
+    from 1, as the lines of a message file.
+    """
+    bits = []
+    for lineno, message in enumerate(messages, start=1):
+        try:
+            bits.append(message_to_bit(message, max_chars))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return BitStream(np.array(bits, dtype=np.uint8))
 
 
 def block8(stream: BitStream) -> BitStream:
@@ -85,10 +96,7 @@ def block8(stream: BitStream) -> BitStream:
     """
     if len(stream) < 8:
         raise ValueError(f"need at least 8 bits, got {len(stream)}")
-    bits = stream.as_array()
-    blocks = bits[: len(bits) // 8 * 8].reshape(-1, 8)
-    combined = np.bitwise_xor.reduce(blocks, axis=1)
-    return BitStream(bits=tuple(int(b) for b in combined), source=f"{stream.source}/block8")
+    return BitStream(np.bitwise_xor.reduce(stream.bits[: len(stream) // 8 * 8].reshape(-1, 8), axis=1))
 
 
 def estimate_bias(stream: BitStream) -> BiasEstimate:
@@ -96,7 +104,7 @@ def estimate_bias(stream: BitStream) -> BiasEstimate:
     n = len(stream)
     if n == 0:
         raise ValueError("cannot estimate bias of an empty stream")
-    mean = sum(stream.bits) / n
+    mean = int(np.count_nonzero(stream.bits)) / n
     return BiasEstimate(bias=abs(mean - 0.5), uncertainty=1.0 / (2.0 * math.sqrt(n)), n=n)
 
 
@@ -125,9 +133,7 @@ def combine_streams(classical: BitStream, quantum: BitStream) -> BitStream:
             f"classical stream has {len(classical)} bits, need exactly 8 per quantum bit "
             f"({8 * len(quantum)} for {len(quantum)} quantum bits)"
         )
-    blocks = classical.as_array().reshape(-1, 8)
-    combined = np.bitwise_xor.reduce(blocks, axis=1) ^ quantum.as_array()
-    return BitStream(bits=tuple(int(b) for b in combined), source=f"{classical.source}+quantum")
+    return BitStream(np.bitwise_xor.reduce(classical.bits.reshape(-1, 8), axis=1) ^ quantum.bits)
 
 
 def independence_test(a: BitStream, b: BitStream) -> float:
@@ -136,12 +142,7 @@ def independence_test(a: BitStream, b: BitStream) -> float:
         raise ValueError(f"streams must have equal length, got {len(a)} and {len(b)}")
     if len(a) == 0:
         raise ValueError("cannot test empty streams")
-    aa = a.as_array()
-    bb = b.as_array()
-    n11 = int(np.sum((aa == 1) & (bb == 1)))
-    n10 = int(np.sum((aa == 1) & (bb == 0)))
-    n01 = int(np.sum((aa == 0) & (bb == 1)))
-    n00 = int(np.sum((aa == 0) & (bb == 0)))
+    n00, n01, n10, n11 = np.bincount(2 * a.bits + b.bits, minlength=4).tolist()
     return exact.fisher_two_sided(n00, n01, n10, n11)
 
 
@@ -162,32 +163,37 @@ def write_bits(target: str, stream: BitStream, packed: bool = False) -> None:
     if packed:
         with open(target, "wb") as handle:
             handle.write(len(stream).to_bytes(8, "big"))
-            handle.write(np.packbits(stream.as_array()).tobytes())
+            handle.write(np.packbits(stream.bits).tobytes())
         return
+    lines = np.full((len(stream), 2), ord("\n"), dtype=np.uint8)
+    lines[:, 0] = stream.bits + ord("0")
     with open(target, "w", encoding="utf-8") as handle:
-        for b in stream.bits:
-            handle.write(f"{b}\n")
+        handle.write(lines.tobytes().decode("ascii"))
 
 
-def read_bits(source: str, packed: bool = False, label: str = "") -> BitStream:
-    """Read a bit file written by write_bits."""
-    if packed:
-        with open(source, "rb") as handle:
-            raw = handle.read()
-        if len(raw) < 8:
-            raise ValueError(f"{source}: truncated packed bit file")
-        count = int.from_bytes(raw[:8], "big")
-        bits = np.unpackbits(np.frombuffer(raw[8:], dtype=np.uint8))
-        if count > bits.size:
-            raise ValueError(f"{source}: header promises {count} bits, file holds {bits.size}")
-        return BitStream(bits=tuple(int(b) for b in bits[:count]), source=label or source)
-    bits = []
-    with open(source, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise ValueError(f"{source} line {lineno}: expected 0 or 1, got {text!r}")
-            bits.append(int(text))
-    return BitStream(bits=tuple(bits), source=label or source)
+def _read_ascii_bits(handle: IO[str]) -> BitStream:
+    words = [line.strip() for line in handle]
+    if set(words) - {"0", "1", ""}:
+        lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
+        raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
+    return BitStream(np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("0"))
+
+
+def read_bits(source: str, packed: bool = False) -> BitStream:
+    """Read a bit file written by write_bits; a malformed file raises, naming it.
+
+    ASCII files hold one 0 or 1 per line, empty lines skipped; errors name
+    the line. A packed file must be exactly as long as its header's bit
+    count requires.
+    """
+    if not packed:
+        return _read_path(source, _read_ascii_bits)
+    with open(source, "rb") as handle:
+        raw = handle.read()
+    if len(raw) < 8:
+        raise ValueError(f"{source}: truncated packed bit file")
+    count = int.from_bytes(raw[:8], "big")
+    size = -(-count // 8)
+    if len(raw) - 8 != size:
+        raise ValueError(f"{source}: header promises {count} bits in {size} bytes, file holds {len(raw) - 8}")
+    return BitStream(np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=8), count=count))

@@ -14,9 +14,11 @@ implements verbatim. A `TrialSet` holds trials as checked int64 columns,
 and k, n, the correlators and S are read from the `CellTable` tabulated
 over them.
 
-This module also owns the JSON-lines format of integer records that trial,
-attempt and settings files share: one reader, one chunked row writer and
-one vectorised domain check, whose errors name the file line.
+This module also owns what the record tables of trials, attempts,
+detections and bits share: one construction check that makes each column
+a read-only int64 column and checks lengths and domains, and the
+JSON-lines format of integer records, with one reader and one chunked row
+writer. Errors name the row, or the file line.
 """
 from __future__ import annotations
 
@@ -44,14 +46,24 @@ CHSH_SIGNS = {
 
 _TRIAL_FIELDS = ("index", "tag", "setting_a", "setting_b", "outcome_a", "outcome_b")
 
-# Allowed values of each record field that has a domain, and how errors name them.
+# Domain of each record field that has one, and how errors name it: a
+# tuple of allowed values, or an int the values must be at least.
 _DOMAINS = {
+    "index": (1, "a positive integer"),
     "tag": ((HERALD_PSI_MINUS, HERALD_NONE, HERALD_PSI_PLUS), "-1, 0 or +1"),
     "setting_a": ((0, 1), "the bit 0 or 1"),
     "setting_b": ((0, 1), "the bit 0 or 1"),
     "outcome_a": ((-1, 1), "+1 or -1"),
     "outcome_b": ((-1, 1), "+1 or -1"),
+    "channel": ((0, 1), "0 or 1"),
+    "time_ps": (0, ">= 0"),
+    "bits": ((0, 1), "0 or 1"),
 }
+
+
+def _in_domain(name: str, column: np.ndarray) -> np.ndarray:
+    allowed = _DOMAINS[name][0]
+    return np.logical_or.reduce([column == v for v in allowed]) if isinstance(allowed, tuple) else column >= allowed
 
 
 def _check_domains(columns: Mapping[str, np.ndarray], lines: Sequence[int], unit: str) -> None:
@@ -61,23 +73,51 @@ def _check_domains(columns: Mapping[str, np.ndarray], lines: Sequence[int], unit
     the first such field in column order.
     """
     names = [name for name in columns if name in _DOMAINS]
-    valid = np.column_stack([np.isin(columns[name], _DOMAINS[name][0]) for name in names])
-    bad = np.flatnonzero(~valid.all(axis=1))
+    valid = np.array([_in_domain(name, columns[name]) for name in names])
+    bad = np.flatnonzero(~valid.all(axis=0))
     if bad.size:
         i = int(bad[0])
-        name = names[int(np.flatnonzero(~valid[i])[0])]
+        name = names[int(np.flatnonzero(~valid[:, i])[0])]
         raise ValueError(f"{unit} {lines[i]}: {name} must be {_DOMAINS[name][1]}, got {columns[name][i]}")
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+def _check_columns(table: object, fields: Sequence[str], lines: Sequence[int] | None) -> tuple[Sequence[int], str]:
+    """Replace each of `fields` on the frozen dataclass `table` by a read-only 1-D int64 copy.
+
+    The columns must have equal lengths and values inside their `_DOMAINS`;
+    errors name the row, counted from 1, or its line in `lines`. Returns
+    the lines and the unit that errors name, for the caller's own checks.
+    """
+    columns = {}
+    for name in fields:
+        column = np.asarray(getattr(table, name))
+        if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+            raise ValueError(f"{name} must be a one-dimensional column of integers")
+        columns[name] = _read_only(column.astype(np.int64))
+        object.__setattr__(table, name, columns[name])
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"{type(table).__name__} columns must have equal lengths, got {lengths}")
+    unit = "row" if lines is None else "line"
+    lines = range(1, len(columns[fields[0]]) + 1) if lines is None else lines
+    _check_domains(columns, lines, unit)
+    return lines, unit
 
 
 @dataclass(frozen=True, eq=False)
 class TrialSet:
     """Trials as equal-length, read-only int64 columns.
 
-    Construction checks every row: index at least 1 and above the previous
-    row's, tag -1, 0 or +1, settings 0 or 1, outcomes +1 or -1. Errors name
-    the row, counted from 1, or its file line when `lines` gives the line of
-    each row. Outcomes are recorded even when tag = 0, but such trials never
-    enter any statistic.
+    Construction checks every row: index at least 1, tag -1, 0 or +1,
+    settings 0 or 1, outcomes +1 or -1, then each index above the previous
+    row's. Errors name the row, counted from 1, or its file line when
+    `lines` gives the line of each row. Outcomes are recorded even when
+    tag = 0, but such trials never enter any statistic.
     """
 
     index: np.ndarray
@@ -89,31 +129,14 @@ class TrialSet:
     lines: InitVar[Sequence[int] | None] = None
 
     def __post_init__(self, lines: Sequence[int] | None) -> None:
-        columns = {}
-        for name in _TRIAL_FIELDS:
-            column = np.asarray(getattr(self, name))
-            if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
-                raise ValueError(f"{name} must be a one-dimensional column of integers")
-            column = column.astype(np.int64)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-            columns[name] = column
-        if len({len(column) for column in columns.values()}) > 1:
-            raise ValueError("trial columns must have equal lengths")
-        unit = "row" if lines is None else "line"
-        lines = range(1, len(self.index) + 1) if lines is None else lines
+        lines, unit = _check_columns(self, _TRIAL_FIELDS, lines)
         index = self.index
-        bad = np.flatnonzero(index < 1)
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"{unit} {lines[i]}: trial index must be a positive integer, got {index[i]}")
         bad = np.flatnonzero(index[1:] <= index[:-1])
         if bad.size:
             i = int(bad[0]) + 1
             raise ValueError(
                 f"{unit} {lines[i]}: trial indices must be strictly increasing, got {index[i]} after {index[i - 1]}"
             )
-        _check_domains(columns, lines, unit)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -125,7 +148,7 @@ class TrialSet:
 
 def win_indicator(tag: int, setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> int:
     """1 if the trial wins its game, 0 otherwise (always 0 when tag = 0)."""
-    for name, value in zip(_DOMAINS, (tag, setting_a, setting_b, outcome_a, outcome_b)):
+    for name, value in zip(_TRIAL_FIELDS[1:], (tag, setting_a, setting_b, outcome_a, outcome_b)):
         allowed, described = _DOMAINS[name]
         if isinstance(value, bool) or value not in allowed:
             raise ValueError(f"{name} must be {described}, got {value!r}")

@@ -248,6 +248,19 @@ class TestHerald:
         )
         assert code == 1 and "1 detections" in err and "99" in err
 
+    def test_sweep_rejects_non_integer_window_field(self, capsys, tmp_path):
+        detections = str(tmp_path / "d.csv")
+        attempts = str(tmp_path / "a.jsonl")
+        run_json(capsys, "herald", "synth", "--attempts", "100", "--detections-out", detections, "--attempts-out", attempts)
+        windows = tmp_path / "windows.json"
+        windows.write_text(json.dumps({"len_first_ps": True}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "herald", "sweep", "--detections", detections, "--attempts", attempts,
+            "--window-config", str(windows), "--offsets=0:0:1", "--sweep-out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 1 and out == ""
+        assert f"{windows}: len_first_ps must be an integer" in err
+
     def test_stream_mode_requires_no_attempts_out(self, capsys, tmp_path):
         detections = str(tmp_path / "d.csv")
         report = run_json(
@@ -381,6 +394,57 @@ class TestAuditOutputsPinned:
             assert sha256(out) == digest
 
 
+class TestRngOutputsPinned:
+    """Digests of bit files and rng reports as the tuple-of-ints BitStream code wrote them.
+
+    Run in the temporary directory with relative file names, since each
+    report's config hash covers the file paths.
+    """
+
+    DIGESTS = {
+        "bits.txt": "fccbe6709147c31fc39f2c93d5b0efc14c0644460700d9ea50580d91059849dc",
+        "bits.bin": "a4b056b6906e02f87acf789c297a387a7ea056e76bf7051bcfd9b586a71dd784",
+        "combined.txt": "4fd92e01248b8b5c965603e52a5d3176f7f3f87bdc0873441febb5f7bbd4b675",
+        "extract.json": "fa20df6e6b3536a2b15d10b58268ae774f61fe989d67ff0a469e7e59556dd3fb",
+        "extract-packed.json": "876301a188dec4595629c92aa23ecee14fe0e1df5f9f2dbba5e7952b1ca7c2d6",
+        "bias.json": "863b09514c3ef4dc6f453023b8329d4d67b4ce2d0205b2bbac1d69b669c12cff",
+        "bias-packed.json": "bac70f525acb2ea143fb92d583e4f464e3388ec8f0a27b886c039263ca03ce04",
+        "combine.json": "a229001c22f4eacc51582b1912bd1655ff455567d3d25f6f1afcc1129a9d5558",
+        "independence.json": "f11191ea6e9b549138f8ee5a017ca8d206cb47d73c01bb3e3cb4b1f2b9901490",
+    }
+
+    def test_bit_files_and_report_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # 800 messages of 1 to 140 characters mixing one- to four-byte UTF-8 code points.
+        # 800 messages of 1 to 140 characters mixing one- to four-byte UTF-8
+        # code points, and 100 quantum bits, from a linear congruential sequence.
+        alphabet = "abc XYZ 019 éüαω中文\U0001F600"
+        state = [11]
+
+        def draw(m):
+            state[0] = (6364136223846793005 * state[0] + 1442695040888963407) % 2**64
+            return (state[0] >> 33) % m
+
+        lines = ["".join(alphabet[draw(len(alphabet))] for _ in range(1 + draw(140))) for _ in range(800)]
+        with open("messages.txt", "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        with open("quantum.txt", "w", encoding="utf-8") as handle:
+            handle.write("".join(f"{draw(2)}\n" for _ in range(100)))
+        commands = [
+            ("extract.json", "rng", "extract", "--messages", "messages.txt", "--bits-out", "bits.txt"),
+            ("extract-packed.json", "rng", "extract", "--messages", "messages.txt", "--bits-out", "bits.bin", "--packed"),
+            ("bias.json", "rng", "bias", "--bits", "bits.txt", "--block8"),
+            ("bias-packed.json", "rng", "bias", "--bits", "bits.bin", "--packed"),
+            ("combine.json", "rng", "combine", "--classical", "bits.txt", "--quantum", "quantum.txt",
+             "--bits-out", "combined.txt"),
+            ("independence.json", "rng", "independence", "--a", "combined.txt", "--b", "quantum.txt"),
+        ]
+        for report, *argv in commands:
+            code, _, err = run(capsys, *argv, "--out", report)
+            assert code == 0, err
+        assert {name: sha256(name) for name in self.DIGESTS} == self.DIGESTS
+
+
 class TestRng:
     def test_extract_bias_combine_independence(self, capsys, tmp_path):
         messages = tmp_path / "messages.txt"
@@ -405,6 +469,13 @@ class TestRng:
             capsys, "rng", "independence", "--a", bits, "--b", str(quantum), "--truncate"
         )
         assert 0.0 < report["p"] <= 1.0
+
+    def test_extract_names_file_and_line_of_over_long_message(self, capsys, tmp_path):
+        messages = tmp_path / "messages.txt"
+        messages.write_text("short\n" + "x" * 141 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "rng", "extract", "--messages", str(messages), "--bits-out", str(tmp_path / "b.txt"))
+        assert code == 1 and out == ""
+        assert f"{messages}: line 2: message has 141 characters, limit is 140" in err
 
     def test_independence_length_mismatch_without_truncate(self, capsys, tmp_path):
         a = tmp_path / "a.txt"

@@ -6,15 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from bellkit import heralding
+from bellkit import trials
 from bellkit.heralding import (
-    AttemptRecord,
     AttemptTable,
-    DetectionEvent,
+    DetectionTable,
     StreamParams,
     WindowConfig,
     build_trialset,
-    classify,
     classify_attempts,
     read_attempts,
     read_detections,
@@ -31,7 +29,29 @@ WINDOWS = WindowConfig()
 
 
 def click(attempt, channel, time_ps):
-    return DetectionEvent(attempt_id=attempt, channel=channel, time_ps=time_ps)
+    return (attempt, channel, time_ps)
+
+
+def table(*clicks):
+    """DetectionTable of (attempt_id, channel, time_ps) rows."""
+    return DetectionTable(*np.array(clicks, dtype=np.int64).reshape(-1, 3).T)
+
+
+def attempt_table(*records):
+    """AttemptTable of (attempt_id, setting_a, setting_b, outcome_a, outcome_b) rows."""
+    return AttemptTable(*np.array(records, dtype=np.int64).reshape(-1, 5).T)
+
+
+def detection_rows(detections):
+    """(attempt_id, channel, time_ps) of each detection, in table order."""
+    return list(zip(detections.attempt_id.tolist(), detections.channel.tolist(), detections.time_ps.tolist()))
+
+
+def classify(clicks, windows):
+    """Herald tag of one attempt's clicks: 0 when there are none."""
+    tags = classify_attempts(table(*clicks), windows)
+    assert len(tags) <= 1
+    return next(iter(tags.values()), 0)
 
 
 def first_click(channel, offset=100):
@@ -90,6 +110,11 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig.from_dict({"start_ch0_ps": 1, "bogus": 2})
 
+    @pytest.mark.parametrize("value", [True, 5_426_000.5, "50000"])
+    def test_rejects_non_integer_fields(self, value):
+        with pytest.raises(ValueError, match=f"^len_first_ps must be an integer number of picoseconds, got {value!r}$"):
+            WindowConfig.from_dict({"len_first_ps": value})
+
     def test_rejects_nonpositive_lengths(self):
         with pytest.raises(ValueError):
             WindowConfig(len_first_ps=0)
@@ -107,20 +132,17 @@ class TestWindowConfig:
         assert shifted.start_ch1_ps == WINDOWS.start_ch1_ps - 300
 
 
-def small_dataset():
-    events = [
+def small_dataset(*extra_clicks):
+    events = table(
         first_click(0),
         second_click(1),
         click(1, 0, WINDOWS.start_ch0_ps + 50),
         click(1, 0, WINDOWS.start_ch0_ps + WINDOWS.second_window_offset_ps + 50),
         click(2, 1, WINDOWS.start_ch1_ps - 2_000),  # out of window at offset 0
-    ]
-    attempts = [
-        AttemptRecord(attempt_id=0, setting_a=0, setting_b=0, outcome_a=1, outcome_b=1),
-        AttemptRecord(attempt_id=1, setting_a=1, setting_b=1, outcome_a=1, outcome_b=1),
-        AttemptRecord(attempt_id=2, setting_a=0, setting_b=1, outcome_a=-1, outcome_b=1),
-        AttemptRecord(attempt_id=3, setting_a=1, setting_b=0, outcome_a=-1, outcome_b=-1),
-    ]
+        *extra_clicks,
+    )
+    # Rows of (attempt_id, setting_a, setting_b, outcome_a, outcome_b).
+    attempts = attempt_table((0, 0, 0, 1, 1), (1, 1, 1, 1, 1), (2, 0, 1, -1, 1), (3, 1, 0, -1, -1))
     return events, attempts
 
 
@@ -154,8 +176,8 @@ class TestBuildAndSweep:
         assert rows[1].k == rows[0].k
 
     def test_empty_offset_row(self):
-        events = [first_click(0), second_click(1)]
-        attempts = [AttemptRecord(0, 0, 0, 1, 1)]
+        events = table(first_click(0), second_click(1))
+        attempts = attempt_table((0, 0, 0, 1, 1))
         rows = sweep(events, attempts, WINDOWS, [10_000_000])
         assert rows[0].n == 0 and rows[0].s is None and rows[0].p_local is None
 
@@ -209,21 +231,20 @@ class TestColumnarRule:
             windows = WINDOWS.shifted(offset, offset_ch1)
             clicks = boundary_clicks(rng, windows, 400)
             events = [click(a, c, t) for a, pairs in clicks.items() for c, t in pairs]
-            tags = classify_attempts(events, windows)
+            tags = classify_attempts(table(*events), windows)
             expected = {a: loop_tag_and_reason(pairs, windows)[0] for a, pairs in clicks.items() if pairs}
             assert tags == expected
-            assert {a: classify([e for e in events if e.attempt_id == a], windows) for a in range(25)} == {
+            assert {a: classify([e for e in events if e[0] == a], windows) for a in range(25)} == {
                 a: loop_tag_and_reason(clicks[a], windows)[0] for a in range(25)
             }
 
     def test_sweep_counts_match_per_attempt_loop(self):
         rng = np.random.default_rng(22)
         clicks = boundary_clicks(rng, WINDOWS, 600)
-        events = [click(a, c, t) for a, pairs in clicks.items() for c, t in pairs]
-        attempts = [
-            AttemptRecord(a, int(rng.integers(0, 2)), int(rng.integers(0, 2)), 1, int(1 - 2 * rng.integers(0, 2)))
-            for a in clicks
-        ]
+        events = table(*(click(a, c, t) for a, pairs in clicks.items() for c, t in pairs))
+        attempts = attempt_table(
+            *((a, int(rng.integers(0, 2)), int(rng.integers(0, 2)), 1, int(1 - 2 * rng.integers(0, 2))) for a in clicks)
+        )
         offsets = [-1, 0, 1, -400]
         for row in sweep(events, attempts, WINDOWS, offsets):
             windows = WINDOWS.shifted(row.offset_ps)
@@ -239,8 +260,7 @@ class TestColumnarRule:
 
 class TestInputChecks:
     def test_sweep_rejects_detections_of_unknown_attempts(self):
-        events, attempts = small_dataset()
-        events = events + [click(99, 0, 5_426_100), click(99, 1, 5_425_200)]
+        events, attempts = small_dataset(click(99, 0, 5_426_100), click(99, 1, 5_425_200))
         with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
             sweep(events, attempts, WINDOWS, [0])
         with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
@@ -283,15 +303,15 @@ class TestInputChecks:
 
     def test_readers_check_attempts_once(self, monkeypatch):
         calls = []
-        check = heralding._check_domains
+        check = trials._check_domains
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(heralding, "_check_domains", counted)
-        table = read_attempts(io.StringIO('{"attempt_id":1,"setting_a":0,"setting_b":1,"outcome_a":1,"outcome_b":-1}\n'))
-        AttemptTable.from_records(list(table))
+        monkeypatch.setattr(trials, "_check_domains", counted)
+        attempts = read_attempts(io.StringIO('{"attempt_id":1,"setting_a":0,"setting_b":1,"outcome_a":1,"outcome_b":-1}\n'))
+        AttemptTable(attempts.attempt_id, attempts.setting_a, attempts.setting_b, attempts.outcome_a, attempts.outcome_b)
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
@@ -320,7 +340,7 @@ class TestInputChecks:
 
     def test_read_detections_skips_empty_lines(self):
         back = read_detections(io.StringIO("attempt_id,channel,time_ps\r\n0,0,5\r\n\r\n1,1,6\r\n"))
-        assert list(back) == [click(0, 0, 5), click(1, 1, 6)]
+        assert detection_rows(back) == [click(0, 0, 5), click(1, 1, 6)]
         assert len(read_detections(io.StringIO("attempt_id,channel,time_ps\r\n"))) == 0
 
 
@@ -329,25 +349,25 @@ class TestSynthStream:
         params = StreamParams(signal_prob=0.8)
         events = synth_stream(params, WINDOWS, attempts=2000, seed=1)
         assert events
-        for e in events:
+        for _, channel, time_ps in detection_rows(events):
             starts = [
-                WINDOWS.start(e.channel),
-                WINDOWS.start(e.channel) + WINDOWS.second_window_offset_ps,
+                WINDOWS.start(channel),
+                WINDOWS.start(channel) + WINDOWS.second_window_offset_ps,
             ]
-            assert any(e.time_ps >= s for s in starts)
-            assert e.time_ps >= min(starts)
+            assert any(time_ps >= s for s in starts)
+            assert time_ps >= min(starts)
 
     def test_reflection_places_clicks_before_window(self):
         params = StreamParams(signal_prob=0.0, reflection_amplitude=1.0)
         events = synth_stream(params, WINDOWS, attempts=500, seed=2)
         assert events
         early = [
-            e
-            for e in events
-            if e.time_ps < WINDOWS.start(e.channel)
-            or WINDOWS.start(e.channel) + WINDOWS.len_first_ps
-            < e.time_ps
-            < WINDOWS.start(e.channel) + WINDOWS.second_window_offset_ps
+            (channel, time_ps)
+            for _, channel, time_ps in detection_rows(events)
+            if time_ps < WINDOWS.start(channel)
+            or WINDOWS.start(channel) + WINDOWS.len_first_ps
+            < time_ps
+            < WINDOWS.start(channel) + WINDOWS.second_window_offset_ps
         ]
         assert len(early) > 0.9 * len(events)
 
@@ -356,7 +376,7 @@ class TestSynthStream:
         events = synth_stream(params, WINDOWS, attempts=800, seed=3)
         # Without afterpulses, dark counts or signal, nothing lands inside
         # the second windows: reflections sit ~1800 ps before each start.
-        assert not any(WINDOWS.in_second(e.channel, e.time_ps) for e in events)
+        assert not any(WINDOWS.in_second(channel, time_ps) for _, channel, time_ps in detection_rows(events))
 
     def test_afterpulses_land_in_second_window_same_channel(self):
         quiet = StreamParams(signal_prob=0.0, reflection_amplitude=0.5, afterpulse_prob=0.0)
@@ -365,7 +385,7 @@ class TestSynthStream:
         with_ap = synth_stream(loud, WINDOWS, attempts=800, seed=4)
         extra = len(with_ap) - len(base)
         assert extra > 100
-        in_second = [e for e in with_ap if WINDOWS.in_second(e.channel, e.time_ps)]
+        in_second = [row for row in detection_rows(with_ap) if WINDOWS.in_second(row[1], row[2])]
         assert len(in_second) > 100
 
     def test_decay_constant_recovered_within_five_percent(self):
@@ -374,9 +394,9 @@ class TestSynthStream:
         events = synth_stream(params, WINDOWS, attempts=60_000, seed=5)
         window = WINDOWS.len_first_ps
         dts = [
-            e.time_ps - WINDOWS.start(e.channel)
-            for e in events
-            if 0 <= e.time_ps - WINDOWS.start(e.channel) < window
+            time_ps - WINDOWS.start(channel)
+            for _, channel, time_ps in detection_rows(events)
+            if 0 <= time_ps - WINDOWS.start(channel) < window
         ]
         assert len(dts) > 50_000
         observed_mean = float(np.mean(dts))
@@ -448,27 +468,28 @@ class TestFileFormats:
     def test_detections_roundtrip(self):
         events = [click(0, 0, 5_426_100), click(1, 1, 5_425_200)]
         buffer = io.StringIO()
-        write_detections(buffer, events)
+        write_detections(buffer, table(*events))
         back = read_detections(io.StringIO(buffer.getvalue()))
-        assert list(back) == events
+        assert detection_rows(back) == events
 
     def test_detections_header_required(self):
         with pytest.raises(ValueError, match="header"):
             read_detections(io.StringIO("1,2,3\n"))
 
     def test_attempts_roundtrip(self):
-        records = [AttemptRecord(0, 0, 1, 1, -1), AttemptRecord(1, 1, 0, -1, -1)]
+        records = [(0, 0, 1, 1, -1), (1, 1, 0, -1, -1)]
         buffer = io.StringIO()
-        write_attempts(buffer, records)
+        write_attempts(buffer, attempt_table(*records))
         back = read_attempts(io.StringIO(buffer.getvalue()))
-        assert list(back) == records
+        columns = (back.attempt_id, back.setting_a, back.setting_b, back.outcome_a, back.outcome_b)
+        assert list(zip(*(column.tolist() for column in columns))) == records
 
     def test_attempts_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="line 1"):
             read_attempts(io.StringIO('{"attempt_id": 0}\n'))
 
     def test_sweep_csv_missing_values_empty(self):
-        rows = sweep([first_click(0), second_click(1)], [AttemptRecord(0, 0, 0, 1, 1)], WINDOWS, [0, 9_999_999])
+        rows = sweep(table(first_click(0), second_click(1)), attempt_table((0, 0, 0, 1, 1)), WINDOWS, [0, 9_999_999])
         buffer = io.StringIO()
         write_sweep_csv(buffer, rows)
         lines = buffer.getvalue().strip().splitlines()

@@ -1,6 +1,7 @@
 """Randomness extraction pipeline: parity bits, whitening, audits."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,14 +58,14 @@ class TestMessageToBit:
 
 class TestBlock8:
     def test_sixteen_zeros(self):
-        assert block8(BitStream(bits=(0,) * 16)).bits == (0, 0)
+        assert block8(BitStream(bits=(0,) * 16)).bits.tolist() == [0, 0]
 
     def test_eight_ones_even_parity(self):
-        assert block8(BitStream(bits=(1,) * 8)).bits == (0,)
+        assert block8(BitStream(bits=(1,) * 8)).bits.tolist() == [0]
 
     def test_remainder_dropped(self):
         stream = BitStream(bits=(1, 0, 0, 0, 0, 0, 0, 0) + (1, 1, 1))
-        assert block8(stream).bits == (1,)
+        assert block8(stream).bits.tolist() == [1]
 
     def test_dataset_sizes(self):
         # 139952 = 17494 * 8 exactly; 134501 leaves a 5-bit remainder.
@@ -80,12 +81,12 @@ class TestBlock8:
         bits = tuple(int(b) for b in rng.integers(0, 2, size=160))
         base = block8(BitStream(bits=bits))
         padded = tuple(b ^ 0 for b in bits)
-        assert block8(BitStream(bits=padded)).bits == base.bits
+        assert np.array_equal(block8(BitStream(bits=padded)).bits, base.bits)
 
     def test_blockwise_parity_oracle(self):
         rng = rngstream.stream(2)
         bits = tuple(int(b) for b in rng.integers(0, 2, size=83))
-        got = block8(BitStream(bits=bits)).bits
+        got = tuple(block8(BitStream(bits=bits)).bits.tolist())
         want = tuple(sum(bits[8 * j : 8 * j + 8]) % 2 for j in range(len(bits) // 8))
         assert got == want
 
@@ -154,7 +155,7 @@ class TestCombineStreams:
     def test_blockwise(self):
         classical = BitStream(bits=(1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0))
         quantum = BitStream(bits=(0, 1))
-        assert combine_streams(classical, quantum).bits == (1, 1)
+        assert combine_streams(classical, quantum).bits.tolist() == [1, 1]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -198,14 +199,39 @@ class TestFileRoundtrip:
         packed_path = str(tmp_path / "bits.bin")
         write_bits(ascii_path, stream)
         write_bits(packed_path, stream, packed=True)
-        assert read_bits(ascii_path).bits == stream.bits
-        assert read_bits(packed_path, packed=True).bits == stream.bits
+        assert np.array_equal(read_bits(ascii_path).bits, stream.bits)
+        assert np.array_equal(read_bits(packed_path, packed=True).bits, stream.bits)
+
+    def test_ascii_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("0\n\n1\n2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: expected 0 or 1, got '2'$"):
+            read_bits(str(path))
+
+    @pytest.mark.parametrize("change", [b"\x00", -1], ids=["trailing-byte", "missing-byte"])
+    def test_packed_length_must_match_header(self, tmp_path, change):
+        path = tmp_path / "bits.bin"
+        write_bits(str(path), BitStream(bits=(1, 0, 1) * 7), packed=True)
+        raw = path.read_bytes()
+        path.write_bytes(raw + change if isinstance(change, bytes) else raw[:change])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header promises 21 bits in 3 bytes"):
+            read_bits(str(path), packed=True)
 
     def test_messages_preserve_trailing_spaces(self, tmp_path):
         path = tmp_path / "messages.txt"
         path.write_text("hello \nworld\n", encoding="utf-8")
         assert read_messages(str(path)) == ["hello ", "world"]
 
+    def test_bitstream_rejects_bools(self):
+        with pytest.raises(ValueError, match="bools"):
+            BitStream(bits=(1, True))
+        with pytest.raises(ValueError, match="integers"):
+            BitStream(bits=np.array([True, False]))
+
+    def test_extract_bits_names_over_long_line(self):
+        with pytest.raises(ValueError, match="^line 2: message has 141 characters, limit is 140$"):
+            extract_bits(["ok", "x" * 141])
+
     def test_extract_bits_pipeline(self):
         stream = extract_bits(["A", "a", "Aa"])
-        assert stream.bits == (0, 1, 1)
+        assert stream.bits.tolist() == [0, 1, 1]

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from bellkit import trials
+from bellkit.heralding import AttemptTable, DetectionTable
+from bellkit.randomness import BitStream
 from bellkit.trials import (
     ChshEstimate,
     TrialSet,
@@ -277,3 +279,75 @@ class TestJsonLines:
             read_trials(io.StringIO(path.read_text(encoding="utf-8")))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             read_trials(str(path))
+
+
+# Valid columns of each record table, and one out-of-domain value per
+# table: (field, row counted from 1, value, message).
+RECORD_TABLES = {
+    "TrialSet": (
+        TrialSet,
+        {"index": [1, 2, 3], "tag": [-1, 0, 1], "setting_a": [0, 1, 0], "setting_b": [1, 1, 0],
+         "outcome_a": [1, -1, 1], "outcome_b": [-1, -1, 1]},
+        ("tag", 2, 5, "row 2: tag must be -1, 0 or +1, got 5"),
+    ),
+    "AttemptTable": (
+        AttemptTable,
+        {"attempt_id": [0, 1, 2], "setting_a": [0, 1, 0], "setting_b": [1, 1, 0],
+         "outcome_a": [1, -1, 1], "outcome_b": [-1, -1, 1]},
+        ("outcome_b", 3, 0, "row 3: outcome_b must be +1 or -1, got 0"),
+    ),
+    "DetectionTable": (
+        DetectionTable,
+        {"attempt_id": [0, 0, 1], "channel": [0, 1, 1], "time_ps": [5, 6, 7]},
+        ("time_ps", 2, -7, "row 2: time_ps must be >= 0, got -7"),
+    ),
+    "BitStream": (BitStream, {"bits": [0, 1, 1]}, ("bits", 3, 2, "row 3: bits must be 0 or 1, got 2")),
+}
+
+
+class TestRecordTableConstruction:
+    """Every record table is built through the one column check."""
+
+    @pytest.mark.parametrize(
+        "kind, defect",
+        [
+            (kind, defect)
+            for kind, (_, columns, _) in RECORD_TABLES.items()
+            for defect in ("two-dimensional", "float", "unequal-lengths", "out-of-domain")
+            if defect != "unequal-lengths" or len(columns) > 1
+        ],
+    )
+    def test_rejects(self, kind, defect):
+        cls, columns, (field, row, value, domain_message) = RECORD_TABLES[kind]
+        columns = {name: list(column) for name, column in columns.items()}
+        first = next(iter(columns))
+        if defect == "two-dimensional":
+            columns[first] = [columns[first]]
+            message = f"{first} must be a one-dimensional column of integers"
+        elif defect == "float":
+            columns[first] = [float(v) for v in columns[first]]
+            message = f"{first} must be a one-dimensional column of integers"
+        elif defect == "unequal-lengths":
+            columns[field].pop()
+            message = "columns must have equal lengths"
+        else:
+            columns[field][row - 1] = value
+            message = domain_message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**columns)
+
+    @pytest.mark.parametrize("kind", RECORD_TABLES)
+    def test_columns_are_read_only_copies(self, kind):
+        cls, columns, _ = RECORD_TABLES[kind]
+        given = {name: np.array(column) for name, column in columns.items()}
+        table = cls(**given)
+        for name, column in given.items():
+            stored = getattr(table, name)
+            assert stored.ndim == 1 and np.array_equal(stored, column)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = column[0]
+            assert column.flags.writeable
+
+    def test_detection_channel_named_by_row(self):
+        with pytest.raises(ValueError, match=r"^row 1: channel must be 0 or 1, got 2$"):
+            DetectionTable(attempt_id=[0], channel=[2], time_ps=[5])
