@@ -291,13 +291,22 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`; malformed JSON or another value raises, naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: {what} must be a JSON object")
+    return data
+
+
 def _load_windows(path: str | None) -> heralding.WindowConfig:
     if path is None:
         return heralding.WindowConfig()
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: window config must be a JSON object")
+    data = _load_json_object(path, "window config")
     try:
         return heralding.WindowConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
@@ -669,10 +678,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         probe.add_argument("--config", default=None)
         known, _ = probe.parse_known_args(argv)
         if known.config:
-            with open(known.config, "r", encoding="utf-8") as handle:
-                config = json.load(handle)
-            if not isinstance(config, dict):
-                raise CliError(f"{known.config}: config must be a JSON object")
+            config = _load_json_object(known.config, "config")
             defaults = {key.replace("-", "_"): value for key, value in config.items()}
             # Subparsers re-apply their own defaults over the namespace, so
             # config values must be installed on every parser in the tree.

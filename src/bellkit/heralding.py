@@ -46,6 +46,7 @@ from .trials import (
     CellTable,
     TrialSet,
     _check_columns,
+    _json_row,
     _read_only,
     _read_path,
     _read_records,
@@ -479,7 +480,6 @@ def synth_experiment(
 
 _DETECTION_HEADER = "attempt_id,channel,time_ps"
 _DETECTION_ROW = "%d,%d,%d\r\n"
-_ATTEMPT_ROW = '{"attempt_id":%d,"setting_a":%d,"setting_b":%d,"outcome_a":%d,"outcome_b":%d}\n'
 
 
 def write_detections(target: str | IO[str], detections: DetectionTable) -> None:
@@ -552,7 +552,7 @@ def write_attempts(target: str | IO[str], table: AttemptTable) -> None:
         with open(target, "w", encoding="utf-8") as handle:
             write_attempts(handle, table)
         return
-    _write_rows(target, _ATTEMPT_ROW, [getattr(table, f) for f in _ATTEMPT_FIELDS])
+    _write_rows(target, _json_row(_ATTEMPT_FIELDS), [getattr(table, f) for f in _ATTEMPT_FIELDS])
 
 
 def read_attempts(source: str | IO[str]) -> AttemptTable:

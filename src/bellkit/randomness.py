@@ -13,6 +13,7 @@ representation independent.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ from . import exact
 from .trials import _check_columns, _read_only, _read_path
 
 MAX_MESSAGE_CHARS = 140
+# Messages per array pass of extract_bits; bounds the joined text it holds.
+_PARITY_CHUNK = 512
 
 _BITS = (0, 1)
 
@@ -57,36 +60,42 @@ class BiasEstimate:
     n: int
 
 
-def message_to_bit(text: str, max_chars: int = MAX_MESSAGE_CHARS) -> int:
-    """Parity of the total number of ones across the code points of `text`.
-
-    An empty message yields 0 (the empty parity) with a warning rather than
-    an error.
-    """
-    if len(text) > max_chars:
-        raise ValueError(f"message has {len(text)} characters, limit is {max_chars}")
-    if not text:
-        warnings.warn("empty message maps to bit 0", stacklevel=2)
-        return 0
-    parity = 0
-    for ch in text:
-        parity ^= ord(ch).bit_count() & 1
-    return parity
+def _parities(chunk: list[str], lengths: np.ndarray) -> np.ndarray:
+    """Per message, the parity of the total popcount of its code points, as uint8."""
+    codes = np.frombuffer("".join(chunk).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    folded = codes ^ (codes >> 16)
+    for shift in (8, 4, 2, 1):
+        folded ^= folded >> shift
+    # The low bit of a running sum of code point parities (mod 256) gives
+    # each message's XOR as the difference across its segment.
+    running = np.zeros(len(codes) + 1, dtype=np.uint8)
+    np.cumsum(folded.astype(np.uint8) & 1, dtype=np.uint8, out=running[1:])
+    ends = np.cumsum(lengths)
+    return (running[ends] - running[ends - lengths]) & 1
 
 
 def extract_bits(messages: Iterable[str], max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
-    """One parity bit per message.
+    """One bit per message: the parity of the total number of ones across its code points.
 
-    An over-long message raises, naming its line: messages are counted
-    from 1, as the lines of a message file.
+    An empty message yields 0 (the empty parity) with a warning rather than
+    an error. An over-long message raises, naming its line: messages are
+    counted from 1, as the lines of a message file. Messages are taken
+    `_PARITY_CHUNK` at a time, each chunk as one array pass.
     """
-    bits = []
-    for lineno, message in enumerate(messages, start=1):
-        try:
-            bits.append(message_to_bit(message, max_chars))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return BitStream(np.array(bits, dtype=np.uint8))
+    messages = iter(messages)
+    parts = []
+    first_line = 1
+    while chunk := list(itertools.islice(messages, _PARITY_CHUNK)):
+        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        over = np.flatnonzero(lengths > max_chars)
+        stop = int(over[0]) if over.size else len(chunk)
+        for _ in range(np.count_nonzero(lengths[:stop] == 0)):
+            warnings.warn("empty message maps to bit 0", stacklevel=2)
+        if over.size:
+            raise ValueError(f"line {first_line + stop}: message has {lengths[stop]} characters, limit is {max_chars}")
+        parts.append(_parities(chunk, lengths))
+        first_line += len(chunk)
+    return BitStream(np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8))
 
 
 def block8(stream: BitStream) -> BitStream:
@@ -147,11 +156,32 @@ def independence_test(a: BitStream, b: BitStream) -> float:
 
 
 def read_messages(source: str | IO[str]) -> list[str]:
-    """Read one message per line (UTF-8); the line terminator is stripped."""
+    """Read one message per line (UTF-8); the line terminator is stripped.
+
+    Given a path, a file that is not UTF-8 raises, naming the file and the
+    line of the first undecodable byte.
+    """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_messages(handle)
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                return read_messages(handle)
+        except UnicodeDecodeError:
+            raise ValueError(f"{source}: {_undecodable_line(source)}") from None
     return [line.rstrip("\r\n") for line in source]
+
+
+def _undecodable_line(path: str) -> str:
+    """Message naming the line and byte of the first invalid UTF-8 in the file at `path`."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        # Lines end at \n, \r\n or \r, as text mode reads them.
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"line {line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
+    return "file is not valid UTF-8"
 
 
 def write_bits(target: str, stream: BitStream, packed: bool = False) -> None:
@@ -184,7 +214,7 @@ def read_bits(source: str, packed: bool = False) -> BitStream:
 
     ASCII files hold one 0 or 1 per line, empty lines skipped; errors name
     the line. A packed file must be exactly as long as its header's bit
-    count requires.
+    count requires, with the pad bits of its last byte 0.
     """
     if not packed:
         return _read_path(source, _read_ascii_bits)
@@ -196,4 +226,7 @@ def read_bits(source: str, packed: bool = False) -> BitStream:
     size = -(-count // 8)
     if len(raw) - 8 != size:
         raise ValueError(f"{source}: header promises {count} bits in {size} bytes, file holds {len(raw) - 8}")
-    return BitStream(np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=8), count=count))
+    packed_bits = np.frombuffer(raw, dtype=np.uint8, offset=8)
+    if count % 8 and packed_bits[-1] & (0xFF >> count % 8):
+        raise ValueError(f"{source}: pad bits after bit {count} must be 0, last byte is 0b{packed_bits[-1]:08b}")
+    return BitStream(np.unpackbits(packed_bits, count=count))

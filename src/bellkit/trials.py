@@ -22,12 +22,14 @@ writer. Errors name the row, or the file line.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import operator
+import warnings
 from dataclasses import InitVar, dataclass
-from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -315,11 +317,20 @@ def chsh_s(trials: TrialSet) -> ChshEstimate:
 # ---------------------------------------------------------------------------
 # JSON-lines records of integer fields
 
-_TRIAL_ROW = '{"index":%d,"tag":%d,"setting_a":%d,"setting_b":%d,"outcome_a":%d,"outcome_b":%d}\n'
 # Rows formatted per write call; bounds the transient strings of a large table.
 _WRITE_CHUNK = 65_536
+# Characters read per pass of the record reader's fast path, then up to the
+# end of the line; bounds its transient copies.
+_READ_CHUNK = 1 << 20
+# Every byte but a digit or '-' as a space, so a compact record reads as its integers.
+_INTEGER_BYTES = bytes(c if chr(c) in "0123456789-" else 32 for c in range(256))
 
 _T = TypeVar("_T")
+
+
+def _json_row(fields: Sequence[str]) -> str:
+    """The compact JSON-lines template of one record, keys in `fields` order."""
+    return "{" + ",".join(f'"{name}":%d' for name in fields) + "}\n"
 
 
 def _read_path(path: str, reader: Callable[[IO[str]], _T], newline: str | None = None) -> _T:
@@ -331,20 +342,33 @@ def _read_path(path: str, reader: Callable[[IO[str]], _T], newline: str | None =
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_records(source: IO[str], fields: Sequence[str]) -> tuple[np.ndarray, list[int]]:
-    """(rows, line numbers) of a JSON-lines file of integer records.
+def _compact_rows(chunk: str, row: str, width: int) -> np.ndarray | None:
+    """The rows of `chunk` if it is exactly what the writer emits with `row`, else None.
 
-    Empty lines are skipped. Every other line must be a JSON object with an
-    integer (not bool) for each of `fields` (two or more), within 64 bits;
-    other keys are ignored. Row i holds the values in `fields` order and
-    came from line `lines[i]`. A bad record raises, naming its line; JSON
-    and missing-field errors are found in line order, type and range errors
-    once the whole file is parsed.
+    The integers are parsed in one numpy call and kept only if formatting
+    them with `row` gives `chunk` back, so leading zeros, -0, floats,
+    bools, whitespace, other or reordered keys, empty lines, a missing
+    final newline and values beyond 64 bits all give None.
     """
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x only warns where numpy 2 raises on unparsed text.
+            warnings.simplefilter("error")
+            values = np.fromstring(chunk.encode("ascii").translate(_INTEGER_BYTES), dtype=np.int64, sep=" ")
+    except (ValueError, Warning):
+        return None
+    count = values.size // width
+    if values.size % width or (row * count) % tuple(values.tolist()) != chunk:
+        return None
+    return values.reshape(count, width)
+
+
+def _json_records(source: Iterable[str], fields: Sequence[str], first_line: int) -> tuple[np.ndarray, list[int]]:
+    """(rows, line numbers) of JSON-lines text, parsed line by line with json.loads; see _read_records."""
     values_of = operator.itemgetter(*fields)
     rows = []
     lines = []
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(source, start=first_line):
         line = line.strip()
         if not line:
             continue
@@ -370,6 +394,37 @@ def _read_records(source: IO[str], fields: Sequence[str]) -> tuple[np.ndarray, l
         raise ValueError(f"line {lines[i]}: fields must fit in 64-bit integers") from None
 
 
+def _read_records(source: IO[str], fields: Sequence[str]) -> tuple[np.ndarray, Sequence[int]]:
+    """(rows, line numbers) of a JSON-lines file of integer records.
+
+    Empty lines are skipped. Every other line must be a JSON object with an
+    integer (not bool) for each of `fields` (two or more), within 64 bits;
+    other keys are ignored. Row i holds the values in `fields` order and
+    came from line `lines[i]`. A bad record raises, naming its line; JSON
+    and missing-field errors are found in line order, type and range errors
+    once the whole file is parsed.
+
+    Lines end at "\n". The text is read in chunks of whole lines; a chunk
+    written exactly as `_json_row(fields)` writes records is parsed as one
+    array, and from the first chunk that is not, the rest of the file goes
+    line by line through json.loads. Both give the same rows, lines and
+    errors.
+    """
+    row = _json_row(fields)
+    parts = []
+    while chunk := source.read(_READ_CHUNK):
+        if not chunk.endswith("\n"):
+            chunk += source.readline()
+        rows = _compact_rows(chunk, row, len(fields))
+        if rows is None:
+            done = sum(map(len, parts))
+            rows, lines = _json_records(itertools.chain(io.StringIO(chunk), source), fields, done + 1)
+            return np.concatenate([*parts, rows]), [*range(1, done + 1), *lines]
+        parts.append(rows)
+    rows = np.concatenate(parts) if parts else np.empty((0, len(fields)), dtype=np.int64)
+    return rows, range(1, len(rows) + 1)
+
+
 def _write_rows(target: IO[str], row_format: str, columns: Sequence[np.ndarray]) -> None:
     """Write `row_format` filled from each row of the integer columns, in chunks of rows."""
     rows = np.column_stack(columns)
@@ -392,4 +447,4 @@ def write_trials(target: str | IO[str], trials: TrialSet) -> None:
         with open(target, "w", encoding="utf-8") as handle:
             write_trials(handle, trials)
         return
-    _write_rows(target, _TRIAL_ROW, [getattr(trials, name) for name in _TRIAL_FIELDS])
+    _write_rows(target, _json_row(_TRIAL_FIELDS), [getattr(trials, name) for name in _TRIAL_FIELDS])

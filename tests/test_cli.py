@@ -585,6 +585,22 @@ class TestInfrastructure:
         code, out, err = run(capsys, "--config", str(config), "analyze", trials_file)
         assert code == 1 and "tua" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--config", "{path}", "bound", "--f", "0.01"),
+            ("herald", "sweep", "--detections", "d.csv", "--attempts", "a.jsonl", "--window-config", "{path}",
+             "--offsets=0:0:1", "--sweep-out", "sweep.csv"),
+        ],
+        ids=["config", "window-config"],
+    )
+    def test_malformed_json_names_the_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "config.json"
+        path.write_text('{"len_first_ps": ', encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: invalid JSON: Expecting value: line 1 column 18 (char 17)\n"
+
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "audit", "--counts", "1,2,3,4", "--bogus")
         assert code == 1

@@ -2,12 +2,14 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from oracles import message_to_bit
 from scipy import stats
 
-from bellkit import rngstream
+from bellkit import cli, randomness, rngstream
 from bellkit.randomness import (
     BitStream,
     block8,
@@ -15,7 +17,6 @@ from bellkit.randomness import (
     estimate_bias,
     extract_bits,
     independence_test,
-    message_to_bit,
     read_bits,
     read_messages,
     write_bits,
@@ -27,18 +28,25 @@ def popcount_parity_oracle(text):
     return sum(bin(ord(ch)).count("1") for ch in text) % 2
 
 
+def bit(text, max_chars=randomness.MAX_MESSAGE_CHARS):
+    return int(extract_bits([text], max_chars).bits[0])
+
+
 class TestMessageToBit:
     def test_known_characters(self):
         # U+0041 has two ones, U+0061 has three.
-        assert message_to_bit("A") == 0
-        assert message_to_bit("a") == 1
+        assert bit("A") == message_to_bit("A") == 0
+        assert bit("a") == message_to_bit("a") == 1
 
     def test_empty_message_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="^empty message maps to bit 0$"):
+            assert bit("") == 0
+        with pytest.warns(UserWarning, match="^empty message maps to bit 0$"):
             assert message_to_bit("") == 0
 
     def test_matches_oracle_on_mixed_unicode(self):
         samples = ["hello world", "Message #42!", "éèê", "\U0001f600\U0001f680", "0" * 140]
+        assert extract_bits(samples).bits.tolist() == [popcount_parity_oracle(text) for text in samples]
         for text in samples:
             assert message_to_bit(text) == popcount_parity_oracle(text)
 
@@ -47,13 +55,90 @@ class TestMessageToBit:
         text = "parity is commutative #2016"
         for _ in range(10):
             shuffled = "".join(rng.permutation(list(text)))
-            assert message_to_bit(shuffled) == message_to_bit(text)
+            assert bit(shuffled) == bit(text)
 
     def test_length_cap(self):
-        message_to_bit("x" * 140)
-        with pytest.raises(ValueError):
+        bit("x" * 140)
+        with pytest.raises(ValueError, match="^line 1: message has 141 characters, limit is 140$"):
+            bit("x" * 141)
+        bit("x" * 200, max_chars=280)
+        with pytest.raises(ValueError, match="^message has 141 characters, limit is 140$"):
             message_to_bit("x" * 141)
-        message_to_bit("x" * 200, max_chars=280)
+
+
+def random_messages(seed, count, empty_share=0.05):
+    """Messages of 0 to 141 code points mixing one- to four-byte UTF-8 characters, U+FEFF among them."""
+    rng = np.random.default_rng(seed)
+    alphabet = [0x41, 0x61, 0x20, 0x7F, 0xE9, 0x7FF, 0x800, 0x4E2D, 0xFEFF, 0xFFFF, 0x10000, 0x1F600, 0x10FFFF]
+    lengths = rng.choice([0, 1, 2, 7, 70, 139, 140, 141], size=count,
+                         p=[empty_share, 0.1, 0.1, 0.2, 0.3 - empty_share, 0.1, 0.1, 0.1])
+    return ["".join(chr(c) for c in rng.choice(alphabet, size=n)) for n in lengths]
+
+
+def oracle_run(messages, max_chars):
+    """(bits or the error message, warnings) of the scalar oracle applied message by message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            bits = []
+            for lineno, text in enumerate(messages, start=1):
+                try:
+                    bits.append(message_to_bit(text, max_chars))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+            outcome = bits
+        except ValueError as exc:
+            outcome = str(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+def extract_run(messages, max_chars):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = extract_bits(iter(messages), max_chars).bits.tolist()
+        except ValueError as exc:
+            outcome = str(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+class TestVectorisedParity:
+    """extract_bits against the one-character-at-a-time oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_unicode_messages(self, seed):
+        messages = [m for m in random_messages(seed, 3000) if len(m) <= 140]
+        outcome, caught = extract_run(messages, 140)
+        assert (outcome, caught) == oracle_run(messages, 140)
+        assert caught and len(messages) % randomness._PARITY_CHUNK
+
+    def test_lengths_140_and_141(self):
+        messages = random_messages(7, 400)
+        assert {140, 141} <= set(map(len, messages))
+        assert extract_run(messages, 141) == oracle_run(messages, 141)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    @pytest.mark.parametrize("line", [1, 1024, 1025, 2100])
+    def test_over_long_message_in_a_later_chunk_names_its_line(self, monkeypatch, chunk, line):
+        messages = [m[:140] for m in random_messages(11, 2100, empty_share=0.2)]
+        messages[line - 1] = "\U0001f600" * 141
+        monkeypatch.setattr(randomness, "_PARITY_CHUNK", chunk)
+        outcome, caught = extract_run(messages, 140)
+        assert outcome == f"line {line}: message has 141 characters, limit is 140"
+        assert (outcome, caught) == oracle_run(messages, 140)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1024])
+    def test_chunk_sizes_agree(self, monkeypatch, chunk):
+        messages = [m for m in random_messages(12, 2500) if len(m) <= 140]
+        monkeypatch.setattr(randomness, "_PARITY_CHUNK", chunk)
+        assert extract_run(messages, 140) == oracle_run(messages, 140)
+
+    def test_lone_surrogates_and_nul(self):
+        messages = ["\ud800", "a\udfff", "\x00", "\x00\x00a"]
+        assert extract_run(messages, 140) == oracle_run(messages, 140)
+
+    def test_no_messages(self):
+        assert len(extract_bits([])) == 0
 
 
 class TestBlock8:
@@ -235,3 +320,27 @@ class TestFileRoundtrip:
     def test_extract_bits_pipeline(self):
         stream = extract_bits(["A", "a", "Aa"])
         assert stream.bits.tolist() == [0, 1, 1]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "raw, line, byte",
+        [(b"\xff\xfehello\n", 1, "0xff"), (b"ok\nfine\nab\xc3(\nlast\n", 3, "0xc3"), (b"a\r\nb\rc\n\x80\n", 4, "0x80")],
+        ids=["bom-utf16", "line-3", "mixed-line-ends"],
+    )
+    def test_bad_utf8_names_file_and_line(self, tmp_path, capsys, raw, line, byte):
+        path = tmp_path / "messages.txt"
+        path.write_bytes(raw)
+        message = f"{path}: line {line}: byte {byte} is not valid UTF-8"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            read_messages(str(path))
+        code = cli.main(["rng", "extract", "--messages", str(path), "--bits-out", str(tmp_path / "bits.txt")])
+        assert code == 1 and capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_packed_pad_bits_must_be_zero(self, tmp_path):
+        path = tmp_path / "bits.bin"
+        path.write_bytes((3).to_bytes(8, "big") + bytes([0b10111111]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pad bits after bit 3 must be 0, last byte is 0b10111111$"):
+            read_bits(str(path), packed=True)
+        path.write_bytes((3).to_bytes(8, "big") + bytes([0b10100000]))
+        assert read_bits(str(path), packed=True).bits.tolist() == [1, 0, 1]

@@ -281,6 +281,126 @@ class TestJsonLines:
             read_trials(str(path))
 
 
+CANONICAL_LINE = '{"index":3,"tag":1,"setting_a":0,"setting_b":1,"outcome_a":-1,"outcome_b":1}'
+
+# Replacements for line 3 of a six-line trial file, each of which the
+# writer never emits.
+ODD_LINES = {
+    "whitespace": CANONICAL_LINE.replace(":", ": "),
+    "leading-space": " " + CANONICAL_LINE,
+    "trailing-space": CANONICAL_LINE + " ",
+    "reordered-keys": '{"tag":1,"index":3,"setting_a":0,"setting_b":1,"outcome_a":-1,"outcome_b":1}',
+    "extra-key": CANONICAL_LINE[:-1] + ',"extra":7}',
+    "extra-non-ascii-key": CANONICAL_LINE[:-1] + ',"é":7}',
+    "extra-key-with-digits": CANONICAL_LINE[:-1] + ',"x-1":-2}',
+    "missing-key": CANONICAL_LINE.replace(',"outcome_b":1', ""),
+    "true": CANONICAL_LINE.replace('"setting_b":1', '"setting_b":true'),
+    "float": CANONICAL_LINE.replace('"setting_b":1', '"setting_b":1.0'),
+    "exponent": CANONICAL_LINE.replace('"index":3', '"index":1e3'),
+    "leading-zero": CANONICAL_LINE.replace('"index":3', '"index":03'),
+    "minus-zero": CANONICAL_LINE.replace('"setting_a":0', '"setting_a":-0'),
+    "plus-sign": CANONICAL_LINE.replace('"tag":1', '"tag":+1'),
+    "lone-minus": CANONICAL_LINE.replace('"tag":1', '"tag":-'),
+    "double-minus": CANONICAL_LINE.replace('"tag":1', '"tag":--1'),
+    "2**63": CANONICAL_LINE.replace('"index":3', f'"index":{2**63}'),
+    "-2**63-1": CANONICAL_LINE.replace('"outcome_a":-1', f'"outcome_a":{-(2**63) - 1}'),
+    "20-digit": CANONICAL_LINE.replace('"index":3', '"index":10000000000000000000'),
+    "empty-line": "\n" + CANONICAL_LINE,
+    "array": "[3,1,0,1,-1,1]",
+    "string": '"3,1,0,1,-1,1"',
+    "not-json": "not json",
+    "tab": CANONICAL_LINE.replace(",", ",\t"),
+}
+
+
+def trial_lines(count=6):
+    rows = [(i, (-1, 0, 1)[i % 3], i % 2, i // 2 % 2, 1 - 2 * (i % 2), 1 - 2 * (i // 3 % 2)) for i in range(1, count + 1)]
+    return [trials._json_row(trials._TRIAL_FIELDS)[:-1] % row for row in rows]
+
+
+def read_outcome(read):
+    """(rows, lines) as lists, or the error message."""
+    try:
+        rows, lines = read()
+    except ValueError as exc:
+        return str(exc)
+    return rows.tolist(), list(lines)
+
+
+def both_paths(text, fields=trials._TRIAL_FIELDS):
+    """The record reader's outcome and that of the json.loads path alone."""
+    return (
+        read_outcome(lambda: trials._read_records(io.StringIO(text), fields)),
+        read_outcome(lambda: trials._json_records(io.StringIO(text), fields, 1)),
+    )
+
+
+class TestRecordReaderFastPath:
+    """The compact-record fast path of _read_records against the json.loads path."""
+
+    @pytest.fixture(params=[None, 40], ids=["one-chunk", "line-chunks"])
+    def chunk(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(trials, "_READ_CHUNK", request.param)
+
+    @pytest.mark.parametrize("name", ODD_LINES)
+    def test_odd_line_reads_as_with_json(self, chunk, name):
+        lines = trial_lines()
+        lines[2] = ODD_LINES[name]
+        fast, slow = both_paths("\n".join(lines) + "\n")
+        assert fast == slow
+        assert trials._compact_rows(ODD_LINES[name] + "\n", trials._json_row(trials._TRIAL_FIELDS), 6) is None
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text[:-1],
+            lambda text: "﻿" + text,
+            lambda text: text + "\n",
+            lambda text: "",
+            lambda text: "\n\n",
+            lambda text: text.replace("\n", "\r"),
+        ],
+        ids=["crlf", "no-final-newline", "bom", "trailing-empty-line", "empty", "only-newlines", "cr"],
+    )
+    def test_odd_file_reads_as_with_json(self, chunk, transform):
+        fast, slow = both_paths(transform("\n".join(trial_lines()) + "\n"))
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "fields",
+        [trials._TRIAL_FIELDS, ("attempt_id", "setting_a", "setting_b", "outcome_a", "outcome_b"), ("setting_a", "setting_b")],
+        ids=["trials", "attempts", "settings"],
+    )
+    def test_canonical_files_skip_json(self, chunk, monkeypatch, fields):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(-(2**63), 2**63 - 1, size=(500, len(fields)), endpoint=True)
+        rows[:50] = rng.integers(-3, 3, size=(50, len(fields)))
+        rows[50], rows[51] = -(2**63), 2**63 - 1
+        text = "".join(trials._json_row(fields) % tuple(row) for row in rows.tolist())
+        fast, slow = both_paths(text, fields)
+        assert fast == slow == (rows.tolist(), list(range(1, 501)))
+        monkeypatch.setattr(trials, "_json_records", None)
+        got, lines = trials._read_records(io.StringIO(text), fields)
+        assert np.array_equal(got, rows) and list(lines) == list(range(1, 501))
+
+    def test_written_trials_take_the_fast_path(self, monkeypatch, tmp_path):
+        ts = make_trials([(-1, 0, 1, 1, -1), (0, 1, 0, -1, -1), (1, 1, 1, -1, 1)] * 100)
+        path = tmp_path / "trials.jsonl"
+        write_trials(str(path), ts)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.setattr(trials, "_json_records", None)
+        assert trial_rows(read_trials(str(path))) == trial_rows(ts)
+
+    def test_errors_after_compact_chunks_name_their_line(self, monkeypatch):
+        monkeypatch.setattr(trials, "_READ_CHUNK", 40)
+        lines = trial_lines(8)
+        lines[6] = re.sub('"tag":-?[01]', '"tag":true', lines[6])
+        with pytest.raises(ValueError, match="^line 7: field tag must be an integer, got True$"):
+            read_trials(io.StringIO("\n".join(lines) + "\n"))
+
+
 # Valid columns of each record table, and one out-of-domain value per
 # table: (field, row counted from 1, value, message).
 RECORD_TABLES = {
