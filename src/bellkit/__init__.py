@@ -38,3 +38,4 @@ from .trials import (  # noqa: F401
     win_indicator,
     write_trials,
 )
+from .settings_audit import lee_joint, lee_threshold  # noqa: F401

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -75,48 +76,38 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliError(f"could not parse {what}: {text!r}") from None
 
 
-def _parse_range(text: str) -> list[int]:
-    """start:stop:step, inclusive of stop when it lands on the grid."""
+def _range_parts(text: str, number: type, what: str) -> tuple:
+    """(start, stop, step) of a start:stop:step option, each converted by `number`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"expected start:stop:step, got {text!r}")
     try:
-        start, stop, step = (int(p) for p in parts)
+        return tuple(number(p) for p in parts)
     except ValueError:
-        raise CliError(f"expected integers in start:stop:step, got {text!r}") from None
+        raise CliError(f"expected {what} in start:stop:step, got {text!r}") from None
+
+
+def _parse_range(text: str) -> list[int]:
+    """start:stop:step integers, either step sign, inclusive of stop when it lands on the grid."""
+    start, stop, step = _range_parts(text, int, "integers")
     if step == 0:
         raise CliError("step must be nonzero")
-    values = []
-    value = start
-    if step > 0:
-        while value <= stop:
-            values.append(value)
-            value += step
-    else:
-        while value >= stop:
-            values.append(value)
-            value += step
+    values = list(range(start, stop + (1 if step > 0 else -1), step))
     if not values:
         raise CliError(f"empty range {text!r}")
     return values
 
 
 def _parse_float_range(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"expected start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise CliError(f"expected numbers in start:stop:step, got {text!r}") from None
+    """start:stop:step numbers, positive step; a point past stop by at most 1e-12 is clamped to it."""
+    start, stop, step = _range_parts(text, float, "numbers")
     if step <= 0:
         raise CliError("step must be positive")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"expected finite numbers in start:stop:step, got {text!r}")
     values = []
     k = 0
-    while True:
-        value = start + k * step
-        if value > stop + 1e-12:
-            break
+    while (value := start + k * step) <= stop + 1e-12:
         values.append(min(value, stop))
         k += 1
     if not values:
@@ -134,7 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise CliError(f"{args.trials}: no trials")
     table = trialset.cells()
     k, n = table.k_n()
-    estimate = trials_mod.chsh(table)
+    estimate = trials_mod.chsh_s(table)
     params = _params(args, ("trials", "f", "tau", "beta_form"))
     bias = pvalues.BiasParams(f=args.f, tau=args.tau)
     beta = pvalues.beta_win(bias, form=args.beta_form)
@@ -170,7 +161,10 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     if args.mode == "fisher":
         if not args.pvalues:
             raise CliError("--pvalues is required for fisher mode")
-        p_list = [float(p) for p in args.pvalues.split(",")]
+        try:
+            p_list = [float(p) for p in args.pvalues.split(",")]
+        except ValueError:
+            raise CliError(f"could not parse --pvalues: {args.pvalues!r}") from None
         if len(p_list) < 2:
             raise CliError("fisher mode needs at least two P-values")
         report = pvalues.PValueReport(
@@ -187,7 +181,10 @@ def _cmd_combine(args: argparse.Namespace) -> int:
             bits = chunk.split(":")
             if len(bits) != 2:
                 raise CliError(f"expected n:k pairs in --counts, got {chunk!r}")
-            pairs.append((int(bits[0]), int(bits[1])))
+            try:
+                pairs.append((int(bits[0]), int(bits[1])))
+            except ValueError:
+                raise CliError(f"could not parse --counts: {args.counts!r}") from None
         n = sum(p[0] for p in pairs)
         k = sum(p[1] for p in pairs)
         beta = pvalues.beta_win(pvalues.BiasParams(f=args.f, tau=args.tau), form=args.beta_form)

@@ -47,11 +47,15 @@ def _sum_exp(log_terms: np.ndarray) -> float:
     return math.exp(m + math.log(acc))
 
 
-def _check_binom_args(k: int, n: int, p: float) -> None:
+def _check_counts(k: int, n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def _check_binom_args(k: int, n: int, p: float) -> None:
+    _check_counts(k, n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"success probability must lie in (0, 1), got {p}")
 
@@ -70,14 +74,17 @@ def binom_logpmf_vector(n: int, p: float) -> np.ndarray:
 
 
 def binom_survival(k: int, n: int, p: float) -> float:
-    """Pr[Bin(n, p) >= k].
+    """Pr[Bin(n, p) >= k], for 0 < p <= 1.
 
     Explicit log-space summation with compensated accumulation for
     n <= BINOM_SUM_LIMIT, the regularized incomplete beta identity
-    I_p(k, n - k + 1) beyond that.
+    I_p(k, n - k + 1) beyond that. At p = 1 every draw is n, so the tail
+    is exactly 1.
     """
-    _check_binom_args(k, n, p)
-    if k <= 0:
+    _check_counts(k, n)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"success probability must lie in (0, 1], got {p}")
+    if k <= 0 or p == 1.0:
         return 1.0
     if n > BINOM_SUM_LIMIT:
         return float(_special().betainc(k, n - k + 1, p))

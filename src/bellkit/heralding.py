@@ -44,14 +44,13 @@ from .trials import (
     HERALD_PSI_MINUS,
     HERALD_PSI_PLUS,
     CellTable,
-    TrialSet,
     _check_columns,
     _json_row,
     _read_only,
     _read_path,
     _read_records,
     _write_rows,
-    chsh,
+    chsh_s,
 )
 
 _WINDOW_FIELDS = (
@@ -92,24 +91,9 @@ class WindowConfig:
     def start(self, channel: int) -> int:
         return self.start_ch0_ps if channel == 0 else self.start_ch1_ps
 
-    def len_second(self, channel: int) -> int:
-        return self.len_second_ch0_ps if channel == 0 else self.len_second_ch1_ps
-
-    def shifted(self, offset_ps: int, offset_ch1_ps: int | None = None) -> "WindowConfig":
-        """Window starts moved by a common offset (or per-channel offsets)."""
-        return replace(
-            self,
-            start_ch0_ps=self.start_ch0_ps + offset_ps,
-            start_ch1_ps=self.start_ch1_ps + (offset_ps if offset_ch1_ps is None else offset_ch1_ps),
-        )
-
-    def in_first(self, channel: int, time_ps: int) -> bool:
-        start = self.start(channel)
-        return start <= time_ps < start + self.len_first_ps
-
-    def in_second(self, channel: int, time_ps: int) -> bool:
-        start = self.start(channel) + self.second_window_offset_ps
-        return start <= time_ps < start + self.len_second(channel)
+    def shifted(self, offset_ps: int) -> "WindowConfig":
+        """Both channels' window starts moved by a common offset."""
+        return replace(self, start_ch0_ps=self.start_ch0_ps + offset_ps, start_ch1_ps=self.start_ch1_ps + offset_ps)
 
     def to_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _WINDOW_FIELDS}
@@ -206,8 +190,9 @@ def _round_clicks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-window clicks per attempt row in round 1 and round 2, and the herald tag.
 
-    `rows[i]` is the attempt row, out of `size`, of detection i. The windows
-    are the half-open ones `WindowConfig.in_first` and `in_second` test.
+    `rows[i]` is the attempt row, out of `size`, of detection i. On channel
+    c, round 1 is [start_c, start_c + len_first) and round 2 is
+    [start_c + second_window_offset, ... + len_second_c).
     """
     on_ch1 = detections.channel == 1
     since_start = detections.time_ps - np.where(on_ch1, windows.start_ch1_ps, windows.start_ch0_ps)
@@ -224,28 +209,6 @@ def _round_clicks(
     heralded = (clicks_1 == 1) & (clicks_2 == 1)
     tag = np.where(heralded, np.where(same_channel, HERALD_PSI_PLUS, HERALD_PSI_MINUS), HERALD_NONE)
     return clicks_1, clicks_2, tag
-
-
-def classify_attempts(detections: DetectionTable, windows: WindowConfig) -> dict[int, int]:
-    """Herald tag per attempt id; attempts without clicks are absent.
-
-    Exactly one in-window click per round: different channels tag -1, the
-    same channel +1. Anything else, including extra in-window clicks, is 0.
-    """
-    ids, rows = np.unique(detections.attempt_id, return_inverse=True)
-    tags = _round_clicks(detections, rows.reshape(-1), len(ids), windows)[2]
-    return dict(zip(ids.tolist(), tags.tolist()))
-
-
-def build_trialset(detections: DetectionTable, table: AttemptTable, windows: WindowConfig) -> TrialSet:
-    """Merge classification tags with recorded settings and outcomes, in attempt_id order.
-
-    Detections of an attempt id that has no record raise.
-    """
-    tags = _round_clicks(detections, _attempt_rows(detections, table), len(table), windows)[2]
-    return TrialSet(
-        np.arange(1, len(table) + 1), tags, table.setting_a, table.setting_b, table.outcome_a, table.outcome_b
-    )
 
 
 @dataclass(frozen=True)
@@ -287,7 +250,7 @@ def sweep(
         clicks_1, clicks_2, tag = _round_clicks(detections, rows, len(table), windows.shifted(offset))
         cells = CellTable.from_columns(tag, table.setting_a, table.setting_b, table.outcome_a, table.outcome_b)
         k, n = cells.k_n()
-        estimate = chsh(cells, strict=False)
+        estimate = chsh_s(cells, strict=False)
         extra = (clicks_1 > 1) | (clicks_2 > 1)
         out.append(
             SweepRow(

@@ -15,9 +15,10 @@ before the settings are drawn. Everything else is allowed and adversarial:
   which case the trial is scored as an outright win (the worst case).
 
 Every random decision comes from a pre-drawn tape with a fixed layout, so
-runs are reproducible and replayable with controlled modifications. The
-point of the module is to validate empirically that the winning-probability
-bound in `pvalues` dominates every representable strategy.
+a run is reproducible from its seed, and a tape can be re-run with single
+draws changed to check locality. The point of the module is to validate
+empirically that the winning-probability bound in `pvalues` dominates
+every representable strategy.
 """
 from __future__ import annotations
 
@@ -39,6 +40,10 @@ _T_HERALD, _T_EARLY_A, _T_EARLY_B, _T_BIAS_A, _T_BIAS_B, _T_SET_A, _T_SET_B, _T_
 
 _HASH_MULT = 1000003
 _HASH_MASK = (1 << 61) - 1
+
+# play_heralded gives up on a strategy that needs more attempts than this
+# many per requested herald.
+_MAX_ATTEMPT_FACTOR = 1000
 
 
 @dataclass(frozen=True)
@@ -86,38 +91,9 @@ class DeterministicStrategy:
     def output_b(self, setting: int) -> int:
         return self.output_b1 if setting else self.output_b0
 
-    def wins(self, setting_a: int, setting_b: int, tag: int = HERALD_PSI_MINUS) -> bool:
-        goal = setting_a & (setting_b ^ 1 if tag == HERALD_PSI_PLUS else setting_b)
-        return (self.output_a(setting_a) ^ self.output_b(setting_b)) == goal
-
 
 def all_deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
     return tuple(DeterministicStrategy(*bits) for bits in itertools.product((0, 1), repeat=4))
-
-
-def best_deterministic_winprob(tau_a: float, tau_b: float) -> tuple[float, DeterministicStrategy]:
-    """Brute-force maximum win probability over the 16 deterministic strategies.
-
-    Setting probabilities are pushed to the boundary the adversary prefers:
-    Pr[setting = 0] = 1/2 + tau on each side. The maximum equals
-    3/4 + (tau_a + tau_b)/2 - tau_a*tau_b.
-    """
-    for name, tau in (("tau_a", tau_a), ("tau_b", tau_b)):
-        if not 0.0 <= tau <= 0.5:
-            raise ValueError(f"{name} must lie in [0, 1/2], got {tau}")
-    p_a = (0.5 + tau_a, 0.5 - tau_a)
-    p_b = (0.5 + tau_b, 0.5 - tau_b)
-    best = -1.0
-    argmax = None
-    for strategy in all_deterministic_strategies():
-        win = 0.0
-        for sa in (0, 1):
-            for sb in (0, 1):
-                if strategy.wins(sa, sb):
-                    win += p_a[sa] * p_b[sb]
-        if win > best:
-            best, argmax = win, strategy
-    return best, argmax
 
 
 class Strategy:
@@ -322,21 +298,17 @@ def _run_tape(
     *,
     stop_after_heralds: int | None = None,
     record: bool = True,
-    force_setting_b: Mapping[int, int] | None = None,
 ) -> tuple[TrialSet | None, SimStats]:
     """Play the tape sequentially. The strategy is NOT reset here.
 
     With `record`, the played attempts come back as trials indexed from 1;
-    without, the trial set is None. `force_setting_b` overrides side B's
-    setting at given 0-based attempt positions; used by locality checks to
-    replay a run with one setting flipped while keeping the rest of the
-    tape identical.
+    without, the trial set is None.
     """
     f = rng_model.f
     rows: list[tuple[int, int, int, int, int]] = []
     heralded = wins = early_a = early_b = early_any = 0
     attempts = 0
-    for pos, row in enumerate(tape):
+    for row in tape:
         attempts += 1
         tag = strategy.herald(row[_T_HERALD])
         is_early_a = row[_T_EARLY_A] < f
@@ -347,8 +319,6 @@ def _run_tape(
         pref_b = strategy.preferred_setting_b()
         setting_a = pref_a if row[_T_SET_A] < 0.5 + bias_a else 1 - pref_a
         setting_b = pref_b if row[_T_SET_B] < 0.5 + bias_b else 1 - pref_b
-        if force_setting_b is not None and pos in force_setting_b:
-            setting_b = force_setting_b[pos]
         if is_early_a or is_early_b:
             # Early bit: the trial is scored as won outright. Outcomes are
             # synthesized to win the tag's game at the realized settings.
@@ -398,35 +368,11 @@ def simulate_with_stats(
     return _run_tape(strategy, rng_model, tape)
 
 
-def simulate(
-    strategy: Strategy,
-    rng_model: RngModel,
-    attempts: int,
-    seed: int,
-) -> TrialSet:
-    """Sequential adversary simulation; see simulate_with_stats."""
-    return simulate_with_stats(strategy, rng_model, attempts, seed)[0]
-
-
-def replay(
-    strategy: Strategy,
-    rng_model: RngModel,
-    attempts: int,
-    seed: int,
-    force_setting_b: Mapping[int, int] | None = None,
-) -> TrialSet:
-    """Re-run the exact tape of simulate(), optionally forcing B settings."""
-    tape = rngstream.stream(seed).random((attempts, 9)).tolist()
-    strategy.reset()
-    return _run_tape(strategy, rng_model, tape, force_setting_b=force_setting_b)[0]
-
-
 def play_heralded(
     strategy: Strategy,
     rng_model: RngModel,
     n_heralds: int,
     rng: np.random.Generator,
-    max_attempt_factor: int = 1000,
 ) -> SimStats:
     """Run attempts until `n_heralds` trials are scored; counters only.
 
@@ -439,7 +385,7 @@ def play_heralded(
     block = max(64, int(1.5 * n_heralds))
     totals = [0, 0, 0, 0, 0, 0]
     remaining = n_heralds
-    attempts_budget = max_attempt_factor * n_heralds
+    attempts_budget = _MAX_ATTEMPT_FACTOR * n_heralds
     while remaining > 0:
         if totals[0] >= attempts_budget:
             raise RuntimeError(
@@ -455,17 +401,6 @@ def play_heralded(
         totals[5] += stats.early_any
         remaining = n_heralds - totals[1]
     return SimStats(*totals)
-
-
-def empirical_win_rate(
-    strategy: Strategy,
-    rng_model: RngModel,
-    n_heralds: int,
-    seed: int,
-) -> tuple[float, int]:
-    """Win fraction over exactly n_heralds scored trials."""
-    stats = play_heralded(strategy, rng_model, n_heralds, rngstream.stream(seed))
-    return stats.win_rate, stats.heralded
 
 
 def simulate_reference(

@@ -17,7 +17,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .trials import _check_columns, _read_only, _read_path
 MAX_MESSAGE_CHARS = 140
 # Messages per array pass of extract_bits; bounds the joined text it holds.
 _PARITY_CHUNK = 512
-
-_BITS = (0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,22 +115,8 @@ def estimate_bias(stream: BitStream) -> BiasEstimate:
     return BiasEstimate(bias=abs(mean - 0.5), uncertainty=1.0 / (2.0 * math.sqrt(n)), n=n)
 
 
-def xor_combine(classical: Sequence[int], quantum: int) -> int:
-    """XOR of exactly eight classical bits and one quantum bit."""
-    if len(classical) != 8:
-        raise ValueError(f"expected exactly 8 classical bits, got {len(classical)}")
-    if quantum not in _BITS or isinstance(quantum, bool):
-        raise ValueError(f"quantum bit must be 0 or 1, got {quantum!r}")
-    out = quantum
-    for b in classical:
-        if b not in _BITS or isinstance(b, bool):
-            raise ValueError(f"classical bits must be 0 or 1, got {b!r}")
-        out ^= b
-    return out
-
-
 def combine_streams(classical: BitStream, quantum: BitStream) -> BitStream:
-    """Apply xor_combine blockwise: 8 classical bits + 1 quantum bit each.
+    """XOR of each block of eight classical bits and its one quantum bit.
 
     The classical stream must be exactly eight times as long as the quantum
     stream.

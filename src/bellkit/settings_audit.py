@@ -285,20 +285,6 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
     return np.column_stack([p_a, p_b, p_joint, p_indep])
 
 
-def independent_tests_reference(alpha: float, tests: int = 4) -> float:
-    """1 - (1 - alpha)^tests: the joint rejection rate if the tests were
-    independent and exactly calibrated.
-
-    An analytic yardstick only; the real tests share one table, so the
-    Monte Carlo `lee_joint` value sits below this.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if tests < 1:
-        raise ValueError(f"tests must be >= 1, got {tests}")
-    return 1.0 - (1.0 - alpha) ** tests
-
-
 def lee_joint(
     n: int,
     alpha: float,

@@ -258,14 +258,15 @@ class ChshEstimate:
     n_psi_plus: int
 
 
-def chsh(table: CellTable, strict: bool = True) -> ChshEstimate | None:
-    """CHSH combination per state and the count-weighted average.
+def chsh_s(table: CellTable, strict: bool = True) -> ChshEstimate | None:
+    """CHSH combination per state and the count-weighted average, from `TrialSet.cells()`.
 
     A state that has heralded trials but misses one of its four setting
-    cells raises, naming the cell, when `strict`; otherwise the state is
-    left out, and with no state left the result is None instead of an
-    error. Window sweeps use the lenient form, so a sparse offset still
-    reports its (n, k) with S missing rather than guessed.
+    cells raises, naming the cell, and so does a table with no heralded
+    trials, when `strict`. Otherwise the state is left out, and with no
+    state left the result is None instead of an error. Window sweeps use
+    the lenient form, so a sparse offset still reports its (n, k) with S
+    missing rather than guessed.
     """
     cells = table.correlators()
     per_state: dict[int, tuple[float, float, int]] = {}
@@ -303,15 +304,6 @@ def chsh(table: CellTable, strict: bool = True) -> ChshEstimate | None:
         n_psi_minus=minus[2] if minus else 0,
         n_psi_plus=plus[2] if plus else 0,
     )
-
-
-def chsh_s(trials: TrialSet) -> ChshEstimate:
-    """CHSH combination per state and the count-weighted average.
-
-    Raises if a state that has heralded trials is missing one of its four
-    setting cells, naming the cell, or if there are no heralded trials.
-    """
-    return chsh(trials.cells())
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import lhv, settings_audit
+from bellkit import lhv, rngstream, settings_audit
 from bellkit.heralding import StreamParams, WindowConfig, sweep, synth_experiment
-from bellkit.lhv import CATALOG, MEMORY_CATALOG, RngModel, adversary_suite, best_deterministic_winprob
+from bellkit.lhv import CATALOG, MEMORY_CATALOG, RngModel, adversary_suite
 from bellkit.pvalues import (
     BiasParams,
     beta_win_expanded,
@@ -22,10 +22,11 @@ from bellkit.pvalues import (
     pvalue_complete,
     pvalue_conventional,
 )
-from bellkit.randomness import BitStream, block8, estimate_bias, xor_combine
+from bellkit.randomness import BitStream, block8, combine_streams, estimate_bias
 from bellkit.settings_audit import SettingCounts, fisher_2x2, lee_joint, lee_threshold, multinomial_uniform_mc
 from bellkit.trials import aggregate, chsh_s
 
+from oracles import best_deterministic_winprob
 from test_exact import binom_survival_oracle
 
 
@@ -162,7 +163,8 @@ def test_criterion_08_adversary_validity():
     worst = ""
     for name, (f, tau) in itertools.product(sorted(CATALOG), [(0.0, 0.0), (0.0, 0.1), (0.05, 0.0), (0.1, 0.05)]):
         beta = beta_win_lemma(BiasParams(f, tau))
-        rate, n = lhv.empirical_win_rate(lhv.make_strategy(name), RngModel(f=f, tau=tau), 20_000, seed=13)
+        stats = lhv.play_heralded(lhv.make_strategy(name), RngModel(f=f, tau=tau), 20_000, rngstream.stream(13))
+        rate, n = stats.win_rate, stats.heralded
         limit = beta + 3 * math.sqrt(beta * (1 - beta) / n)
         if rate > limit:
             bound_ok = False
@@ -209,23 +211,21 @@ def test_criterion_10_extraction_sizes_and_xor():
     estimate = estimate_bias(blocks)
     size_ok = len(blocks) == 17_494 and abs(estimate.uncertainty - 0.0038) < 5e-5
 
-    exhaustive_ok = all(
-        xor_combine(list(pattern[:8]), pattern[8]) == sum(pattern) % 2
-        for pattern in itertools.product((0, 1), repeat=9)
-    )
+    def combined(rows):
+        """combine_streams over rows of eight classical bits and one quantum bit."""
+        return combine_streams(BitStream(rows[:, :8].ravel()), BitStream(rows[:, 8])).bits
+
+    patterns = np.array(list(itertools.product((0, 1), repeat=9)))
+    exhaustive_ok = np.array_equal(combined(patterns), patterns.sum(axis=1) % 2)
     draws = rng.integers(0, 2, size=(1_000_000, 9))
     want = draws.sum(axis=1) % 2
-    mismatches = sum(
-        1
-        for row, expected in zip(draws.tolist(), want.tolist())
-        if xor_combine(row[:8], row[8]) != expected
-    )
+    mismatches = int(np.count_nonzero(combined(draws) != want))
     ok = size_ok and exhaustive_ok and mismatches == 0
     report(
         10,
         ok,
         f"block8: 139952 -> {len(blocks)} bits, uncertainty {estimate.uncertainty:.4f} (target 0.0038); "
-        f"xor_combine exhaustive 2^9 ok, randomized 1e6 mismatches = {mismatches}",
+        f"combine_streams exhaustive 2^9 ok, randomized 1e6 mismatches = {mismatches}",
     )
 
 
@@ -234,7 +234,7 @@ def test_pipeline_self_consistency_s_identity():
     # identity on balanced synthetic data stands in for S reproduction.
     ts = lhv.simulate_reference({-1: 0.79}, herald_rate=1.0, attempts=300, seed=19)
     k, n = aggregate(ts)
-    estimate = chsh_s(ts)
+    estimate = chsh_s(ts.cells())
     # Settings are random, not exactly balanced, so the identity holds only
     # up to the setting-count fluctuation; verify against the exact
     # per-cell recomputation instead and keep the balanced-case exactness

@@ -113,6 +113,84 @@ class TestCombine:
         code, _, err = run(capsys, "combine", "--mode", "fisher", "--pvalues", "0.0,0.5")
         assert code == 1
 
+    def test_unparsable_pvalue_names_the_option(self, capsys):
+        code, _, err = run(capsys, "combine", "--mode", "fisher", "--pvalues", "0.1,abc")
+        assert (code, err) == (1, "error: could not parse --pvalues: '0.1,abc'\n")
+
+    def test_unparsable_count_names_the_option(self, capsys):
+        code, _, err = run(capsys, "combine", "--mode", "merge", "--counts", "10:x")
+        assert (code, err) == (1, "error: could not parse --counts: '10:x'\n")
+
+
+class TestRangeOptions:
+    """Grids and errors of start:stop:step options (herald sweep --offsets, bound --tau-grid)."""
+
+    @pytest.mark.parametrize(
+        "text, grid",
+        [("-800:0:400", [-800, -400, 0]), ("0:0:1", [0]), ("5:-5:-5", [5, 0, -5])],
+    )
+    def test_integer_grids(self, text, grid):
+        assert cli._parse_range(text) == grid
+
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            ("0:0.5:0.1", [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
+            # 3 * 0.1 overshoots 0.3 by less than 1e-12 and is clamped to it.
+            ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ],
+    )
+    def test_float_grids(self, text, grid):
+        assert cli._parse_float_range(text) == grid
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1:2", "expected start:stop:step, got '1:2'"),
+            ("1:2:3:4", "expected start:stop:step, got '1:2:3:4'"),
+            ("a:2:1", "expected integers in start:stop:step, got 'a:2:1'"),
+            ("0:1:0.5", "expected integers in start:stop:step, got '0:1:0.5'"),
+            ("0:1:0", "step must be nonzero"),
+            ("5:0:1", "empty range '5:0:1'"),
+            ("0:5:-1", "empty range '0:5:-1'"),
+        ],
+    )
+    def test_integer_errors(self, text, message):
+        with pytest.raises(cli.CliError) as caught:
+            cli._parse_range(text)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1:2", "expected start:stop:step, got '1:2'"),
+            ("1:2:3:4", "expected start:stop:step, got '1:2:3:4'"),
+            ("0:1:x", "expected numbers in start:stop:step, got '0:1:x'"),
+            ("0:1:nan", "expected finite numbers in start:stop:step, got '0:1:nan'"),
+            ("0:inf:1", "expected finite numbers in start:stop:step, got '0:inf:1'"),
+            ("0:1:0", "step must be positive"),
+            ("0:1:-0.1", "step must be positive"),
+            ("0:1:-inf", "step must be positive"),
+            ("1:0:0.1", "empty range '1:0:0.1'"),
+        ],
+    )
+    def test_float_errors(self, text, message):
+        with pytest.raises(cli.CliError) as caught:
+            cli._parse_float_range(text)
+        assert str(caught.value) == message
+
+    def test_errors_reach_the_command_line(self, capsys, tmp_path):
+        code, _, err = run(capsys, "bound", "--n", "10", "--k", "5", "--tau-grid", "0:0.5:0")
+        assert (code, err) == (1, "error: step must be positive\n")
+        detections, attempts = tmp_path / "d.csv", tmp_path / "a.jsonl"
+        detections.write_text("attempt_id,channel,time_ps\r\n0,0,5\r\n", newline="")
+        attempts.write_text('{"attempt_id":0,"setting_a":0,"setting_b":0,"outcome_a":1,"outcome_b":1}\n')
+        code, _, err = run(
+            capsys, "herald", "sweep", "--detections", str(detections), "--attempts", str(attempts),
+            "--offsets=5:0:1", "--sweep-out", str(tmp_path / "s.csv"),
+        )
+        assert (code, err) == (1, "error: empty range '5:0:1'\n")
+
 
 class TestBound:
     def test_prints_both_forms(self, capsys):
@@ -147,6 +225,15 @@ class TestBound:
         assert lines[0] == "tau,p"
         ps = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(ps) == 3 and ps == sorted(ps)
+
+    def test_beta_one_gives_p_one(self, capsys):
+        # tau = 1/2 makes the lemma bound exactly 1: Pr[Bin(n, 1) >= k] = 1.
+        report = run_json(capsys, "bound", "--tau", "0.5", "--n", "10", "--k", "5")
+        assert (report["beta_lemma"], report["p_complete"]) == (1.0, 1.0)
+        report = run_json(capsys, "bound", "--tau-grid", "0:0.5:0.25", "--n", "10", "--k", "5")
+        assert [tau for tau, _ in report["curve"]] == [0.0, 0.25, 0.5]
+        assert report["curve"][0][1] == report["p_complete"] < report["curve"][1][1] < 1.0
+        assert report["curve"][2][1] == 1.0
 
 
 class TestSimulateAndAdversary:
@@ -185,6 +272,11 @@ class TestSimulateAndAdversary:
         )
         assert report["runs"] == 200
         assert report["rejection_rate"] <= 0.05 + 3 * report["mc_error"] + 1e-9
+
+    def test_adversary_with_every_bit_early(self, capsys):
+        # f = 1 makes the bound 1: every run wins every trial and none is rejected.
+        report = run_json(capsys, "adversary", "--n", "10", "--runs", "4", "--f", "1.0")
+        assert (report["beta"], report["runs"], report["rejection_rate"]) == (1.0, 4, 0.0)
 
 
 class TestHerald:

@@ -69,10 +69,26 @@ class TestBinomSurvival:
             exact.binom_survival(-1, 4, 0.5)
         with pytest.raises(ValueError):
             exact.binom_survival(2, 4, 0.0)
-        with pytest.raises(ValueError):
-            exact.binom_survival(2, 4, 1.0)
+        with pytest.raises(ValueError, match=r"\(0, 1\], got 1.5"):
+            exact.binom_survival(2, 4, 1.5)
         with pytest.raises(ValueError):
             exact.binom_survival(0, 0, 0.5)
+        with pytest.raises(ValueError):
+            exact.binom_survival(5, 4, 1.0)
+
+    def test_certain_success_tail_is_one(self):
+        # Bin(n, 1) is n with certainty, so Pr[Bin(n, 1) >= k] = 1 for 0 <= k <= n,
+        # on both sides of the summation limit.
+        for n in (1, 4, exact.BINOM_SUM_LIMIT + 1):
+            for k in (0, 1, n // 2, n):
+                assert exact.binom_survival(k, n, 1.0) == 1.0
+
+    def test_two_sided_tests_keep_the_open_interval(self):
+        for p in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"\(0, 1\), got"):
+                exact.binom_two_sided(2, 4, p)
+            with pytest.raises(ValueError, match=r"\(0, 1\), got"):
+                exact.binom_two_sided_table(4, p)
 
 
 class TestBinomTwoSided:

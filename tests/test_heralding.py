@@ -2,18 +2,18 @@
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import in_first, in_second, len_second
 
-from bellkit import trials
+from bellkit import heralding, trials
 from bellkit.heralding import (
     AttemptTable,
     DetectionTable,
     StreamParams,
     WindowConfig,
-    build_trialset,
-    classify_attempts,
     read_attempts,
     read_detections,
     sweep,
@@ -23,7 +23,7 @@ from bellkit.heralding import (
     write_detections,
     write_sweep_csv,
 )
-from bellkit.trials import aggregate
+from bellkit.trials import TrialSet, aggregate
 
 WINDOWS = WindowConfig()
 
@@ -47,9 +47,30 @@ def detection_rows(detections):
     return list(zip(detections.attempt_id.tolist(), detections.channel.tolist(), detections.time_ps.tolist()))
 
 
+def herald_tags(detections, attempts, windows):
+    """Herald tag per row of `attempts`, by the rule the sweep applies at each offset."""
+    rows = heralding._attempt_rows(detections, attempts)
+    return heralding._round_clicks(detections, rows, len(attempts), windows)[2]
+
+
+def tags_by_attempt(detections, windows):
+    """Herald tag per attempt id that has clicks."""
+    ids = np.unique(detections.attempt_id)
+    bits, signs = np.zeros_like(ids), np.ones_like(ids)
+    tags = herald_tags(detections, AttemptTable(ids, bits, bits, signs, signs), windows)
+    return dict(zip(ids.tolist(), tags.tolist()))
+
+
+def heralded_trials(detections, attempts, windows):
+    """The attempts as trials in attempt_id order, indexed from 1, tagged at `windows`."""
+    index = np.arange(1, len(attempts) + 1)
+    tags = herald_tags(detections, attempts, windows)
+    return TrialSet(index, tags, attempts.setting_a, attempts.setting_b, attempts.outcome_a, attempts.outcome_b)
+
+
 def classify(clicks, windows):
     """Herald tag of one attempt's clicks: 0 when there are none."""
-    tags = classify_attempts(table(*clicks), windows)
+    tags = tags_by_attempt(table(*clicks), windows)
     assert len(tags) <= 1
     return next(iter(tags.values()), 0)
 
@@ -124,12 +145,7 @@ class TestWindowConfig:
         assert shifted.start_ch0_ps == WINDOWS.start_ch0_ps - 700
         assert shifted.start_ch1_ps == WINDOWS.start_ch1_ps - 700
         t = WINDOWS.start_ch0_ps + WINDOWS.second_window_offset_ps - 700
-        assert shifted.in_second(0, t)
-
-    def test_per_channel_shift(self):
-        shifted = WINDOWS.shifted(-100, offset_ch1_ps=-300)
-        assert shifted.start_ch0_ps == WINDOWS.start_ch0_ps - 100
-        assert shifted.start_ch1_ps == WINDOWS.start_ch1_ps - 300
+        assert in_second(shifted, 0, t)
 
 
 def small_dataset(*extra_clicks):
@@ -147,20 +163,17 @@ def small_dataset(*extra_clicks):
 
 
 class TestBuildAndSweep:
-    def test_build_trialset_tags(self):
+    def test_attempt_tags(self):
         events, attempts = small_dataset()
-        ts = build_trialset(events, attempts, WINDOWS)
-        assert ts.tag.tolist() == [-1, 1, 0, 0]
+        assert herald_tags(events, attempts, WINDOWS).tolist() == [-1, 1, 0, 0]
 
     def test_sweep_offset_zero_matches_direct(self):
         events, attempts = small_dataset()
         rows = sweep(events, attempts, WINDOWS, [0])
-        ts = build_trialset(events, attempts, WINDOWS)
-        k, n = aggregate(ts)
+        k, n = aggregate(heralded_trials(events, attempts, WINDOWS))
         assert rows[0].n == n and rows[0].k == k
-        ts_tags = ts.tag.tolist()
-        shifted_tags = build_trialset(events, attempts, WINDOWS.shifted(0)).tag.tolist()
-        assert ts_tags == shifted_tags
+        tags = herald_tags(events, attempts, WINDOWS).tolist()
+        assert herald_tags(events, attempts, WINDOWS.shifted(0)).tolist() == tags
 
     def test_sweep_no_extra_events_unchanged(self):
         events, attempts = small_dataset()
@@ -188,9 +201,9 @@ class TestBuildAndSweep:
 
 
 def loop_tag_and_reason(clicks, windows):
-    """Per-attempt reference: herald tag and non-herald reason from in_first / in_second."""
-    first = [c for c, t in clicks if windows.in_first(c, t)]
-    second = [c for c, t in clicks if windows.in_second(c, t)]
+    """Per-attempt reference: herald tag and non-herald reason from the scalar window tests."""
+    first = [c for c, t in clicks if in_first(windows, c, t)]
+    second = [c for c, t in clicks if in_second(windows, c, t)]
     if len(first) == 1 and len(second) == 1:
         return (-1 if first[0] != second[0] else 1), "heralded"
     if len(first) > 1 or len(second) > 1:
@@ -206,7 +219,7 @@ def boundary_clicks(rng, windows, attempts):
     for channel in (0, 1):
         start = windows.start(channel)
         second = start + windows.second_window_offset_ps
-        for edge in (start, start + windows.len_first_ps, second, second + windows.len_second(channel)):
+        for edge in (start, start + windows.len_first_ps, second, second + len_second(windows, channel)):
             edges.extend([edge - 1, edge, edge + 1])
     lo = min(edges) - 3_000
     hi = max(edges) + 3_000
@@ -223,15 +236,18 @@ def boundary_clicks(rng, windows, attempts):
 
 
 class TestColumnarRule:
-    SHIFTS = [(0, None), (-1, None), (1, None), (-900, None), (-100, -300), (250, 0), (0, -900)]
+    # Window-start shifts of channel 0 and channel 1.
+    SHIFTS = [(0, 0), (-1, -1), (1, 1), (-900, -900), (-100, -300), (250, 0), (0, -900)]
 
     def test_tags_match_per_attempt_loop(self):
         rng = np.random.default_rng(21)
-        for offset, offset_ch1 in self.SHIFTS:
-            windows = WINDOWS.shifted(offset, offset_ch1)
+        for shift_ch0, shift_ch1 in self.SHIFTS:
+            windows = replace(
+                WINDOWS, start_ch0_ps=WINDOWS.start_ch0_ps + shift_ch0, start_ch1_ps=WINDOWS.start_ch1_ps + shift_ch1
+            )
             clicks = boundary_clicks(rng, windows, 400)
             events = [click(a, c, t) for a, pairs in clicks.items() for c, t in pairs]
-            tags = classify_attempts(table(*events), windows)
+            tags = tags_by_attempt(table(*events), windows)
             expected = {a: loop_tag_and_reason(pairs, windows)[0] for a, pairs in clicks.items() if pairs}
             assert tags == expected
             assert {a: classify([e for e in events if e[0] == a], windows) for a in range(25)} == {
@@ -254,8 +270,7 @@ class TestColumnarRule:
             assert row.missing_round == reasons.count("missing_round")
             assert row.no_click == reasons.count("no_click")
             assert row.n + row.extra_click + row.missing_round + row.no_click == len(attempts)
-            trialset = build_trialset(events, attempts, windows)
-            assert (row.k, row.n) == aggregate(trialset)
+            assert (row.k, row.n) == aggregate(heralded_trials(events, attempts, windows))
 
 
 class TestInputChecks:
@@ -264,7 +279,7 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
             sweep(events, attempts, WINDOWS, [0])
         with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
-            build_trialset(events, attempts, WINDOWS)
+            herald_tags(events, attempts, WINDOWS)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -376,7 +391,7 @@ class TestSynthStream:
         events = synth_stream(params, WINDOWS, attempts=800, seed=3)
         # Without afterpulses, dark counts or signal, nothing lands inside
         # the second windows: reflections sit ~1800 ps before each start.
-        assert not any(WINDOWS.in_second(channel, time_ps) for _, channel, time_ps in detection_rows(events))
+        assert not any(in_second(WINDOWS, channel, time_ps) for _, channel, time_ps in detection_rows(events))
 
     def test_afterpulses_land_in_second_window_same_channel(self):
         quiet = StreamParams(signal_prob=0.0, reflection_amplitude=0.5, afterpulse_prob=0.0)
@@ -385,8 +400,8 @@ class TestSynthStream:
         with_ap = synth_stream(loud, WINDOWS, attempts=800, seed=4)
         extra = len(with_ap) - len(base)
         assert extra > 100
-        in_second = [row for row in detection_rows(with_ap) if WINDOWS.in_second(row[1], row[2])]
-        assert len(in_second) > 100
+        second_round = [row for row in detection_rows(with_ap) if in_second(WINDOWS, row[1], row[2])]
+        assert len(second_round) > 100
 
     def test_decay_constant_recovered_within_five_percent(self):
         decay = 12_000.0
@@ -418,7 +433,7 @@ class TestSynthStream:
         def plus_fraction(afterpulse, seed):
             params = StreamParams(signal_prob=0.35, afterpulse_prob=afterpulse)
             events = synth_stream(params, WINDOWS, attempts=6000, seed=seed)
-            tags = classify_attempts(events, WINDOWS).values()
+            tags = tags_by_attempt(events, WINDOWS).values()
             plus = sum(1 for t in tags if t == 1)
             heralded = sum(1 for t in tags if t != 0)
             return plus / heralded
@@ -439,8 +454,7 @@ class TestSynthExperiment:
     def test_entangled_attempts_violate_spurious_do_not(self):
         params = StreamParams(decay_ps=2_500.0)
         events, records = synth_experiment(params, WINDOWS, attempts=20_000, seed=9, entangle_prob=0.5)
-        ts = build_trialset(events, records, WINDOWS)
-        k, n = aggregate(ts)
+        k, n = aggregate(heralded_trials(events, records, WINDOWS))
         assert n > 3000
         # Quantum-grade win rate on clean heralds.
         assert k / n > 0.8

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import best_deterministic_winprob, wins
 
 from bellkit import lhv, rngstream, trials
 from bellkit.lhv import (
@@ -12,11 +13,8 @@ from bellkit.lhv import (
     RngModel,
     adversary_suite,
     all_deterministic_strategies,
-    best_deterministic_winprob,
-    empirical_win_rate,
     make_strategy,
-    replay,
-    simulate,
+    play_heralded,
     simulate_reference,
     simulate_with_stats,
 )
@@ -26,6 +24,12 @@ from bellkit.trials import aggregate, chsh_s
 
 def three_sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def win_rate(name, model, n_heralds, seed):
+    """Win fraction of strategy `name` over exactly n_heralds scored trials, and that count."""
+    stats = play_heralded(make_strategy(name), model, n_heralds, rngstream.stream(seed))
+    return stats.win_rate, stats.heralded
 
 
 def columns(ts, stop=None):
@@ -42,13 +46,12 @@ class TestDeterministicStrategies:
 
     def test_all_zeros_wins_three_of_four_cells(self):
         table = DeterministicStrategy(0, 0, 0, 0)
-        wins = [table.wins(a, b) for a in (0, 1) for b in (0, 1)]
-        assert wins == [True, True, True, False]
+        assert [wins(table, a, b) for a in (0, 1) for b in (0, 1)] == [True, True, True, False]
 
     def test_psi_plus_game_flips_setting_b(self):
         table = DeterministicStrategy(0, 0, 0, 0)
-        assert table.wins(1, 0, tag=+1) is False
-        assert table.wins(1, 1, tag=+1) is True
+        assert wins(table, 1, 0, tag=+1) is False
+        assert wins(table, 1, 1, tag=+1) is True
 
 
 class TestBestDeterministicWinprob:
@@ -77,23 +80,23 @@ class TestBestDeterministicWinprob:
             (0.5 + 0.2 if a == 0 else 0.5 - 0.2) * (0.5 + 0.1 if b == 0 else 0.5 - 0.1)
             for a in (0, 1)
             for b in (0, 1)
-            if table.wins(a, b)
+            if wins(table, a, b)
         )
         assert direct == pytest.approx(winprob, abs=1e-12)
 
 
 class TestSimulate:
     def test_classical_optimum_win_rate(self):
-        rate, n = empirical_win_rate(make_strategy("classical-optimal"), RngModel(), 200_000, seed=1)
+        rate, n = win_rate("classical-optimal", RngModel(), 200_000, seed=1)
         assert abs(rate - 0.75) <= three_sigma(0.75, n)
 
     def test_all_early_wins_every_trial(self):
-        rate, _ = empirical_win_rate(make_strategy("classical-optimal"), RngModel(f=1.0), 20_000, seed=2)
+        rate, _ = win_rate("classical-optimal", RngModel(f=1.0), 20_000, seed=2)
         assert rate == 1.0
 
     def test_bias_exploitation_reaches_bound(self):
         # At tau = 0.1 on both sides the optimum is 0.84.
-        rate, n = empirical_win_rate(make_strategy("classical-optimal"), RngModel(tau=0.1), 200_000, seed=3)
+        rate, n = win_rate("classical-optimal", RngModel(tau=0.1), 200_000, seed=3)
         assert abs(rate - 0.84) <= three_sigma(0.84, n)
 
     def test_early_fraction_matches_f(self):
@@ -110,9 +113,10 @@ class TestSimulate:
         assert len(trialset) == stats.attempts
 
     def test_determinism_per_seed(self):
-        a = simulate(make_strategy("streak-keyed"), RngModel(tau=0.1), 2000, seed=6)
-        b = simulate(make_strategy("streak-keyed"), RngModel(tau=0.1), 2000, seed=6)
-        c = simulate(make_strategy("streak-keyed"), RngModel(tau=0.1), 2000, seed=7)
+        a, b, c = (
+            simulate_with_stats(make_strategy("streak-keyed"), RngModel(tau=0.1), 2000, seed=seed)[0]
+            for seed in (6, 6, 7)
+        )
         assert columns(a) == columns(b)
         assert columns(a) != columns(c)
 
@@ -122,16 +126,22 @@ class TestLocality:
     def test_flipping_b_setting_leaves_a_outcome_unchanged(self, name):
         model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
         attempts = 400
-        base = replay(make_strategy(name), model, attempts, seed=8)
+        tape = rngstream.stream(8).random((attempts, 9))
+        base = lhv._run_tape(make_strategy(name), model, tape.tolist())[0]
         for position in (50, 200, attempts - 1):
-            flipped_bit = 1 - int(base.setting_b[position])
-            flipped = replay(
-                make_strategy(name), model, attempts, seed=8, force_setting_b={position: flipped_bit}
-            )
-            assert flipped.setting_b[position] == flipped_bit
-            assert flipped.outcome_a[position] == base.outcome_a[position]
-            # The prefix is untouched by construction.
-            assert columns(flipped, position) == columns(base, position)
+            # B's setting draw at its extremes: below 1/2 + bias picks B's
+            # preferred setting, above it (bias is at most 2 tau = 0.16 here)
+            # the other one.
+            runs = []
+            for draw in (0.0, np.nextafter(1.0, 0.0)):
+                perturbed = tape.copy()
+                perturbed[position, lhv._T_SET_B] = draw
+                runs.append(lhv._run_tape(make_strategy(name), model, perturbed.tolist())[0])
+            assert {int(run.setting_b[position]) for run in runs} == {0, 1}
+            for run in runs:
+                assert run.outcome_a[position] == base.outcome_a[position]
+                # The prefix is untouched by construction.
+                assert columns(run, position) == columns(base, position)
 
 
 class TestBoundDomination:
@@ -140,7 +150,7 @@ class TestBoundDomination:
     def test_no_strategy_beats_beta_win(self, name, f, tau):
         model = RngModel(f=f, tau=tau)
         beta = beta_win_lemma(BiasParams(f=f, tau=tau))
-        rate, n = empirical_win_rate(make_strategy(name), model, 20_000, seed=9)
+        rate, n = win_rate(name, model, 20_000, seed=9)
         assert rate <= beta + three_sigma(beta, n), (name, f, tau, rate, beta)
 
     @pytest.mark.parametrize("dist", ["point", "two_point", "uniform"])
@@ -148,28 +158,28 @@ class TestBoundDomination:
         tau = 0.1
         beta = beta_win_lemma(BiasParams(0.0, tau))
         model = RngModel(tau=tau, bias_dist=dist)
-        rate, n = empirical_win_rate(make_strategy("classical-optimal"), model, 40_000, seed=10)
+        rate, n = win_rate("classical-optimal", model, 40_000, seed=10)
         assert rate <= beta + three_sigma(beta, n), (dist, rate)
 
 
 class TestSimulateReference:
     def test_always_win_psi_minus_reaches_four(self):
         ts = simulate_reference({-1: 1.0}, herald_rate=1.0, attempts=2000, seed=11)
-        estimate = chsh_s(ts)
+        estimate = chsh_s(ts.cells())
         assert estimate.s_psi_minus == 4.0
         assert estimate.s_weighted == 4.0
 
     def test_classical_rate_concentrates_at_two(self):
         ts = simulate_reference({-1: 0.75}, herald_rate=1.0, attempts=40_000, seed=12)
         k, n = aggregate(ts)
-        estimate = chsh_s(ts)
+        estimate = chsh_s(ts.cells())
         assert abs(estimate.s_weighted - 2.0) < 5 * estimate.sigma
         assert abs(k / n - 0.75) <= three_sigma(0.75, n)
 
     def test_quantum_rate_concentrates_at_2_sqrt_2(self):
         w = (2.0 + math.sqrt(2.0)) / 4.0
         ts = simulate_reference({-1: w, +1: w}, herald_rate=0.8, attempts=50_000, seed=13)
-        estimate = chsh_s(ts)
+        estimate = chsh_s(ts.cells())
         assert abs(estimate.s_weighted - 2.0 * math.sqrt(2.0)) < 5 * estimate.sigma
 
     def test_herald_rate_and_state_split(self):

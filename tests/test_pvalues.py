@@ -117,9 +117,16 @@ class TestPvalueComplete:
         with pytest.raises(ValueError):
             pvalue_complete(10, 11, 0.75)
         with pytest.raises(ValueError):
-            pvalue_complete(10, 5, 1.0)
+            pvalue_complete(10, 5, 1.5)
         with pytest.raises(ValueError):
             pvalue_complete(10, 5, 0.0)
+        with pytest.raises(ValueError):
+            pvalue_complete(10, 11, 1.0)
+
+    def test_beta_one_gives_one(self):
+        # beta = 1 is the bound at tau = 1/2 or f = 1, corners BiasParams accepts.
+        assert beta_win_lemma(BiasParams(tau=0.5)) == beta_win_lemma(BiasParams(f=1.0)) == 1.0
+        assert [pvalue_complete(10, k, 1.0) for k in range(11)] == [1.0] * 11
         with pytest.raises(ValueError):
             pvalue_complete(10, 5.5, 0.75)
 

@@ -20,7 +20,6 @@ from bellkit.randomness import (
     read_bits,
     read_messages,
     write_bits,
-    xor_combine,
 )
 
 
@@ -201,37 +200,43 @@ class TestEstimateBias:
             estimate_bias(BitStream(bits=()))
 
 
+def xor_block(classical, quantum):
+    """combine_streams on one block: eight classical bits and one quantum bit."""
+    (bit,) = combine_streams(BitStream(tuple(classical)), BitStream((quantum,))).bits.tolist()
+    return bit
+
+
 class TestXorCombine:
     def test_all_zero(self):
-        assert xor_combine([0] * 8, 0) == 0
+        assert xor_block([0] * 8, 0) == 0
 
     def test_single_one(self):
-        assert xor_combine([1, 0, 0, 0, 0, 0, 0, 0], 0) == 1
-        assert xor_combine([0] * 8, 1) == 1
+        assert xor_block([1, 0, 0, 0, 0, 0, 0, 0], 0) == 1
+        assert xor_block([0] * 8, 1) == 1
 
     def test_exhaustive_512_against_parity(self):
         for bits in itertools.product((0, 1), repeat=9):
-            assert xor_combine(list(bits[:8]), bits[8]) == sum(bits) % 2
+            assert xor_block(bits[:8], bits[8]) == sum(bits) % 2
 
     def test_quantum_bit_always_flips(self):
         rng = rngstream.stream(3)
         for _ in range(50):
             classical = [int(b) for b in rng.integers(0, 2, size=8)]
-            assert xor_combine(classical, 0) ^ xor_combine(classical, 1) == 1
+            assert xor_block(classical, 0) ^ xor_block(classical, 1) == 1
 
     def test_arity_errors(self):
-        with pytest.raises(ValueError):
-            xor_combine([0] * 7, 0)
-        with pytest.raises(ValueError):
-            xor_combine([0] * 9, 0)
-        with pytest.raises(ValueError):
-            xor_combine([0] * 8, 2)
+        with pytest.raises(ValueError, match="need exactly 8 per quantum bit"):
+            xor_block([0] * 7, 0)
+        with pytest.raises(ValueError, match="need exactly 8 per quantum bit"):
+            xor_block([0] * 9, 0)
+        with pytest.raises(ValueError, match="bits must be 0 or 1, got 2"):
+            xor_block([0] * 8, 2)
 
     def test_randomized_bulk_against_reference(self):
         rng = rngstream.stream(4)
         blocks = rng.integers(0, 2, size=(100_000, 9))
         want = blocks.sum(axis=1) % 2
-        got = np.bitwise_xor.reduce(blocks, axis=1)
+        got = combine_streams(BitStream(blocks[:, :8].ravel()), BitStream(blocks[:, 8])).bits
         mismatches = int(np.sum(got != want))
         assert mismatches == 0
 

@@ -169,10 +169,8 @@ class TestLeeJoint:
     def test_independent_ideal_reference(self):
         # Four independent continuous tests at alpha = 0.05 would reject at
         # 1 - 0.95^4 = 0.18; the correlated Monte Carlo value sits below it.
-        ideal = sa.independent_tests_reference(0.05)
+        ideal = 1.0 - (1.0 - 0.05) ** 4
         assert ideal == pytest.approx(0.18549, abs=1e-4)
-        assert sa.independent_tests_reference(1.0) == 1.0
-        assert sa.independent_tests_reference(0.05, tests=1) == pytest.approx(0.05)
         joint = lee_joint(245, 0.05, reps=4000, seed=7).p
         assert joint < ideal
 

@@ -1,0 +1,64 @@
+"""Every public top-level function and class of bellkit has a caller in the package.
+
+A name counts as called when it appears as a name or an attribute in
+`src/bellkit` outside its own definition, or when `bellkit/__init__.py`
+imports it. Docstrings and comments are not references.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bellkit"
+
+
+def _modules(package):
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
+def _referenced_names(tree, skip):
+    """Names and attribute names used in `tree`, leaving out the subtree `skip`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def uncalled_public_names(package=PACKAGE):
+    modules = _modules(package)
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(modules["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    uncalled = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in exported:
+                continue
+            if not any(node.name in _referenced_names(other, node) for other in modules.values()):
+                uncalled.append(f"{module}.{node.name}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names() == []
+
+
+def test_a_self_call_is_not_a_caller(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import kept\n")
+    (tmp_path / "m.py").write_text(
+        "def kept():\n    return used()\n\n"
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    '''Calls used() and recursive().'''\n    return recursive(n - 1)\n"
+    )
+    assert uncalled_public_names(tmp_path) == ["m.recursive"]

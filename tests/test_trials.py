@@ -151,14 +151,14 @@ def balanced_psi_minus(per_cell_outcomes):
 class TestChshS:
     def test_all_win_psi_minus_reaches_four(self):
         ts = balanced_psi_minus([[(1, 1), (1, 1), (1, 1), (1, -1)]])
-        estimate = chsh_s(ts)
+        estimate = chsh_s(ts.cells())
         assert estimate.s_psi_minus == 4.0
         assert estimate.s_weighted == 4.0
         assert estimate.s_psi_plus is None
 
     def test_single_state_weighted_degenerates(self):
         ts = balanced_psi_minus([[(1, 1), (1, -1), (-1, 1), (1, 1)]])
-        estimate = chsh_s(ts)
+        estimate = chsh_s(ts.cells())
         assert estimate.s_weighted == estimate.s_psi_minus
 
     def test_identity_s_equals_8k_over_n_minus_4_exhaustive(self):
@@ -168,7 +168,7 @@ class TestChshS:
         for combo in itertools.product(outcome_pairs, repeat=4):
             ts = balanced_psi_minus([list(combo)])
             k, n = aggregate(ts)
-            estimate = chsh_s(ts)
+            estimate = chsh_s(ts.cells())
             assert estimate.s_weighted == pytest.approx(8 * k / n - 4, abs=1e-12)
 
     def test_identity_holds_with_multiple_rounds(self):
@@ -179,28 +179,28 @@ class TestChshS:
         ]
         ts = balanced_psi_minus(rounds)
         k, n = aggregate(ts)
-        assert chsh_s(ts).s_weighted == pytest.approx(8 * k / n - 4, abs=1e-12)
+        assert chsh_s(ts.cells()).s_weighted == pytest.approx(8 * k / n - 4, abs=1e-12)
 
     def test_missing_cell_error_names_cell(self):
         ts = make_trials([(-1, 0, 0, 1, 1), (-1, 0, 1, 1, 1), (-1, 1, 0, 1, 1)])
         with pytest.raises(ValueError, match=r"psi-minus.*\(1,1\)"):
-            chsh_s(ts)
+            chsh_s(ts.cells())
 
     def test_no_heralds_error(self):
         ts = make_trials([(0, 0, 0, 1, 1)])
         with pytest.raises(ValueError, match="no heralded"):
-            chsh_s(ts)
+            chsh_s(ts.cells())
 
     def test_lenient_form_skips_incomplete_state(self):
         complete_plus = [(1, a, b, 1, 1) for a, b in trials.SETTING_PAIRS]
         incomplete_minus = [(-1, 0, 0, 1, 1)]
         table = make_trials(complete_plus + incomplete_minus).cells()
         with pytest.raises(ValueError, match=r"psi-minus.*\(0,1\)"):
-            trials.chsh(table)
-        lenient = trials.chsh(table, strict=False)
-        plus_only = chsh_s(make_trials(complete_plus))
+            chsh_s(table)
+        lenient = chsh_s(table, strict=False)
+        plus_only = chsh_s(make_trials(complete_plus).cells())
         assert lenient == plus_only
-        assert trials.chsh(make_trials([(0, 0, 0, 1, 1)]).cells(), strict=False) is None
+        assert chsh_s(make_trials([(0, 0, 0, 1, 1)]).cells(), strict=False) is None
 
     def test_weighted_average_uses_trial_counts(self):
         # Two psi-minus rounds and one psi-plus round at maximal scores:
@@ -215,7 +215,7 @@ class TestChshS:
             (1, a, b, 1, 1 if (a, b) != (1, 0) else -1) for a, b in trials.SETTING_PAIRS
         ]
         ts = make_trials(minus_rows + plus_rows)
-        estimate = chsh_s(ts)
+        estimate = chsh_s(ts.cells())
         assert estimate.s_psi_minus == 4.0
         assert estimate.s_psi_plus == 4.0
         assert estimate.s_weighted == pytest.approx(4.0)
