@@ -182,9 +182,12 @@ def _cmd_combine(args: argparse.Namespace) -> int:
             if len(bits) != 2:
                 raise CliError(f"expected n:k pairs in --counts, got {chunk!r}")
             try:
-                pairs.append((int(bits[0]), int(bits[1])))
+                run_n, run_k = int(bits[0]), int(bits[1])
             except ValueError:
                 raise CliError(f"could not parse --counts: {args.counts!r}") from None
+            if run_n < 1 or not 0 <= run_k <= run_n:
+                raise CliError(f"--counts pair {chunk!r} needs n >= 1 and 0 <= k <= n")
+            pairs.append((run_n, run_k))
         n = sum(p[0] for p in pairs)
         k = sum(p[1] for p in pairs)
         beta = pvalues.beta_win(pvalues.BiasParams(f=args.f, tau=args.tau), form=args.beta_form)

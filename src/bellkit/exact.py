@@ -8,6 +8,14 @@ calling modules.
 Two-sided tests use the probability ordering ("minlike") convention: the
 P-value is the total probability of all outcomes whose pmf does not exceed
 the observed outcome's pmf, with a small relative tolerance for ties.
+
+Every log k! comes from one table, `_log_factorial`, whose entries equal
+`scipy.special.gammaln(k + 1)` bit for bit: the reports were pinned with
+gammaln, and a one-ulp change in a log pmf can move a tie or the last
+printed digit of a P-value. scipy itself is loaded only for the calls
+with no whole-number form: the incomplete beta (n > BINOM_SUM_LIMIT), the
+incomplete gamma (odd df > 1) and the vectorised erfc of the Pearson
+audit path.
 """
 from __future__ import annotations
 
@@ -27,13 +35,71 @@ _LOG_TIE = math.log1p(TIE_RELATIVE_EPS)
 BINOM_SUM_LIMIT = 10_000
 
 
+# Constants of the cephes `lgam` routine behind scipy.special.gammaln.
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+_log_factorial_table = np.zeros(0)
+
+
 @functools.cache
 def _special():
-    """`scipy.special`, imported on first use so that commands which
-    compute nothing with it start without loading scipy."""
+    """`scipy.special`, imported on first use.
+
+    Only `betainc` (n > BINOM_SUM_LIMIT), `gammaincc` (odd df > 1) and the
+    vectorised `erfc` of `settings_audit._pearson_many` need it; log k!
+    comes from `_log_factorial`, so every other command starts without
+    loading scipy.
+    """
     from scipy import special
 
     return special
+
+
+def _lgam_whole(lo: int, hi: int) -> np.ndarray:
+    """log k! for k = lo..hi-1, bit-equal to scipy.special.gammaln(k + 1).
+
+    The cephes `lgam` steps for whole x = k + 1: the log of the exact
+    product (x-1)! below 13, Stirling's series above. The logarithm is
+    libm's, through `math.log`; numpy's vectorised log may differ from it
+    in the last bit.
+    """
+    start = max(lo, 12) + 1
+    small = [math.log(math.factorial(k)) for k in range(lo, min(hi, 12))]
+    x = np.arange(start, hi + 1, dtype=float)
+    q = (x - 0.5) * np.fromiter(map(math.log, range(start, hi + 1)), float, x.size) - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(p, _LGAM_A[0])
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    series = np.where(
+        x >= 1000.0,
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333,
+        series,
+    )
+    q = np.where(x > 1.0e8, q, q + series / x)
+    return np.concatenate([small, q])
+
+
+def _log_factorial(size: int) -> np.ndarray:
+    """Read-only table with lg[k] = log k! for at least k = 0..size-1.
+
+    Built on first use and extended on demand; an extension computes only
+    the new entries.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if size > table.size:
+        table = np.concatenate([table, _lgam_whole(table.size, size)])
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table
 
 
 def _sum_exp(log_terms: np.ndarray) -> float:
@@ -63,11 +129,11 @@ def _check_binom_args(k: int, n: int, p: float) -> None:
 def binom_logpmf_vector(n: int, p: float) -> np.ndarray:
     """log pmf of Binomial(n, p) over k = 0..n."""
     k = np.arange(n + 1)
-    lg = _special().gammaln
+    lg = _log_factorial(n + 1)
     return (
-        lg(n + 1)
-        - lg(k + 1)
-        - lg(n - k + 1)
+        lg[n]
+        - lg[k]
+        - lg[n - k]
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
@@ -133,15 +199,15 @@ def fisher_two_sided(n00: int, n01: int, n10: int, n11: int) -> float:
     a_min = max(0, c0 - r1)
     a_max = min(r0, c0)
     a = np.arange(a_min, a_max + 1)
-    lg = _special().gammaln
+    lg = _log_factorial(n + 1)
     lp = (
-        lg(r0 + 1)
-        - lg(a + 1)
-        - lg(r0 - a + 1)
-        + lg(r1 + 1)
-        - lg(c0 - a + 1)
-        - lg(r1 - (c0 - a) + 1)
-        - (lg(n + 1) - lg(c0 + 1) - lg(n - c0 + 1))
+        lg[r0]
+        - lg[a]
+        - lg[r0 - a]
+        + lg[r1]
+        - lg[c0 - a]
+        - lg[r1 - (c0 - a)]
+        - (lg[n] - lg[c0] - lg[n - c0])
     )
     lp_obs = lp[n00 - a_min]
     keep = lp <= lp_obs + _LOG_TIE
@@ -163,7 +229,7 @@ def fisher_two_sided_tables(tables: np.ndarray, max_cells: int = 4_000_000) -> n
         raise ValueError("cell counts must be nonnegative")
     out = np.empty(len(tables))
     width_bound = int(tables.sum(axis=1).max()) + 1 if len(tables) else 1
-    log_factorial = _special().gammaln(np.arange(width_bound) + 1)
+    log_factorial = _log_factorial(width_bound)
     chunk = max(1, max_cells // width_bound)
     for lo in range(0, len(tables), chunk):
         out[lo : lo + chunk] = _fisher_chunk(tables[lo : lo + chunk], log_factorial)
@@ -213,7 +279,7 @@ def chi2_survival(x: float, df: int) -> float:
     if df % 2 == 0:
         m = df // 2
         i = np.arange(m)
-        log_terms = -x / 2.0 + i * math.log(x / 2.0) - _special().gammaln(i + 1)
+        log_terms = -x / 2.0 + i * math.log(x / 2.0) - _log_factorial(m)[:m]
         return min(1.0, _sum_exp(log_terms))
     return float(_special().gammaincc(df / 2.0, x / 2.0))
 
@@ -226,9 +292,9 @@ def normal_survival(z: float) -> float:
 def uniform4_logpmf(counts: np.ndarray, n: int) -> np.ndarray:
     """log pmf of Multinomial(n; 1/4, 1/4, 1/4, 1/4) at `counts` (..., 4)."""
     counts = np.asarray(counts)
-    lg = _special().gammaln
+    lg = _log_factorial(n + 1)
     return (
-        lg(n + 1)
-        - lg(counts + 1).sum(axis=-1)
+        lg[n]
+        - lg[counts].sum(axis=-1)
         + n * math.log(0.25)
     )

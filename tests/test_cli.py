@@ -121,6 +121,15 @@ class TestCombine:
         code, _, err = run(capsys, "combine", "--mode", "merge", "--counts", "10:x")
         assert (code, err) == (1, "error: could not parse --counts: '10:x'\n")
 
+    def test_merge_rejects_run_with_more_wins_than_trials(self, capsys):
+        code, out, err = run(capsys, "combine", "--mode", "merge", "--counts", "10:8,5:7")
+        assert (code, out, err) == (1, "", "error: --counts pair '5:7' needs n >= 1 and 0 <= k <= n\n")
+
+    def test_merge_rejects_negative_run(self, capsys):
+        # The sums (5, 5) alone would pass; each run is checked on its own.
+        code, out, err = run(capsys, "combine", "--mode", "merge", "--counts", "10:8,-5:-3")
+        assert (code, out, err) == (1, "", "error: --counts pair '-5:-3' needs n >= 1 and 0 <= k <= n\n")
+
 
 class TestRangeOptions:
     """Grids and errors of start:stop:step options (herald sweep --offsets, bound --tau-grid)."""
@@ -622,12 +631,35 @@ class TestAudit:
 
 
 class TestInfrastructure:
-    def test_import_leaves_scipy_unloaded(self):
-        # Commands that compute nothing with scipy must not pay for loading it.
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # Commands that compute nothing with scipy must not pay for loading it;
+        # log k! comes from exact's own table.
         src = os.path.dirname(os.path.dirname(bellkit.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         check = "import sys, bellkit.cli; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+        (tmp_path / "a.txt").write_text("\n".join("0110100111010011") + "\n", encoding="ascii")
+        (tmp_path / "b.txt").write_text("\n".join("1100101001110100") + "\n", encoding="ascii")
+        commands = [
+            ["bound", "--n", "300", "--k", "237", "--tau-grid", "0:0.01:0.001"],
+            ["combine", "--mode", "merge", "--counts", "245:196,300:237"],
+            ["combine", "--mode", "fisher", "--pvalues", "0.039,0.061"],
+            ["audit", "--counts", "53,79,62,51", "--reps", "2000", "--lee-reps", "1000"],
+            ["adversary", "--n", "10", "--runs", "4"],
+            ["rng", "independence", "--a", "a.txt", "--b", "b.txt"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from bellkit import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, f'{argv} loaded scipy'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         out_a = str(tmp_path / "a.json")

@@ -33,6 +33,36 @@ def fisher_two_sided_oracle(n00: int, n01: int, n10: int, n11: int) -> Fraction:
     return sum(q for q in pmf.values() if q <= observed)
 
 
+class TestLogFactorial:
+    """`_log_factorial` must equal scipy's gammaln(k + 1) bit for bit: the pinned reports were made with it."""
+
+    def test_equals_gammaln_bit_for_bit(self):
+        n = 2_000_001
+        assert np.array_equal(exact._log_factorial(n)[:n], special.gammaln(np.arange(n) + 1.0))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 11, 12, 13, 998, 999, 1000, 1001])
+    def test_branch_edges(self, k, monkeypatch):
+        # x = k + 1 < 13 takes the exact product, x < 1000 the five-term
+        # series and x >= 1000 the three-term one; k is the last entry of
+        # a fresh table, so each edge is also an end of a build.
+        monkeypatch.setattr(exact, "_log_factorial_table", np.zeros(0))
+        assert exact._log_factorial(k + 1)[k] == special.gammaln(k + 1.0)
+
+    def test_extension_equals_one_build(self, monkeypatch):
+        monkeypatch.setattr(exact, "_log_factorial_table", np.zeros(0))
+        for size in (1, 3, 12, 13, 14, 999, 1000, 1001, 1002, 5000):
+            grown = exact._log_factorial(size)
+            assert grown.size == size
+        monkeypatch.setattr(exact, "_log_factorial_table", np.zeros(0))
+        assert np.array_equal(grown, exact._log_factorial(5000))
+        assert np.array_equal(grown, special.gammaln(np.arange(5000) + 1.0))
+
+    def test_smaller_request_reuses_the_table(self):
+        table = exact._log_factorial(100)
+        assert exact._log_factorial(50) is table
+        assert not table.flags.writeable
+
+
 class TestBinomSurvival:
     def test_matches_exact_oracle(self):
         half = Fraction(1, 2)
