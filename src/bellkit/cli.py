@@ -203,6 +203,14 @@ def _cmd_combine(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     params = _params(args, ("f", "tau", "n", "k", "tau_grid", "beta_form"))
+    if args.n is not None and args.k is None:
+        raise CliError("--n needs --k")
+    if args.k is not None and args.n is None:
+        raise CliError("--k needs --n")
+    if args.tau_grid and args.n is None:
+        raise CliError("--tau-grid needs --n and --k")
+    if args.curve_out and not args.tau_grid:
+        raise CliError("--curve-out needs --tau-grid")
     bias = pvalues.BiasParams(f=args.f, tau=args.tau)
     payload: dict[str, object] = {
         "f": args.f,
@@ -210,7 +218,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "beta_lemma": pvalues.beta_win_lemma(bias),
         "beta_expanded": pvalues.beta_win_expanded(bias),
     }
-    if args.n is not None and args.k is not None:
+    if args.n is not None:
         beta = pvalues.beta_win(bias, form=args.beta_form)
         payload["p_complete"] = pvalues.pvalue_complete(args.n, args.k, beta)
         if args.tau_grid:

@@ -191,6 +191,7 @@ def fisher_two_sided(n00: int, n01: int, n10: int, n11: int) -> float:
     cells = (n00, n01, n10, n11)
     if any(int(c) != c or c < 0 for c in cells):
         raise ValueError(f"cell counts must be nonnegative integers, got {cells}")
+    n00, n01, n10, n11 = (int(c) for c in cells)
     r0, r1 = n00 + n01, n10 + n11
     c0 = n00 + n10
     n = r0 + r1

@@ -1,16 +1,23 @@
 """Local-hidden-variable adversaries for event-ready CHSH games.
 
-The simulator plays the two heralded game variants against strategies that
-are local by construction: the code path that produces side A's output
-never sees side B's current setting, and the event-ready decision is made
-before the settings are drawn. Everything else is allowed and adversarial:
+Each adversary is a `Strategy`: a finite-state machine of at most 16
+states, written as tables. A state fixes the event-ready box's herald rule
+and each side's output per local setting; the next state is looked up from
+the attempt's full record (tag, settings, output bits). The state is the
+whole memory of the past, as in the memory model of the binomial bound
+(Gill, arXiv:quant-ph/0301059; Hensen et al., Sci. Rep. 6, 30289, 2016).
 
-* arbitrary shared memory of the full past record (settings, outputs,
-  herald tags) plus opaque strategy-owned state,
-* an event-ready box that heralds, skips or picks the game variant based
-  on that memory,
+Locality is structural: `_run_tape`, the one engine that plays a strategy,
+reads the herald from the state before the settings are drawn, and looks
+up side A's bit with A's setting only and B's with B's only. Everything
+else is allowed and adversarial:
+
+* memory of the full past record, through the state, which also decides
+  whether the box heralds, skips or picks the game variant,
 * setting bits whose per-trial bias b is drawn from a distribution with
-  known mean (the strategy pushes the bias toward its preferred setting),
+  known mean. The bias always favours setting 0 on both sides:
+  Pr[setting = 0] = 1/2 + b. The all-0 classical optimum loses only at
+  settings (1, 1), so this is the direction that helps it,
 * "early" setting bits, produced soon enough to be signalled across, in
   which case the trial is scored as an outright win (the worst case).
 
@@ -22,10 +29,9 @@ every representable strategy.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,9 +43,6 @@ BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")
 
 # Tape column layout, one row of uniform draws per attempt.
 _T_HERALD, _T_EARLY_A, _T_EARLY_B, _T_BIAS_A, _T_BIAS_B, _T_SET_A, _T_SET_B, _T_OUT_A, _T_OUT_B = range(9)
-
-_HASH_MULT = 1000003
-_HASH_MASK = (1 << 61) - 1
 
 # play_heralded gives up on a strategy that needs more attempts than this
 # many per requested herald.
@@ -77,187 +80,80 @@ class RngModel:
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """Output bit per local setting for both sides; exactly 16 exist."""
-
-    output_a0: int
-    output_a1: int
-    output_b0: int
-    output_b1: int
-
-    def output_a(self, setting: int) -> int:
-        return self.output_a1 if setting else self.output_a0
-
-    def output_b(self, setting: int) -> int:
-        return self.output_b1 if setting else self.output_b0
-
-
-def all_deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
-    return tuple(DeterministicStrategy(*bits) for bits in itertools.product((0, 1), repeat=4))
-
-
 class Strategy:
-    """Base adversary. Subclasses override outputs and, optionally, memory.
+    """A local adversary as a finite-state machine that starts in state 0.
 
-    Locality is structural: output_a never receives setting_b and vice
-    versa; herald and the preferred-setting directions are queried before
-    the current settings exist. All randomness a strategy needs arrives as
-    the uniform draw `u`.
+    herald[s] = (cut, tag_below, tag_above): in state s the event-ready box
+    emits tag_below if its draw is below cut, else tag_above; cut = 1.0
+    means always, since draws lie in [0, 1).
+    outputs[s][side][setting]: the probability that side 0 (A) or 1 (B)
+    outputs bit 1 at its own setting. The bit is 1 if the side's draw is
+    below it, so 0 and 1 are fixed answers and 1/2 is a coin.
+    next_state[s][item]: the state after an attempt whose full record is
+    item = 16 (tag + 1) + 8 setting_a + 4 setting_b + 2 bit_a + bit_b.
     """
 
-    name = "strategy"
-
-    def reset(self) -> None:
-        pass
-
-    def herald(self, u: float) -> int:
-        return HERALD_PSI_MINUS
-
-    def preferred_setting_a(self) -> int:
-        return 0
-
-    def preferred_setting_b(self) -> int:
-        return 0
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        raise NotImplementedError
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        raise NotImplementedError
-
-    def observe(self, tag: int, setting_a: int, setting_b: int, bit_a: int, bit_b: int, won: bool | None) -> None:
-        pass
+    name: str
+    herald: tuple[tuple[float, int, int], ...]
+    outputs: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
+    next_state: tuple[tuple[int, ...], ...]
 
 
-class FixedOutputs(Strategy):
-    """Memoryless deterministic outputs; the classical optimum by default."""
-
-    name = "classical-optimal"
-
-    def __init__(self, table: DeterministicStrategy = DeterministicStrategy(0, 0, 0, 0)) -> None:
-        self.table = table
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        return self.table.output_a(setting)
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        return self.table.output_b(setting)
+def _required_output_xor(tag, setting_a, setting_b):
+    """XOR of the two output bits that wins the game; scalars or integer arrays alike."""
+    return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
 
 
-class CoinFlip(Strategy):
-    """Uniformly random outputs on both sides; wins half the time."""
-
-    name = "coin-flip"
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        return 1 if u < 0.5 else 0
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        return 1 if u < 0.5 else 0
+def _lost(item: int) -> bool:
+    """Whether the attempt with record `item` was heralded and lost."""
+    tag, setting_a, setting_b, bit_a, bit_b = item // 16 - 1, item >> 3 & 1, item >> 2 & 1, item >> 1 & 1, item & 1
+    return tag != HERALD_NONE and (bit_a ^ bit_b) != _required_output_xor(tag, setting_a, setting_b)
 
 
-class LossSwitching(Strategy):
-    """Cycles to the next deterministic table after every scored loss."""
-
-    name = "loss-switching"
-
-    def __init__(self) -> None:
-        self._tables = all_deterministic_strategies()
-        self._index = 0
-
-    def reset(self) -> None:
-        self._index = 0
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        return self._tables[self._index].output_a(setting)
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        return self._tables[self._index].output_b(setting)
-
-    def observe(self, tag, setting_a, setting_b, bit_a, bit_b, won) -> None:
-        if won is False:
-            self._index = (self._index + 1) % len(self._tables)
+# The 16 deterministic output tables; table i is (a0, a1, b0, b1) = i in binary.
+_DETERMINISTIC_OUTPUTS = [
+    ((float(i >> 3 & 1), float(i >> 2 & 1)), (float(i >> 1 & 1), float(i & 1))) for i in range(16)
+]
+_ZEROS = ((0.0, 0.0), (0.0, 0.0))
+_ALWAYS_PSI_MINUS = (1.0, HERALD_PSI_MINUS, HERALD_PSI_MINUS)
 
 
-class StreakKeyed(Strategy):
-    """Deterministic table selected by a rolling hash of the full record."""
-
-    name = "streak-keyed"
-
-    def __init__(self) -> None:
-        self._tables = all_deterministic_strategies()
-        self._digest = 0
-
-    def reset(self) -> None:
-        self._digest = 0
-
-    def _table(self) -> DeterministicStrategy:
-        return self._tables[self._digest & 15]
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        return self._table().output_a(setting)
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        return self._table().output_b(setting)
-
-    def observe(self, tag, setting_a, setting_b, bit_a, bit_b, won) -> None:
-        item = (tag + 1) * 16 + setting_a * 8 + setting_b * 4 + bit_a * 2 + bit_b
-        self._digest = (self._digest * _HASH_MULT + item + 1) & _HASH_MASK
+def _machine(name: str, herald, outputs, step=lambda s, item: s) -> Strategy:
+    """The Strategy with these herald and output rows, one per state, whose state s moves to step(s, item)."""
+    next_state = tuple(tuple(step(s, item) for item in range(48)) for s in range(len(herald)))
+    return Strategy(name, tuple(herald), tuple(outputs), next_state)
 
 
-class HeraldGating(Strategy):
-    """Event-ready box that mostly heralds only after a win.
-
-    Adapts the number and placement of trials to the past record; outputs
-    are the classical optimum. A 25% escape rate keeps runs finite.
-    """
-
-    name = "herald-gating"
-
-    def __init__(self) -> None:
-        self._last_won = True
-
-    def reset(self) -> None:
-        self._last_won = True
-
-    def herald(self, u: float) -> int:
-        if self._last_won or u < 0.25:
-            return HERALD_PSI_MINUS
-        return HERALD_NONE
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        return 0
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        return 0
-
-    def observe(self, tag, setting_a, setting_b, bit_a, bit_b, won) -> None:
-        if won is not None:
-            self._last_won = won
-
-
-class StateMixing(Strategy):
-    """Heralds the two game variants in equal proportion, classical outputs."""
-
-    name = "state-mixing"
-
-    def herald(self, u: float) -> int:
-        return HERALD_PSI_PLUS if u < 0.5 else HERALD_PSI_MINUS
-
-    def output_a(self, setting: int, tag: int, u: float) -> int:
-        return 0
-
-    def output_b(self, setting: int, tag: int, u: float) -> int:
-        return 0
-
-
-CATALOG: dict[str, Callable[[], Strategy]] = {
-    "classical-optimal": FixedOutputs,
-    "coin-flip": CoinFlip,
-    "loss-switching": LossSwitching,
-    "streak-keyed": StreakKeyed,
-    "herald-gating": HeraldGating,
-    "state-mixing": StateMixing,
+CATALOG: dict[str, Strategy] = {
+    strategy.name: strategy
+    for strategy in (
+        # Memoryless deterministic outputs, all 0: the classical optimum.
+        _machine("classical-optimal", [_ALWAYS_PSI_MINUS], [_ZEROS]),
+        # Uniformly random outputs on both sides; wins half the time.
+        _machine("coin-flip", [_ALWAYS_PSI_MINUS], [((0.5, 0.5), (0.5, 0.5))]),
+        # Cycles to the next deterministic table after every scored loss.
+        _machine(
+            "loss-switching", [_ALWAYS_PSI_MINUS] * 16, _DETERMINISTIC_OUTPUTS, lambda s, item: (s + _lost(item)) % 16
+        ),
+        # Deterministic table d & 15 of the rolling hash of the full record,
+        # d <- (d * 1000003 + item + 1) & (2^61 - 1). The mask keeps the low
+        # bits and 1000003 = 3 (mod 16), so d & 15 steps to (3 s + item + 1)
+        # mod 16 from its own old value s alone: 16 states play the hash.
+        _machine(
+            "streak-keyed", [_ALWAYS_PSI_MINUS] * 16, _DETERMINISTIC_OUTPUTS, lambda s, item: (3 * s + item + 1) % 16
+        ),
+        # Event-ready box that mostly heralds only after a win: state 0 after
+        # a won trial (or none yet), 1 after a lost one, unchanged by an
+        # attempt not heralded. A 25% escape rate keeps runs finite.
+        _machine(
+            "herald-gating",
+            [_ALWAYS_PSI_MINUS, (0.25, HERALD_PSI_MINUS, HERALD_NONE)],
+            [_ZEROS] * 2,
+            lambda s, item: s if item // 16 - 1 == HERALD_NONE else int(_lost(item)),
+        ),
+        # Heralds the two game variants in equal proportion, classical outputs.
+        _machine("state-mixing", [(0.5, HERALD_PSI_PLUS, HERALD_PSI_MINUS)], [_ZEROS]),
+    )
 }
 
 MEMORY_CATALOG = ("classical-optimal", "loss-switching", "streak-keyed", "herald-gating")
@@ -265,7 +161,7 @@ MEMORY_CATALOG = ("classical-optimal", "loss-switching", "streak-keyed", "herald
 
 def make_strategy(name: str) -> Strategy:
     try:
-        return CATALOG[name]()
+        return CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown strategy {name!r}, expected one of {sorted(CATALOG)}") from None
 
@@ -286,58 +182,54 @@ class SimStats:
         return self.wins / self.heralded if self.heralded else math.nan
 
 
-def _required_output_xor(tag, setting_a, setting_b):
-    """XOR of the two output bits that wins the game; scalars or integer arrays alike."""
-    return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
-
-
 def _run_tape(
     strategy: Strategy,
     rng_model: RngModel,
     tape: Sequence[Sequence[float]],
     *,
+    state: int = 0,
     stop_after_heralds: int | None = None,
     record: bool = True,
-) -> tuple[TrialSet | None, SimStats]:
-    """Play the tape sequentially. The strategy is NOT reset here.
+) -> tuple[TrialSet | None, SimStats, int]:
+    """Play the tape sequentially from machine state `state`.
 
-    With `record`, the played attempts come back as trials indexed from 1;
-    without, the trial set is None.
+    Returns the trials, the counters and the state after the last attempt
+    played. With `record`, the played attempts come back as trials indexed
+    from 1; without, the trial set is None.
     """
     f = rng_model.f
+    herald, outputs, next_state = strategy.herald, strategy.outputs, strategy.next_state
     rows: list[tuple[int, int, int, int, int]] = []
     heralded = wins = early_a = early_b = early_any = 0
     attempts = 0
     for row in tape:
         attempts += 1
-        tag = strategy.herald(row[_T_HERALD])
+        cut, tag_below, tag_above = herald[state]
+        tag = tag_below if row[_T_HERALD] < cut else tag_above
         is_early_a = row[_T_EARLY_A] < f
         is_early_b = row[_T_EARLY_B] < f
         bias_a = rng_model.sample_bias(row[_T_BIAS_A])
         bias_b = rng_model.sample_bias(row[_T_BIAS_B])
-        pref_a = strategy.preferred_setting_a()
-        pref_b = strategy.preferred_setting_b()
-        setting_a = pref_a if row[_T_SET_A] < 0.5 + bias_a else 1 - pref_a
-        setting_b = pref_b if row[_T_SET_B] < 0.5 + bias_b else 1 - pref_b
+        setting_a = 0 if row[_T_SET_A] < 0.5 + bias_a else 1
+        setting_b = 0 if row[_T_SET_B] < 0.5 + bias_b else 1
         if is_early_a or is_early_b:
             # Early bit: the trial is scored as won outright. Outcomes are
             # synthesized to win the tag's game at the realized settings.
             bit_a = 1 if row[_T_OUT_A] < 0.5 else 0
             bit_b = bit_a ^ _required_output_xor(tag, setting_a, setting_b)
         else:
-            bit_a = strategy.output_a(setting_a, tag, row[_T_OUT_A])
-            bit_b = strategy.output_b(setting_b, tag, row[_T_OUT_B])
-        won: bool | None = None
+            out_a, out_b = outputs[state]
+            bit_a = 1 if row[_T_OUT_A] < out_a[setting_a] else 0
+            bit_b = 1 if row[_T_OUT_B] < out_b[setting_b] else 0
         if tag != HERALD_NONE:
             heralded += 1
-            won = (bit_a ^ bit_b) == _required_output_xor(tag, setting_a, setting_b)
-            wins += won
+            wins += (bit_a ^ bit_b) == _required_output_xor(tag, setting_a, setting_b)
             early_a += is_early_a
             early_b += is_early_b
             early_any += is_early_a or is_early_b
         if record:
             rows.append((tag, setting_a, setting_b, bit_a, bit_b))
-        strategy.observe(tag, setting_a, setting_b, bit_a, bit_b, won)
+        state = next_state[state][16 * (tag + 1) + 8 * setting_a + 4 * setting_b + 2 * bit_a + bit_b]
         if stop_after_heralds is not None and heralded >= stop_after_heralds:
             break
     stats = SimStats(
@@ -349,9 +241,9 @@ def _run_tape(
         early_any=early_any,
     )
     if not record:
-        return None, stats
+        return None, stats, state
     tag, setting_a, setting_b, bit_a, bit_b = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    return TrialSet(np.arange(1, attempts + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b), stats
+    return TrialSet(np.arange(1, attempts + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b), stats, state
 
 
 def simulate_with_stats(
@@ -364,8 +256,8 @@ def simulate_with_stats(
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     tape = rngstream.stream(seed).random((attempts, 9)).tolist()
-    strategy.reset()
-    return _run_tape(strategy, rng_model, tape)
+    trialset, stats, _ = _run_tape(strategy, rng_model, tape)
+    return trialset, stats
 
 
 def play_heralded(
@@ -377,22 +269,23 @@ def play_heralded(
     """Run attempts until `n_heralds` trials are scored; counters only.
 
     The tape is generated in blocks from `rng`, so adaptive heralding can
-    stretch a run without a preallocated bound.
+    stretch a run without a preallocated bound. The machine state carries
+    from one block to the next, so the blocks play as one tape.
     """
     if n_heralds < 1:
         raise ValueError(f"n_heralds must be >= 1, got {n_heralds}")
-    strategy.reset()
     block = max(64, int(1.5 * n_heralds))
     totals = [0, 0, 0, 0, 0, 0]
     remaining = n_heralds
     attempts_budget = _MAX_ATTEMPT_FACTOR * n_heralds
+    state = 0
     while remaining > 0:
         if totals[0] >= attempts_budget:
             raise RuntimeError(
                 f"strategy {strategy.name!r} produced {totals[1]} heralds in {totals[0]} attempts; giving up"
             )
         tape = rng.random((block, 9)).tolist()
-        _, stats = _run_tape(strategy, rng_model, tape, stop_after_heralds=remaining, record=False)
+        _, stats, state = _run_tape(strategy, rng_model, tape, state=state, stop_after_heralds=remaining, record=False)
         totals[0] += stats.attempts
         totals[1] += stats.heralded
         totals[2] += stats.wins
@@ -512,6 +405,8 @@ def adversary_suite(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     names = tuple(strategies) if strategies is not None else MEMORY_CATALOG
     if not names:
         raise ValueError("need at least one strategy")

@@ -1,9 +1,48 @@
 """Scalar reference forms that bellkit's array code is tested against."""
+import itertools
 import warnings
+from dataclasses import dataclass
 
-from bellkit.lhv import all_deterministic_strategies
 from bellkit.randomness import MAX_MESSAGE_CHARS
 from bellkit.trials import HERALD_PSI_MINUS, HERALD_PSI_PLUS
+
+_HASH_MULT = 1000003
+_HASH_MASK = (1 << 61) - 1
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Output bit per local setting for both sides; exactly 16 exist."""
+
+    output_a0: int
+    output_a1: int
+    output_b0: int
+    output_b1: int
+
+    def output_a(self, setting):
+        return self.output_a1 if setting else self.output_a0
+
+    def output_b(self, setting):
+        return self.output_b1 if setting else self.output_b0
+
+
+def all_deterministic_strategies():
+    return tuple(DeterministicStrategy(*bits) for bits in itertools.product((0, 1), repeat=4))
+
+
+def streak_digests(items):
+    """The streak-keyed adversary's rolling hash of the record, from 0, after each of `items`.
+
+    Each item is an attempt's record, 16 (tag + 1) + 8 setting_a +
+    4 setting_b + 2 bit_a + bit_b; the adversary plays deterministic table
+    `digest & 15`.
+    """
+    digest = 0
+    digests = []
+    for item in items:
+        digest = (digest * _HASH_MULT + item + 1) & _HASH_MASK
+        digests.append(digest)
+    return digests
 
 
 def message_to_bit(text, max_chars=MAX_MESSAGE_CHARS):

@@ -244,6 +244,25 @@ class TestBound:
         assert report["curve"][0][1] == report["p_complete"] < report["curve"][1][1] < 1.0
         assert report["curve"][2][1] == 1.0
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--n", "300"), "--n needs --k"),
+            (("--k", "237"), "--k needs --n"),
+            (("--n", "300", "--tau-grid", "0:0.01:0.001"), "--n needs --k"),
+            (("--tau-grid", "0:0.01:0.001"), "--tau-grid needs --n and --k"),
+            (("--n", "300", "--k", "237", "--curve-out", "c.csv"), "--curve-out needs --tau-grid"),
+            (("--curve-out", "c.csv"), "--curve-out needs --tau-grid"),
+        ],
+        ids=["n-without-k", "k-without-n", "grid-without-k", "grid-without-n-and-k", "curve-without-grid",
+             "curve-alone"],
+    )
+    def test_option_without_the_options_it_needs_exits_one(self, capsys, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "bound", *args)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestSimulateAndAdversary:
     def test_simulate_writes_trials(self, capsys, tmp_path):
@@ -281,6 +300,12 @@ class TestSimulateAndAdversary:
         )
         assert report["runs"] == 200
         assert report["rejection_rate"] <= 0.05 + 3 * report["mc_error"] + 1e-9
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.2", "nan"])
+    def test_adversary_alpha_outside_unit_interval_exits_one(self, capsys, alpha):
+        code, out, err = run(capsys, "adversary", "--n", "10", "--runs", "4", "--alpha", alpha)
+        assert (code, out) == (1, "")
+        assert err == f"error: alpha must lie in [0, 1], got {float(alpha)}\n"
 
     def test_adversary_with_every_bit_early(self, capsys):
         # f = 1 makes the bound 1: every run wins every trial and none is rejected.
@@ -466,6 +491,69 @@ class TestTrialOutputsPinned:
         assert code == 0, err
         assert sha256(trials_file) == trials_digest
         assert sha256("report.json") == report_digest
+
+
+class TestLhvOutputsPinned:
+    """Digests of simulate and adversary outputs as the class-per-strategy simulator wrote them.
+
+    Run in the temporary directory with relative file names, since the
+    simulate report's config hash covers the trial file path.
+    """
+
+    SIMULATE = {
+        "classical-optimal": (
+            "878f34b6c009fc72ecb747115cea0691a9bd45fe4694d961f8e43f315bf6635e",
+            "76a62d08931e84ea45c58fb30da586ccb2aaf79cb38f4127d2d5b6220a0f9fba",
+        ),
+        "coin-flip": (
+            "06edf131675104c36aa2ff2be2fbd0ba91dba4b6459102e8bb7515d8db67ec32",
+            "314976d1354fd6ba743cb720d895d1f5f103a162f6976217a76d1ed19cd338e2",
+        ),
+        "herald-gating": (
+            "f8e66598d08a063089ad3838e5a309c382881fea28e21a6340e4ebe0ff6943e6",
+            "d3b79f5650171600ee99ccb8cec2de844826c44df50ae94ccae2d5d33e241de5",
+        ),
+        "loss-switching": (
+            "6c03112fa243f0f98a70a9abffb944aeba4f104957a6947f9fc61efca60efb72",
+            "3d7fa077752d9c3f31413702c2d20404d39c1cdfb1807f9bce50c96d8a1c089c",
+        ),
+        "state-mixing": (
+            "bf891d88339f6d4dcb33f45b8d49c023fbaab31ce587830980353f66a5216d4e",
+            "41c6c913f6d2960666207837ec1b39d179b9e035810fd8cd08bd226284b028cb",
+        ),
+        "streak-keyed": (
+            "58e17b48f6f231581e76a510d9fcaf6e4ec07f572e1966429d4e7aa52f5f5045",
+            "8e2896ed8abb8f92beea0bd5d686998b4cb3737679bf319cbaddebbef81cc1c2",
+        ),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(SIMULATE))
+    def test_simulate_bytes(self, capsys, tmp_path, monkeypatch, strategy):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(
+            capsys, "simulate", "--strategy", strategy, "--attempts", "3000", "--f", "0.03", "--tau", "0.08",
+            "--bias-dist", "uniform", "--seed", "11", "--trials-out", "trials.jsonl", "--out", "report.json",
+        )
+        assert code == 0, err
+        assert (sha256("trials.jsonl"), sha256("report.json")) == self.SIMULATE[strategy]
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((), "785b592e23eb31590e9d453535f88ef59f778c3dd2e5007033e770ecf4e8adbe"),
+            (
+                ("--f", "0.05", "--tau", "0.1", "--bias-dist", "two_point", "--strategies",
+                 "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
+                "2de176143ee95d8d0b110765ee68643975d83fb1d3d97f1918b323ae37021f22",
+            ),
+        ],
+        ids=["default-catalog", "all-strategies"],
+    )
+    def test_adversary_report_bytes(self, capsys, tmp_path, args, digest):
+        out = str(tmp_path / "adversary.json")
+        code, _, err = run(capsys, "adversary", "--n", "50", "--runs", "600", "--seed", "3", *args, "--out", out)
+        assert code == 0, err
+        assert sha256(out) == digest
 
 
 class TestAuditOutputsPinned:

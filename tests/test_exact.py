@@ -186,6 +186,9 @@ class TestFisherTwoSided:
         # observed one, each with probability 1/C(10,5).
         assert exact.fisher_two_sided(5, 0, 0, 5) == pytest.approx(2 / 252, rel=1e-12)
 
+    def test_integral_float_cells_match_int_cells(self):
+        assert exact.fisher_two_sided(5.0, 0, 0, 5) == exact.fisher_two_sided(5, 0, 0, 5)
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

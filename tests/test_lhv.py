@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from oracles import best_deterministic_winprob, wins
+from oracles import (
+    DeterministicStrategy,
+    all_deterministic_strategies,
+    best_deterministic_winprob,
+    streak_digests,
+    wins,
+)
 
 from bellkit import lhv, rngstream, trials
 from bellkit.lhv import (
     CATALOG,
     MEMORY_CATALOG,
-    DeterministicStrategy,
     RngModel,
     adversary_suite,
-    all_deterministic_strategies,
     make_strategy,
     play_heralded,
     simulate_reference,
@@ -52,6 +56,24 @@ class TestDeterministicStrategies:
         table = DeterministicStrategy(0, 0, 0, 0)
         assert wins(table, 1, 0, tag=+1) is False
         assert wins(table, 1, 1, tag=+1) is True
+
+
+class TestStrategyTables:
+    def test_streak_keyed_state_is_low_bits_of_rolling_hash(self):
+        next_state = CATALOG["streak-keyed"].next_state
+        for seed in range(5):
+            items = np.random.default_rng(seed).integers(0, 48, size=2000).tolist()
+            state = 0
+            for item, digest in zip(items, streak_digests(items)):
+                state = next_state[state][item]
+                assert state == digest & 15
+
+    @pytest.mark.parametrize("name", ["loss-switching", "streak-keyed"])
+    def test_switching_output_maps_are_the_deterministic_tables_in_order(self, name):
+        want = [
+            ((d.output_a0, d.output_a1), (d.output_b0, d.output_b1)) for d in all_deterministic_strategies()
+        ]
+        assert list(CATALOG[name].outputs) == want
 
 
 class TestBestDeterministicWinprob:
@@ -111,6 +133,21 @@ class TestSimulate:
         k, n = aggregate(trialset)
         assert (k, n) == (stats.wins, stats.heralded)
         assert len(trialset) == stats.attempts
+
+    def test_blocks_play_as_one_tape(self):
+        # play_heralded draws its tape in blocks of max(64, 1.5 n) rows; the
+        # machine state must carry from one block into the next.
+        model = RngModel()
+        n_heralds, block = 100, 150
+        spanned = 0
+        for seed in range(20, 30):
+            stats = play_heralded(make_strategy("herald-gating"), model, n_heralds, rngstream.stream(seed))
+            rng = rngstream.stream(seed)
+            tape = np.concatenate([rng.random((block, 9)) for _ in range(stats.attempts // block + 1)]).tolist()
+            _, one_tape, _ = lhv._run_tape(make_strategy("herald-gating"), model, tape, stop_after_heralds=n_heralds)
+            assert one_tape == stats
+            spanned += stats.attempts > block
+        assert spanned >= 5
 
     def test_determinism_per_seed(self):
         a, b, c = (
