@@ -284,7 +284,7 @@ def _cmd_simulate_reference(args: argparse.Namespace) -> int:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     params = _params(args, ("n", "runs", "alpha", "seed", "f", "tau", "bias_dist", "strategies"))
-    names = args.strategies.split(",") if args.strategies else None
+    names = args.strategies.split(",") if args.strategies is not None else None
     report = lhv.adversary_suite(
         n=args.n,
         runs=args.runs,

@@ -3,6 +3,9 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from bellkit.exact import TIE_RELATIVE_EPS
 from bellkit.randomness import MAX_MESSAGE_CHARS
 from bellkit.trials import HERALD_PSI_MINUS, HERALD_PSI_PLUS
 
@@ -107,3 +110,31 @@ def in_second(windows, channel, time_ps):
     """Whether a click at `time_ps` on `channel` lies in round 2's half-open window."""
     start = windows.start(channel) + windows.second_window_offset_ps
     return start <= time_ps < start + len_second(windows, channel)
+
+
+def fisher_chunk_gather(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """`exact._fisher_chunk` as an element gather per cell: the reference its window views must match bit for bit."""
+    r0 = tables[:, 0] + tables[:, 1]
+    r1 = tables[:, 2] + tables[:, 3]
+    c0 = tables[:, 0] + tables[:, 2]
+    n = r0 + r1
+    a_min = np.maximum(0, c0 - r1)
+    a_max = np.minimum(r0, c0)
+    width = int((a_max - a_min).max()) + 1
+    a = a_min[:, None] + np.arange(width)[None, :]
+    valid = a <= a_max[:, None]
+    a = np.where(valid, a, 0)
+    b = c0[:, None] - a
+    lp = (
+        (lg[r0] + lg[r1] - lg[n] + lg[c0] + lg[n - c0])[:, None]
+        - lg[a]
+        - lg[np.where(valid, r0[:, None] - a, 0)]
+        - lg[np.where(valid, b, 0)]
+        - lg[np.where(valid, r1[:, None] - b, 0)]
+    )
+    lp = np.where(valid, lp, -np.inf)
+    lp_obs = lp[np.arange(len(tables)), tables[:, 0] - a_min]
+    keep = lp <= lp_obs[:, None] + np.log1p(TIE_RELATIVE_EPS)
+    p = np.where(keep, np.exp(lp), 0.0).sum(axis=1)
+    degenerate = (r0 == 0) | (r1 == 0) | (c0 == 0) | (c0 == n)
+    return np.where(degenerate, 1.0, np.minimum(p, 1.0))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellkit
-from bellkit import cli
+from bellkit import cli, exact
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 
@@ -307,6 +307,13 @@ class TestSimulateAndAdversary:
         assert (code, out) == (1, "")
         assert err == f"error: alpha must lie in [0, 1], got {float(alpha)}\n"
 
+    @pytest.mark.parametrize("strategies", ["", "coin-flip,"])
+    def test_adversary_empty_strategy_name_exits_one(self, capsys, strategies):
+        # An empty --strategies names one empty strategy; it does not fall back to the default catalog.
+        code, out, err = run(capsys, "adversary", "--n", "10", "--runs", "4", "--strategies", strategies)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown strategy '', expected one of ['classical-optimal', ")
+
     def test_adversary_with_every_bit_early(self, capsys):
         # f = 1 makes the bound 1: every run wins every trial and none is rejected.
         report = run_json(capsys, "adversary", "--n", "10", "--runs", "4", "--f", "1.0")
@@ -442,7 +449,9 @@ class TestHeraldOutputsPinned:
         )
         assert sha256(detections) == "37b86e5b5d187a73944df3c4d2ade8ab67886e58993f42b239b738488bf0e548"
         assert sha256(attempts) == "5a7566abf9bce34c96ed5ac5601fd6f024548ceb9831d4a7e3b6f2e55e83f665"
-        assert sha256(sweep_csv) == "3ca64af393fa1b6ff427dac3f43c6c20f25cbd01efd2166c89780bf60d503eab"
+        # The offsets -500 and 0 have n = 10,138 and 10,824, above exact.BINOM_SUM_LIMIT: their p_local
+        # are the saddle-point tail sums 1.4350410409787663e-116 and 1.726579366905233e-128.
+        assert sha256(sweep_csv) == "0abc4629f1a9aacd47ee04419b0b996bb13ce7158b600a4f852a467687e29c51"
         assert report["attempts"] == 30000
 
     def test_stream_synth_bytes(self, capsys, tmp_path):
@@ -748,6 +757,43 @@ class TestInfrastructure:
             [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
+
+    def test_tails_above_the_sum_limit_leave_scipy_unloaded(self, tmp_path):
+        # analyze on n of about 18,000 heralded trials and a sweep whose last offsets have
+        # n = 10,138 and 10,824 sum the binomial tail above exact.BINOM_SUM_LIMIT.
+        src = os.path.dirname(os.path.dirname(bellkit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        (tmp_path / "windows.json").write_text(json.dumps(WindowConfig().to_dict()), encoding="utf-8")
+        commands = [
+            ["simulate-reference", "--attempts", "60000", "--herald-rate", "0.3", "--win-prob-minus", "0.78",
+             "--win-prob-plus", "0.78", "--seed", "11", "--trials-out", "ref.jsonl"],
+            ["analyze", "ref.jsonl"],
+            ["herald", "synth", "--attempts", "30000", "--seed", "11", "--window-config", "windows.json",
+             "--entangle-prob", "0.55", "--decay-ps", "2500", "--reflection-amplitude", "2.0",
+             "--reflection-center-ps=-1800", "--reflection-sigma-ps", "250", "--afterpulse-prob", "0.02",
+             "--dark-rate", "0.005", "--detections-out", "d.csv", "--attempts-out", "a.jsonl"],
+            ["herald", "sweep", "--detections", "d.csv", "--attempts", "a.jsonl", "--window-config", "windows.json",
+             "--offsets=-1000:0:500", "--sweep-out", "sweep.csv"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from bellkit import cli\n"
+            "reports = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, f'{argv} loaded scipy'\n"
+            "    reports.append(json.loads(out.getvalue()))\n"
+            "print(json.dumps(reports))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        reports = json.loads(result.stdout)
+        assert reports[1]["n"] > exact.BINOM_SUM_LIMIT
+        assert max(row["heralded"] for row in reports[3]["herald_counts"]) > exact.BINOM_SUM_LIMIT
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         out_a = str(tmp_path / "a.json")

@@ -1,5 +1,6 @@
 """Exact-test primitives against independent rational-arithmetic oracles."""
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,32 @@ from scipy import special, stats
 
 from bellkit import exact
 
+from oracles import fisher_chunk_gather
+
+# log sqrt(2 pi) to 50 digits.
+LOG_SQRT_2PI = Decimal("0.91893853320467274178032973640561763986139747363778")
+
 
 def binom_survival_oracle(k: int, n: int, p: Fraction) -> Fraction:
     """Direct summation of binomial pmf terms in exact rational arithmetic."""
     return sum(
         Fraction(math.comb(n, j)) * p**j * (1 - p) ** (n - j) for j in range(k, n + 1)
     )
+
+
+def three_quarters_tail_oracle(k: int, n: int) -> float:
+    """Pr[Bin(n, 3/4) >= k] = sum of C(n, j) 3^j over j >= k, over 4^n, in integers, rounded once."""
+    term = math.comb(n, k) * 3**k
+    total = 0
+    for j in range(k, n + 1):
+        total += term
+        term = term * 3 * (n - j) // (j + 1)
+    return total / 4**n
+
+
+def assert_relative(got: float, want: float, rel: float) -> None:
+    """|got - want| <= rel * |want|, with no absolute floor (pytest.approx passes anything below 1e-12)."""
+    assert abs(got - want) <= rel * abs(want), (got, want, abs(got - want) / abs(want) if want else None)
 
 
 def binom_two_sided_oracle(k: int, n: int, p: Fraction) -> Fraction:
@@ -84,13 +105,51 @@ class TestBinomSurvival:
             )
 
     def test_beta_identity_path_large_n(self):
-        # n above the summation limit switches to the incomplete beta; the
-        # exact rational tail is short enough to compare directly.
+        # n above the summation limit sums Loader's saddle-point pmf; the
+        # exact rational tail (about 2.7e-22) is short enough to compare
+        # directly, with no absolute floor.
         n, k = 20_000, 19_920
         p = Fraction(99, 100)
         got = exact.binom_survival(k, n, float(p))
         want = float(binom_survival_oracle(k, n, p))
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(10_000, 7_501), (10_000, 7_630), (10_000, 8_450), (10_001, 7_501), (10_001, 7_630), (10_001, 8_451),
+         (10_138, 7_604), (10_138, 8_554), (10_824, 9_149), (17_192, 12_911), (17_192, 13_100), (17_192, 14_500)],
+    )
+    def test_three_quarters_against_exact_integers(self, n, k):
+        # Both sides of the limit, from the mean to tails near 1e-118; n =
+        # 10,138 and 10,824 at these k are the heralding sweep's largest
+        # offsets. Up to the limit the tail sums log k! differences, which
+        # lose about log10(n) digits (up to 1.6e-11 at n = 10,000); the
+        # saddle-point terms above it keep 1e-12.
+        rel = 1e-12 if n > exact.BINOM_SUM_LIMIT else 5e-11
+        assert_relative(exact.binom_survival(k, n, 0.75), three_quarters_tail_oracle(k, n), rel)
+
+    def test_above_the_limit_matches_betainc(self):
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            n = int(rng.integers(exact.BINOM_SUM_LIMIT + 1, 10**6 + 1))
+            p = float(rng.uniform(0.05, 0.95))
+            sd = math.sqrt(n * p * (1 - p))
+            k = int(np.clip(round(n * p + rng.uniform(-3.0, 30.0) * sd), 1, n))
+            assert_relative(exact.binom_survival(k, n, p), float(special.betainc(k, n - k + 1, p)), 1e-11)
+
+    @pytest.mark.parametrize(
+        "n, k, p",
+        [(10_001, 1, 1e-12), (10_001, 2, 1e-12), (12_000, 1, 1e-6), (12_000, 3, 1e-6),
+         (12_000, 12_000, 1 - 2.0**-40), (12_000, 11_999, 1 - 2.0**-40), (12_000, 11_991, 0.9995),
+         (20_000, 20_000, 0.999), (10_001, 10_001, 0.9), (10_001, 10_000, 0.9)],
+    )
+    def test_extreme_p_and_k_equal_n(self, n, k, p):
+        # The terms j = k..k+9 of the tail, exactly for the double p = a / b
+        # (int / int division rounds correctly): for these p near 0 the rest
+        # is below 1e-20 of the sum, and for k >= n - 9 there is no rest.
+        a, b = p.as_integer_ratio()
+        head = sum(math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(k, min(n, k + 9) + 1))
+        assert_relative(exact.binom_survival(k, n, p), head / b**n, 1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -119,6 +178,54 @@ class TestBinomSurvival:
                 exact.binom_two_sided(2, 4, p)
             with pytest.raises(ValueError, match=r"\(0, 1\), got"):
                 exact.binom_two_sided_table(4, p)
+
+
+class TestLoaderTerms:
+    """The pieces of the saddle-point pmf used above BINOM_SUM_LIMIT."""
+
+    def test_stirlerr_table(self):
+        for m in range(1, 16):
+            want = math.lgamma(m + 1) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2 * math.pi)
+            assert abs(exact._stirlerr(m) - want) <= 1e-14, m
+
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 35, 36, 80, 81, 500, 501, 1000, 2500])
+    def test_stirlerr_against_fifty_digits(self, m):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = Decimal(math.factorial(m)).ln() - (m + Decimal("0.5")) * Decimal(m).ln() + m - LOG_SQRT_2PI
+        # Absolute, as delta(m) enters a log pmf: five series terms leave
+        # 1.1e-16 at m = 16, well below the log pmf's own rounding.
+        assert abs(exact._stirlerr(m) - float(want)) <= 2e-16
+
+    def test_stirlerr_of_zero_is_unbounded(self):
+        assert exact._stirlerr(np.array([0, 1]))[0] == math.inf
+
+    @pytest.mark.parametrize("mean", [1000.0, 7603.5, 0.012])
+    def test_bd0_on_both_sides_of_the_series_boundary(self, mean):
+        # The series serves |x - mean| < 0.1 (x + mean), that is
+        # mean * 9/11 < x < mean * 11/9.
+        lo, hi = mean * 9 / 11, mean * 11 / 9
+        xs = sorted({1.0, math.floor(lo), math.ceil(lo), math.floor(mean), math.ceil(mean), math.floor(hi),
+                     math.ceil(hi), 5 * math.ceil(mean)} - {0.0})
+        got = exact._bd0(np.array(xs), mean)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            m = Decimal(mean)
+            want = [float(Decimal(x) * (Decimal(x) / m).ln() + m - Decimal(x)) for x in xs]
+        for x, g, w in zip(xs, got, want):
+            assert abs(g - w) <= 1e-14 * w + 1e-300, (x, g, w)
+
+    def test_log_pmf_against_exact_rationals(self):
+        # Every k of a small n, so the table, the ends and the bd0 series all
+        # take part; the ends are the plain n log(1 - p) and n log p.
+        n, p = 40, 0.3
+        got = exact._binom_logpmf_loader(np.arange(n + 1), n, p)
+        exact_p = Fraction(p)
+        for k in range(n + 1):
+            want = Fraction(math.comb(n, k)) * exact_p**k * (1 - exact_p) ** (n - k)
+            assert_relative(math.exp(got[k]), float(want), 1e-13)
+        assert got[0] == n * math.log1p(-p) and got[n] == n * math.log(p)
+        assert exact._binom_logpmf_loader(np.array([0, 1]), 1, p).tolist() == [math.log1p(-p), math.log(p)]
 
 
 class TestBinomTwoSided:
@@ -214,6 +321,21 @@ class TestFisherTwoSided:
         draws = np.random.default_rng(n).multinomial(n, [0.25] * 4, size=reps)
         got = exact.fisher_two_sided_tables(draws, max_cells=max_cells)
         assert np.array_equal(got, fisher_tables_gammaln(draws, max_cells))
+
+    @pytest.mark.parametrize("n, max_cells", [(1, 4_000_000), (2, 7), (37, 500), (37, 4_000_000), (245, 3_000),
+                                              (245, 4_000_000), (4000, 40_000), (4000, 4_000_000)])
+    def test_window_chunks_equal_element_gathers_bit_for_bit(self, n, max_cells):
+        rng = np.random.default_rng(n + max_cells)
+        draws = rng.multinomial(n, rng.dirichlet([1.0] * 4), size=300)
+        margins = [[n, 0, 0, 0], [0, n, 0, 0], [0, 0, n, 0], [0, 0, 0, n], [n - n // 2, n // 2, 0, 0],
+                   [n - n // 2, 0, n // 2, 0]]
+        tables = np.vstack([draws, margins]).astype(np.int64)
+        lg = exact._log_factorial(n + 1)
+        chunk = max(1, max_cells // (n + 1))
+        for lo in range(0, len(tables), chunk):
+            part = tables[lo : lo + chunk]
+            new, old = exact._fisher_chunk(part, lg), fisher_chunk_gather(part, lg)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
     def test_rejects_bad_cells(self):
         with pytest.raises(ValueError):
