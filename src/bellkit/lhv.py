@@ -7,10 +7,12 @@ the attempt's full record (tag, settings, output bits). The state is the
 whole memory of the past, as in the memory model of the binomial bound
 (Gill, arXiv:quant-ph/0301059; Hensen et al., Sci. Rep. 6, 30289, 2016).
 
-Locality is structural: `_run_tape`, the one engine that plays a strategy,
-reads the herald from the state before the settings are drawn, and looks
-up side A's bit with A's setting only and B's with B's only. Everything
-else is allowed and adversarial:
+Locality is structural. `_compile` turns a strategy into two tables
+indexed by (row key, state): the attempt's record and the next state. The
+row key holds each draw only through its own comparisons, so the herald
+comes from the herald draw and the state, whatever the settings; A's bit
+comes from A's setting, A's output draw and the state only, and B's from
+B's. Everything else is allowed and adversarial:
 
 * memory of the full past record, through the state, which also decides
   whether the box heralds, skips or picks the game variant,
@@ -44,9 +46,13 @@ BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")
 # Tape column layout, one row of uniform draws per attempt.
 _T_HERALD, _T_EARLY_A, _T_EARLY_B, _T_BIAS_A, _T_BIAS_B, _T_SET_A, _T_SET_B, _T_OUT_A, _T_OUT_B = range(9)
 
-# play_heralded gives up on a strategy that needs more attempts than this
+# _play_heralded gives up on a strategy that needs more attempts than this
 # many per requested herald.
 _MAX_ATTEMPT_FACTOR = 1000
+
+# _play_heralded draws at most this many tape rows at once, so its memory
+# does not grow with the number of runs.
+_BATCH_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -71,12 +77,15 @@ class RngModel:
         if self.bias_dist not in BIAS_DISTRIBUTIONS:
             raise ValueError(f"bias_dist must be one of {BIAS_DISTRIBUTIONS}, got {self.bias_dist!r}")
 
-    def sample_bias(self, u: float) -> float:
+    def settings(self, u_bias: np.ndarray, u_setting: np.ndarray) -> np.ndarray:
+        """Setting bits from a side's bias and setting draws: 0 if below 1/2 + b."""
         if self.bias_dist == "point":
-            return self.tau
-        if self.bias_dist == "two_point":
-            return 0.5 if u < 2.0 * self.tau else 0.0
-        return u * 2.0 * self.tau
+            bias = self.tau
+        elif self.bias_dist == "two_point":
+            bias = np.where(u_bias < 2.0 * self.tau, 0.5, 0.0)
+        else:
+            bias = u_bias * 2.0 * self.tau
+        return (u_setting >= 0.5 + bias).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -104,10 +113,19 @@ def _required_output_xor(tag, setting_a, setting_b):
     return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
 
 
-def _lost(item: int) -> bool:
-    """Whether the attempt with record `item` was heralded and lost."""
-    tag, setting_a, setting_b, bit_a, bit_b = item // 16 - 1, item >> 3 & 1, item >> 2 & 1, item >> 1 & 1, item & 1
-    return tag != HERALD_NONE and (bit_a ^ bit_b) != _required_output_xor(tag, setting_a, setting_b)
+def _fields(item):
+    """(tag, setting_a, setting_b, bit_a, bit_b) of the attempt record `item`; scalars or integer arrays alike."""
+    return item // 16 - 1, item >> 3 & 1, item >> 2 & 1, item >> 1 & 1, item & 1
+
+
+def _lost(item):
+    """Whether the attempt with record `item` was heralded and lost; scalars or integer arrays alike."""
+    tag, setting_a, setting_b, bit_a, bit_b = _fields(item)
+    return (tag != HERALD_NONE) & ((bit_a ^ bit_b) != _required_output_xor(tag, setting_a, setting_b))
+
+
+_RECORD_HERALDED = _fields(np.arange(48))[0] != HERALD_NONE
+_RECORD_WON = _RECORD_HERALDED & ~_lost(np.arange(48))
 
 
 # The 16 deterministic output tables; table i is (a0, a1, b0, b1) = i in binary.
@@ -182,68 +200,83 @@ class SimStats:
         return self.wins / self.heralded if self.heralded else math.nan
 
 
-def _run_tape(
+def _compile(strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The strategy as tables of the record and the next state over (row key, state).
+
+    A row key is the state-free part of a tape row: both settings, whether
+    either side is early, the early coin, and the class of each of the
+    herald, A output and B output draws among the strategy's distinct
+    thresholds for that draw, returned first. A draw's class is the number
+    of thresholds at or below it, so the draw is below threshold c exactly
+    when its class is at most c's index. Both tables have the shape of the
+    key's fields, then the state.
+    """
+    cut, tag_below, tag_above = np.array(strategy.herald).T
+    outputs = np.array(strategy.outputs)
+    cuts = (np.unique(cut), np.unique(outputs[:, 0]), np.unique(outputs[:, 1]))
+    shape = (2, 2, 2, 2, *(len(c) + 1 for c in cuts), len(strategy.herald))
+    setting_a, setting_b, early, coin, h, a, b, s = np.indices(shape, sparse=True)
+    tag = np.where(h <= np.searchsorted(cuts[0], cut)[s], tag_below[s], tag_above[s]).astype(np.int64)
+    below_a = a <= np.searchsorted(cuts[1], outputs[:, 0])[s, setting_a]
+    below_b = b <= np.searchsorted(cuts[2], outputs[:, 1])[s, setting_b]
+    bit_a = np.where(early, coin, below_a)
+    bit_b = np.where(early, bit_a ^ _required_output_xor(tag, setting_a, setting_b), below_b)
+    record = 16 * (tag + 1) + 8 * setting_a + 4 * setting_b + 2 * bit_a + bit_b
+    return cuts, record, np.array(strategy.next_state)[s, record]
+
+
+def _run_tapes(
     strategy: Strategy,
     rng_model: RngModel,
-    tape: Sequence[Sequence[float]],
-    *,
-    state: int = 0,
-    stop_after_heralds: int | None = None,
-    record: bool = True,
-) -> tuple[TrialSet | None, SimStats, int]:
-    """Play the tape sequentially from machine state `state`.
+    tapes: np.ndarray,
+    state: np.ndarray,
+    stop_after_heralds: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play each run's tape, tapes[r] of shape (rows, 9), from machine state state[r].
 
-    Returns the trials, the counters and the state after the last attempt
-    played. With `record`, the played attempts come back as trials indexed
-    from 1; without, the trial set is None.
+    All runs step through their rows in lockstep. Run r stops after its
+    stop_after_heralds[r]-th heralded attempt, or at the end of its tape.
+    Returns the record of every row, played or not; the counts of each
+    run, one row of the SimStats fields in order; and the state after the
+    last attempt each run played.
     """
-    f = rng_model.f
-    herald, outputs, next_state = strategy.herald, strategy.outputs, strategy.next_state
-    rows: list[tuple[int, int, int, int, int]] = []
-    heralded = wins = early_a = early_b = early_any = 0
-    attempts = 0
-    for row in tape:
-        attempts += 1
-        cut, tag_below, tag_above = herald[state]
-        tag = tag_below if row[_T_HERALD] < cut else tag_above
-        is_early_a = row[_T_EARLY_A] < f
-        is_early_b = row[_T_EARLY_B] < f
-        bias_a = rng_model.sample_bias(row[_T_BIAS_A])
-        bias_b = rng_model.sample_bias(row[_T_BIAS_B])
-        setting_a = 0 if row[_T_SET_A] < 0.5 + bias_a else 1
-        setting_b = 0 if row[_T_SET_B] < 0.5 + bias_b else 1
-        if is_early_a or is_early_b:
-            # Early bit: the trial is scored as won outright. Outcomes are
-            # synthesized to win the tag's game at the realized settings.
-            bit_a = 1 if row[_T_OUT_A] < 0.5 else 0
-            bit_b = bit_a ^ _required_output_xor(tag, setting_a, setting_b)
-        else:
-            out_a, out_b = outputs[state]
-            bit_a = 1 if row[_T_OUT_A] < out_a[setting_a] else 0
-            bit_b = 1 if row[_T_OUT_B] < out_b[setting_b] else 0
-        if tag != HERALD_NONE:
-            heralded += 1
-            wins += (bit_a ^ bit_b) == _required_output_xor(tag, setting_a, setting_b)
-            early_a += is_early_a
-            early_b += is_early_b
-            early_any += is_early_a or is_early_b
-        if record:
-            rows.append((tag, setting_a, setting_b, bit_a, bit_b))
-        state = next_state[state][16 * (tag + 1) + 8 * setting_a + 4 * setting_b + 2 * bit_a + bit_b]
-        if stop_after_heralds is not None and heralded >= stop_after_heralds:
-            break
-    stats = SimStats(
-        attempts=attempts,
-        heralded=heralded,
-        wins=wins,
-        early_a=early_a,
-        early_b=early_b,
-        early_any=early_any,
+    cuts, record, step = _compile(strategy)
+    n_states = record.shape[-1]
+    early_a = tapes[..., _T_EARLY_A] < rng_model.f
+    early_b = tapes[..., _T_EARLY_B] < rng_model.f
+    early_any = early_a | early_b
+    key = np.ravel_multi_index(
+        (
+            rng_model.settings(tapes[..., _T_BIAS_A], tapes[..., _T_SET_A]),
+            rng_model.settings(tapes[..., _T_BIAS_B], tapes[..., _T_SET_B]),
+            early_any,
+            tapes[..., _T_OUT_A] < 0.5,
+            *(np.searchsorted(c, tapes[..., i], side="right") for c, i in zip(cuts, (_T_HERALD, _T_OUT_A, _T_OUT_B))),
+        ),
+        record.shape[:-1],
     )
-    if not record:
-        return None, stats, state
-    tag, setting_a, setting_b, bit_a, bit_b = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    return TrialSet(np.arange(1, attempts + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b), stats, state
+    runs, rows = key.shape
+    at = key * n_states
+    if n_states > 1:
+        # walked[t] is every run's state before row t, walked[rows] after the last row.
+        walked = np.empty((rows + 1, runs), dtype=np.int64)
+        walked[0] = current = state
+        step = step.ravel()
+        for t, row in enumerate(np.ascontiguousarray(at.T), start=1):
+            walked[t] = current = step[row + current]
+        at += walked[:-1].T
+    records = record.ravel()[at]
+    heralded = _RECORD_HERALDED[records]
+    played = np.full(runs, rows)
+    if stop_after_heralds is not None:
+        reached = np.cumsum(heralded, axis=1) >= stop_after_heralds[:, None]
+        stopped = reached[:, -1]
+        played[stopped] = reached[stopped].argmax(axis=1) + 1
+        heralded &= np.arange(rows) < played[:, None]
+    counted = np.stack([heralded, _RECORD_WON[records], early_a, early_b, early_any], axis=-1) & heralded[..., None]
+    counts = np.column_stack([played, counted.sum(axis=1)])
+    end = walked[played, np.arange(runs)] if n_states > 1 else state
+    return records, counts, end
 
 
 def simulate_with_stats(
@@ -255,45 +288,50 @@ def simulate_with_stats(
     """Run `attempts` sequential attempts and return trials plus counters."""
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
-    tape = rngstream.stream(seed).random((attempts, 9)).tolist()
-    trialset, stats, _ = _run_tape(strategy, rng_model, tape)
-    return trialset, stats
+    tape = rngstream.stream(seed).random((1, attempts, 9))
+    records, counts, _ = _run_tapes(strategy, rng_model, tape, np.zeros(1, dtype=np.int64))
+    return _trials(records[0]), SimStats(*counts[0].tolist())
 
 
-def play_heralded(
-    strategy: Strategy,
-    rng_model: RngModel,
-    n_heralds: int,
-    rng: np.random.Generator,
-) -> SimStats:
-    """Run attempts until `n_heralds` trials are scored; counters only.
+def _trials(records: np.ndarray) -> TrialSet:
+    """The attempts with these records as trials indexed from 1."""
+    tag, setting_a, setting_b, bit_a, bit_b = _fields(records)
+    return TrialSet(np.arange(1, len(records) + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b)
 
-    The tape is generated in blocks from `rng`, so adaptive heralding can
-    stretch a run without a preallocated bound. The machine state carries
-    from one block to the next, so the blocks play as one tape.
+
+def _play_heralded(strategy: Strategy, rng_model: RngModel, n_heralds: int, seed: int, runs: range) -> np.ndarray:
+    """Each run's counts, one row of SimStats fields, after `n_heralds` scored trials.
+
+    Run r draws its tape from rngstream.stream(seed, r) in blocks of
+    max(64, 1.5 n) rows, only while it is short of heralds. Its state
+    carries from one block into the next, so the blocks play as one tape.
+    Runs play in batches whose blocks hold at most _BATCH_ROWS rows in all.
     """
     if n_heralds < 1:
         raise ValueError(f"n_heralds must be >= 1, got {n_heralds}")
     block = max(64, int(1.5 * n_heralds))
-    totals = [0, 0, 0, 0, 0, 0]
-    remaining = n_heralds
-    attempts_budget = _MAX_ATTEMPT_FACTOR * n_heralds
-    state = 0
-    while remaining > 0:
-        if totals[0] >= attempts_budget:
-            raise RuntimeError(
-                f"strategy {strategy.name!r} produced {totals[1]} heralds in {totals[0]} attempts; giving up"
-            )
-        tape = rng.random((block, 9)).tolist()
-        _, stats, state = _run_tape(strategy, rng_model, tape, state=state, stop_after_heralds=remaining, record=False)
-        totals[0] += stats.attempts
-        totals[1] += stats.heralded
-        totals[2] += stats.wins
-        totals[3] += stats.early_a
-        totals[4] += stats.early_b
-        totals[5] += stats.early_any
-        remaining = n_heralds - totals[1]
-    return SimStats(*totals)
+    counts = np.zeros((len(runs), 6), dtype=np.int64)
+    state = np.zeros(len(runs), dtype=np.int64)
+    batch = max(1, _BATCH_ROWS // block)
+    for first in range(0, len(runs), batch):
+        rngs = [rngstream.stream(seed, run) for run in runs[first : first + batch]]
+        active = np.arange(first, first + len(rngs))
+        while active.size:
+            # A run goes on only after playing its whole block, so every
+            # active run has played as many attempts as the first.
+            lead = counts[active[0]]
+            if lead[0] >= _MAX_ATTEMPT_FACTOR * n_heralds:
+                raise RuntimeError(
+                    f"strategy {strategy.name!r} produced {lead[1]} heralds in {lead[0]} attempts; giving up"
+                )
+            tapes = np.empty((active.size, block, 9))
+            for tape, run in zip(tapes, active):
+                rngs[run - first].random(out=tape)
+            need = n_heralds - counts[active, 1]
+            _, played, state[active] = _run_tapes(strategy, rng_model, tapes, state[active], need)
+            counts[active] += played
+            active = active[counts[active, 1] < n_heralds]
+    return counts
 
 
 def simulate_reference(
@@ -412,19 +450,17 @@ def adversary_suite(
         raise ValueError("need at least one strategy")
     rng_model = RngModel(f=f, tau=tau, bias_dist=bias_dist)
     beta = beta_win_lemma(BiasParams(f=f, tau=tau))
-    p_table = [pvalue_complete(n, k, beta) for k in range(n + 1)]
+    p_table = np.array([pvalue_complete(n, k, beta) for k in range(n + 1)])
 
     per_strategy = {name: [0, 0] for name in names}
     run_index = 0
     for chunk, name in enumerate(names):
         quota = runs // len(names) + (1 if chunk < runs % len(names) else 0)
         strategy = make_strategy(name)
-        for _ in range(quota):
-            stats = play_heralded(strategy, rng_model, n, rngstream.stream(seed, run_index))
-            run_index += 1
-            per_strategy[name][1] += 1
-            if p_table[stats.wins] <= alpha:
-                per_strategy[name][0] += 1
+        wins = _play_heralded(strategy, rng_model, n, seed, range(run_index, run_index + quota))[:, 2]
+        per_strategy[name][0] += int(np.count_nonzero(p_table[wins] <= alpha))
+        per_strategy[name][1] += quota
+        run_index += quota
     total_reject = sum(r for r, _ in per_strategy.values())
     return AdversaryReport(
         n=n,

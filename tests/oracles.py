@@ -1,13 +1,26 @@
 """Scalar reference forms that bellkit's array code is tested against."""
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from bellkit.exact import TIE_RELATIVE_EPS
+from bellkit.lhv import (
+    _T_BIAS_A,
+    _T_BIAS_B,
+    _T_EARLY_A,
+    _T_EARLY_B,
+    _T_HERALD,
+    _T_OUT_A,
+    _T_OUT_B,
+    _T_SET_A,
+    _T_SET_B,
+    SimStats,
+    _required_output_xor,
+)
 from bellkit.randomness import MAX_MESSAGE_CHARS
-from bellkit.trials import HERALD_PSI_MINUS, HERALD_PSI_PLUS
+from bellkit.trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet
 
 _HASH_MULT = 1000003
 _HASH_MASK = (1 << 61) - 1
@@ -46,6 +59,70 @@ def streak_digests(items):
         digest = (digest * _HASH_MULT + item + 1) & _HASH_MASK
         digests.append(digest)
     return digests
+
+
+def sample_bias(rng_model, u):
+    """The per-trial setting bias b that `rng_model` draws from the uniform `u`."""
+    if rng_model.bias_dist == "point":
+        return rng_model.tau
+    if rng_model.bias_dist == "two_point":
+        return 0.5 if u < 2.0 * rng_model.tau else 0.0
+    return u * 2.0 * rng_model.tau
+
+
+def run_tape(strategy, rng_model, tape, *, state=0, stop_after_heralds=None):
+    """Play the tape one row at a time from machine state `state`.
+
+    Returns the played attempts as trials indexed from 1, the counters and
+    the state after the last attempt played.
+    """
+    f = rng_model.f
+    herald, outputs, next_state = strategy.herald, strategy.outputs, strategy.next_state
+    rows = []
+    heralded = wins = early_a = early_b = early_any = 0
+    attempts = 0
+    for row in tape:
+        attempts += 1
+        cut, tag_below, tag_above = herald[state]
+        tag = tag_below if row[_T_HERALD] < cut else tag_above
+        is_early_a = row[_T_EARLY_A] < f
+        is_early_b = row[_T_EARLY_B] < f
+        setting_a = 0 if row[_T_SET_A] < 0.5 + sample_bias(rng_model, row[_T_BIAS_A]) else 1
+        setting_b = 0 if row[_T_SET_B] < 0.5 + sample_bias(rng_model, row[_T_BIAS_B]) else 1
+        if is_early_a or is_early_b:
+            # Early bit: the trial is scored as won outright. Outcomes are
+            # synthesized to win the tag's game at the realized settings.
+            bit_a = 1 if row[_T_OUT_A] < 0.5 else 0
+            bit_b = bit_a ^ _required_output_xor(tag, setting_a, setting_b)
+        else:
+            out_a, out_b = outputs[state]
+            bit_a = 1 if row[_T_OUT_A] < out_a[setting_a] else 0
+            bit_b = 1 if row[_T_OUT_B] < out_b[setting_b] else 0
+        if tag != HERALD_NONE:
+            heralded += 1
+            wins += (bit_a ^ bit_b) == _required_output_xor(tag, setting_a, setting_b)
+            early_a += is_early_a
+            early_b += is_early_b
+            early_any += is_early_a or is_early_b
+        rows.append((tag, setting_a, setting_b, bit_a, bit_b))
+        state = next_state[state][16 * (tag + 1) + 8 * setting_a + 4 * setting_b + 2 * bit_a + bit_b]
+        if stop_after_heralds is not None and heralded >= stop_after_heralds:
+            break
+    stats = SimStats(attempts, heralded, wins, early_a, early_b, early_any)
+    tag, setting_a, setting_b, bit_a, bit_b = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return TrialSet(np.arange(1, attempts + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b), stats, state
+
+
+def play_heralded(strategy, rng_model, n_heralds, rng):
+    """Counters of one run drawn from `rng` in blocks of max(64, 1.5 n) rows until `n_heralds` trials are scored."""
+    block = max(64, int(1.5 * n_heralds))
+    totals = [0] * 6
+    state = 0
+    while totals[1] < n_heralds:
+        tape = rng.random((block, 9)).tolist()
+        _, stats, state = run_tape(strategy, rng_model, tape, state=state, stop_after_heralds=n_heralds - totals[1])
+        totals = [total + count for total, count in zip(totals, astuple(stats))]
+    return SimStats(*totals)
 
 
 def message_to_bit(text, max_chars=MAX_MESSAGE_CHARS):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import lhv, rngstream, settings_audit
+from bellkit import lhv, settings_audit
 from bellkit.heralding import StreamParams, WindowConfig, sweep, synth_experiment
 from bellkit.lhv import CATALOG, MEMORY_CATALOG, RngModel, adversary_suite
 from bellkit.pvalues import (
@@ -163,7 +163,8 @@ def test_criterion_08_adversary_validity():
     worst = ""
     for name, (f, tau) in itertools.product(sorted(CATALOG), [(0.0, 0.0), (0.0, 0.1), (0.05, 0.0), (0.1, 0.05)]):
         beta = beta_win_lemma(BiasParams(f, tau))
-        stats = lhv.play_heralded(lhv.make_strategy(name), RngModel(f=f, tau=tau), 20_000, rngstream.stream(13))
+        counts = lhv._play_heralded(lhv.make_strategy(name), RngModel(f=f, tau=tau), 20_000, 13, range(1))
+        stats = lhv.SimStats(*counts[0].tolist())
         rate, n = stats.win_rate, stats.heralded
         limit = beta + 3 * math.sqrt(beta * (1 - beta) / n)
         if rate > limit:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellkit
-from bellkit import cli, exact
+from bellkit import cli, exact, lhv
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 
@@ -43,7 +43,7 @@ class TestAnalyze:
         )
         report = run_json(capsys, "analyze", trials_file)
         assert report["s_weighted"] == 4.0
-        assert report["p_complete"] == pytest.approx(0.75**64, rel=1e-9)
+        assert report["p_complete"] == pytest.approx(0.75**64, rel=1e-9, abs=0)
         assert report["p_conventional"] is None  # sigma is zero here
         assert report["version"] and report["config_hash"]
 
@@ -547,6 +547,35 @@ class TestLhvOutputsPinned:
         assert (sha256("trials.jsonl"), sha256("report.json")) == self.SIMULATE[strategy]
 
     @pytest.mark.parametrize(
+        "args, digests",
+        [
+            (
+                ("--f", "0.03", "--tau", "0.08", "--bias-dist", "two_point"),
+                (
+                    "906d0f561b7ef4db446a415e60c41401ce76fc46988897a251059f329e16e5eb",
+                    "c549fb3034a837e09dffb6d6cafd7a17842533e2ef1c0bf14754db0596f2e01d",
+                ),
+            ),
+            (
+                ("--bias-dist", "point", "--tau", "0.5"),
+                (
+                    "79fb72258cc6e942fb65a8f43d54cfb09cd80b04a5ede25bb8c89d553e1d63c5",
+                    "2aaf72df00ae50da7989e007293384c460f9e4f911a168e705b6ac332f68f691",
+                ),
+            ),
+        ],
+        ids=["two-point", "point-tau-half"],
+    )
+    def test_herald_gating_simulate_bytes(self, capsys, tmp_path, monkeypatch, args, digests):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "herald-gating", "--attempts", "3000", *args, "--seed", "11",
+            "--trials-out", "trials.jsonl", "--out", "report.json",
+        )
+        assert code == 0, err
+        assert (sha256("trials.jsonl"), sha256("report.json")) == digests
+
+    @pytest.mark.parametrize(
         "args, digest",
         [
             ((), "785b592e23eb31590e9d453535f88ef59f778c3dd2e5007033e770ecf4e8adbe"),
@@ -555,14 +584,34 @@ class TestLhvOutputsPinned:
                  "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
                 "2de176143ee95d8d0b110765ee68643975d83fb1d3d97f1918b323ae37021f22",
             ),
+            (
+                ("--f", "0.03", "--tau", "0.08", "--bias-dist", "uniform", "--strategies",
+                 "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
+                "1b3c93e338bb0d75769d53eec7eac53a920ebf99d8652aaa7498208bc3ad8b3d",
+            ),
         ],
-        ids=["default-catalog", "all-strategies"],
+        ids=["default-catalog", "all-strategies", "all-strategies-uniform"],
     )
     def test_adversary_report_bytes(self, capsys, tmp_path, args, digest):
         out = str(tmp_path / "adversary.json")
         code, _, err = run(capsys, "adversary", "--n", "50", "--runs", "600", "--seed", "3", *args, "--out", out)
         assert code == 0, err
         assert sha256(out) == digest
+
+    def test_adversary_one_herald_bytes(self, capsys, tmp_path):
+        out = str(tmp_path / "adversary.json")
+        code, _, err = run(capsys, "adversary", "--n", "1", "--runs", "600", "--seed", "3", "--out", out)
+        assert code == 0, err
+        assert sha256(out) == "3854c2734783f8c83b28a2770a14d7bd968fb4f6b5dcb876d136eb37526563fc"
+
+    def test_adversary_bytes_across_batches(self, capsys, tmp_path):
+        # 150 runs per strategy of max(64, 1.5 * 400) = 600 tape rows each
+        # fill more than one batch of lhv._BATCH_ROWS rows.
+        assert 150 * 600 > lhv._BATCH_ROWS
+        out = str(tmp_path / "adversary.json")
+        code, _, err = run(capsys, "adversary", "--n", "400", "--runs", "600", "--seed", "3", "--out", out)
+        assert code == 0, err
+        assert sha256(out) == "dd21418f15cd8099f99b8ee0673c14901b87b4f4dc845b61d74d103d63464cc7"
 
 
 class TestAuditOutputsPinned:
@@ -653,7 +702,7 @@ class TestRng:
 
         report = run_json(capsys, "rng", "bias", "--bits", bits, "--block8")
         assert report["n"] == 10
-        assert report["uncertainty"] == pytest.approx(1 / (2 * math.sqrt(10)), rel=1e-12)
+        assert report["uncertainty"] == pytest.approx(1 / (2 * math.sqrt(10)), rel=1e-12, abs=0)
 
         quantum = tmp_path / "quantum.txt"
         quantum.write_text("".join(f"{i % 2}\n" for i in range(10)), encoding="utf-8")

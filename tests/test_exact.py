@@ -92,7 +92,7 @@ class TestBinomSurvival:
                         (237, 300, three_quarters), (600, 1000, Fraction(3, 5))]:
             got = exact.binom_survival(k, n, float(p))
             want = float(binom_survival_oracle(k, n, p))
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(0)
@@ -101,7 +101,7 @@ class TestBinomSurvival:
             k = int(rng.integers(0, n + 1))
             p = float(rng.uniform(0.05, 0.95))
             assert exact.binom_survival(k, n, p) == pytest.approx(
-                float(stats.binom.sf(k - 1, n, p)), rel=1e-10
+                float(stats.binom.sf(k - 1, n, p)), rel=1e-10, abs=0
             )
 
     def test_beta_identity_path_large_n(self):
@@ -235,19 +235,19 @@ class TestBinomTwoSided:
             for k in range(0, n + 1, max(1, n // 5)):
                 got = exact.binom_two_sided(k, n, 0.5)
                 want = float(binom_two_sided_oracle(k, n, half))
-                assert got == pytest.approx(want, rel=1e-12), (k, n)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (k, n)
 
     def test_asymmetric_p(self):
         p = Fraction(3, 10)
         for k, n in [(0, 12), (5, 12), (12, 12), (20, 45)]:
             got = exact.binom_two_sided(k, n, 0.3)
             want = float(binom_two_sided_oracle(k, n, p))
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_table_matches_scalar(self):
         table = exact.binom_two_sided_table(245, 0.5)
         for m in (0, 1, 53, 113, 122, 123, 132, 200, 245):
-            assert table[m] == pytest.approx(exact.binom_two_sided(m, 245, 0.5), rel=1e-12)
+            assert table[m] == pytest.approx(exact.binom_two_sided(m, 245, 0.5), rel=1e-12, abs=0)
 
 
 def fisher_tables_gammaln(tables: np.ndarray, max_cells: int) -> np.ndarray:
@@ -286,12 +286,12 @@ class TestFisherTwoSided:
         for cells in tables:
             got = exact.fisher_two_sided(*cells)
             want = float(fisher_two_sided_oracle(*cells))
-            assert got == pytest.approx(want, rel=1e-12), cells
+            assert got == pytest.approx(want, rel=1e-12, abs=0), cells
 
     def test_diagonal_table_value(self):
         # [[5,0],[0,5]]: only the two diagonal tables are as unlikely as the
         # observed one, each with probability 1/C(10,5).
-        assert exact.fisher_two_sided(5, 0, 0, 5) == pytest.approx(2 / 252, rel=1e-12)
+        assert exact.fisher_two_sided(5, 0, 0, 5) == pytest.approx(2 / 252, rel=1e-12, abs=0)
 
     def test_integral_float_cells_match_int_cells(self):
         assert exact.fisher_two_sided(5.0, 0, 0, 5) == exact.fisher_two_sided(5, 0, 0, 5)
@@ -302,7 +302,7 @@ class TestFisherTwoSided:
             cells = rng.integers(0, 40, size=4)
             got = exact.fisher_two_sided(*(int(c) for c in cells))
             want = stats.fisher_exact([[cells[0], cells[1]], [cells[2], cells[3]]])[1]
-            assert got == pytest.approx(want, rel=1e-7), cells
+            assert got == pytest.approx(want, rel=1e-7, abs=0), cells
 
     def test_degenerate_margins(self):
         assert exact.fisher_two_sided(0, 0, 3, 5) == 1.0
@@ -313,7 +313,7 @@ class TestFisherTwoSided:
         draws = rng.multinomial(245, [0.25] * 4, size=200)
         vec = exact.fisher_two_sided_tables(draws)
         for row, p in zip(draws, vec):
-            assert p == pytest.approx(exact.fisher_two_sided(*(int(c) for c in row)), rel=1e-10)
+            assert p == pytest.approx(exact.fisher_two_sided(*(int(c) for c in row)), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("n, reps, max_cells", [(1, 50, 4_000_000), (37, 300, 500), (245, 2000, 4_000_000),
                                                     (4000, 2000, 4_000_000)])
@@ -349,7 +349,7 @@ class TestChi2Survival:
     def test_matches_scipy(self, df):
         for x in (0.1, 1.0, 3.841458820694124, 10.0, 16.0, 40.0):
             assert exact.chi2_survival(x, df) == pytest.approx(
-                float(stats.chi2.sf(x, df)), rel=1e-10
+                float(stats.chi2.sf(x, df)), rel=1e-10, abs=0
             )
 
     def test_quantile_inversion(self):
@@ -363,7 +363,7 @@ class TestChi2Survival:
 class TestNormalSurvival:
     def test_matches_scipy(self):
         for z in (-3.0, -1.0, 0.0, 0.5, 1.944444444, 2.7941176, 5.0):
-            assert exact.normal_survival(z) == pytest.approx(float(stats.norm.sf(z)), rel=1e-12)
+            assert exact.normal_survival(z) == pytest.approx(float(stats.norm.sf(z)), rel=1e-12, abs=0)
 
 
 class TestUniform4Logpmf:

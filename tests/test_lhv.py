@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import oracles
 from oracles import (
     DeterministicStrategy,
     all_deterministic_strategies,
@@ -16,9 +17,9 @@ from bellkit.lhv import (
     CATALOG,
     MEMORY_CATALOG,
     RngModel,
+    SimStats,
     adversary_suite,
     make_strategy,
-    play_heralded,
     simulate_reference,
     simulate_with_stats,
 )
@@ -30,9 +31,22 @@ def three_sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def play_heralded(strategy, model, n_heralds, seed):
+    """Counters of one run drawn from stream (seed, 0) until n_heralds trials are scored."""
+    return SimStats(*lhv._play_heralded(strategy, model, n_heralds, seed, range(1))[0].tolist())
+
+
+def play_tape(strategy, model, tape, stop_after_heralds=None):
+    """Trials and counters of one run over the whole (rows, 9) `tape`, or until it has stop_after_heralds heralds."""
+    stop = None if stop_after_heralds is None else np.array([stop_after_heralds])
+    records, counts, _ = lhv._run_tapes(strategy, model, tape[None], np.zeros(1, dtype=np.int64), stop)
+    played = counts[0, 0]
+    return lhv._trials(records[0, :played]), SimStats(*counts[0].tolist())
+
+
 def win_rate(name, model, n_heralds, seed):
     """Win fraction of strategy `name` over exactly n_heralds scored trials, and that count."""
-    stats = play_heralded(make_strategy(name), model, n_heralds, rngstream.stream(seed))
+    stats = play_heralded(make_strategy(name), model, n_heralds, seed)
     return stats.win_rate, stats.heralded
 
 
@@ -141,10 +155,10 @@ class TestSimulate:
         n_heralds, block = 100, 150
         spanned = 0
         for seed in range(20, 30):
-            stats = play_heralded(make_strategy("herald-gating"), model, n_heralds, rngstream.stream(seed))
+            stats = play_heralded(make_strategy("herald-gating"), model, n_heralds, seed)
             rng = rngstream.stream(seed)
-            tape = np.concatenate([rng.random((block, 9)) for _ in range(stats.attempts // block + 1)]).tolist()
-            _, one_tape, _ = lhv._run_tape(make_strategy("herald-gating"), model, tape, stop_after_heralds=n_heralds)
+            tape = np.concatenate([rng.random((block, 9)) for _ in range(stats.attempts // block + 1)])
+            _, one_tape = play_tape(make_strategy("herald-gating"), model, tape, stop_after_heralds=n_heralds)
             assert one_tape == stats
             spanned += stats.attempts > block
         assert spanned >= 5
@@ -158,13 +172,125 @@ class TestSimulate:
         assert columns(a) != columns(c)
 
 
+MODELS = [
+    RngModel(f=f, tau=tau, bias_dist=dist)
+    for dist in lhv.BIAS_DISTRIBUTIONS
+    for f, tau in [(0.0, 0.0), (0.03, 0.08), (1.0, 0.0), (0.0, 0.5)]
+]
+
+
+def threshold_tape(strategy, model, rows, seed):
+    """A tape whose draws sit on the comparisons the engine makes, or at random.
+
+    Each draw is 0.0, a herald cut, 1/2, 1/2 + b, an output probability, f,
+    2 tau (the two-point bias cut) or a uniform value. Every third row puts
+    each setting draw exactly on 1/2 + b for that row's bias draw.
+    """
+    special = {0.0, 0.5, model.f, 0.5 + model.tau, 2.0 * model.tau, 1.0}
+    special.update(cut for cut, _, _ in strategy.herald)
+    special.update(p for side_tables in strategy.outputs for side in side_tables for p in side)
+    rng = np.random.default_rng(seed)
+    values = np.array(sorted(special))
+    tape = np.where(rng.random((rows, 9)) < 0.5, rng.choice(values, (rows, 9)), rng.random((rows, 9)))
+    for row in tape[::3]:
+        row[lhv._T_SET_A] = 0.5 + oracles.sample_bias(model, row[lhv._T_BIAS_A])
+        row[lhv._T_SET_B] = 0.5 + oracles.sample_bias(model, row[lhv._T_BIAS_B])
+    return tape
+
+
+class TestTapeEngine:
+    """The lockstep engine against the row-at-a-time oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.bias_dist}-{m.f}-{m.tau}")
+    def test_matches_row_oracle(self, name, model):
+        strategy = make_strategy(name)
+        for seed, tape in enumerate([rngstream.stream(21).random((500, 9)), threshold_tape(strategy, model, 500, 22)]):
+            for state in range(len(strategy.herald)):
+                want_trials, want_stats, want_state = oracles.run_tape(strategy, model, tape.tolist(), state=state)
+                records, counts, end = lhv._run_tapes(strategy, model, tape[None], np.array([state]))
+                assert columns(lhv._trials(records[0])) == columns(want_trials), (seed, state)
+                assert SimStats(*counts[0].tolist()) == want_stats
+                assert end.tolist() == [want_state]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_runs_in_lockstep_stop_on_their_own(self, name):
+        # Eight runs from different states and with different herald
+        # targets share one call; each must play as it would alone.
+        strategy = make_strategy(name)
+        model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
+        tapes = np.stack([threshold_tape(strategy, model, 120, seed) for seed in range(8)])
+        state = np.arange(8) % len(strategy.herald)
+        stop = np.array([1, 2, 5, 40, 80, 119, 120, 500])
+        records, counts, end = lhv._run_tapes(strategy, model, tapes, state, stop)
+        for run in range(8):
+            want_trials, want_stats, want_state = oracles.run_tape(
+                strategy, model, tapes[run].tolist(), state=int(state[run]), stop_after_heralds=int(stop[run])
+            )
+            played = counts[run, 0]
+            assert columns(lhv._trials(records[run, :played])) == columns(want_trials), run
+            assert SimStats(*counts[run].tolist()) == want_stats
+            assert end[run] == want_state
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("n_heralds", [1, 7, 100])
+    def test_heralded_runs_match_oracle(self, name, n_heralds):
+        model = RngModel(f=0.03, tau=0.08, bias_dist="two_point")
+        strategy = make_strategy(name)
+        got = lhv._play_heralded(strategy, model, n_heralds, 4, range(40))
+        want = [oracles.play_heralded(strategy, model, n_heralds, rngstream.stream(4, i)) for i in range(40)]
+        assert [SimStats(*row) for row in got.tolist()] == want
+
+    def test_heralded_runs_span_blocks(self):
+        # A box that heralds 30% of its attempts needs about 333 for 100
+        # heralds: runs go on for two or three blocks of 150 rows and stop
+        # inside the last, some while their batch mates have finished.
+        sparse = lhv.Strategy("sparse", ((0.3, -1, 0),), (((0.0, 0.5), (0.5, 1.0)),), ((0,) * 48,))
+        model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
+        got = lhv._play_heralded(sparse, model, 100, 5, range(40))
+        want = [oracles.play_heralded(sparse, model, 100, rngstream.stream(5, i)) for i in range(40)]
+        assert [SimStats(*row) for row in got.tolist()] == want
+        blocks = set((got[:, 0] - 1) // 150 + 1)
+        assert blocks == {2, 3}
+
+    def test_gives_up_on_a_strategy_that_never_heralds(self):
+        silent = lhv.Strategy("silent", ((0.0, 0, 0),), (((0.0, 0.0), (0.0, 0.0)),), ((0,) * 48,))
+        with pytest.raises(RuntimeError, match="produced 0 heralds in 1024 attempts"):
+            lhv._play_heralded(silent, RngModel(), 1, 6, range(3))
+
+    def test_gives_up_naming_the_first_run_short_of_heralds(self):
+        # A box that heralds one attempt in 2,000 rarely reaches 5 heralds
+        # within the budget of 5,000 attempts, 79 blocks of 64 rows. At seed
+        # 1, run 0 gets there and runs 1-3 do not, with 2, 2 and 3 heralds:
+        # the error names run 1, as playing the runs one by one would.
+        rare = lhv.Strategy("rare", ((0.0005, -1, 0),), (((0.0, 0.0), (0.0, 0.0)),), ((0,) * 48,))
+        tape = rngstream.stream(1, 1).random((79 * 64, 9)).tolist()
+        _, short, _ = oracles.run_tape(rare, RngModel(), tape, stop_after_heralds=5)
+        with pytest.raises(RuntimeError, match=f"produced {short.heralded} heralds in {79 * 64} attempts"):
+            lhv._play_heralded(rare, RngModel(), 5, 1, range(4))
+
+    @pytest.mark.parametrize("n, alpha", [(1, 0.9), (30, 0.3)])
+    def test_batch_split_does_not_change_the_report(self, monkeypatch, n, alpha):
+        def report():
+            return adversary_suite(
+                n=n, runs=45, alpha=alpha, seed=23, f=0.03, tau=0.08, bias_dist="uniform", strategies=sorted(CATALOG)
+            )
+
+        monkeypatch.setattr(lhv, "_BATCH_ROWS", 1)
+        one_run_each = report()
+        monkeypatch.setattr(lhv, "_BATCH_ROWS", 10**9)
+        all_at_once = report()
+        assert one_run_each == all_at_once
+        assert 0 < one_run_each.rejections < one_run_each.runs
+
+
 class TestLocality:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_flipping_b_setting_leaves_a_outcome_unchanged(self, name):
         model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
         attempts = 400
         tape = rngstream.stream(8).random((attempts, 9))
-        base = lhv._run_tape(make_strategy(name), model, tape.tolist())[0]
+        base = play_tape(make_strategy(name), model, tape)[0]
         for position in (50, 200, attempts - 1):
             # B's setting draw at its extremes: below 1/2 + bias picks B's
             # preferred setting, above it (bias is at most 2 tau = 0.16 here)
@@ -173,7 +299,7 @@ class TestLocality:
             for draw in (0.0, np.nextafter(1.0, 0.0)):
                 perturbed = tape.copy()
                 perturbed[position, lhv._T_SET_B] = draw
-                runs.append(lhv._run_tape(make_strategy(name), model, perturbed.tolist())[0])
+                runs.append(play_tape(make_strategy(name), model, perturbed)[0])
             assert {int(run.setting_b[position]) for run in runs} == {0, 1}
             for run in runs:
                 assert run.outcome_a[position] == base.outcome_a[position]
@@ -263,6 +389,12 @@ class TestAdversarySuite:
         report = adversary_suite(n=10, runs=10, alpha=0.05, seed=19, strategies=["classical-optimal", "coin-flip"])
         assert report.by_strategy["classical-optimal"][1] == 5
         assert report.by_strategy["coin-flip"][1] == 5
+
+    def test_repeated_name_pools_its_chunks(self):
+        names = ["coin-flip", "classical-optimal", "coin-flip"]
+        report = adversary_suite(n=10, runs=9, alpha=0.3, seed=19, strategies=names)
+        assert report.by_strategy["coin-flip"][1] == 6
+        assert report.by_strategy["classical-optimal"][1] == 3
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

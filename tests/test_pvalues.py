@@ -84,7 +84,7 @@ class TestPvalueComplete:
         assert pvalue_complete(10, 0, 0.75) == 1.0
 
     def test_two_of_two(self):
-        assert pvalue_complete(2, 2, 0.75) == pytest.approx(0.5625, rel=1e-12)
+        assert pvalue_complete(2, 2, 0.75) == pytest.approx(0.5625, rel=1e-12, abs=0)
 
     def test_reference_run_values_against_exact_oracle(self):
         beta = Fraction(3, 4)
@@ -92,7 +92,7 @@ class TestPvalueComplete:
         for (n, k), approx in cases.items():
             got = pvalue_complete(n, k, 0.75)
             want = float(binom_survival_oracle(k, n, beta))
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
             assert got == pytest.approx(approx, abs=0.004)
 
     def test_monotone_in_beta(self):
@@ -111,7 +111,7 @@ class TestPvalueComplete:
             k = int(rng.integers(0, n + 1))
             got = pvalue_complete(n, k, 0.75)
             want = float(binom_survival_oracle(k, n, Fraction(3, 4)))
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestPvalueConventional:
     def test_second_run_from_rounded_inputs(self):
         # Phi tail at z = 0.35 / 0.18 = 1.9444.
         got = pvalue_conventional(2.35, 0.18)
-        assert got == pytest.approx(float(stats.norm.sf(0.35 / 0.18)), rel=1e-12)
+        assert got == pytest.approx(float(stats.norm.sf(0.35 / 0.18)), rel=1e-12, abs=0)
         assert got == pytest.approx(0.0259, abs=2e-4)
 
     def test_sigma_domain(self):
@@ -158,7 +158,7 @@ class TestFisherCombine:
 
     def test_single_p_identity(self):
         for p in (0.05, 0.3, 0.9):
-            assert fisher_combine([p]) == pytest.approx(p, rel=1e-12)
+            assert fisher_combine([p]) == pytest.approx(p, rel=1e-12, abs=0)
 
     def test_reference_combination(self):
         assert fisher_combine([0.039, 0.061]) == pytest.approx(0.017, abs=5e-4)
@@ -169,7 +169,7 @@ class TestFisherCombine:
             ps = rng.uniform(0.001, 1.0, size=int(rng.integers(1, 6)))
             statistic = -2.0 * np.sum(np.log(ps))
             want = float(stats.chi2.sf(statistic, 2 * len(ps)))
-            assert fisher_combine([float(p) for p in ps]) == pytest.approx(want, rel=1e-10)
+            assert fisher_combine([float(p) for p in ps]) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestTauCurve:
         tau_star = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * (beta - 0.75)))
         p_f = pvalue_vs_tau_curve(300, 237, [0.0], f=f)[0][1]
         p_tau = pvalue_vs_tau_curve(300, 237, [tau_star], f=0.0)[0][1]
-        assert p_f == pytest.approx(p_tau, rel=1e-9)
+        assert p_f == pytest.approx(p_tau, rel=1e-9, abs=0)
 
     def test_grid_validation_propagates(self):
         with pytest.raises(ValueError):

@@ -193,7 +193,7 @@ class TestEstimateBias:
     def test_uncertainty_halves_when_n_quadruples(self):
         small = estimate_bias(BitStream(bits=(0, 1) * 50))
         large = estimate_bias(BitStream(bits=(0, 1) * 200))
-        assert large.uncertainty == pytest.approx(small.uncertainty / 2, rel=1e-12)
+        assert large.uncertainty == pytest.approx(small.uncertainty / 2, rel=1e-12, abs=0)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):

@@ -47,12 +47,12 @@ class TestBinomUniform:
         half = Fraction(1, 2)
         want_a = float(binom_two_sided_oracle(113, 245, half))
         want_b = float(binom_two_sided_oracle(130, 245, half))
-        assert binom_uniform(FIRST_RUN, "A") == pytest.approx(want_a, rel=1e-12)
-        assert binom_uniform(FIRST_RUN, "B") == pytest.approx(want_b, rel=1e-12)
+        assert binom_uniform(FIRST_RUN, "A") == pytest.approx(want_a, rel=1e-12, abs=0)
+        assert binom_uniform(FIRST_RUN, "B") == pytest.approx(want_b, rel=1e-12, abs=0)
 
     def test_extreme_marginal(self):
         counts = SettingCounts(0, 0, 122, 123)  # marginal A = 245 of 245
-        assert binom_uniform(counts, "A") == pytest.approx(2.0 * 0.5**245, rel=1e-10)
+        assert binom_uniform(counts, "A") == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
 
     def test_side_validation(self):
         with pytest.raises(ValueError):
@@ -99,8 +99,8 @@ class TestFisher2x2:
     def test_diagonal_against_enumeration(self):
         got = fisher_2x2(SettingCounts(5, 0, 0, 5))
         want = float(fisher_two_sided_oracle(5, 0, 0, 5))
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(1 / 126, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert got == pytest.approx(1 / 126, rel=1e-12, abs=0)
 
     def test_small_tables_against_enumeration(self):
         rng = np.random.default_rng(4)
@@ -110,7 +110,7 @@ class TestFisher2x2:
                 continue
             got = fisher_2x2(SettingCounts(*cells))
             want = float(fisher_two_sided_oracle(*cells))
-            assert got == pytest.approx(want, rel=1e-12), cells
+            assert got == pytest.approx(want, rel=1e-12, abs=0), cells
 
     def test_degenerate_margin_is_one(self):
         assert fisher_2x2(SettingCounts(0, 0, 5, 7)) == 1.0
@@ -123,7 +123,7 @@ class TestPearsonChi2:
     def test_statistic_sixteen(self):
         # Margins are all 5000, expecteds 2500, statistic 4 * 100^2 / 2500.
         got = pearson_chi2(SettingCounts(2600, 2400, 2400, 2600))
-        assert got == pytest.approx(math.erfc(math.sqrt(8.0)), rel=1e-12)
+        assert got == pytest.approx(math.erfc(math.sqrt(8.0)), rel=1e-12, abs=0)
         assert got == pytest.approx(6.33e-5, abs=3e-7)
 
     def test_quantile_inversion_level(self):
@@ -131,7 +131,7 @@ class TestPearsonChi2:
         # P-value near 0.05.
         counts = SettingCounts(2549, 2451, 2451, 2549)
         statistic = 4 * (49**2) / 2500
-        assert pearson_chi2(counts) == pytest.approx(math.erfc(math.sqrt(statistic / 2)), rel=1e-12)
+        assert pearson_chi2(counts) == pytest.approx(math.erfc(math.sqrt(statistic / 2)), rel=1e-12, abs=0)
         assert 0.04 < pearson_chi2(counts) < 0.06
 
     def test_zero_margin_errors(self):
