@@ -3,7 +3,7 @@
 Log-space implementations of the binomial, hypergeometric and multinomial
 pmfs plus the tail probabilities and two-sided exact tests built on them.
 Everything in this module is deterministic; Monte Carlo layers live in the
-calling modules.
+calling modules. It needs numpy and the standard library only.
 
 Two-sided tests use the probability ordering ("minlike") convention: the
 P-value is the total probability of all outcomes whose pmf does not exceed
@@ -12,15 +12,13 @@ the observed outcome's pmf, with a small relative tolerance for ties.
 Every log k! comes from one table, `_log_factorial`, whose entries equal
 `scipy.special.gammaln(k + 1)` bit for bit: the reports were pinned with
 gammaln, and a one-ulp change in a log pmf can move a tie or the last
-printed digit of a P-value. Above BINOM_SUM_LIMIT the binomial tail sums
-Loader's saddle-point pmf instead, which needs only log, log1p and a
-16-entry table. scipy itself is loaded only for the calls with no such
-form: the incomplete gamma (odd df > 1) and the vectorised erfc of the
-Pearson audit path.
+printed digit of a P-value. The binomial tail sums Loader's saddle-point
+pmf at every n, which needs only log, log1p and a 16-entry table and keeps
+each term to about 1e-16 relative, where log k! differences lose about
+log10(n) digits.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -31,13 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 TIE_RELATIVE_EPS = 1e-7
 
 _LOG_TIE = math.log1p(TIE_RELATIVE_EPS)
-
-# Up to this n the binomial tail sums log k! differences; above it, Loader's
-# saddle-point pmf, whose terms keep ~1e-16 relative accuracy where the log
-# k! differences lose about log10(n) digits. The split stays here so every
-# tail at n <= 10,000, and so every pinned report computed at those sizes,
-# keeps its bytes.
-BINOM_SUM_LIMIT = 10_000
 
 
 # Constants of the cephes `lgam` routine behind scipy.special.gammaln.
@@ -66,21 +57,6 @@ _STIRLERR_TABLE = np.array([
 ])
 # Coefficients of Stirling's series for delta(m), in powers 1/m, 1/m**3, ..., 1/m**9.
 _STIRLING_S = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
-
-
-@functools.cache
-def _special():
-    """`scipy.special`, imported on first use.
-
-    Only `gammaincc` (odd df > 1) and the vectorised `erfc` of
-    `settings_audit._pearson_many` (n >= 5,000 events) need it; log k! comes
-    from `_log_factorial` and the binomial tail above BINOM_SUM_LIMIT from
-    `_binom_logpmf_loader`, so every other command starts without loading
-    scipy.
-    """
-    from scipy import special
-
-    return special
 
 
 def _lgam_whole(lo: int, hi: int) -> np.ndarray:
@@ -231,20 +207,15 @@ def _binom_logpmf_loader(k: np.ndarray, n: int, p: float) -> np.ndarray:
 def binom_survival(k: int, n: int, p: float) -> float:
     """Pr[Bin(n, p) >= k], for 0 < p <= 1.
 
-    A compensated sum of the pmf terms k..n in log space: log k!
-    differences for n <= BINOM_SUM_LIMIT, Loader's saddle-point form
-    beyond that. At p = 1 every draw is n, so the tail is exactly 1.
+    A compensated sum of the pmf terms k..n in log space, each in Loader's
+    saddle-point form. At p = 1 every draw is n, so the tail is exactly 1.
     """
     _check_counts(k, n)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability must lie in (0, 1], got {p}")
     if k <= 0 or p == 1.0:
         return 1.0
-    if n > BINOM_SUM_LIMIT:
-        tail = _binom_logpmf_loader(np.arange(k, n + 1), n, p)
-    else:
-        tail = binom_logpmf_vector(n, p)[k:]
-    return min(1.0, _sum_exp(tail))
+    return min(1.0, _sum_exp(_binom_logpmf_loader(np.arange(k, n + 1), n, p)))
 
 
 def binom_two_sided(k: int, n: int, p: float = 0.5) -> float:
@@ -364,21 +335,19 @@ def _fisher_chunk(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
 def chi2_survival(x: float, df: int) -> float:
     """Pr[chi-squared with df degrees of freedom >= x].
 
-    Closed forms for df = 1 and even df (all this package needs); the
-    regularized upper incomplete gamma otherwise.
+    Closed forms for df = 1 and even df, all this package needs; any other
+    df raises.
     """
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    if df < 1 or (df > 1 and df % 2):
+        raise ValueError(f"degrees of freedom must be 1 or even, got {df}")
     if x <= 0.0:
         return 1.0
     if df == 1:
         return float(math.erfc(math.sqrt(x / 2.0)))
-    if df % 2 == 0:
-        m = df // 2
-        i = np.arange(m)
-        log_terms = -x / 2.0 + i * math.log(x / 2.0) - _log_factorial(m)[:m]
-        return min(1.0, _sum_exp(log_terms))
-    return float(_special().gammaincc(df / 2.0, x / 2.0))
+    m = df // 2
+    i = np.arange(m)
+    log_terms = -x / 2.0 + i * math.log(x / 2.0) - _log_factorial(m)[:m]
+    return min(1.0, _sum_exp(log_terms))
 
 
 def normal_survival(z: float) -> float:

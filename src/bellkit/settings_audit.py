@@ -114,16 +114,6 @@ class McPValue:
     mc_error: float
     reps: int
 
-    @property
-    def resolution(self) -> float:
-        """Smallest nonzero estimate the run could have produced."""
-        return 1.0 / self.reps
-
-    def __str__(self) -> str:
-        if self.p == 0.0:
-            return f"< {self.resolution:g}"
-        return f"{self.p:g} +- {self.mc_error:g}"
-
 
 def binom_uniform(counts: SettingCounts, side: str) -> float:
     """Exact two-tailed binomial test of one side's marginal against 1/2."""
@@ -161,7 +151,10 @@ def multinomial_uniform_mc(
     Estimates the probability that a uniform multinomial draw of the same
     size is at least as extreme as the observed table. "Extreme" follows
     the chosen ordering: outcome probability (the exact-test convention,
-    default) or the chi-squared distance from equal counts.
+    default) or the chi-squared distance from equal counts. The estimate
+    is (1 + hits) / (1 + reps), which counts the observed table as one of
+    the draws, so it is never zero and valid at every rep count (Phipson &
+    Smyth, "Permutation P-values should never be zero", SAGMB 9, 2010).
     """
     n = counts.total
     if n < 1:
@@ -172,7 +165,7 @@ def multinomial_uniform_mc(
     draws = rng.multinomial(n, [0.25] * 4, size=reps)
     stat = _ordering_stat(draws, n, ordering)
     stat_obs = float(_ordering_stat(counts.as_array(), n, ordering))
-    p = float(np.mean(stat <= stat_obs + _STAT_TOL))
+    p = (1 + int(np.count_nonzero(stat <= stat_obs + _STAT_TOL))) / (1 + reps)
     return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps), reps=reps)
 
 
@@ -212,7 +205,7 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     and the cumulative probability up to each; tied statistics have equal
     probabilities, so their order within a tie leaves the sums unchanged.
     """
-    lg = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n + 1))]))  # lg[k] = log k!
+    lg = exact._log_factorial(n + 1)
     ln_quarter = n * math.log(0.25)
     stat = np.empty((n + 1) * (n + 2) * (n + 3) // 6)
     start = 0
@@ -243,7 +236,7 @@ def _pearson_many(tables: np.ndarray) -> np.ndarray:
     for column, (row, col) in enumerate(((r0, c0), (r0, c1), (r1, c0), (r1, c1))):
         expected = np.where(degenerate, 1.0, row * col / n)
         statistic += (tables[:, column] - expected) ** 2 / expected
-    p = exact._special().erfc(np.sqrt(np.maximum(statistic, 0.0) / 2.0))
+    p = [math.erfc(math.sqrt(s / 2.0)) for s in np.maximum(statistic, 0.0).tolist()]
     return np.where(degenerate, 1.0, p)
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellkit
-from bellkit import cli, exact, lhv
+from bellkit import cli, lhv
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 
@@ -449,9 +449,10 @@ class TestHeraldOutputsPinned:
         )
         assert sha256(detections) == "37b86e5b5d187a73944df3c4d2ade8ab67886e58993f42b239b738488bf0e548"
         assert sha256(attempts) == "5a7566abf9bce34c96ed5ac5601fd6f024548ceb9831d4a7e3b6f2e55e83f665"
-        # The offsets -500 and 0 have n = 10,138 and 10,824, above exact.BINOM_SUM_LIMIT: their p_local
-        # are the saddle-point tail sums 1.4350410409787663e-116 and 1.726579366905233e-128.
-        assert sha256(sweep_csv) == "0abc4629f1a9aacd47ee04419b0b996bb13ce7158b600a4f852a467687e29c51"
+        # Every p_local is a sum of saddle-point binomial terms; at offsets -2000 to -1000 (n = 295, 5,765
+        # and 9,189) they are 1.0, 0.9999996622482066 and 1.6530884723123416e-99, each within 1.6e-14
+        # relative of the exact tail.
+        assert sha256(sweep_csv) == "b9ef80efa8a7a6934bffeea6ba0a4fba22337f0c1a1a340358a5e63bf9d230ed"
         assert report["attempts"] == 30000
 
     def test_stream_synth_bytes(self, capsys, tmp_path):
@@ -468,8 +469,10 @@ class TestHeraldOutputsPinned:
 class TestTrialOutputsPinned:
     """Digests of trial files and their analyze reports as the per-row Trial code wrote them.
 
-    Run in the temporary directory with relative file names, since each
-    report's config hash covers the trial file path.
+    The reports' p_complete are the saddle-point binomial tails,
+    2.9914868880754306e-08 and 0.7277307449733202, within 2.1e-16 relative
+    of the exact values. Run in the temporary directory with relative file
+    names, since each report's config hash covers the trial file path.
     """
 
     @pytest.mark.parametrize(
@@ -480,13 +483,13 @@ class TestTrialOutputsPinned:
                  "--herald-rate", "0.3", "--seed", "11"),
                 "ref.jsonl",
                 "73f7aa3dd2d4a24a56d2e44ca0e2411263fe5653090a7fe4b0b6914025a295ef",
-                "9562112f89175eabe2ae71a81aa276d9d486cdb488ca91b6f363ade1f2df7baa",
+                "6d967bcc1bf58800b61e701d444a76f4d0d0f4b82e1c1a76cdcfdea974025300",
             ),
             (
                 ("simulate", "--strategy", "herald-gating", "--attempts", "3000", "--seed", "11"),
                 "lhv.jsonl",
                 "4757374fd2649d2203d787aa833523294e511b37cf5c3367e2118a83b747854b",
-                "a7c6f192e103ab325b4553e4bc227c68497b58192cee807be4a2c0fe11d844f1",
+                "038a67747736202760116fb5e0b4dd59a48c335e484972ef2866b42200f567fd",
             ),
         ],
         ids=["simulate-reference", "simulate"],
@@ -615,20 +618,24 @@ class TestLhvOutputsPinned:
 
 
 class TestAuditOutputsPinned:
-    """Digests of audit reports as the bisecting, twice-taped audit wrote them."""
+    """Digests of audit reports as the bisecting, twice-taped audit wrote them.
+
+    Except p_joint_uniform, which is now (1 + hits) / (1 + reps): 5349/100001
+    and 9690/100001 here, where the raw fractions were 0.05348 and 0.09689.
+    """
 
     @pytest.mark.parametrize(
         "args, json_digest, csv_digest",
         [
             (
                 ("--counts", "53,79,62,51"),
-                "7e5e77c12b9063c9b485435b4cb8113648a15686208c149083ee928524fe1e3b",
-                "ff6b37d1be48317da8f7482468857e3369596cb45d77715d21fc357186113e3e",
+                "9975e435b97982934255adc1e019735507f17e0ab3ffa66f7ffccb9900192772",
+                "2e8bea713e07302383c227067e26669b074f47a799006c803b8bd5e7ae16d625",
             ),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
-                "bf888f8840f9eb4d10d1a0115d60eaa19047cd662b33c0100ad4579298849448",
-                "81dfa48b9f9d2e0463949744cf770968d4ec6ebed8266929ad44f2d89ad1915f",
+                "6adbdb6c81d2a7e74b4b1f8a2285b8cd3b4b317648fdcfde19aa0034179b7006",
+                "e34524f26a99122f0eea91f4cfd1078f86416f294ca7acb31959d81f453bd21f",
             ),
         ],
         ids=["paper-counts", "n4000"],
@@ -776,42 +783,65 @@ class TestAudit:
         assert code == 1 and "four" in err
 
 
-class TestInfrastructure:
-    def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # Commands that compute nothing with scipy must not pay for loading it;
-        # log k! comes from exact's own table.
-        src = os.path.dirname(os.path.dirname(bellkit.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        check = "import sys, bellkit.cli; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+def run_without_scipy(tmp_path, commands):
+    """Run each CLI command in one fresh interpreter in which every scipy import fails.
 
-        (tmp_path / "a.txt").write_text("\n".join("0110100111010011") + "\n", encoding="ascii")
-        (tmp_path / "b.txt").write_text("\n".join("1100101001110100") + "\n", encoding="ascii")
+    Asserts each command exits 0 and leaves scipy out of sys.modules; returns the JSON reports.
+    """
+    src = os.path.dirname(os.path.dirname(bellkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import contextlib, importlib.abc, io, json, sys\n"
+        "class BlockScipy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "from bellkit import cli\n"
+        "assert 'scipy' not in sys.modules, 'import bellkit.cli loaded scipy'\n"
+        "reports = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, f'{argv} loaded scipy'\n"
+        "    reports.append(json.loads(out.getvalue()))\n"
+        "print(json.dumps(reports))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestInfrastructure:
+    # scipy is a test oracle only: with every scipy import failing, each
+    # subcommand still runs and never loads it.
+
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # Includes the Pearson audit at n = 5,000, once a chi-squared tail from scipy.
+        (tmp_path / "messages.txt").write_text("".join(f"message {i}\n" for i in range(32)), encoding="utf-8")
+        (tmp_path / "b.txt").write_text("\n".join("1100") + "\n", encoding="ascii")
         commands = [
             ["bound", "--n", "300", "--k", "237", "--tau-grid", "0:0.01:0.001"],
             ["combine", "--mode", "merge", "--counts", "245:196,300:237"],
             ["combine", "--mode", "fisher", "--pvalues", "0.039,0.061"],
             ["audit", "--counts", "53,79,62,51", "--reps", "2000", "--lee-reps", "1000"],
+            ["audit", "--counts", "1300,1250,1200,1250", "--reps", "1000", "--lee-reps", "1000"],
             ["adversary", "--n", "10", "--runs", "4"],
-            ["rng", "independence", "--a", "a.txt", "--b", "b.txt"],
+            ["simulate", "--strategy", "streak-keyed", "--attempts", "200", "--trials-out", "lhv.jsonl"],
+            ["rng", "extract", "--messages", "messages.txt", "--bits-out", "a.txt"],
+            ["rng", "bias", "--bits", "a.txt"],
+            ["rng", "combine", "--classical", "a.txt", "--quantum", "b.txt", "--bits-out", "c.txt"],
+            ["rng", "independence", "--a", "a.txt", "--b", "c.txt", "--truncate"],
         ]
-        script = (
-            "import json, sys\n"
-            "from bellkit import cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert cli.main(argv) == 0, argv\n"
-            "    assert 'scipy' not in sys.modules, f'{argv} loaded scipy'\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
+        pearson_audit = run_without_scipy(tmp_path, commands)[4]
+        assert pearson_audit["n"] == 5000 and pearson_audit["independence_test"] == "pearson"
 
     def test_tails_above_the_sum_limit_leave_scipy_unloaded(self, tmp_path):
         # analyze on n of about 18,000 heralded trials and a sweep whose last offsets have
-        # n = 10,138 and 10,824 sum the binomial tail above exact.BINOM_SUM_LIMIT.
-        src = os.path.dirname(os.path.dirname(bellkit.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        # n = 10,138 and 10,824 take binomial tails above n = 10,000.
         (tmp_path / "windows.json").write_text(json.dumps(WindowConfig().to_dict()), encoding="utf-8")
         commands = [
             ["simulate-reference", "--attempts", "60000", "--herald-rate", "0.3", "--win-prob-minus", "0.78",
@@ -824,25 +854,9 @@ class TestInfrastructure:
             ["herald", "sweep", "--detections", "d.csv", "--attempts", "a.jsonl", "--window-config", "windows.json",
              "--offsets=-1000:0:500", "--sweep-out", "sweep.csv"],
         ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "from bellkit import cli\n"
-            "reports = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "    assert 'scipy' not in sys.modules, f'{argv} loaded scipy'\n"
-            "    reports.append(json.loads(out.getvalue()))\n"
-            "print(json.dumps(reports))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        reports = json.loads(result.stdout)
-        assert reports[1]["n"] > exact.BINOM_SUM_LIMIT
-        assert max(row["heralded"] for row in reports[3]["herald_counts"]) > exact.BINOM_SUM_LIMIT
+        reports = run_without_scipy(tmp_path, commands)
+        assert reports[1]["n"] > 10_000
+        assert max(row["heralded"] for row in reports[3]["herald_counts"]) > 10_000
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         out_a = str(tmp_path / "a.json")

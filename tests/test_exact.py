@@ -105,8 +105,7 @@ class TestBinomSurvival:
             )
 
     def test_beta_identity_path_large_n(self):
-        # n above the summation limit sums Loader's saddle-point pmf; the
-        # exact rational tail (about 2.7e-22) is short enough to compare
+        # The exact rational tail (about 2.7e-22) is short enough to compare
         # directly, with no absolute floor.
         n, k = 20_000, 19_920
         p = Fraction(99, 100)
@@ -116,22 +115,21 @@ class TestBinomSurvival:
 
     @pytest.mark.parametrize(
         "n, k",
-        [(10_000, 7_501), (10_000, 7_630), (10_000, 8_450), (10_001, 7_501), (10_001, 7_630), (10_001, 8_451),
+        [(100, 80), (245, 196), (300, 237), (545, 433), (1000, 780), (10_000, 7_501), (10_000, 7_630), (10_000, 8_450), (10_001, 7_501), (10_001, 7_630), (10_001, 8_451),
          (10_138, 7_604), (10_138, 8_554), (10_824, 9_149), (17_192, 12_911), (17_192, 13_100), (17_192, 14_500)],
     )
     def test_three_quarters_against_exact_integers(self, n, k):
-        # Both sides of the limit, from the mean to tails near 1e-118; n =
-        # 10,138 and 10,824 at these k are the heralding sweep's largest
-        # offsets. Up to the limit the tail sums log k! differences, which
-        # lose about log10(n) digits (up to 1.6e-11 at n = 10,000); the
-        # saddle-point terms above it keep 1e-12.
-        rel = 1e-12 if n > exact.BINOM_SUM_LIMIT else 5e-11
-        assert_relative(exact.binom_survival(k, n, 0.75), three_quarters_tail_oracle(k, n), rel)
+        # From the mean to tails near 1e-194; n = 10,138 and 10,824 at these
+        # k are the heralding sweep's largest offsets. log k! differences
+        # would lose about log10(n) digits here (1.6e-11 at n = 10,000); the
+        # saddle-point terms keep 1e-12.
+        assert_relative(exact.binom_survival(k, n, 0.75), three_quarters_tail_oracle(k, n), 1e-12)
 
     def test_above_the_limit_matches_betainc(self):
+        # n above 10,000 up to 1e6, where exact rational sums are too slow to serve as the oracle.
         rng = np.random.default_rng(4)
         for _ in range(25):
-            n = int(rng.integers(exact.BINOM_SUM_LIMIT + 1, 10**6 + 1))
+            n = int(rng.integers(10_001, 10**6 + 1))
             p = float(rng.uniform(0.05, 0.95))
             sd = math.sqrt(n * p * (1 - p))
             k = int(np.clip(round(n * p + rng.uniform(-3.0, 30.0) * sd), 1, n))
@@ -166,9 +164,8 @@ class TestBinomSurvival:
             exact.binom_survival(5, 4, 1.0)
 
     def test_certain_success_tail_is_one(self):
-        # Bin(n, 1) is n with certainty, so Pr[Bin(n, 1) >= k] = 1 for 0 <= k <= n,
-        # on both sides of the summation limit.
-        for n in (1, 4, exact.BINOM_SUM_LIMIT + 1):
+        # Bin(n, 1) is n with certainty, so Pr[Bin(n, 1) >= k] = 1 for 0 <= k <= n.
+        for n in (1, 4, 10_001):
             for k in (0, 1, n // 2, n):
                 assert exact.binom_survival(k, n, 1.0) == 1.0
 
@@ -181,7 +178,7 @@ class TestBinomSurvival:
 
 
 class TestLoaderTerms:
-    """The pieces of the saddle-point pmf used above BINOM_SUM_LIMIT."""
+    """The pieces of the saddle-point pmf that every binomial tail sums."""
 
     def test_stirlerr_table(self):
         for m in range(1, 16):
@@ -345,7 +342,7 @@ class TestFisherTwoSided:
 
 
 class TestChi2Survival:
-    @pytest.mark.parametrize("df", [1, 2, 3, 4, 6, 8, 12])
+    @pytest.mark.parametrize("df", [1, 2, 4, 6, 8, 12])
     def test_matches_scipy(self, df):
         for x in (0.1, 1.0, 3.841458820694124, 10.0, 16.0, 40.0):
             assert exact.chi2_survival(x, df) == pytest.approx(
@@ -358,6 +355,11 @@ class TestChi2Survival:
 
     def test_at_zero(self):
         assert exact.chi2_survival(0.0, 4) == 1.0
+
+    @pytest.mark.parametrize("df", [0, 3, 5])
+    def test_rejects_df_without_a_closed_form(self, df):
+        with pytest.raises(ValueError, match="1 or even"):
+            exact.chi2_survival(2.0, df)
 
 
 class TestNormalSurvival:

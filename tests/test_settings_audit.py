@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bellkit import exact
 from bellkit import settings_audit as sa
 from bellkit.settings_audit import (
     McPValue,
@@ -66,11 +67,10 @@ class TestMultinomialUniformMc:
         assert result.p > 0.97
 
     def test_extreme_counts_below_resolution(self):
+        # No draw is as extreme, and the estimate counts the observed table as one.
         counts = SettingCounts(245, 0, 0, 0)
         result = multinomial_uniform_mc(counts, reps=2000, seed=2)
-        assert result.p == 0.0
-        assert result.resolution == 1 / 2000
-        assert str(result).startswith("<")
+        assert result.p == 1 / 2001
 
     def test_first_run_value_probability_ordering(self):
         result = multinomial_uniform_mc(FIRST_RUN, reps=20_000, seed=3)
@@ -133,6 +133,14 @@ class TestPearsonChi2:
         statistic = 4 * (49**2) / 2500
         assert pearson_chi2(counts) == pytest.approx(math.erfc(math.sqrt(statistic / 2)), rel=1e-12, abs=0)
         assert 0.04 < pearson_chi2(counts) < 0.06
+
+    def test_vectorized_form_matches_row_by_row(self):
+        # The vectorized form serves the look-elsewhere tape at n >= 5,000.
+        rng = np.random.default_rng(5)
+        for n in (5000, 12_345):
+            tables = rng.multinomial(n, rng.dirichlet([4.0] * 4), size=200)
+            want = [pearson_chi2(SettingCounts(*row.tolist())) for row in tables]
+            assert sa._pearson_many(tables).tolist() == want
 
     def test_zero_margin_errors(self):
         with pytest.raises(ValueError):
@@ -198,8 +206,8 @@ def bisected_threshold(min_p: np.ndarray, target: float) -> float:
 
 
 def null_table_double_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact joint-uniformity null, enumerated row by row as it first was."""
-    lg = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n + 1))]))
+    """The exact joint-uniformity null, enumerated row by row as it first was, on the package's log k! table."""
+    lg = exact._log_factorial(n + 1)
     ln_quarter = n * math.log(0.25)
     stats, probs = [], []
     for c0 in range(n + 1):
