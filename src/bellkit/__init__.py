@@ -13,29 +13,62 @@ Subsystems:
 * `settings_audit`: setting-choice uniformity tests with look-elsewhere
   corrections.
 * `cli`: the `bellkit` command-line interface.
+
+`import bellkit` loads neither numpy nor any of these modules: each name
+in `__all__` is imported from its module on first access. The CLI executes
+a module only when a command first uses it, so `bellkit --version`,
+`--help` and a usage error load no numpy. A command executes its own
+module and, through it, only what it calls of `trials`, `pvalues`, `exact`
+and `rngstream`:
+
+* `analyze`, `combine`, `bound`: `pvalues` (and `trials` for `analyze`);
+* `simulate`, `simulate-reference`, `adversary`: `lhv`;
+* `herald synth`, `herald sweep`: `heralding`;
+* `rng extract`, `bias`, `combine`, `independence`: `randomness`;
+* `audit`: `settings_audit`.
+
+`rng bias`, for one, executes `randomness` and `trials` and nothing else.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .pvalues import (  # noqa: F401
-    BiasParams,
-    PValueReport,
-    beta_win,
-    beta_win_expanded,
-    beta_win_lemma,
-    fisher_combine,
-    pvalue_complete,
-    pvalue_conventional,
-    pvalue_vs_tau_curve,
-)
-from .trials import (  # noqa: F401
-    ChshEstimate,
-    TrialSet,
-    aggregate,
-    chsh_s,
-    correlators,
-    read_trials,
-    win_indicator,
-    write_trials,
-)
-from .settings_audit import lee_joint, lee_threshold  # noqa: F401
+_EXPORTS = {
+    "pvalues": (
+        "BiasParams",
+        "PValueReport",
+        "beta_win",
+        "beta_win_expanded",
+        "beta_win_lemma",
+        "fisher_combine",
+        "pvalue_complete",
+        "pvalue_conventional",
+        "pvalue_vs_tau_curve",
+    ),
+    "trials": (
+        "ChshEstimate",
+        "TrialSet",
+        "aggregate",
+        "chsh_s",
+        "correlators",
+        "read_trials",
+        "win_indicator",
+        "write_trials",
+    ),
+    "settings_audit": ("lee_joint", "lee_threshold"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -8,13 +8,54 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import sys
+import types
 from typing import Sequence
 
-from . import __version__, heralding, lhv, pvalues, randomness, settings_audit
-from . import trials as trials_mod
+from . import __version__
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """bellkit.<name>, registered in sys.modules now and executed on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A command executes only the modules it touches, so --version, --help and
+# usage errors load no numpy. `exact` and `rngstream`, which no command calls
+# directly, are registered too: whatever walks sys.modules after
+# `import bellkit.cli` (perfbench's tracer) sees the whole package.
+heralding, lhv, pvalues, randomness, settings_audit, trials_mod = map(
+    _lazy_module, ("heralding", "lhv", "pvalues", "randomness", "settings_audit", "trials")
+)
+_lazy_module("exact")
+_lazy_module("rngstream")
+
+# Literal copies of module constants, so that building the parser executes no
+# analysis module; tests/test_cli.py checks each against its source.
+_BOUND_FORMS = ("lemma", "expanded")  # pvalues.BOUND_FORMS
+_STRATEGIES = (  # sorted(lhv.CATALOG)
+    "classical-optimal",
+    "coin-flip",
+    "herald-gating",
+    "loss-switching",
+    "state-mixing",
+    "streak-keyed",
+)
+_BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")  # lhv.BIAS_DISTRIBUTIONS
+_MAX_MESSAGE_CHARS = 140  # randomness.MAX_MESSAGE_CHARS
+_ORDERINGS = ("probability", "chi2")  # settings_audit.ORDERINGS
 
 COMBINE_CAVEAT = (
     "fisher treats the runs as independent tests; merge pools them into a single "
@@ -541,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trials", help="JSON-lines trial file")
     p.add_argument("--f", type=float, default=0.0, help="early-number probability bound")
     p.add_argument("--tau", type=float, default=0.0, help="mean bias bound")
-    p.add_argument("--beta-form", choices=pvalues.BOUND_FORMS, default="lemma")
+    p.add_argument("--beta-form", choices=_BOUND_FORMS, default="lemma")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_analyze)
 
@@ -551,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="comma-separated n:k pairs (merge mode)")
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--beta-form", choices=pvalues.BOUND_FORMS, default="lemma")
+    p.add_argument("--beta-form", choices=_BOUND_FORMS, default="lemma")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_combine)
 
@@ -561,17 +602,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--tau-grid", default=None, help="start:stop:step grid of tau values")
-    p.add_argument("--beta-form", choices=pvalues.BOUND_FORMS, default="lemma")
+    p.add_argument("--beta-form", choices=_BOUND_FORMS, default="lemma")
     p.add_argument("--curve-out", default=None, help="CSV file for the (tau, p) curve")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("simulate", help="run a local-hidden-variable strategy")
-    p.add_argument("--strategy", choices=sorted(lhv.CATALOG), default="classical-optimal")
+    p.add_argument("--strategy", choices=_STRATEGIES, default="classical-optimal")
     p.add_argument("--attempts", type=int, required=True)
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--bias-dist", choices=lhv.BIAS_DISTRIBUTIONS, default="point")
+    p.add_argument("--bias-dist", choices=_BIAS_DISTRIBUTIONS, default="point")
     p.add_argument("--trials-out", default=None, help="JSON-lines trial file to write")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
@@ -592,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--bias-dist", choices=lhv.BIAS_DISTRIBUTIONS, default="point")
+    p.add_argument("--bias-dist", choices=_BIAS_DISTRIBUTIONS, default="point")
     p.add_argument("--strategies", default=None, help="comma-separated catalog names")
     _add_common(p)
     p.set_defaults(func=_cmd_adversary)
@@ -633,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = rng_sub.add_parser("extract", help="one parity bit per message line")
     p.add_argument("--messages", required=True)
-    p.add_argument("--max-chars", type=int, default=randomness.MAX_MESSAGE_CHARS)
+    p.add_argument("--max-chars", type=int, default=_MAX_MESSAGE_CHARS)
     p.add_argument("--bits-out", required=True)
     p.add_argument("--packed", action="store_true", help="write packed binary bits")
     _add_common(p, seed=False)
@@ -669,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--lee-reps", type=int, default=10_000)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--ordering", choices=settings_audit.ORDERINGS, default="probability")
+    p.add_argument("--ordering", choices=_ORDERINGS, default="probability")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)

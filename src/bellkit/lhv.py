@@ -31,6 +31,7 @@ every representable strategy.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -423,6 +424,15 @@ class AdversaryReport:
         }
 
 
+def _least_rejected_wins(n: int, beta: float, alpha: float) -> int:
+    """Least k in 0..n with pvalue_complete(n, k, beta) <= alpha, or n + 1 if none.
+
+    pvalue_complete is nonincreasing in k, so bisection finds it from
+    O(log n) tails, where a table of all n + 1 tails costs O(n^2) pmf terms.
+    """
+    return bisect.bisect_left(range(n + 1), True, key=lambda k: pvalue_complete(n, k, beta) <= alpha)
+
+
 def adversary_suite(
     n: int,
     runs: int,
@@ -450,7 +460,7 @@ def adversary_suite(
         raise ValueError("need at least one strategy")
     rng_model = RngModel(f=f, tau=tau, bias_dist=bias_dist)
     beta = beta_win_lemma(BiasParams(f=f, tau=tau))
-    p_table = np.array([pvalue_complete(n, k, beta) for k in range(n + 1)])
+    k_reject = _least_rejected_wins(n, beta, alpha)
 
     per_strategy = {name: [0, 0] for name in names}
     run_index = 0
@@ -458,7 +468,7 @@ def adversary_suite(
         quota = runs // len(names) + (1 if chunk < runs % len(names) else 0)
         strategy = make_strategy(name)
         wins = _play_heralded(strategy, rng_model, n, seed, range(run_index, run_index + quota))[:, 2]
-        per_strategy[name][0] += int(np.count_nonzero(p_table[wins] <= alpha))
+        per_strategy[name][0] += int(np.count_nonzero(wins >= k_reject))
         per_strategy[name][1] += quota
         run_index += quota
     total_reject = sum(r for r, _ in per_strategy.values())

@@ -178,22 +178,26 @@ def fisher_2x2(counts: SettingCounts) -> float:
 
 def pearson_chi2(counts: SettingCounts) -> float:
     """Pearson chi-squared independence test on the 2x2 table, 1 dof."""
-    n = counts.total
-    if n < 1:
+    if counts.total < 1:
         raise ValueError("need at least one event")
-    r0 = counts.n00 + counts.n01
-    r1 = counts.n10 + counts.n11
-    c0 = counts.n00 + counts.n10
-    c1 = counts.n01 + counts.n11
-    if 0 in (r0, r1, c0, c1):
+    statistic = _pearson_statistic(counts.n00, counts.n01, counts.n10, counts.n11)
+    if statistic is None:
         raise ValueError("zero margin: expected cell counts vanish")
-    statistic = 0.0
-    observed = ((counts.n00, counts.n01), (counts.n10, counts.n11))
-    for i, row in enumerate((r0, r1)):
-        for j, col in enumerate((c0, c1)):
-            expected = row * col / n
-            statistic += (observed[i][j] - expected) ** 2 / expected
     return exact.chi2_survival(statistic, 1)
+
+
+def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float | None:
+    """n (n00 n11 - n01 n10)^2 / (r0 r1 c0 c1), None on a zero margin.
+
+    Exact in integers up to the one rounding of the division, where the sum
+    of four (observed - expected)^2 / expected terms loses digits to
+    cancellation.
+    """
+    n00, n01, n10, n11 = int(n00), int(n01), int(n10), int(n11)
+    margins = (n00 + n01) * (n10 + n11) * (n00 + n10) * (n01 + n11)
+    if margins == 0:
+        return None
+    return (n00 + n01 + n10 + n11) * (n00 * n11 - n01 * n10) ** 2 / margins
 
 
 @lru_cache(maxsize=4)
@@ -224,20 +228,9 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pearson_many(tables: np.ndarray) -> np.ndarray:
-    """Vectorized Pearson chi-squared P-values; degenerate margins give 1."""
-    tables = np.asarray(tables, dtype=np.float64)
-    r0 = tables[:, 0] + tables[:, 1]
-    r1 = tables[:, 2] + tables[:, 3]
-    c0 = tables[:, 0] + tables[:, 2]
-    c1 = tables[:, 1] + tables[:, 3]
-    n = r0 + r1
-    degenerate = (r0 == 0) | (r1 == 0) | (c0 == 0) | (c1 == 0)
-    statistic = np.zeros(len(tables))
-    for column, (row, col) in enumerate(((r0, c0), (r0, c1), (r1, c0), (r1, c1))):
-        expected = np.where(degenerate, 1.0, row * col / n)
-        statistic += (tables[:, column] - expected) ** 2 / expected
-    p = [math.erfc(math.sqrt(s / 2.0)) for s in np.maximum(statistic, 0.0).tolist()]
-    return np.where(degenerate, 1.0, p)
+    """pearson_chi2 of each (n00, n01, n10, n11) row; degenerate margins give 1."""
+    statistics = (_pearson_statistic(*row) for row in np.asarray(tables, dtype=np.int64).tolist())
+    return np.array([1.0 if s is None else exact.chi2_survival(s, 1) for s in statistics])
 
 
 def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarray:

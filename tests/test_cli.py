@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellkit
-from bellkit import cli, lhv
+from bellkit import cli, lhv, pvalues, randomness, settings_audit
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 
@@ -958,3 +958,34 @@ class TestAuditSettingsStream:
             capsys, "audit", "--counts", "1,2,3,4", "--settings", str(settings), "--reps", "2000"
         )
         assert code == 1 and "exactly one" in err
+
+
+class TestParserConstants:
+    # build_parser holds literal copies of module constants, so that --help
+    # and usage errors execute no analysis module; each copy must match.
+
+    @staticmethod
+    def action(path, dest):
+        parser = cli.build_parser()
+        for name in path:
+            subparsers = next(a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction))
+            parser = subparsers.choices[name]
+        return next(a for a in parser._actions if a.dest == dest)
+
+    @pytest.mark.parametrize(
+        "path, dest, want",
+        [
+            (("analyze",), "beta_form", pvalues.BOUND_FORMS),
+            (("combine",), "beta_form", pvalues.BOUND_FORMS),
+            (("bound",), "beta_form", pvalues.BOUND_FORMS),
+            (("simulate",), "strategy", sorted(lhv.CATALOG)),
+            (("simulate",), "bias_dist", lhv.BIAS_DISTRIBUTIONS),
+            (("adversary",), "bias_dist", lhv.BIAS_DISTRIBUTIONS),
+            (("audit",), "ordering", settings_audit.ORDERINGS),
+        ],
+    )
+    def test_choices_copy_the_module_constant(self, path, dest, want):
+        assert list(self.action(path, dest).choices) == list(want)
+
+    def test_max_chars_default_copies_the_module_constant(self):
+        assert self.action(("rng", "extract"), "max_chars").default == randomness.MAX_MESSAGE_CHARS

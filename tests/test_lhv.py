@@ -23,7 +23,7 @@ from bellkit.lhv import (
     simulate_reference,
     simulate_with_stats,
 )
-from bellkit.pvalues import BiasParams, beta_win_lemma
+from bellkit.pvalues import BiasParams, beta_win_lemma, pvalue_complete
 from bellkit.trials import aggregate, chsh_s
 
 
@@ -399,3 +399,15 @@ class TestAdversarySuite:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             adversary_suite(n=10, runs=10, alpha=0.05, seed=0, strategies=["nope"])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 100, 245, 500])
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 0.7975, 0.853553, 0.99, 1.0])
+    def test_least_rejected_wins_matches_the_full_table(self, n, beta):
+        # The bisection relies on pvalue_complete being nonincreasing in k;
+        # the full table of n + 1 tails checks both the premise and the answer.
+        table = [pvalue_complete(n, k, beta) for k in range(n + 1)]
+        for alpha in (0.0, 1e-300, 1e-12, 1e-3, 0.05, 0.5, table[n // 2], 1.0):
+            rejected = [p <= alpha for p in table]
+            want = rejected.index(True) if True in rejected else n + 1
+            assert rejected == [k >= want for k in range(n + 1)], (n, beta, alpha)
+            assert lhv._least_rejected_wins(n, beta, alpha) == want, (n, beta, alpha)

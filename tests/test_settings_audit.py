@@ -146,6 +146,24 @@ class TestPearsonChi2:
         with pytest.raises(ValueError):
             pearson_chi2(SettingCounts(0, 0, 10, 10))
 
+    def test_statistic_is_the_rational_sum_rounded_once(self):
+        # The first table is the look-elsewhere threshold's at n = 5,000, where
+        # a float sum of the four (O - E)^2 / E terms was 1.1e-14 off in P.
+        rng = np.random.default_rng(8)
+        tables = [(1314, 1177, 1239, 1270), *rng.multinomial(5000, [0.25] * 4, size=50).tolist()]
+        for cells in tables:
+            n00, n01, n10, n11 = cells
+            n = sum(cells)
+            observed = ((n00, n01), (n10, n11))
+            rows, cols = (n00 + n01, n10 + n11), (n00 + n10, n01 + n11)
+            expected = [[Fraction(r * c, n) for c in cols] for r in rows]
+            statistic = float(
+                sum((observed[i][j] - expected[i][j]) ** 2 / expected[i][j] for i in range(2) for j in range(2))
+            )
+            want = math.erfc(math.sqrt(statistic / 2))
+            assert pearson_chi2(SettingCounts(*cells)) == want, cells
+            assert sa._pearson_many(np.array([cells])).tolist() == [want], cells
+
 
 class TestCalibration:
     @pytest.mark.parametrize("seed", [8, 21])

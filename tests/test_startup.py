@@ -1,0 +1,84 @@
+"""Start-up pays only for the command that runs.
+
+`import bellkit`, `--version`, `--help` and a usage error load no numpy,
+and a command executes only the analysis modules it uses. Each check runs
+in a fresh interpreter, since the test process has long loaded everything.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bellkit
+from bellkit import pvalues, settings_audit, trials
+
+SRC = os.path.dirname(os.path.dirname(bellkit.__file__))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
+def imported_modules(*args, cwd=None):
+    """(exit code, modules imported) of `python -X importtime ARGS` in a fresh process."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], env=ENV, cwd=cwd, capture_output=True, text=True
+    )
+    names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+    return result.returncode, names
+
+
+def test_the_probe_sees_numpy():
+    # Guards the tests below against a probe that can see no import at all.
+    code, names = imported_modules("-c", "import numpy")
+    assert code == 0 and "numpy" in names
+
+
+@pytest.mark.parametrize(
+    "args, want_code",
+    [
+        (["-c", "import bellkit"], 0),
+        (["-m", "bellkit.cli", "--version"], 0),
+        (["-m", "bellkit.cli", "--help"], 0),
+        (["-m", "bellkit.cli", "simulate"], 1),
+        (["-m", "bellkit.cli", "rng", "--help"], 0),
+    ],
+    ids=["import", "version", "help", "usage-error", "subcommand-help"],
+)
+def test_loads_no_numpy(args, want_code):
+    code, names = imported_modules(*args)
+    assert code == want_code
+    assert "bellkit" in names
+    assert not any(name == "numpy" or name.startswith("numpy.") for name in names)
+
+
+def test_rng_bias_executes_only_what_it_uses(tmp_path):
+    (tmp_path / "bits.txt").write_text("0\n1\n1\n0\n1\n", encoding="ascii")
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from bellkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['rng', 'bias', '--bits', 'bits.txt']) == 0\n"
+        "# A lazily loaded module turns into a plain module when its body runs.\n"
+        "print(json.dumps({name.removeprefix('bellkit.'): type(module) is types.ModuleType\n"
+        "                  for name, module in sys.modules.items() if name.startswith('bellkit.')}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=ENV, cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    executed = json.loads(result.stdout)
+    assert executed["randomness"] and executed["trials"]
+    for name in ("lhv", "heralding", "settings_audit"):
+        assert not executed.get(name, False), name
+
+
+class TestExports:
+    def test_every_export_is_its_modules_object(self):
+        homes = {"pvalues": pvalues, "trials": trials, "settings_audit": settings_audit}
+        for home, names in bellkit._EXPORTS.items():
+            for name in names:
+                assert getattr(bellkit, name) is getattr(homes[home], name)
+        assert sorted(bellkit.__all__) == sorted(["__version__", *bellkit._HOME])
+        assert set(bellkit.__all__) <= set(dir(bellkit))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'pvalue_completee'"):
+            bellkit.pvalue_completee

@@ -2,7 +2,8 @@
 
 A name counts as called when it appears as a name or an attribute in
 `src/bellkit` outside its own definition, or when `bellkit/__init__.py`
-imports it. Docstrings and comments are not references.
+exports it: lists it in `_EXPORTS`, the table its `__getattr__` resolves
+names from. Docstrings and comments are not references.
 """
 import ast
 from pathlib import Path
@@ -33,10 +34,11 @@ def _referenced_names(tree, skip):
 def uncalled_public_names(package=PACKAGE):
     modules = _modules(package)
     exported = {
-        alias.asname or alias.name
-        for node in ast.walk(modules["__init__"])
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        name
+        for node in modules["__init__"].body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["_EXPORTS"]
+        for names in ast.literal_eval(node.value).values()
+        for name in names
     }
     uncalled = []
     for module, tree in modules.items():
@@ -55,7 +57,7 @@ def test_every_public_name_has_a_caller():
 
 
 def test_a_self_call_is_not_a_caller(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .m import kept\n")
+    (tmp_path / "__init__.py").write_text('_EXPORTS = {"m": ("kept",)}\n')
     (tmp_path / "m.py").write_text(
         "def kept():\n    return used()\n\n"
         "def used():\n    return 1\n\n"
