@@ -16,10 +16,10 @@ Subsystems:
 
 `import bellkit` loads neither numpy nor any of these modules: each name
 in `__all__` is imported from its module on first access. The CLI executes
-a module only when a command first uses it, so `bellkit --version`,
-`--help` and a usage error load no numpy. A command executes its own
-module and, through it, only what it calls of `trials`, `pvalues`, `exact`
-and `rngstream`:
+a module only when a command first uses it. `bellkit --version`, `--help`,
+a usage error, `bound` and `combine` load no numpy: `pvalues` runs on
+`math` alone. A command executes its own module and, through it, only what
+it calls of `trials`, `pvalues`, `exact` and `rngstream`:
 
 * `analyze`, `combine`, `bound`: `pvalues` (and `trials` for `analyze`);
 * `simulate`, `simulate-reference`, `adversary`: `lhv`;

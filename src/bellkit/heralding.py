@@ -498,7 +498,7 @@ def read_detections(source: str | IO[str]) -> DetectionTable:
     if header != _DETECTION_HEADER:
         raise ValueError(f"expected header {_DETECTION_HEADER}, got {header!r}")
     body = source.read()
-    if not body.replace("\r", "").replace("\n", ""):
+    if not body.strip("\r\n"):
         return DetectionTable([], [], [])
     try:
         rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)

@@ -28,7 +28,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import exact, rngstream
+from . import exact, pvalues, rngstream
 from .trials import _check_domains, _read_path, _read_records
 
 ORDERINGS = ("probability", "chi2")
@@ -183,7 +183,7 @@ def pearson_chi2(counts: SettingCounts) -> float:
     statistic = _pearson_statistic(counts.n00, counts.n01, counts.n10, counts.n11)
     if statistic is None:
         raise ValueError("zero margin: expected cell counts vanish")
-    return exact.chi2_survival(statistic, 1)
+    return pvalues.chi2_survival(statistic, 1)
 
 
 def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float | None:
@@ -230,7 +230,7 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _pearson_many(tables: np.ndarray) -> np.ndarray:
     """pearson_chi2 of each (n00, n01, n10, n11) row; degenerate margins give 1."""
     statistics = (_pearson_statistic(*row) for row in np.asarray(tables, dtype=np.int64).tolist())
-    return np.array([1.0 if s is None else exact.chi2_survival(s, 1) for s in statistics])
+    return np.array([1.0 if s is None else pvalues.chi2_survival(s, 1) for s in statistics])
 
 
 def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Scalar reference forms that bellkit's array code is tested against."""
+"""Scalar reference forms that bellkit's array code is tested against, and the array forms its scalar tails replaced."""
 import itertools
+import math
 import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from bellkit.exact import TIE_RELATIVE_EPS
+from bellkit.pvalues import _LGAM_A, _LOG_2PI, _LS2PI, _STIRLERR_TABLE, _STIRLING_S
 from bellkit.lhv import (
     _T_BIAS_A,
     _T_BIAS_B,
@@ -215,3 +217,99 @@ def fisher_chunk_gather(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
     p = np.where(keep, np.exp(lp), 0.0).sum(axis=1)
     degenerate = (r0 == 0) | (r1 == 0) | (c0 == 0) | (c0 == n)
     return np.where(degenerate, 1.0, np.minimum(p, 1.0))
+
+
+def lgam_whole(lo, hi):
+    """log k! for k = lo..hi-1 as numpy arrays, the form `exact._log_factorial` was built with.
+
+    The cephes `lgam` steps for whole x = k + 1: the log of the exact
+    product (x-1)! below 13, Stirling's series above, on libm's log.
+    """
+    start = max(lo, 12) + 1
+    small = [math.log(math.factorial(k)) for k in range(lo, min(hi, 12))]
+    x = np.arange(start, hi + 1, dtype=float)
+    q = (x - 0.5) * np.fromiter(map(math.log, range(start, hi + 1)), float, x.size) - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(p, _LGAM_A[0])
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    series = np.where(
+        x >= 1000.0,
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333,
+        series,
+    )
+    q = np.where(x > 1.0e8, q, q + series / x)
+    return np.concatenate([small, q])
+
+
+def sum_exp_array(log_terms):
+    """Compensated sum of exp(log_terms), with numpy's exp."""
+    if log_terms.size == 0:
+        return 0.0
+    m = float(np.max(log_terms))
+    if m == -math.inf:
+        return 0.0
+    return math.exp(m + math.log(math.fsum(np.exp(log_terms - m).tolist())))
+
+
+def stirlerr_array(m):
+    """Loader's delta(m) over an array of whole m >= 0."""
+    m = np.asarray(m)
+    x = np.maximum(m, 16).astype(float)
+    nn = x * x
+    s0, s1, s2, s3, s4 = _STIRLING_S
+    series = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / x
+    return np.where(m <= 15, np.array(_STIRLERR_TABLE)[np.minimum(m, 15)], series)
+
+
+def bd0_array(x, mean):
+    """Loader's deviance over an array, with the series where |x - mean| < 0.1 (x + mean)."""
+    x = np.asarray(x, dtype=float)
+    out = x * np.log(x / mean) + mean - x
+    near = np.abs(x - mean) < 0.1 * (x + mean)
+    if near.any():
+        xs = x[near]
+        d = xs - mean
+        v = d / (xs + mean)
+        s = d * v
+        ej = 2.0 * xs * v
+        v2 = v * v
+        j = 1
+        while True:
+            ej = ej * v2
+            s_next = s + ej / (2 * j + 1)
+            if np.array_equal(s_next, s):
+                break
+            s = s_next
+            j += 1
+        out[near] = s
+    return out
+
+
+def binom_logpmf_array(k, n, p):
+    """Loader's saddle-point log pmf of Binomial(n, p) over an array of whole 0 <= k <= n."""
+    k = np.asarray(k)
+    out = np.where(k == 0, n * math.log1p(-p), n * math.log(p))
+    inner = (k > 0) & (k < n)
+    x = k[inner]
+    y = n - x
+    out[inner] = (
+        stirlerr_array(n)
+        - stirlerr_array(x)
+        - stirlerr_array(y)
+        - bd0_array(x, n * p)
+        - bd0_array(y, n * (1.0 - p))
+        - 0.5 * (_LOG_2PI + np.log(x) + np.log1p(-x / n))
+    )
+    return out
+
+
+def binom_survival_array(k, n, p):
+    """Pr[Bin(n, p) >= k], 0 < k <= n, 0 < p < 1: every Loader term k..n summed with numpy's exp and log."""
+    return min(1.0, sum_exp_array(binom_logpmf_array(np.arange(k, n + 1), n, p)))
+
+
+def chi2_survival_array(x, df):
+    """Pr[chi-squared with even df >= x], x > 0, as a numpy sum of the Poisson terms."""
+    i = np.arange(df // 2)
+    return min(1.0, sum_exp_array(-x / 2.0 + i * math.log(x / 2.0) - lgam_whole(0, df // 2)))

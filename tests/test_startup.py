@@ -1,8 +1,9 @@
 """Start-up pays only for the command that runs.
 
-`import bellkit`, `--version`, `--help` and a usage error load no numpy,
-and a command executes only the analysis modules it uses. Each check runs
-in a fresh interpreter, since the test process has long loaded everything.
+`import bellkit`, `import bellkit.pvalues`, `--version`, `--help`, a usage
+error, `bound` and `combine` load no numpy, and a command executes only the
+analysis modules it uses. Each check runs in a fresh interpreter, since the
+test process has long loaded everything.
 """
 import json
 import os
@@ -41,8 +42,13 @@ def test_the_probe_sees_numpy():
         (["-m", "bellkit.cli", "--help"], 0),
         (["-m", "bellkit.cli", "simulate"], 1),
         (["-m", "bellkit.cli", "rng", "--help"], 0),
+        (["-m", "bellkit.cli", "bound", "--n", "300", "--k", "237", "--tau-grid", "0:0.01:0.001"], 0),
+        (["-m", "bellkit.cli", "combine", "--mode", "merge", "--counts", "245:196,300:237"], 0),
+        (["-m", "bellkit.cli", "combine", "--mode", "fisher", "--pvalues", "0.039,0.061"], 0),
+        (["-c", "import bellkit.pvalues"], 0),
     ],
-    ids=["import", "version", "help", "usage-error", "subcommand-help"],
+    ids=["import", "version", "help", "usage-error", "subcommand-help", "bound", "combine-merge", "combine-fisher",
+         "import-pvalues"],
 )
 def test_loads_no_numpy(args, want_code):
     code, names = imported_modules(*args)
