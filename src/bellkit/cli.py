@@ -1,8 +1,11 @@
 """Command-line interface tying the analysis modules into reproducible runs.
 
 Every report embeds the tool version, the seed and a hash of the resolved
-configuration; identical configuration and seed give byte-identical output
-files. Exit codes: 0 success, 1 domain or validation error, 2 I/O error.
+configuration: every option of the command except --out, output paths
+included. Identical configuration and seed give byte-identical output files.
+A --config file supplies the command's defaults; each value is checked as
+the same flag's would be. Exit codes: 0 success, 1 domain or validation
+error, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -83,36 +86,32 @@ def _config_hash(params: dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _report_envelope(command: str, params: dict[str, object], payload: dict[str, object]) -> dict[str, object]:
+def _report_envelope(command: argparse.ArgumentParser, args: argparse.Namespace, payload: dict) -> dict:
+    """`payload` under the version, the seed and the hash of every option of `command` but --out."""
+    params = {"seed": None}
+    params.update((a.dest, getattr(args, a.dest)) for a in command._actions if a.dest not in ("out", "help"))
     return {
         "tool": "bellkit",
         "version": __version__,
-        "command": command,
-        "seed": params.get("seed"),
+        "command": command.prog.split(" ", 1)[1],
+        "seed": params["seed"],
         "config_hash": _config_hash(params),
         **payload,
     }
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-
-
-def _emit_json(document: dict[str, object], out: str | None) -> None:
-    _emit(json.dumps(document, indent=2, sort_keys=True), out)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise CliError(f"could not parse {what}: {text!r}") from None
 
@@ -160,14 +159,13 @@ def _parse_float_range(text: str) -> list[float]:
 # Subcommand implementations
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> dict[str, object]:
     trialset = trials_mod.read_trials(args.trials)
     if len(trialset) == 0:
         raise CliError(f"{args.trials}: no trials")
     table = trialset.cells()
     k, n = table.k_n()
     estimate = trials_mod.chsh_s(table)
-    params = _params(args, ("trials", "f", "tau", "beta_form"))
     bias = pvalues.BiasParams(f=args.f, tau=args.tau)
     beta = pvalues.beta_win(bias, form=args.beta_form)
     cells = {
@@ -179,7 +177,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     p_conventional = (
         pvalues.pvalue_conventional(estimate.s_weighted, estimate.sigma) if estimate.sigma > 0 else None
     )
-    payload = {
+    return {
         "n": n,
         "k": k,
         "s_psi_minus": estimate.s_psi_minus,
@@ -193,12 +191,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "p_conventional": p_conventional,
         "p_complete": pvalues.pvalue_complete(n, k, beta),
     }
-    _emit_json(_report_envelope("analyze", params, payload), args.out)
-    return 0
 
 
-def _cmd_combine(args: argparse.Namespace) -> int:
-    params = _params(args, ("mode", "pvalues", "counts", "f", "tau", "beta_form"))
+def _cmd_combine(args: argparse.Namespace) -> dict[str, object]:
     if args.mode == "fisher":
         if not args.pvalues:
             raise CliError("--pvalues is required for fisher mode")
@@ -238,12 +233,10 @@ def _cmd_combine(args: argparse.Namespace) -> int:
             inputs={"pairs": pairs, "n": n, "k": k, "beta": beta},
             note=COMBINE_CAVEAT,
         )
-    _emit_json(_report_envelope("combine", params, report.to_dict()), args.out)
-    return 0
+    return report.to_dict()
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    params = _params(args, ("f", "tau", "n", "k", "tau_grid", "beta_form"))
+def _cmd_bound(args: argparse.Namespace) -> dict[str, object]:
     if args.n is not None and args.k is None:
         raise CliError("--n needs --k")
     if args.k is not None and args.n is None:
@@ -271,18 +264,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 payload["curve_file"] = args.curve_out
             else:
                 payload["curve"] = [[tau, p] for tau, p in curve]
-    _emit_json(_report_envelope("bound", params, payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = _params(args, ("strategy", "attempts", "f", "tau", "bias_dist", "seed", "trials_out"))
+def _cmd_simulate(args: argparse.Namespace) -> dict[str, object]:
     strategy = lhv.make_strategy(args.strategy)
     model = lhv.RngModel(f=args.f, tau=args.tau, bias_dist=args.bias_dist)
     trialset, stats = lhv.simulate_with_stats(strategy, model, args.attempts, args.seed)
     if args.trials_out:
         trials_mod.write_trials(args.trials_out, trialset)
-    payload = {
+    return {
         "strategy": args.strategy,
         "attempts": stats.attempts,
         "heralded": stats.heralded,
@@ -292,15 +283,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "early_b": stats.early_b,
         "trials_file": args.trials_out,
     }
-    _emit_json(_report_envelope("simulate", params, payload), args.out)
-    return 0
 
 
-def _cmd_simulate_reference(args: argparse.Namespace) -> int:
-    params = _params(
-        args,
-        ("win_prob_minus", "win_prob_plus", "herald_rate", "psi_plus_share", "attempts", "seed", "trials_out"),
-    )
+def _cmd_simulate_reference(args: argparse.Namespace) -> dict[str, object]:
     win_prob: dict[int, float] = {}
     if args.win_prob_minus is not None:
         win_prob[trials_mod.HERALD_PSI_MINUS] = args.win_prob_minus
@@ -318,13 +303,10 @@ def _cmd_simulate_reference(args: argparse.Namespace) -> int:
     if args.trials_out:
         trials_mod.write_trials(args.trials_out, trialset)
     k, n = trials_mod.aggregate(trialset)
-    payload = {"attempts": args.attempts, "n": n, "k": k, "trials_file": args.trials_out}
-    _emit_json(_report_envelope("simulate-reference", params, payload), args.out)
-    return 0
+    return {"attempts": args.attempts, "n": n, "k": k, "trials_file": args.trials_out}
 
 
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    params = _params(args, ("n", "runs", "alpha", "seed", "f", "tau", "bias_dist", "strategies"))
+def _cmd_adversary(args: argparse.Namespace) -> dict[str, object]:
     names = args.strategies.split(",") if args.strategies is not None else None
     report = lhv.adversary_suite(
         n=args.n,
@@ -336,8 +318,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         bias_dist=args.bias_dist,
         strategies=names,
     )
-    _emit_json(_report_envelope("adversary", params, report.to_dict()), args.out)
-    return 0
+    return report.to_dict()
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -362,27 +343,7 @@ def _load_windows(path: str | None) -> heralding.WindowConfig:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _cmd_herald_synth(args: argparse.Namespace) -> int:
-    params = _params(
-        args,
-        (
-            "attempts",
-            "seed",
-            "mode",
-            "window_config",
-            "decay_ps",
-            "signal_prob",
-            "entangle_prob",
-            "win_prob",
-            "reflection_amplitude",
-            "reflection_center_ps",
-            "reflection_sigma_ps",
-            "afterpulse_prob",
-            "dark_rate",
-            "detections_out",
-            "attempts_out",
-        ),
-    )
+def _cmd_herald_synth(args: argparse.Namespace) -> dict[str, object]:
     windows = _load_windows(args.window_config)
     stream_params = heralding.StreamParams(
         decay_ps=args.decay_ps,
@@ -408,19 +369,16 @@ def _cmd_herald_synth(args: argparse.Namespace) -> int:
     else:
         events = heralding.synth_stream(stream_params, windows, attempts=args.attempts, seed=args.seed)
     heralding.write_detections(args.detections_out, events)
-    payload = {
+    return {
         "mode": args.mode,
         "attempts": args.attempts,
         "detections": len(events),
         "detections_file": args.detections_out,
         "attempts_file": args.attempts_out,
     }
-    _emit_json(_report_envelope("herald synth", params, payload), args.out)
-    return 0
 
 
-def _cmd_herald_sweep(args: argparse.Namespace) -> int:
-    params = _params(args, ("detections", "attempts", "window_config", "offsets", "beta", "sweep_out"))
+def _cmd_herald_sweep(args: argparse.Namespace) -> dict[str, object]:
     windows = _load_windows(args.window_config)
     events = heralding.read_detections(args.detections)
     records = heralding.read_attempts(args.attempts)
@@ -429,7 +387,7 @@ def _cmd_herald_sweep(args: argparse.Namespace) -> int:
     heralding.write_sweep_csv(args.sweep_out, rows)
     local = [(row.p_local, row.offset_ps) for row in rows if row.p_local is not None]
     p_min, p_min_offset = min(local) if local else (None, None)
-    payload = {
+    return {
         "offsets": offsets,
         "rows": len(rows),
         "attempts": len(records),
@@ -450,67 +408,50 @@ def _cmd_herald_sweep(args: argparse.Namespace) -> int:
         "sweep_file": args.sweep_out,
         "note": SWEEP_CAVEAT,
     }
-    _emit_json(_report_envelope("herald sweep", params, payload), args.out)
-    return 0
 
 
-def _cmd_rng_extract(args: argparse.Namespace) -> int:
-    params = _params(args, ("messages", "max_chars", "bits_out", "packed"))
+def _cmd_rng_extract(args: argparse.Namespace) -> dict[str, object]:
     messages = randomness.read_messages(args.messages)
     try:
         stream = randomness.extract_bits(messages, max_chars=args.max_chars)
     except ValueError as exc:
         raise CliError(f"{args.messages}: {exc}") from None
     randomness.write_bits(args.bits_out, stream, packed=args.packed)
-    payload = {"messages": len(messages), "bits": len(stream), "bits_file": args.bits_out}
-    _emit_json(_report_envelope("rng extract", params, payload), args.out)
-    return 0
+    return {"messages": len(messages), "bits": len(stream), "bits_file": args.bits_out}
 
 
-def _cmd_rng_bias(args: argparse.Namespace) -> int:
-    params = _params(args, ("bits", "packed", "block8"))
+def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:
     stream = randomness.read_bits(args.bits, packed=args.packed)
     if args.block8:
         stream = randomness.block8(stream)
     estimate = randomness.estimate_bias(stream)
-    payload = {
+    return {
         "n": estimate.n,
         "bias": estimate.bias,
         "uncertainty": estimate.uncertainty,
         "block8": args.block8,
     }
-    _emit_json(_report_envelope("rng bias", params, payload), args.out)
-    return 0
 
 
-def _cmd_rng_combine(args: argparse.Namespace) -> int:
-    params = _params(args, ("classical", "quantum", "packed", "bits_out"))
+def _cmd_rng_combine(args: argparse.Namespace) -> dict[str, object]:
     classical = randomness.read_bits(args.classical, packed=args.packed)
     quantum = randomness.read_bits(args.quantum, packed=args.packed)
     combined = randomness.combine_streams(classical, quantum)
     randomness.write_bits(args.bits_out, combined, packed=args.packed)
-    payload = {"bits": len(combined), "bits_file": args.bits_out}
-    _emit_json(_report_envelope("rng combine", params, payload), args.out)
-    return 0
+    return {"bits": len(combined), "bits_file": args.bits_out}
 
 
-def _cmd_rng_independence(args: argparse.Namespace) -> int:
-    params = _params(args, ("a", "b", "packed", "truncate"))
+def _cmd_rng_independence(args: argparse.Namespace) -> dict[str, object]:
     stream_a = randomness.read_bits(args.a, packed=args.packed)
     stream_b = randomness.read_bits(args.b, packed=args.packed)
     if args.truncate:
         n = min(len(stream_a), len(stream_b))
         stream_a, stream_b = (randomness.BitStream(stream.bits[:n]) for stream in (stream_a, stream_b))
     p = randomness.independence_test(stream_a, stream_b)
-    payload = {"n": len(stream_a), "p": p}
-    _emit_json(_report_envelope("rng independence", params, payload), args.out)
-    return 0
+    return {"n": len(stream_a), "p": p}
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    params = _params(
-        args, ("counts", "settings", "label", "reps", "lee_reps", "alpha", "ordering", "seed", "format")
-    )
+def _cmd_audit(args: argparse.Namespace) -> dict[str, object] | str:
     if (args.counts is None) == (args.settings is None):
         raise CliError("provide exactly one of --counts or --settings")
     if args.settings is not None:
@@ -530,34 +471,18 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ordering=args.ordering,
     )
     if args.format == "csv":
-        _emit(f"{settings_audit.AuditRow.CSV_HEADER}\n{row.to_csv_row()}", args.out)
-    else:
-        _emit_json(_report_envelope("audit", params, row.to_dict()), args.out)
-    return 0
+        return f"{settings_audit.AuditRow.CSV_HEADER}\n{row.to_csv_row()}"
+    return row.to_dict()
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 
 
-def _params(args: argparse.Namespace, names: Sequence[str]) -> dict[str, object]:
-    params = {name: getattr(args, name, None) for name in names}
-    params["seed"] = getattr(args, "seed", None)
-    return params
-
-
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--out", default=None, help="report file (default stdout)")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed (default 0)")
-
-
-def _iter_parsers(parser: argparse.ArgumentParser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                yield from _iter_parsers(child)
 
 
 def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.ArgumentParser:
@@ -718,32 +643,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict[str, object]:
+    """The config file at `path` as defaults of `command`, each value checked as its flag would be."""
+    config = _load_json_object(path, "config")
+    options = {action.dest: action for action in command._actions if action.dest != "help"}
+    unknown = sorted(set(key.replace("-", "_") for key in config) - set(options))
+    if unknown:
+        raise CliError(f"{path}: keys {unknown} name no option of {command.prog}")
+    defaults = {}
+    for key, value in config.items():
+        action = options[key.replace("-", "_")]
+        switch = action.nargs == 0  # a store_true flag such as --packed
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+            expected = "true or false" if switch else "a string or a number"
+            raise CliError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
+        if not switch:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                raise CliError(f"{path}: {key}: invalid {action.type.__name__} value {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise CliError(f"{path}: {key}: {value!r} is not one of {list(action.choices)}")
+        defaults[action.dest] = value
+    return defaults
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse, apply --config, run the command and write its report; the exit code."""
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # Two-phase parse so a config file can supply defaults.
-        probe = _Parser(add_help=False)
-        probe.add_argument("--config", default=None)
-        known, _ = probe.parse_known_args(argv)
-        if known.config:
-            config = _load_json_object(known.config, "config")
-            defaults = {key.replace("-", "_"): value for key, value in config.items()}
-            # Subparsers re-apply their own defaults over the namespace, so
-            # config values must be installed on every parser in the tree.
-            for sub_parser in _iter_parsers(parser):
-                sub_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
-        if known.config:
-            command = _command_parser(parser, args)
-            unknown = sorted(set(defaults) - {action.dest for action in command._actions} - {"help"})
-            if unknown:
-                raise CliError(f"{known.config}: keys {unknown} name no option of {command.prog}")
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        command = _command_parser(parser, args)
+        if args.config:
+            # A config file supplies the command parser's defaults; explicit flags still win.
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
+        result = args.func(args)
+        if isinstance(result, str):
+            _emit(result, args.out)
+        else:
+            _emit(json.dumps(_report_envelope(command, args, result), indent=2, sort_keys=True), args.out)
+        return 0
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -21,6 +21,8 @@ statistic of the tape, read off without a search.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -368,11 +370,14 @@ class AuditRow:
     )
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.label},{self.n},{self.p_rng_a!r},{self.p_rng_b!r},"
-            f"{self.p_joint_uniform.p!r},{self.independence_test},"
-            f"{self.p_independence!r},{self.p_threshold!r},{self.p_joint_lee.p!r}"
+        """The CSV_HEADER fields without a line end; a label holding a comma, quote or line break is quoted."""
+        line = io.StringIO()
+        # The default "\r\n" terminator makes csv.writer quote a field holding either character.
+        csv.writer(line).writerow(
+            [self.label, self.n, repr(self.p_rng_a), repr(self.p_rng_b), repr(self.p_joint_uniform.p),
+             self.independence_test, repr(self.p_independence), repr(self.p_threshold), repr(self.p_joint_lee.p)]
         )
+        return line.getvalue().removesuffix("\r\n")
 
     def to_dict(self) -> dict[str, object]:
         return {

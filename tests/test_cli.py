@@ -1,4 +1,5 @@
 """Command-line surface: pipelines, exit codes, determinism."""
+import csv
 import hashlib
 import json
 import math
@@ -782,6 +783,21 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--counts", "1,2,3", "--reps", "2000", "--seed", "0")
         assert code == 1 and "four" in err
 
+    @pytest.mark.parametrize("counts", ["53,79,,62,51", "53,79,62,51,"])
+    def test_counts_empty_field_exits_one(self, capsys, counts):
+        code, out, err = run(capsys, "audit", "--counts", counts, "--reps", "1000", "--lee-reps", "1000")
+        assert code == 1 and out == "" and "--counts" in err
+
+    @pytest.mark.parametrize("label", ["run 1, day 2", 'line\nbreak and "quote"'])
+    def test_csv_label_reads_back_whole(self, capsys, tmp_path, label):
+        out = tmp_path / "audit.csv"
+        run(capsys, "audit", "--counts", "53,79,62,51", "--reps", "1000", "--lee-reps", "1000", "--format", "csv",
+            "--label", label, "--out", str(out))
+        with open(out, newline="", encoding="utf-8") as handle:
+            header, row = csv.reader(handle)
+        assert header == settings_audit.AuditRow.CSV_HEADER.split(",")
+        assert len(row) == len(header) and row[:2] == [label, "245"]
+
 
 def run_without_scipy(tmp_path, commands):
     """Run each CLI command in one fresh interpreter in which every scipy import fails.
@@ -930,6 +946,112 @@ class TestInfrastructure:
         report = run_json(capsys, "bound", "--f", "0", "--tau", "0")
         for key in ("tool", "version", "config_hash", "seed", "command"):
             assert key in report
+
+
+class TestReportEnvelope:
+    """Each report's config_hash covers every option of its command but --out, plus seed."""
+
+    COMMANDS = [
+        ("simulate-reference", "--win-prob-minus", "0.9", "--attempts", "200", "--trials-out", "ref.jsonl"),
+        ("analyze", "ref.jsonl"),
+        ("combine", "--mode", "merge", "--counts", "245:196"),
+        ("bound", "--f", "0.01"),
+        ("simulate", "--attempts", "100"),
+        ("adversary", "--n", "10", "--runs", "4", "--strategies", "coin-flip"),
+        ("herald", "synth", "--attempts", "200", "--detections-out", "d.csv", "--attempts-out", "a.jsonl"),
+        ("herald", "sweep", "--detections", "d.csv", "--attempts", "a.jsonl", "--offsets=0:0:1",
+         "--sweep-out", "s.csv"),
+        ("rng", "extract", "--messages", "messages.txt", "--bits-out", "a.txt"),
+        ("rng", "bias", "--bits", "a.txt"),
+        ("rng", "combine", "--classical", "a.txt", "--quantum", "q.txt", "--bits-out", "c.txt"),
+        ("rng", "independence", "--a", "c.txt", "--b", "q.txt"),
+        ("audit", "--counts", "53,79,62,51", "--reps", "1000", "--lee-reps", "1000"),
+    ]
+
+    @staticmethod
+    def leaf_parsers(parser, path=()):
+        """(command path, parser) of every parser that runs a command."""
+        subparsers = [a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)]
+        if not subparsers:
+            return [(path, parser)]
+        children = subparsers[0].choices.items()
+        return [leaf for name, child in children for leaf in TestReportEnvelope.leaf_parsers(child, (*path, name))]
+
+    @staticmethod
+    def expected(argv):
+        """(command name, config hash) recomputed from build_parser() for argv."""
+        root = cli.build_parser()
+        namespace = root.parse_args(argv)
+        path, parser = next((p, c) for p, c in TestReportEnvelope.leaf_parsers(root) if list(p) == argv[: len(p)])
+        params = {a.dest: getattr(namespace, a.dest) for a in parser._actions if a.dest not in ("out", "help")}
+        params.setdefault("seed", None)
+        canonical = json.dumps(params, sort_keys=True, default=str)
+        return " ".join(path), hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+    def test_every_command_hashes_every_option_but_out(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "messages.txt").write_text("".join(f"msg {i}\n" for i in range(64)), encoding="utf-8")
+        (tmp_path / "q.txt").write_text("".join(f"{i % 2}\n" for i in range(8)), encoding="utf-8")
+        leaves = {path for path, _ in self.leaf_parsers(cli.build_parser())}
+        assert {path for path in leaves for argv in self.COMMANDS if argv[: len(path)] == path} == leaves
+        for argv in self.COMMANDS:
+            report = run_json(capsys, *argv)
+            command, config_hash = self.expected(list(argv))
+            assert (report["command"], report["config_hash"]) == (command, config_hash), argv
+
+    def test_output_paths_move_the_hash_and_out_does_not(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bound = ("bound", "--n", "300", "--k", "237", "--tau-grid", "0:0.01:0.001")
+        one, two = (run_json(capsys, *bound, "--curve-out", name)["config_hash"] for name in ("a.csv", "b.csv"))
+        assert one != two
+        assert run(capsys, *bound, "--curve-out", "a.csv", "--out", "report.json")[0] == 0
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["config_hash"] == one
+
+
+class TestConfigValues:
+    """A config value is converted and checked as the same flag's value would be."""
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ({"mode": "bogus"}, ("herald", "synth", "--attempts", "10", "--detections-out", "d.csv"),
+             "mode: 'bogus' is not one of ['stream', 'experiment']"),
+            ({"format": "xml"}, ("audit", "--counts", "53,79,62,51"), "format: 'xml' is not one of ['json', 'csv']"),
+            ({"seed": 1.5}, ("simulate", "--attempts", "10"), "seed: invalid int value 1.5"),
+            ({"packed": "no"}, ("rng", "extract", "--messages", "m.txt", "--bits-out", "b.txt"),
+             'packed must be true or false, got "no"'),
+            ({"reps": 1500.5}, ("audit", "--counts", "53,79,62,51"), "reps: invalid int value 1500.5"),
+            ({"label": None}, ("audit", "--counts", "53,79,62,51"), "label must be a string or a number, got null"),
+            ({"lee-reps": [1000]}, ("audit", "--counts", "53,79,62,51"),
+             "lee-reps must be a string or a number, got [1000]"),
+            ({"tau": {"value": 0.1}}, ("bound",), 'tau must be a string or a number, got {"value": 0.1}'),
+            ({"tau": True}, ("bound",), "tau must be a string or a number, got true"),
+        ],
+        ids=["choice", "format", "float-seed", "string-switch", "float-reps", "null", "list", "object", "bool"],
+    )
+    def test_bad_value_exits_one_naming_the_key(self, capsys, tmp_path, monkeypatch, config, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run(capsys, "--config", "config.json", *argv)
+        assert (code, out, err) == (1, "", f"error: config.json: {message}\n")
+
+    def test_values_act_as_their_flags(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = {"n": "300", "k": 237, "tau": 0, "beta-form": "expanded", "tau_grid": "0:0.002:0.001"}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        flags = ("bound", "--n", "300", "--k", "237", "--tau", "0", "--beta-form", "expanded",
+                 "--tau-grid", "0:0.002:0.001")
+        assert run(capsys, "--config", "config.json", "bound") == run(capsys, *flags)
+
+    def test_switch_takes_a_json_boolean(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "messages.txt").write_text("".join(f"msg {i}\n" for i in range(16)), encoding="utf-8")
+        extract = ("rng", "extract", "--messages", "messages.txt", "--bits-out")
+        for packed, flags in ((True, ("--packed",)), (False, ())):
+            (tmp_path / "config.json").write_text(json.dumps({"packed": packed}), encoding="utf-8")
+            run_json(capsys, "--config", "config.json", *extract, "config.bits")
+            run_json(capsys, *extract, "flag.bits", *flags)
+            assert (tmp_path / "config.bits").read_bytes() == (tmp_path / "flag.bits").read_bytes()
 
 
 class TestAuditSettingsStream:
