@@ -56,7 +56,7 @@ _EXPORTS = {
         "win_indicator",
         "write_trials",
     ),
-    "settings_audit": ("lee_joint", "lee_threshold"),
+    "settings_audit": ("look_elsewhere",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_HOME]

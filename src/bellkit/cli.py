@@ -344,6 +344,10 @@ def _load_windows(path: str | None) -> heralding.WindowConfig:
 
 
 def _cmd_herald_synth(args: argparse.Namespace) -> dict[str, object]:
+    if args.mode == "experiment" and not args.attempts_out:
+        raise CliError("--attempts-out is required in experiment mode")
+    if args.mode == "stream" and args.attempts_out is not None:
+        raise CliError("--attempts-out: attempt records are written only in experiment mode")
     windows = _load_windows(args.window_config)
     stream_params = heralding.StreamParams(
         decay_ps=args.decay_ps,
@@ -363,8 +367,6 @@ def _cmd_herald_synth(args: argparse.Namespace) -> dict[str, object]:
             entangle_prob=args.entangle_prob,
             win_prob=args.win_prob,
         )
-        if not args.attempts_out:
-            raise CliError("--attempts-out is required in experiment mode")
         heralding.write_attempts(args.attempts_out, records)
     else:
         events = heralding.synth_stream(stream_params, windows, attempts=args.attempts, seed=args.seed)

@@ -68,7 +68,8 @@ class WindowConfig:
     """Two-round heralding windows, per channel, all times in picoseconds.
 
     Round 1 on channel c covers [start_c, start_c + len_first); round 2
-    starts second_window_offset later and has its own per-channel length.
+    starts second_window_offset later, no earlier than round 1 ends, and
+    has its own per-channel length.
     The default inter-round separation is synthetic (the generator uses the
     same value, so it cancels in any analysis).
     """
@@ -87,6 +88,11 @@ class WindowConfig:
                 raise ValueError(f"{name} must be an integer number of picoseconds, got {value!r}")
             if name.startswith("len_") and value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        if self.second_window_offset_ps < self.len_first_ps:
+            raise ValueError(
+                f"second_window_offset_ps ({self.second_window_offset_ps}) must be at least len_first_ps "
+                f"({self.len_first_ps}), or one click can lie in both rounds"
+            )
 
     def start(self, channel: int) -> int:
         return self.start_ch0_ps if channel == 0 else self.start_ch1_ps

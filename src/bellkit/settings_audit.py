@@ -10,14 +10,14 @@ counts:
    chi-squared above.
 
 Running several tests on one dataset inflates the chance that some local
-P-value dips below any fixed threshold (the look-elsewhere effect). The
-`lee_joint` Monte Carlo estimates that joint probability under uniform
-settings, and `lee_threshold` inverts it: the largest per-test threshold
-whose joint rejection probability stays at the target level. Both read
-one Monte Carlo tape of per-rep smallest local P-values (common random
-numbers), which `audit_row` draws once for both. On that tape the joint
-rate is a step function of the threshold, so the threshold is an order
-statistic of the tape, read off without a search.
+P-value dips below any fixed threshold (the look-elsewhere effect).
+`look_elsewhere` corrects for it from one Monte Carlo tape of per-rep
+smallest local P-values under uniform settings (common random numbers).
+It returns the joint probability that some test rejects at the per-test
+level alpha, and the largest per-test threshold whose joint rejection
+probability stays at alpha. On that tape the joint rate is a step function
+of the threshold, so the threshold is an order statistic of the tape, read
+off without a search.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -117,21 +116,6 @@ class McPValue:
     reps: int
 
 
-def binom_uniform(counts: SettingCounts, side: str) -> float:
-    """Exact two-tailed binomial test of one side's marginal against 1/2."""
-    n = counts.total
-    if n < 1:
-        raise ValueError("need at least one event")
-    side = side.upper()
-    if side == "A":
-        m = counts.marginal_a
-    elif side == "B":
-        m = counts.marginal_b
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return exact.binom_two_sided(m, n, 0.5)
-
-
 def _ordering_stat(tables: np.ndarray, n: int, ordering: str) -> np.ndarray:
     """Statistic whose low values mean "more extreme" under the ordering."""
     if ordering == "probability":
@@ -202,7 +186,6 @@ def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float | None:
     return (n00 + n01 + n10 + n11) * (n00 * n11 - n01 * n10) ** 2 / margins
 
 
-@lru_cache(maxsize=4)
 def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact null CDF of the log pmf statistic under Multinomial(n; 1/4 each).
 
@@ -273,33 +256,34 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
     return np.column_stack([p_a, p_b, p_joint, p_indep])
 
 
-def lee_joint(
+def look_elsewhere(
     n: int,
     alpha: float,
     reps: int,
     seed: int,
     ordering: str = "probability",
-) -> McPValue:
-    """Probability that at least one of the four tests yields p < alpha.
+) -> tuple[McPValue, float]:
+    """Joint rejection probability at `alpha` and the per-test threshold, from one tape.
 
-    Monte Carlo over uniform settings of size n. A threshold alpha >= 1
-    rejects by convention (every P-value is at most 1), so the result is
-    exactly 1.
+    Monte Carlo over `reps` uniform setting tables of size n: the
+    probability that at least one of the four tests yields p < alpha, and
+    the largest per-test threshold whose joint rate stays at or below alpha
+    (`_threshold_quantile`). A threshold of 1 rejects by convention (every
+    P-value is at most 1), so alpha = 1 gives exactly (1, 1.0) with no tape.
     """
-    if alpha >= 1.0:
-        return McPValue(p=1.0, mc_error=0.0, reps=reps)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return _joint_rejection(_lee_min_pvalues(n, reps, seed, ordering), alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if alpha == 1.0:
+        return McPValue(p=1.0, mc_error=0.0, reps=reps), 1.0
+    min_p = _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
+    p = float(np.mean(min_p < alpha))
+    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps), reps=reps), _threshold_quantile(min_p, alpha)
 
 
-def lee_threshold(
-    n: int,
-    target: float,
-    reps: int,
-    seed: int,
-    ordering: str = "probability",
-) -> float:
+_THRESHOLD_GRID = 2.0**60
+
+
+def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
     """Largest per-test threshold with joint rejection probability <= target.
 
     On a fixed Monte Carlo tape (common random numbers) the joint rate
@@ -315,27 +299,6 @@ def lee_threshold(
     at n = 245 and target 0.05 with 10^4 reps it ranged over
     0.0150-0.0213 across seeds 0-1499.
     """
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"target must lie in [0, 1], got {target}")
-    if target >= 1.0:
-        return 1.0
-    return _threshold_quantile(_lee_min_pvalues(n, reps, seed, ordering), target)
-
-
-def _lee_min_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarray:
-    """The look-elsewhere tape: each rep's smallest of the four local P-values."""
-    return _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
-
-
-def _joint_rejection(min_p: np.ndarray, alpha: float) -> McPValue:
-    p = float(np.mean(min_p < alpha))
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / min_p.size), reps=min_p.size)
-
-
-_THRESHOLD_GRID = 2.0**60
-
-
-def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
     reps = min_p.size
     # k / reps is the same correctly rounded division np.mean makes.
     k = min(int(target * reps), reps - 1)
@@ -409,8 +372,8 @@ def audit_row(
 ) -> AuditRow:
     """Run all four tests plus the look-elsewhere correction on one table.
 
-    `p_threshold` and `p_joint_lee` are `lee_threshold(n, alpha, ...)` and
-    `lee_joint(n, alpha, ...)` on `lee_reps` reps, read off one tape.
+    `p_joint_lee` and `p_threshold` are `look_elsewhere(n, alpha, ...)` on
+    `lee_reps` reps.
     """
     n = counts.total
     lee_reps = lee_reps if lee_reps is not None else max(_MIN_MC_REPS, reps // 10)
@@ -418,18 +381,12 @@ def audit_row(
         test_name, p_indep = "fisher", fisher_2x2(counts)
     else:
         test_name, p_indep = "pearson", pearson_chi2(counts)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 1.0:
-        p_threshold, p_joint_lee = 1.0, McPValue(p=1.0, mc_error=0.0, reps=lee_reps)
-    else:
-        min_p = _lee_min_pvalues(n, lee_reps, seed, ordering)
-        p_threshold, p_joint_lee = _threshold_quantile(min_p, alpha), _joint_rejection(min_p, alpha)
+    p_joint_lee, p_threshold = look_elsewhere(n, alpha, lee_reps, seed, ordering)
     return AuditRow(
         label=label,
         n=n,
-        p_rng_a=binom_uniform(counts, "A"),
-        p_rng_b=binom_uniform(counts, "B"),
+        p_rng_a=exact.binom_two_sided(counts.marginal_a, n),
+        p_rng_b=exact.binom_two_sided(counts.marginal_b, n),
         p_joint_uniform=multinomial_uniform_mc(counts, reps=reps, seed=seed, ordering=ordering),
         independence_test=test_name,
         p_independence=p_indep,

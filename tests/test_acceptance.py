@@ -23,7 +23,7 @@ from bellkit.pvalues import (
     pvalue_conventional,
 )
 from bellkit.randomness import BitStream, block8, combine_streams, estimate_bias
-from bellkit.settings_audit import SettingCounts, fisher_2x2, lee_joint, lee_threshold, multinomial_uniform_mc
+from bellkit.settings_audit import SettingCounts, fisher_2x2, look_elsewhere, multinomial_uniform_mc
 from bellkit.trials import aggregate, chsh_s
 
 from oracles import best_deterministic_winprob
@@ -108,14 +108,13 @@ def test_criterion_05_fisher_exact_settings_table():
 
 def test_criterion_06_look_elsewhere_joint_and_threshold():
     start = time.perf_counter()
-    joint = lee_joint(245, 0.05, reps=10_000, seed=7)
-    threshold = lee_threshold(245, 0.05, reps=10_000, seed=7)
+    joint, threshold = look_elsewhere(245, 0.05, reps=10_000, seed=7)
     elapsed = time.perf_counter() - start
     ok = abs(joint.p - 0.13) <= 0.02 and abs(threshold - 0.021) <= 0.005 and elapsed < 300.0
     report(
         6,
         ok,
-        f"lee_joint = {joint.p:.4f} (target 0.13 +- 0.02), lee_threshold = {threshold:.4f} "
+        f"look_elsewhere joint = {joint.p:.4f} (target 0.13 +- 0.02), threshold = {threshold:.4f} "
         f"(target 0.021 +- 0.005), {elapsed:.1f} s",
     )
 

@@ -395,6 +395,20 @@ class TestHerald:
         assert code == 1 and out == ""
         assert f"{windows}: len_first_ps must be an integer" in err
 
+    def test_sweep_rejects_overlapping_rounds(self, capsys, tmp_path):
+        detections = str(tmp_path / "d.csv")
+        attempts = str(tmp_path / "a.jsonl")
+        run_json(capsys, "herald", "synth", "--attempts", "100", "--detections-out", detections, "--attempts-out", attempts)
+        windows = tmp_path / "windows.json"
+        windows.write_text(json.dumps({"second_window_offset_ps": 0}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "herald", "sweep", "--detections", detections, "--attempts", attempts,
+            "--window-config", str(windows), "--offsets=0:0:1", "--sweep-out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 1 and out == ""
+        assert "second_window_offset_ps (0) must be at least len_first_ps (50000)" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_stream_mode_requires_no_attempts_out(self, capsys, tmp_path):
         detections = str(tmp_path / "d.csv")
         report = run_json(
@@ -412,7 +426,18 @@ class TestHerald:
         )
         assert report["attempts_file"] is None
 
-    def test_experiment_mode_requires_attempts_out(self, capsys, tmp_path):
+    def test_stream_mode_rejects_attempts_out(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "herald", "synth", "--mode", "stream", "--attempts", "100", "--seed", "3",
+            "--detections-out", str(tmp_path / "d.csv"), "--attempts-out", str(tmp_path / "never.jsonl"),
+        )
+        assert code == 1 and out == ""
+        assert "--attempts-out: attempt records are written only in experiment mode" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_experiment_mode_requires_attempts_out(self, capsys, tmp_path, monkeypatch):
+        # Checked before anything is synthesised or written.
+        monkeypatch.setattr(cli.heralding, "synth_experiment", None)
         code, _, err = run(
             capsys,
             "herald",
@@ -425,6 +450,7 @@ class TestHerald:
             str(tmp_path / "d.csv"),
         )
         assert code == 1 and "attempts-out" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def sha256(path):

@@ -140,6 +140,15 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(len_first_ps=0)
 
+    @pytest.mark.parametrize("offset", [0, 49_999, -250_000])
+    def test_rejects_rounds_that_overlap(self, offset):
+        # At offset 0 one click 100 ps into round 1 also lies in round 2 and heralded a trial alone.
+        with pytest.raises(ValueError, match="second_window_offset_ps .* must be at least len_first_ps"):
+            WindowConfig(second_window_offset_ps=offset)
+
+    def test_second_round_may_start_where_the_first_ends(self):
+        assert WindowConfig(second_window_offset_ps=50_000).second_window_offset_ps == WINDOWS.len_first_ps
+
     def test_shift_moves_both_rounds(self):
         shifted = WINDOWS.shifted(-700)
         assert shifted.start_ch0_ps == WINDOWS.start_ch0_ps - 700

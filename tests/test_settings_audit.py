@@ -11,10 +11,8 @@ from bellkit.settings_audit import (
     McPValue,
     SettingCounts,
     audit_row,
-    binom_uniform,
     fisher_2x2,
-    lee_joint,
-    lee_threshold,
+    look_elsewhere,
     multinomial_uniform_mc,
     pearson_chi2,
 )
@@ -40,24 +38,22 @@ class TestSettingCounts:
 
 
 class TestBinomUniform:
+    """The marginal tests audit_row makes: exact.binom_two_sided on each side's count of setting 1."""
+
     def test_most_balanced_split_is_one(self):
         counts = SettingCounts(61, 61, 61, 62)  # marginal A = 123 of 245
-        assert binom_uniform(counts, "A") == pytest.approx(1.0, abs=1e-12)
+        assert exact.binom_two_sided(counts.marginal_a, counts.total) == pytest.approx(1.0, abs=1e-12)
 
     def test_first_run_marginals_match_exact_oracle(self):
         half = Fraction(1, 2)
         want_a = float(binom_two_sided_oracle(113, 245, half))
         want_b = float(binom_two_sided_oracle(130, 245, half))
-        assert binom_uniform(FIRST_RUN, "A") == pytest.approx(want_a, rel=1e-12, abs=0)
-        assert binom_uniform(FIRST_RUN, "B") == pytest.approx(want_b, rel=1e-12, abs=0)
+        assert exact.binom_two_sided(FIRST_RUN.marginal_a, 245) == pytest.approx(want_a, rel=1e-12, abs=0)
+        assert exact.binom_two_sided(FIRST_RUN.marginal_b, 245) == pytest.approx(want_b, rel=1e-12, abs=0)
 
     def test_extreme_marginal(self):
         counts = SettingCounts(0, 0, 122, 123)  # marginal A = 245 of 245
-        assert binom_uniform(counts, "A") == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
-
-    def test_side_validation(self):
-        with pytest.raises(ValueError):
-            binom_uniform(FIRST_RUN, "C")
+        assert exact.binom_two_sided(counts.marginal_a, 245) == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
 
 
 class TestMultinomialUniformMc:
@@ -177,12 +173,39 @@ class TestCalibration:
                 assert rate <= alpha + mc, (alpha, column, rate)
 
 
+class TestLookElsewhere:
+    def test_one_tape_gives_both_values(self, monkeypatch):
+        calls = []
+        tape = sa._lee_local_pvalues
+
+        def counted(*args):
+            calls.append(args)
+            return tape(*args)
+
+        monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
+        joint, threshold = look_elsewhere(60, 0.05, reps=2000, seed=5)
+        assert calls == [(60, 2000, 5, "probability")]
+        min_p = tape(60, 2000, 5, "probability").min(axis=1)
+        p = float(np.mean(min_p < 0.05))
+        assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000), reps=2000)
+        assert threshold == sa._threshold_quantile(min_p, 0.05)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            look_elsewhere(245, alpha, reps=2000, seed=0)
+
+
 class TestLeeJoint:
-    def test_alpha_one_rejects_by_convention(self):
-        assert lee_joint(245, 1.0, reps=2000, seed=0).p == 1.0
+    """The joint rejection probability, look_elsewhere's first value."""
+
+    def test_alpha_one_rejects_by_convention(self, monkeypatch):
+        # A threshold of 1 rejects every table, with no tape drawn.
+        monkeypatch.setattr(sa, "_lee_local_pvalues", None)
+        assert look_elsewhere(245, 1.0, reps=2000, seed=0)[0] == McPValue(p=1.0, mc_error=0.0, reps=2000)
 
     def test_monotone_in_alpha_common_random_numbers(self):
-        values = [lee_joint(60, a, reps=2000, seed=5).p for a in (0.01, 0.02, 0.05, 0.1, 0.2)]
+        values = [look_elsewhere(60, a, reps=2000, seed=5)[0].p for a in (0.01, 0.02, 0.05, 0.1, 0.2)]
         assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
     def test_bonferroni_sandwich(self):
@@ -197,12 +220,12 @@ class TestLeeJoint:
         # 1 - 0.95^4 = 0.18; the correlated Monte Carlo value sits below it.
         ideal = 1.0 - (1.0 - 0.05) ** 4
         assert ideal == pytest.approx(0.18549, abs=1e-4)
-        joint = lee_joint(245, 0.05, reps=4000, seed=7).p
+        joint = look_elsewhere(245, 0.05, reps=4000, seed=7)[0].p
         assert joint < ideal
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
-            lee_joint(245, 0.05, reps=10, seed=0)
+            look_elsewhere(245, 0.05, reps=10, seed=0)
 
 
 def bisected_threshold(min_p: np.ndarray, target: float) -> float:
@@ -243,15 +266,18 @@ def null_table_double_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
 class TestUniform4NullTable:
     @pytest.mark.parametrize("n", [1, 2, 5, 37, 245])
     def test_matches_double_loop(self, n):
-        stat, cum = sa._uniform4_null_table.__wrapped__(n)
+        stat, cum = sa._uniform4_null_table(n)
         want_stat, want_cum = null_table_double_loop(n)
         assert np.array_equal(stat, want_stat)
         assert np.array_equal(cum, want_cum)
 
 
 class TestLeeThreshold:
-    def test_target_one(self):
-        assert lee_threshold(245, 1.0, reps=2000, seed=0) == 1.0
+    """The per-test threshold, look_elsewhere's second value: an order statistic of the tape."""
+
+    def test_target_one(self, monkeypatch):
+        monkeypatch.setattr(sa, "_lee_local_pvalues", None)
+        assert look_elsewhere(245, 1.0, reps=2000, seed=0)[1] == 1.0
 
     @pytest.mark.parametrize(
         "n, reps, seed, ordering",
@@ -265,8 +291,7 @@ class TestLeeThreshold:
         # below 0.05 (3000) and just below 0.0037 (10000).
         edges = (0.29, 0.57, math.nextafter(0.05, 0.0), math.nextafter(0.0037, 0.0))
         for target in (1e-4, 5e-4, 1e-3, 3e-3, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9, 0.999, *edges):
-            got = lee_threshold(n, target, reps=reps, seed=seed, ordering=ordering)
-            assert got == bisected_threshold(min_p, target), target
+            assert sa._threshold_quantile(min_p, target) == bisected_threshold(min_p, target), target
 
     def test_thresholds_below_the_bisection_grid_step_are_floored(self):
         # 0.0031 is finer than the 2^-60 grid; 1e-19 lies below its first step.
@@ -279,15 +304,15 @@ class TestLeeThreshold:
     def test_self_consistency_fixed_point(self):
         alpha0 = 0.07
         reps, seed, n = 4000, 9, 60
-        joint = lee_joint(n, alpha0, reps=reps, seed=seed).p
-        threshold = lee_threshold(n, joint, reps=reps, seed=seed)
+        joint = look_elsewhere(n, alpha0, reps=reps, seed=seed)[0].p
+        threshold = look_elsewhere(n, joint, reps=reps, seed=seed)[1]
         assert threshold >= alpha0 - 1e-9
         assert threshold == pytest.approx(alpha0, abs=0.02)
         # The threshold saturates its own target on the same tape.
-        assert lee_joint(n, threshold, reps=reps, seed=seed).p <= joint + 1e-12
+        assert look_elsewhere(n, threshold, reps=reps, seed=seed)[0].p <= joint + 1e-12
 
     def test_threshold_below_alpha_with_four_tests(self):
-        threshold = lee_threshold(60, 0.05, reps=3000, seed=10)
+        threshold = look_elsewhere(60, 0.05, reps=3000, seed=10)[1]
         assert 0.0 < threshold < 0.05
 
 
@@ -316,8 +341,7 @@ class TestAuditRow:
         row = audit_row(counts, reps=2000, seed=3, lee_reps=lee_reps, alpha=0.02)
         assert len(calls) == 1
         monkeypatch.undo()
-        assert row.p_threshold == lee_threshold(counts.total, 0.02, reps=lee_reps, seed=3)
-        assert row.p_joint_lee == lee_joint(counts.total, 0.02, reps=lee_reps, seed=3)
+        assert (row.p_joint_lee, row.p_threshold) == look_elsewhere(counts.total, 0.02, reps=lee_reps, seed=3)
 
     def test_alpha_one_needs_no_tape(self, monkeypatch):
         monkeypatch.setattr(sa, "_lee_local_pvalues", None)
