@@ -17,17 +17,17 @@ Subsystems:
 `import bellkit` loads neither numpy nor any of these modules: each name
 in `__all__` is imported from its module on first access. The CLI executes
 a module only when a command first uses it. `bellkit --version`, `--help`,
-a usage error, `bound` and `combine` load no numpy: `pvalues` runs on
-`math` alone. A command executes its own module and, through it, only what
-it calls of `trials`, `pvalues`, `exact` and `rngstream`:
+a usage error, `bound`, `combine` and the four `rng` commands load no
+numpy: `pvalues` runs on `math` alone and `randomness` on `bytes` and
+`int`. A command executes its own module and, through it, only what it
+calls of `trials`, `pvalues`, `exact` and `rngstream`:
 
 * `analyze`, `combine`, `bound`: `pvalues` (and `trials` for `analyze`);
 * `simulate`, `simulate-reference`, `adversary`: `lhv`;
 * `herald synth`, `herald sweep`: `heralding`;
-* `rng extract`, `bias`, `combine`, `independence`: `randomness`;
+* `rng extract`, `bias`, `combine`, `independence`: `randomness` and
+  `pvalues`, and nothing else;
 * `audit`: `settings_audit`.
-
-`rng bias`, for one, executes `randomness` and `trials` and nothing else.
 """
 
 import importlib

@@ -1,19 +1,19 @@
 """Exact tests over whole supports, in numpy.
 
-The two-sided binomial test (at one k or every k), Fisher's exact test (one
-table or a batch) and the uniform multinomial log pmf, all in log space and
-deterministic; Monte Carlo layers live in the calling modules. This module
-needs numpy. The scalar tails (binomial, chi-squared, normal) are in
-`bellkit.pvalues`, which does not.
+The two-sided binomial test (at one k or every k), Fisher's exact test on
+a batch of tables and the uniform multinomial log pmf, all in log space
+and deterministic; Monte Carlo layers live in the calling modules. This
+module needs numpy. The scalar tails (binomial, chi-squared, normal) and
+Fisher's test on one table are in `bellkit.pvalues`, which does not.
 
 Two-sided tests use the probability ordering ("minlike") convention: the
 P-value is the total probability of all outcomes whose pmf does not exceed
-the observed outcome's pmf, with a small relative tolerance for ties.
+the observed outcome's pmf, with the tie tolerance `pvalues.TIE_RELATIVE_EPS`.
 
-Every log k! comes from one table, `_log_factorial`: `pvalues._log_k_factorial`
-mapped over k, bit-equal to `scipy.special.gammaln(k + 1)`. A scalar test
-sums with `pvalues._sum_exp`, on libm's exp, so it has the same bits on
-every CPU.
+Every log k! comes from one table, `pvalues._log_factorial`, viewed here
+as a numpy array: `pvalues._log_k_factorial` mapped over k, bit-equal to
+`scipy.special.gammaln(k + 1)`. A scalar test sums with `pvalues._sum_exp`,
+on libm's exp, so it has the same bits on every CPU.
 """
 from __future__ import annotations
 
@@ -22,30 +22,13 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pvalues import _check_counts, _log_k_factorial, _sum_exp
-
-# Relative tolerance when comparing pmf values for "as extreme or more
-# extreme" orderings; the usual exact-test tie convention.
-TIE_RELATIVE_EPS = 1e-7
-
-_LOG_TIE = math.log1p(TIE_RELATIVE_EPS)
-
-_log_factorial_table = np.zeros(0)
+from . import pvalues
+from .pvalues import _LOG_TIE, _check_counts, _sum_exp
 
 
 def _log_factorial(size: int) -> np.ndarray:
-    """Read-only table with lg[k] = log k! for at least k = 0..size-1.
-
-    Built on first use and extended on demand; an extension computes only
-    the new entries.
-    """
-    global _log_factorial_table
-    table = _log_factorial_table
-    if size > table.size:
-        table = np.concatenate([table, np.fromiter(map(_log_k_factorial, range(table.size, size)), float)])
-        table.flags.writeable = False
-        _log_factorial_table = table
-    return table
+    """lg[k] = log k! for at least k = 0..size-1: a read-only view of the one table, `pvalues._log_factorial`."""
+    return np.frombuffer(memoryview(pvalues._log_factorial(size)).toreadonly())
 
 
 def _check_binom_args(k: int, n: int, p: float) -> None:
@@ -81,41 +64,6 @@ def binom_two_sided_table(n: int, p: float = 0.5) -> np.ndarray:
     cum = np.cumsum(np.exp(lp[order]))
     pos = np.searchsorted(lp[order], lp + _LOG_TIE, side="right")
     return np.minimum(cum[np.maximum(pos, 1) - 1], 1.0)
-
-
-def fisher_two_sided(n00: int, n01: int, n10: int, n11: int) -> float:
-    """Two-sided Fisher exact test on [[n00, n01], [n10, n11]].
-
-    Enumerates the hypergeometric support with the row and column margins
-    fixed and sums the probability of every table at most as likely as the
-    observed one. A table with an empty row or column admits a single
-    configuration, so the P-value is 1.
-    """
-    cells = (n00, n01, n10, n11)
-    if any(int(c) != c or c < 0 for c in cells):
-        raise ValueError(f"cell counts must be nonnegative integers, got {cells}")
-    n00, n01, n10, n11 = (int(c) for c in cells)
-    r0, r1 = n00 + n01, n10 + n11
-    c0 = n00 + n10
-    n = r0 + r1
-    if r0 == 0 or r1 == 0 or c0 == 0 or c0 == n:
-        return 1.0
-    a_min = max(0, c0 - r1)
-    a_max = min(r0, c0)
-    a = np.arange(a_min, a_max + 1)
-    lg = _log_factorial(n + 1)
-    lp = (
-        lg[r0]
-        - lg[a]
-        - lg[r0 - a]
-        + lg[r1]
-        - lg[c0 - a]
-        - lg[r1 - (c0 - a)]
-        - (lg[n] - lg[c0] - lg[n - c0])
-    )
-    lp_obs = lp[n00 - a_min]
-    keep = lp <= lp_obs + _LOG_TIE
-    return min(1.0, _sum_exp(lp[keep].tolist()))
 
 
 def fisher_two_sided_tables(tables: np.ndarray, max_cells: int = 4_000_000) -> np.ndarray:

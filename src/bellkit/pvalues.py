@@ -30,15 +30,16 @@ The complete analysis defaults to the lemma form; pass form="expanded" to
 select the other. Also here: Fisher's method for combining independent
 P-values and the tau sensitivity curve of the complete analysis.
 
-The scalar tails behind them are here too (binomial in Loader's
-saddle-point form, chi-squared, normal), with the compensated sum of
-exponentials and the one log k! formula that `bellkit.exact` maps into its
-table. They use `math` (libm) alone: this module needs no numpy, and a tail
-has the same bits on every CPU, where numpy's vector exp and log may not.
+The scalar tests behind them are here too: the tails (binomial in Loader's
+saddle-point form, chi-squared, normal) and Fisher's exact test on one 2x2
+table, with the compensated sum of exponentials and the one log k! table,
+which `bellkit.exact` views as a numpy array. They use `math` (libm) alone:
+this module needs no numpy, and a P-value has the same bits on every CPU.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import count
 from typing import IO, Iterable, Mapping, Sequence
@@ -57,6 +58,13 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404577
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 
 _LOG_2PI = 1.8378770664093454836  # log(2 pi)
+
+# Relative tolerance when comparing pmf values for "as extreme or more
+# extreme" orderings; the usual exact-test tie convention.
+TIE_RELATIVE_EPS = 1e-7
+_LOG_TIE = math.log1p(TIE_RELATIVE_EPS)
+
+_log_factorial_table = array("d")
 
 # Loader's delta(m) = log m! - (m + 1/2) log m + m - log sqrt(2 pi) for
 # m = 0..15; delta(0) is +inf, and the ends k = 0 and k = n never need it.
@@ -94,6 +102,18 @@ def _log_k_factorial(k: int) -> float:
         for a in _LGAM_A[1:]:
             series = series * p + a
     return q + series / x
+
+
+def _log_factorial(size: int) -> array:
+    """Table with lg[k] = log k! (`_log_k_factorial`) for at least k = 0..size-1, built on first use.
+
+    An extension computes only the new entries, into a new table: `bellkit.exact` views the buffer.
+    """
+    global _log_factorial_table
+    old = _log_factorial_table
+    if size > len(old):
+        _log_factorial_table = old + array("d", map(_log_k_factorial, range(len(old), size)))
+    return _log_factorial_table
 
 
 def _sum_exp(log_terms: Sequence[float]) -> float:
@@ -222,6 +242,29 @@ def chi2_survival(x: float, df: int) -> float:
 def normal_survival(z: float) -> float:
     """Upper tail of the standard normal distribution."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def fisher_two_sided(n00: int, n01: int, n10: int, n11: int) -> float:
+    """Two-sided Fisher exact test on [[n00, n01], [n10, n11]].
+
+    The summed probability of every table with the same row and column
+    margins that is at most as likely as the observed one (probability
+    ordering); a table with an empty row or column has P-value 1.
+    """
+    cells = (n00, n01, n10, n11)
+    if any(int(c) != c or c < 0 for c in cells):
+        raise ValueError(f"cell counts must be nonnegative integers, got {cells}")
+    n00, n01, n10, n11 = (int(c) for c in cells)
+    r0, r1, c0, n = n00 + n01, n10 + n11, n00 + n10, n00 + n01 + n10 + n11
+    if r0 == 0 or r1 == 0 or c0 == 0 or c0 == n:
+        return 1.0
+    a_min = max(0, c0 - r1)
+    lg = _log_factorial(n + 1)
+    margins = lg[n] - lg[c0] - lg[n - c0]
+    lp = [lg[r0] - lg[a] - lg[r0 - a] + lg[r1] - lg[c0 - a] - lg[r1 - (c0 - a)] - margins
+          for a in range(a_min, min(r0, c0) + 1)]
+    limit = lp[n00 - a_min] + _LOG_TIE
+    return min(1.0, _sum_exp([t for t in lp if t <= limit]))
 
 
 @dataclass(frozen=True)

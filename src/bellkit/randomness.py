@@ -9,41 +9,59 @@ between two bit streams paired by index.
 
 Parity is invariant under character reordering and under leading zeros in
 the binary representation of a code point, so the popcount formulation is
-representation independent.
+representation independent. Bits are `bytes`, one byte 0 or 1 per bit,
+and every step is a C-level `bytes` or `int` operation: no numpy.
 """
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-import numpy as np
-
-from . import exact
-from .trials import _check_columns, _read_only, _read_path
+from .pvalues import fisher_two_sided
 
 MAX_MESSAGE_CHARS = 140
-# Messages per array pass of extract_bits; bounds the joined text it holds.
-_PARITY_CHUNK = 512
+
+# Per UTF-8 byte, the parity of its ones, flipped for a lead byte (0xC0 and up): the marker bits of every
+# multibyte sequence hold an odd number of ones, so a message's bytes give the parity of its code points.
+_UTF8_PARITY = bytes((bin(b).count("1") + (b >= 0xC0)) & 1 for b in range(256))
+
+
+def _check_bits(values: Iterable[object]) -> None:
+    """Raise, naming the first row (counted from 1) of `values` that is not the integer 0 or 1."""
+    for row, value in enumerate(values, start=1):
+        if isinstance(value, bool):
+            raise ValueError(f"row {row}: bits must be integers, not bools, got {value!r}")
+        try:
+            bit = operator.index(value)
+        except TypeError:
+            raise ValueError(f"row {row}: bits must be a one-dimensional column of integers, got {value!r}") from None
+        if bit not in (0, 1):
+            raise ValueError(f"row {row}: bits must be 0 or 1, got {bit}")
 
 
 @dataclass(frozen=True, eq=False)
 class BitStream:
-    """Ordered bits as one read-only uint8 column.
+    """Ordered bits as read-only bytes, one byte (0 or 1) per bit.
 
-    Construction takes a tuple or an array of integers and checks every
-    bit, vectorised; bools are rejected. Errors name the row, counted from 1.
+    Construction takes bytes, or integers in a tuple, list, array or iterator, converted with
+    `operator.index`; bools, numpy's included, are rejected. Errors name the row, counted from 1.
     """
 
-    bits: np.ndarray
+    bits: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, np.ndarray) and bool in set(map(type, self.bits)):
-            raise ValueError("bits must be integers, not bools")
-        _check_columns(self, ("bits",), None)
-        object.__setattr__(self, "bits", _read_only(self.bits.astype(np.uint8)))
+        values = self.bits if hasattr(self.bits, "__len__") else list(self.bits)
+        bits = values if isinstance(values, bytes) else None
+        if bits is None and bool not in set(map(type, values)):
+            with contextlib.suppress(TypeError, ValueError):
+                bits = bytes(map(operator.index, values))
+        if bits is None or bits.translate(None, b"\x00\x01"):
+            _check_bits(values)
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -58,42 +76,29 @@ class BiasEstimate:
     n: int
 
 
-def _parities(chunk: list[str], lengths: np.ndarray) -> np.ndarray:
-    """Per message, the parity of the total popcount of its code points, as uint8."""
-    codes = np.frombuffer("".join(chunk).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    folded = codes ^ (codes >> 16)
-    for shift in (8, 4, 2, 1):
-        folded ^= folded >> shift
-    # The low bit of a running sum of code point parities (mod 256) gives
-    # each message's XOR as the difference across its segment.
-    running = np.zeros(len(codes) + 1, dtype=np.uint8)
-    np.cumsum(folded.astype(np.uint8) & 1, dtype=np.uint8, out=running[1:])
-    ends = np.cumsum(lengths)
-    return (running[ends] - running[ends - lengths]) & 1
-
-
 def extract_bits(messages: Iterable[str], max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
     """One bit per message: the parity of the total number of ones across its code points.
 
-    An empty message yields 0 (the empty parity) with a warning rather than
-    an error. An over-long message raises, naming its line: messages are
-    counted from 1, as the lines of a message file. Messages are taken
-    `_PARITY_CHUNK` at a time, each chunk as one array pass.
+    An empty message yields 0 (the empty parity) with a warning; an over-long message
+    raises, naming its line counted from 1, after the empty ones before it warn.
     """
-    messages = iter(messages)
-    parts = []
-    first_line = 1
-    while chunk := list(itertools.islice(messages, _PARITY_CHUNK)):
-        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        over = np.flatnonzero(lengths > max_chars)
-        stop = int(over[0]) if over.size else len(chunk)
-        for _ in range(np.count_nonzero(lengths[:stop] == 0)):
-            warnings.warn("empty message maps to bit 0", stacklevel=2)
-        if over.size:
-            raise ValueError(f"line {first_line + stop}: message has {lengths[stop]} characters, limit is {max_chars}")
-        parts.append(_parities(chunk, lengths))
-        first_line += len(chunk)
-    return BitStream(np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8))
+    messages = list(messages)
+    lengths = list(map(len, messages))
+    over = next((line for line, size in enumerate(lengths, start=1) if size > max_chars), None)
+    for _ in range(lengths[:over].count(0)):
+        warnings.warn("empty message maps to bit 0", stacklevel=2)
+    if over is not None:
+        raise ValueError(f"line {over}: message has {lengths[over - 1]} characters, limit is {max_chars}")
+    return BitStream(bytes([m.encode("utf-8", "surrogatepass").translate(_UTF8_PARITY).count(1) & 1 for m in messages]))
+
+
+def _block_parities(bits: bytes) -> bytes:
+    """Each whole block of eight bits XOR-folded, as one integer, into its first byte; a remainder is dropped."""
+    size = len(bits) // 8 * 8
+    folded = int.from_bytes(bits[:size], "little")
+    for shift in (32, 16, 8):
+        folded ^= folded >> shift
+    return folded.to_bytes(size, "little")[::8]
 
 
 def block8(stream: BitStream) -> BitStream:
@@ -103,7 +108,7 @@ def block8(stream: BitStream) -> BitStream:
     """
     if len(stream) < 8:
         raise ValueError(f"need at least 8 bits, got {len(stream)}")
-    return BitStream(np.bitwise_xor.reduce(stream.bits[: len(stream) // 8 * 8].reshape(-1, 8), axis=1))
+    return BitStream(_block_parities(stream.bits))
 
 
 def estimate_bias(stream: BitStream) -> BiasEstimate:
@@ -111,7 +116,7 @@ def estimate_bias(stream: BitStream) -> BiasEstimate:
     n = len(stream)
     if n == 0:
         raise ValueError("cannot estimate bias of an empty stream")
-    mean = int(np.count_nonzero(stream.bits)) / n
+    mean = stream.bits.count(1) / n
     return BiasEstimate(bias=abs(mean - 0.5), uncertainty=1.0 / (2.0 * math.sqrt(n)), n=n)
 
 
@@ -126,7 +131,7 @@ def combine_streams(classical: BitStream, quantum: BitStream) -> BitStream:
             f"classical stream has {len(classical)} bits, need exactly 8 per quantum bit "
             f"({8 * len(quantum)} for {len(quantum)} quantum bits)"
         )
-    return BitStream(np.bitwise_xor.reduce(classical.bits.reshape(-1, 8), axis=1) ^ quantum.bits)
+    return BitStream(bytes([p ^ q for p, q in zip(_block_parities(classical.bits), quantum.bits)]))
 
 
 def independence_test(a: BitStream, b: BitStream) -> float:
@@ -135,8 +140,9 @@ def independence_test(a: BitStream, b: BitStream) -> float:
         raise ValueError(f"streams must have equal length, got {len(a)} and {len(b)}")
     if len(a) == 0:
         raise ValueError("cannot test empty streams")
-    n00, n01, n10, n11 = np.bincount(2 * a.bits + b.bits, minlength=4).tolist()
-    return exact.fisher_two_sided(n00, n01, n10, n11)
+    n11 = (int.from_bytes(a.bits, "little") & int.from_bytes(b.bits, "little")).bit_count()
+    n10, n01 = a.bits.count(1) - n11, b.bits.count(1) - n11
+    return fisher_two_sided(len(a) - n11 - n10 - n01, n01, n10, n11)
 
 
 def read_messages(source: str | IO[str]) -> list[str]:
@@ -174,23 +180,16 @@ def write_bits(target: str, stream: BitStream, packed: bool = False) -> None:
     The packed format is an 8-byte big-endian bit count followed by the
     bits packed MSB-first.
     """
+    digits = stream.bits.translate(bytes.maketrans(b"\x00\x01", b"01"))
     if packed:
-        with open(target, "wb") as handle:
-            handle.write(len(stream).to_bytes(8, "big"))
-            handle.write(np.packbits(stream.bits).tobytes())
-        return
-    lines = np.full((len(stream), 2), ord("\n"), dtype=np.uint8)
-    lines[:, 0] = stream.bits + ord("0")
-    with open(target, "w", encoding="utf-8") as handle:
-        handle.write(lines.tobytes().decode("ascii"))
-
-
-def _read_ascii_bits(handle: IO[str]) -> BitStream:
-    words = [line.strip() for line in handle]
-    if set(words) - {"0", "1", ""}:
-        lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
-        raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
-    return BitStream(np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("0"))
+        size = -(-len(stream) // 8)
+        # Base 2 converts in linear time; the last byte's pad bits are 0.
+        data = len(stream).to_bytes(8, "big") + int(digits.ljust(8 * size, b"0") or b"0", 2).to_bytes(size, "big")
+    else:
+        data = bytearray(b"\n" * (2 * len(stream)))
+        data[::2] = digits
+    with open(target, "wb") as handle:
+        handle.write(data)
 
 
 def read_bits(source: str, packed: bool = False) -> BitStream:
@@ -200,17 +199,28 @@ def read_bits(source: str, packed: bool = False) -> BitStream:
     the line. A packed file must be exactly as long as its header's bit
     count requires, with the pad bits of its last byte 0.
     """
+    with open(source, "rb") if packed else open(source, "r", encoding="utf-8") as handle:
+        try:
+            return BitStream(_bit_digits(handle, packed).translate(bytes.maketrans(b"01", b"\x00\x01")))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+
+
+def _bit_digits(handle: IO, packed: bool) -> bytes:
+    """The bits of an open bit file as ASCII digits; see read_bits."""
     if not packed:
-        return _read_path(source, _read_ascii_bits)
-    with open(source, "rb") as handle:
-        raw = handle.read()
+        words = [line.strip() for line in handle.read().split("\n")]
+        if set(words) - {"0", "1", ""}:
+            lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
+            raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
+        return "".join(words).encode("ascii")
+    raw = handle.read()
     if len(raw) < 8:
-        raise ValueError(f"{source}: truncated packed bit file")
+        raise ValueError("truncated packed bit file")
     count = int.from_bytes(raw[:8], "big")
     size = -(-count // 8)
     if len(raw) - 8 != size:
-        raise ValueError(f"{source}: header promises {count} bits in {size} bytes, file holds {len(raw) - 8}")
-    packed_bits = np.frombuffer(raw, dtype=np.uint8, offset=8)
-    if count % 8 and packed_bits[-1] & (0xFF >> count % 8):
-        raise ValueError(f"{source}: pad bits after bit {count} must be 0, last byte is 0b{packed_bits[-1]:08b}")
-    return BitStream(np.unpackbits(packed_bits, count=count))
+        raise ValueError(f"header promises {count} bits in {size} bytes, file holds {len(raw) - 8}")
+    if count % 8 and raw[-1] & (0xFF >> count % 8):
+        raise ValueError(f"pad bits after bit {count} must be 0, last byte is 0b{raw[-1]:08b}")
+    return format(int.from_bytes(raw[8:], "big"), f"0{8 * size}b")[:count].encode("ascii")

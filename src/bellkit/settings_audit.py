@@ -159,7 +159,7 @@ def fisher_2x2(counts: SettingCounts) -> float:
     """Two-sided Fisher exact test on [[n00, n01], [n10, n11]]."""
     if counts.total < 1:
         raise ValueError("need at least one event")
-    return exact.fisher_two_sided(counts.n00, counts.n01, counts.n10, counts.n11)
+    return pvalues.fisher_two_sided(counts.n00, counts.n01, counts.n10, counts.n11)
 
 
 def pearson_chi2(counts: SettingCounts) -> float:
@@ -228,8 +228,6 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
     """
     if n < 1:
         raise ValueError("need at least one event")
-    if reps < _MIN_MC_REPS:
-        raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
     rng = rngstream.stream(seed, 0)
     draws = rng.multinomial(n, [0.25] * 4, size=reps)
 
@@ -273,6 +271,8 @@ def look_elsewhere(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if reps < _MIN_MC_REPS:
+        raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
     if alpha == 1.0:
         return McPValue(p=1.0, mc_error=0.0, reps=reps), 1.0
     min_p = _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)

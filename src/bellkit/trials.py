@@ -14,11 +14,11 @@ implements verbatim. A `TrialSet` holds trials as checked int64 columns,
 and k, n, the correlators and S are read from the `CellTable` tabulated
 over them.
 
-This module also owns what the record tables of trials, attempts,
-detections and bits share: one construction check that makes each column
-a read-only int64 column and checks lengths and domains, and the
-JSON-lines format of integer records, with one reader and one chunked row
-writer. Errors name the row, or the file line.
+This module also owns what the record tables of trials, attempts and
+detections share: one construction check that makes each column a
+read-only int64 column and checks lengths and domains, and the JSON-lines
+format of integer records, with one reader and one chunked row writer.
+Errors name the row, or the file line.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ _DOMAINS = {
     "outcome_b": ((-1, 1), "+1 or -1"),
     "channel": ((0, 1), "0 or 1"),
     "time_ps": (0, ">= 0"),
-    "bits": ((0, 1), "0 or 1"),
 }
 
 

@@ -6,8 +6,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from bellkit.exact import TIE_RELATIVE_EPS
-from bellkit.pvalues import _LGAM_A, _LOG_2PI, _LS2PI, _STIRLERR_TABLE, _STIRLING_S
+from bellkit import exact
+from bellkit.pvalues import _LGAM_A, _LOG_2PI, _LS2PI, _STIRLERR_TABLE, _STIRLING_S, TIE_RELATIVE_EPS, _sum_exp
 from bellkit.lhv import (
     _T_BIAS_A,
     _T_BIAS_B,
@@ -217,6 +217,29 @@ def fisher_chunk_gather(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
     p = np.where(keep, np.exp(lp), 0.0).sum(axis=1)
     degenerate = (r0 == 0) | (r1 == 0) | (c0 == 0) | (c0 == n)
     return np.where(degenerate, 1.0, np.minimum(p, 1.0))
+
+
+def fisher_two_sided_array(n00, n01, n10, n11):
+    """Fisher's two-sided test on one table as numpy evaluated it over the support: the scalar form's reference."""
+    r0, r1 = n00 + n01, n10 + n11
+    c0 = n00 + n10
+    n = r0 + r1
+    if r0 == 0 or r1 == 0 or c0 == 0 or c0 == n:
+        return 1.0
+    a_min = max(0, c0 - r1)
+    a = np.arange(a_min, min(r0, c0) + 1)
+    lg = exact._log_factorial(n + 1)
+    lp = (
+        lg[r0]
+        - lg[a]
+        - lg[r0 - a]
+        + lg[r1]
+        - lg[c0 - a]
+        - lg[r1 - (c0 - a)]
+        - (lg[n] - lg[c0] - lg[n - c0])
+    )
+    keep = lp <= lp[n00 - a_min] + math.log1p(TIE_RELATIVE_EPS)
+    return min(1.0, _sum_exp(lp[keep].tolist()))
 
 
 def lgam_whole(lo, hi):

@@ -213,7 +213,7 @@ def test_criterion_10_extraction_sizes_and_xor():
 
     def combined(rows):
         """combine_streams over rows of eight classical bits and one quantum bit."""
-        return combine_streams(BitStream(rows[:, :8].ravel()), BitStream(rows[:, 8])).bits
+        return np.frombuffer(combine_streams(BitStream(rows[:, :8].ravel()), BitStream(rows[:, 8])).bits, np.uint8)
 
     patterns = np.array(list(itertools.product((0, 1), repeat=9)))
     exhaustive_ok = np.array_equal(combined(patterns), patterns.sum(axis=1) % 2)

@@ -814,6 +814,11 @@ class TestAudit:
         code, out, err = run(capsys, "audit", "--counts", counts, "--reps", "1000", "--lee-reps", "1000")
         assert code == 1 and out == "" and "--counts" in err
 
+    def test_too_few_lee_reps_exit_one_at_every_alpha(self, capsys):
+        for alpha in ("0.5", "1"):
+            code, out, err = run(capsys, "audit", "--counts", "53,79,62,51", "--alpha", alpha, "--lee-reps", "5")
+            assert (code, out) == (1, "") and "need at least 1000 Monte Carlo repetitions, got 5" in err, alpha
+
     @pytest.mark.parametrize("label", ["run 1, day 2", 'line\nbreak and "quote"'])
     def test_csv_label_reads_back_whole(self, capsys, tmp_path, label):
         out = tmp_path / "audit.csv"

@@ -31,6 +31,36 @@ def bit(text, max_chars=randomness.MAX_MESSAGE_CHARS):
     return int(extract_bits([text], max_chars).bits[0])
 
 
+class TestBitStreamConstruction:
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            (np.array([False, True]), "row 1: bits must be a one-dimensional column of integers, got "),
+            ((0, 1, 1.0), "row 3: bits must be a one-dimensional column of integers, got 1.0"),
+            ((0, True), "row 2: bits must be integers, not bools, got True"),
+            ((0, 1, 2), "row 3: bits must be 0 or 1, got 2"),
+            ((0, -1, 1), "row 2: bits must be 0 or 1, got -1"),
+            ([1, 0, 256], "row 3: bits must be 0 or 1, got 256"),
+            ((2, True), "row 1: bits must be 0 or 1, got 2"),
+            (b"\x00\x01\x02", "row 3: bits must be 0 or 1, got 2"),
+            (np.array([0, 1, 1, 2], dtype=np.uint8), "row 4: bits must be 0 or 1, got 2"),
+            (iter([0, True]), "row 2: bits must be integers, not bools, got True"),
+        ],
+        ids=["numpy-bools", "float", "bool", "two", "minus-one", "beyond-a-byte", "first-bad-row", "bytes-two",
+             "array-two", "iterator-bool"],
+    )
+    def test_rejects_naming_the_row(self, bits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            BitStream(bits)
+
+    @pytest.mark.parametrize("bits", [(0, 1, 1), [0, 1, 1], np.array([0, 1, 1]), np.array([0, 1, 1], dtype=np.uint8),
+                                      b"\x00\x01\x01", bytearray(b"\x00\x01\x01"), iter([0, 1, 1]),
+                                      (b for b in (0, 1, 1))])
+    def test_keeps_bits_as_bytes(self, bits):
+        stream = BitStream(bits)
+        assert type(stream.bits) is bytes and stream.bits == b"\x00\x01\x01" and len(stream) == 3
+
+
 class TestMessageToBit:
     def test_known_characters(self):
         # U+0041 has two ones, U+0061 has three.
@@ -45,7 +75,7 @@ class TestMessageToBit:
 
     def test_matches_oracle_on_mixed_unicode(self):
         samples = ["hello world", "Message #42!", "éèê", "\U0001f600\U0001f680", "0" * 140]
-        assert extract_bits(samples).bits.tolist() == [popcount_parity_oracle(text) for text in samples]
+        assert list(extract_bits(samples).bits) == [popcount_parity_oracle(text) for text in samples]
         for text in samples:
             assert message_to_bit(text) == popcount_parity_oracle(text)
 
@@ -95,7 +125,7 @@ def extract_run(messages, max_chars):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            outcome = extract_bits(iter(messages), max_chars).bits.tolist()
+            outcome = list(extract_bits(iter(messages), max_chars).bits)
         except ValueError as exc:
             outcome = str(exc)
     return outcome, [str(w.message) for w in caught]
@@ -109,28 +139,29 @@ class TestVectorisedParity:
         messages = [m for m in random_messages(seed, 3000) if len(m) <= 140]
         outcome, caught = extract_run(messages, 140)
         assert (outcome, caught) == oracle_run(messages, 140)
-        assert caught and len(messages) % randomness._PARITY_CHUNK
+        assert caught
 
     def test_lengths_140_and_141(self):
         messages = random_messages(7, 400)
         assert {140, 141} <= set(map(len, messages))
         assert extract_run(messages, 141) == oracle_run(messages, 141)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1024])
     @pytest.mark.parametrize("line", [1, 1024, 1025, 2100])
-    def test_over_long_message_in_a_later_chunk_names_its_line(self, monkeypatch, chunk, line):
+    def test_over_long_message_names_its_line(self, line):
         messages = [m[:140] for m in random_messages(11, 2100, empty_share=0.2)]
         messages[line - 1] = "\U0001f600" * 141
-        monkeypatch.setattr(randomness, "_PARITY_CHUNK", chunk)
         outcome, caught = extract_run(messages, 140)
         assert outcome == f"line {line}: message has 141 characters, limit is 140"
         assert (outcome, caught) == oracle_run(messages, 140)
 
     @pytest.mark.parametrize("chunk", [1, 5, 1024])
-    def test_chunk_sizes_agree(self, monkeypatch, chunk):
+    def test_chunk_sizes_agree(self, chunk):
+        # A bit depends on its message alone: extracting the messages `chunk`
+        # at a time and joining the streams gives the oracle's bits and warnings.
         messages = [m for m in random_messages(12, 2500) if len(m) <= 140]
-        monkeypatch.setattr(randomness, "_PARITY_CHUNK", chunk)
-        assert extract_run(messages, 140) == oracle_run(messages, 140)
+        runs = [extract_run(messages[lo : lo + chunk], 140) for lo in range(0, len(messages), chunk)]
+        joined = [bit for outcome, _ in runs for bit in outcome], [w for _, caught in runs for w in caught]
+        assert joined == oracle_run(messages, 140)
 
     def test_lone_surrogates_and_nul(self):
         messages = ["\ud800", "a\udfff", "\x00", "\x00\x00a"]
@@ -142,14 +173,14 @@ class TestVectorisedParity:
 
 class TestBlock8:
     def test_sixteen_zeros(self):
-        assert block8(BitStream(bits=(0,) * 16)).bits.tolist() == [0, 0]
+        assert list(block8(BitStream(bits=(0,) * 16)).bits) == [0, 0]
 
     def test_eight_ones_even_parity(self):
-        assert block8(BitStream(bits=(1,) * 8)).bits.tolist() == [0]
+        assert list(block8(BitStream(bits=(1,) * 8)).bits) == [0]
 
     def test_remainder_dropped(self):
         stream = BitStream(bits=(1, 0, 0, 0, 0, 0, 0, 0) + (1, 1, 1))
-        assert block8(stream).bits.tolist() == [1]
+        assert list(block8(stream).bits) == [1]
 
     def test_dataset_sizes(self):
         # 139952 = 17494 * 8 exactly; 134501 leaves a 5-bit remainder.
@@ -165,12 +196,12 @@ class TestBlock8:
         bits = tuple(int(b) for b in rng.integers(0, 2, size=160))
         base = block8(BitStream(bits=bits))
         padded = tuple(b ^ 0 for b in bits)
-        assert np.array_equal(block8(BitStream(bits=padded)).bits, base.bits)
+        assert block8(BitStream(bits=padded)).bits == base.bits
 
     def test_blockwise_parity_oracle(self):
         rng = rngstream.stream(2)
         bits = tuple(int(b) for b in rng.integers(0, 2, size=83))
-        got = tuple(block8(BitStream(bits=bits)).bits.tolist())
+        got = tuple(block8(BitStream(bits=bits)).bits)
         want = tuple(sum(bits[8 * j : 8 * j + 8]) % 2 for j in range(len(bits) // 8))
         assert got == want
 
@@ -202,7 +233,7 @@ class TestEstimateBias:
 
 def xor_block(classical, quantum):
     """combine_streams on one block: eight classical bits and one quantum bit."""
-    (bit,) = combine_streams(BitStream(tuple(classical)), BitStream((quantum,))).bits.tolist()
+    (bit,) = list(combine_streams(BitStream(tuple(classical)), BitStream((quantum,))).bits)
     return bit
 
 
@@ -237,15 +268,14 @@ class TestXorCombine:
         blocks = rng.integers(0, 2, size=(100_000, 9))
         want = blocks.sum(axis=1) % 2
         got = combine_streams(BitStream(blocks[:, :8].ravel()), BitStream(blocks[:, 8])).bits
-        mismatches = int(np.sum(got != want))
-        assert mismatches == 0
+        assert list(got) == want.tolist()
 
 
 class TestCombineStreams:
     def test_blockwise(self):
         classical = BitStream(bits=(1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0))
         quantum = BitStream(bits=(0, 1))
-        assert combine_streams(classical, quantum).bits.tolist() == [1, 1]
+        assert list(combine_streams(classical, quantum).bits) == [1, 1]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -289,8 +319,8 @@ class TestFileRoundtrip:
         packed_path = str(tmp_path / "bits.bin")
         write_bits(ascii_path, stream)
         write_bits(packed_path, stream, packed=True)
-        assert np.array_equal(read_bits(ascii_path).bits, stream.bits)
-        assert np.array_equal(read_bits(packed_path, packed=True).bits, stream.bits)
+        assert read_bits(ascii_path).bits == stream.bits
+        assert read_bits(packed_path, packed=True).bits == stream.bits
 
     def test_ascii_errors_name_file_and_line(self, tmp_path):
         path = tmp_path / "bits.txt"
@@ -324,7 +354,7 @@ class TestFileRoundtrip:
 
     def test_extract_bits_pipeline(self):
         stream = extract_bits(["A", "a", "Aa"])
-        assert stream.bits.tolist() == [0, 1, 1]
+        assert list(stream.bits) == [0, 1, 1]
 
 
 class TestInputErrors:
@@ -348,4 +378,4 @@ class TestInputErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pad bits after bit 3 must be 0, last byte is 0b10111111$"):
             read_bits(str(path), packed=True)
         path.write_bytes((3).to_bytes(8, "big") + bytes([0b10100000]))
-        assert read_bits(str(path), packed=True).bits.tolist() == [1, 0, 1]
+        assert list(read_bits(str(path), packed=True).bits) == [1, 0, 1]

@@ -1,9 +1,9 @@
 """Start-up pays only for the command that runs.
 
 `import bellkit`, `import bellkit.pvalues`, `--version`, `--help`, a usage
-error, `bound` and `combine` load no numpy, and a command executes only the
-analysis modules it uses. Each check runs in a fresh interpreter, since the
-test process has long loaded everything.
+error, `bound`, `combine` and the four `rng` commands load no numpy, and a
+command executes only the analysis modules it uses. Each check runs in a
+fresh interpreter, since the test process has long loaded everything.
 """
 import json
 import os
@@ -28,6 +28,26 @@ def imported_modules(*args, cwd=None):
     return result.returncode, names
 
 
+@pytest.fixture
+def rng_inputs(tmp_path):
+    """A directory with messages, and 64 classical and 8 quantum bits as ASCII and packed files."""
+    (tmp_path / "messages.txt").write_text("".join(f"message {i}\n" for i in range(64)), encoding="utf-8")
+    for name, bits in (("bits", "01101001" * 8), ("quantum", "10110010")):
+        (tmp_path / f"{name}.txt").write_text("".join(b + "\n" for b in bits), encoding="ascii")
+        (tmp_path / f"{name}.bin").write_bytes(len(bits).to_bytes(8, "big") + int(bits, 2).to_bytes(len(bits) // 8, "big"))
+    return tmp_path
+
+
+def rng_commands(suffix, *packed):
+    return [
+        ["rng", "extract", "--messages", "messages.txt", "--bits-out", f"out{suffix}", *packed],
+        ["rng", "bias", "--bits", f"bits{suffix}", "--block8", *packed],
+        ["rng", "combine", "--classical", f"bits{suffix}", "--quantum", f"quantum{suffix}", "--bits-out",
+         f"combined{suffix}", *packed],
+        ["rng", "independence", "--a", f"bits{suffix}", "--b", f"bits{suffix}", *packed],
+    ]
+
+
 def test_the_probe_sees_numpy():
     # Guards the tests below against a probe that can see no import at all.
     code, names = imported_modules("-c", "import numpy")
@@ -46,12 +66,14 @@ def test_the_probe_sees_numpy():
         (["-m", "bellkit.cli", "combine", "--mode", "merge", "--counts", "245:196,300:237"], 0),
         (["-m", "bellkit.cli", "combine", "--mode", "fisher", "--pvalues", "0.039,0.061"], 0),
         (["-c", "import bellkit.pvalues"], 0),
+        *((["-m", "bellkit.cli", *command], 0) for command in rng_commands(".txt") + rng_commands(".bin", "--packed")),
     ],
     ids=["import", "version", "help", "usage-error", "subcommand-help", "bound", "combine-merge", "combine-fisher",
-         "import-pvalues"],
+         "import-pvalues", "rng-extract", "rng-bias", "rng-combine", "rng-independence", "rng-extract-packed",
+         "rng-bias-packed", "rng-combine-packed", "rng-independence-packed"],
 )
-def test_loads_no_numpy(args, want_code):
-    code, names = imported_modules(*args)
+def test_loads_no_numpy(args, want_code, rng_inputs):
+    code, names = imported_modules(*args, cwd=rng_inputs)
     assert code == want_code
     assert "bellkit" in names
     assert not any(name == "numpy" or name.startswith("numpy.") for name in names)
@@ -71,8 +93,8 @@ def test_rng_bias_executes_only_what_it_uses(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=ENV, cwd=tmp_path, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     executed = json.loads(result.stdout)
-    assert executed["randomness"] and executed["trials"]
-    for name in ("lhv", "heralding", "settings_audit"):
+    assert executed["randomness"] and executed["pvalues"]
+    for name in ("trials", "exact", "lhv", "heralding", "settings_audit"):
         assert not executed.get(name, False), name
 
 

@@ -1,16 +1,18 @@
-"""The scalar tails of `bellkit.pvalues` against the numpy forms they replaced, and their bits on every CPU.
+"""The scalar tests of `bellkit.pvalues` against the numpy forms they replaced, and their bits on every CPU.
 
-The tails run on `math` (libm) alone. The numpy forms they replaced, kept
-in `oracles.py`, give the same bits wherever numpy's exp and log are
-libm's; numpy's AVX-512 kernels may differ from libm in the last bit. A
-child interpreter with those kernels disabled through
-NPY_DISABLE_CPU_FEATURES evaluates the same grid as the test process.
+The tails and Fisher's test on one table run on `math` (libm) alone. The
+numpy forms they replaced, kept in `oracles.py`, give the same bits
+wherever numpy's exp and log are libm's; numpy's AVX-512 kernels may
+differ from libm in the last bit. A child interpreter with those kernels
+disabled through NPY_DISABLE_CPU_FEATURES evaluates the same grid as the
+test process.
 """
 import json
 import math
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -54,6 +56,10 @@ def grid():
         n = int(rng.integers(1, 2000))
         two_sided.append((int(rng.integers(0, n + 1)), n, float(rng.uniform(0.05, 0.95))))
     tables = [rng.multinomial(rng.integers(1, 500), rng.dirichlet([1.0] * 4)).tolist() for _ in range(300)]
+    # The audits' stream length, and symmetric tables, whose support is full of ties.
+    tables += [rng.multinomial(17_494, p).tolist() for p in [[0.25] * 4] * 20 + list(rng.dirichlet([1.0] * 4, 20))]
+    tables += [[5, 0, 0, 5], [0, 5, 5, 0], [1, 1, 1, 1], [2, 1, 1, 2], [3, 3, 3, 3], [7, 3, 3, 7], [10, 10, 10, 10],
+               [4374, 4373, 4373, 4374], [4373, 4374, 4374, 4373], [8747, 0, 0, 8747]]
     return {
         "binom": binom_grid(),
         # The last three differ in the last bit between numpy's AVX-512 exp and libm's.
@@ -70,12 +76,13 @@ def evaluate(cases, reference=False):
         return {
             "binom": [oracles.binom_survival_array(*c).hex() for c in cases["binom"]],
             "chi2": [oracles.chi2_survival_array(*c).hex() for c in cases["chi2"]],
+            "fisher": [oracles.fisher_two_sided_array(*c).hex() for c in cases["fisher"]],
         }
     return {
         "binom": [pvalues.binom_survival(*c).hex() for c in cases["binom"]],
         "chi2": [pvalues.chi2_survival(*c).hex() for c in cases["chi2"]],
         "two_sided": [exact.binom_two_sided(*c).hex() for c in cases["two_sided"]],
-        "fisher": [exact.fisher_two_sided(*c).hex() for c in cases["fisher"]],
+        "fisher": [pvalues.fisher_two_sided(*c).hex() for c in cases["fisher"]],
     }
 
 
@@ -125,6 +132,13 @@ class TestAgainstTheArrayForms:
         want = evaluate_without_avx512(cases, reference=True)
         assert ours["binom"] == want["binom"]
         assert ours["chi2"] == want["chi2"]
+        assert ours["fisher"] == want["fisher"]
+
+    def test_fisher_bit_for_bit_with_the_array_form(self, cases, ours):
+        # Fisher's numpy form only adds and subtracts, and sums on libm's
+        # exp, so it needs no kernel switched off to give the same bits.
+        assert len(cases["fisher"]) == 350 and max(map(sum, cases["fisher"])) == 17_494
+        assert ours["fisher"] == [oracles.fisher_two_sided_array(*c).hex() for c in cases["fisher"]]
 
     @pytest.mark.parametrize("n", [50, 300, 2000, 12_000])
     @pytest.mark.parametrize("p", [0.01, 0.3, 0.75, 0.99])
@@ -147,7 +161,7 @@ class TestAgainstTheArrayForms:
 
     @pytest.mark.parametrize("size", [4001, 17_500])
     def test_mapped_log_factorial_table_equals_the_array_form(self, size, monkeypatch):
-        monkeypatch.setattr(exact, "_log_factorial_table", np.zeros(0))
+        monkeypatch.setattr(pvalues, "_log_factorial_table", array("d"))
         assert np.array_equal(exact._log_factorial(size).view(np.int64), oracles.lgam_whole(0, size).view(np.int64))
 
 
