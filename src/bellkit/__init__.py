@@ -20,7 +20,7 @@ a module only when a command first uses it. `bellkit --version`, `--help`,
 a usage error, `bound`, `combine` and the four `rng` commands load no
 numpy: `pvalues` runs on `math` alone and `randomness` on `bytes` and
 `int`. A command executes its own module and, through it, only what it
-calls of `trials`, `pvalues`, `exact` and `rngstream`:
+calls of `trials`, `pvalues` and `rngstream`:
 
 * `analyze`, `combine`, `bound`: `pvalues` (and `trials` for `analyze`);
 * `simulate`, `simulate-reference`, `adversary`: `lhv`;

@@ -36,13 +36,12 @@ def _lazy_module(name: str) -> types.ModuleType:
 
 
 # A command executes only the modules it touches, so --version, --help and
-# usage errors load no numpy. `exact` and `rngstream`, which no command calls
-# directly, are registered too: whatever walks sys.modules after
-# `import bellkit.cli` (perfbench's tracer) sees the whole package.
+# usage errors load no numpy. `rngstream`, which no command calls directly,
+# is registered too: whatever walks sys.modules after `import bellkit.cli`
+# (perfbench's tracer) sees the whole package.
 heralding, lhv, pvalues, randomness, settings_audit, trials_mod = map(
     _lazy_module, ("heralding", "lhv", "pvalues", "randomness", "settings_audit", "trials")
 )
-_lazy_module("exact")
 _lazy_module("rngstream")
 
 # Literal copies of module constants, so that building the parser executes no

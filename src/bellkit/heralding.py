@@ -49,6 +49,7 @@ from .trials import (
     _read_only,
     _read_path,
     _read_records,
+    _required_output_xor,
     _write_rows,
     chsh_s,
 )
@@ -433,8 +434,7 @@ def synth_experiment(
     settings_b = (u[:, 1] < 0.5).astype(np.int64)
     out_a = np.where(u[:, 2] < 0.5, 1, -1)
     wins = u[:, 3] < win_prob
-    goal = settings_a & np.where(true_tag == HERALD_PSI_PLUS, settings_b ^ 1, settings_b)
-    required = 1 - 2 * goal
+    required = 1 - 2 * _required_output_xor(true_tag, settings_a, settings_b)
     out_b = np.where(
         true_tag == HERALD_NONE,
         np.where(u[:, 4] < 0.5, 1, -1),

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import rngstream
 from .pvalues import BiasParams, beta_win_lemma, pvalue_complete
-from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet
+from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet, _required_output_xor
 
 BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")
 
@@ -107,11 +107,6 @@ class Strategy:
     herald: tuple[tuple[float, int, int], ...]
     outputs: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
     next_state: tuple[tuple[int, ...], ...]
-
-
-def _required_output_xor(tag, setting_a, setting_b):
-    """XOR of the two output bits that wins the game; scalars or integer arrays alike."""
-    return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
 
 
 def _fields(item):

@@ -30,11 +30,12 @@ The complete analysis defaults to the lemma form; pass form="expanded" to
 select the other. Also here: Fisher's method for combining independent
 P-values and the tau sensitivity curve of the complete analysis.
 
-The scalar tests behind them are here too: the tails (binomial in Loader's
-saddle-point form, chi-squared, normal) and Fisher's exact test on one 2x2
-table, with the compensated sum of exponentials and the one log k! table,
-which `bellkit.exact` views as a numpy array. They use `math` (libm) alone:
-this module needs no numpy, and a P-value has the same bits on every CPU.
+Every scalar test is here too: the tails (binomial in Loader's saddle-point
+form, chi-squared, normal), the two-tailed binomial test at p = 1/2 and
+Fisher's exact test on one 2x2 table, with the compensated sum of
+exponentials and the one log k! table, which `bellkit.settings_audit` views
+as a numpy array. They use `math` (libm) alone: this module needs no numpy,
+and a P-value has the same bits on every CPU.
 """
 from __future__ import annotations
 
@@ -107,7 +108,7 @@ def _log_k_factorial(k: int) -> float:
 def _log_factorial(size: int) -> array:
     """Table with lg[k] = log k! (`_log_k_factorial`) for at least k = 0..size-1, built on first use.
 
-    An extension computes only the new entries, into a new table: `bellkit.exact` views the buffer.
+    An extension computes only the new entries, into a new table: `bellkit.settings_audit` views the buffer.
     """
     global _log_factorial_table
     old = _log_factorial_table
@@ -242,6 +243,16 @@ def chi2_survival(x: float, df: int) -> float:
 def normal_survival(z: float) -> float:
     """Upper tail of the standard normal distribution."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def binom_two_sided(k: int, n: int) -> float:
+    """Exact two-tailed binomial test of k successes in n trials at p = 1/2, probability ordering."""
+    _check_counts(k, n)
+    lg = _log_factorial(n + 1)
+    log_p, log_q = math.log(0.5), math.log1p(-0.5)
+    lp = [lg[n] - lg[j] - lg[n - j] + j * log_p + (n - j) * log_q for j in range(n + 1)]
+    limit = lp[k] + _LOG_TIE
+    return min(1.0, _sum_exp([t for t in lp if t <= limit]))
 
 
 def fisher_two_sided(n00: int, n01: int, n10: int, n11: int) -> float:

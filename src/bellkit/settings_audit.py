@@ -18,18 +18,25 @@ level alpha, and the largest per-test threshold whose joint rejection
 probability stays at alpha. On that tape the joint rate is a step function
 of the threshold, so the threshold is an order statistic of the tape, read
 off without a search.
+
+The tape is scored by numpy kernels over whole supports, in log space on a
+view of `pvalues._log_factorial`; the observed table's own binomial and
+Fisher tests are the scalar ones in `bellkit.pvalues`.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import exact, pvalues, rngstream
+from . import pvalues, rngstream
+from .pvalues import _LOG_TIE, _check_counts
 from .trials import _check_domains, _read_path, _read_records
 
 ORDERINGS = ("probability", "chi2")
@@ -47,6 +54,9 @@ _MIN_MC_REPS = 1000
 # Float guard when comparing ordering statistics for "at least as extreme".
 _STAT_TOL = 1e-9
 
+# Most entries in the padded support matrix of one chunk of `fisher_two_sided_tables`.
+_FISHER_MAX_CELLS = 4_000_000
+
 
 @dataclass(frozen=True)
 class SettingCounts:
@@ -60,8 +70,13 @@ class SettingCounts:
     def __post_init__(self) -> None:
         for name in ("n00", "n01", "n10", "n11"):
             value = getattr(self, name)
-            if isinstance(value, bool) or int(value) != value or value < 0:
+            try:
+                count = -1 if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                count = -1
+            if count < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, count)
 
     @property
     def total(self) -> int:
@@ -116,10 +131,89 @@ class McPValue:
     reps: int
 
 
+def _log_factorial(size: int) -> np.ndarray:
+    """lg[k] = log k! for at least k = 0..size-1: a read-only view of the one table, `pvalues._log_factorial`."""
+    return np.frombuffer(memoryview(pvalues._log_factorial(size)).toreadonly())
+
+
+def binom_two_sided_table(n: int) -> np.ndarray:
+    """[pvalues.binom_two_sided(k, n) for k in 0..n] in O(n log n): the log pmf sorted, accumulated and looked up."""
+    _check_counts(0, n)
+    k = np.arange(n + 1)
+    lg = _log_factorial(n + 1)
+    lp = lg[n] - lg[k] - lg[n - k] + k * math.log(0.5) + (n - k) * math.log1p(-0.5)
+    order = np.argsort(lp, kind="stable")
+    cum = np.cumsum(np.exp(lp[order]))
+    pos = np.searchsorted(lp[order], lp + _LOG_TIE, side="right")
+    return np.minimum(cum[np.maximum(pos, 1) - 1], 1.0)
+
+
+def fisher_two_sided_tables(tables: np.ndarray) -> np.ndarray:
+    """Two-sided Fisher exact test of each [n00, n01, n10, n11] row of `tables` (R, 4).
+
+    Rows are processed in chunks of at most `_FISHER_MAX_CELLS` support
+    entries, on one log k! table up to the largest grand total.
+    """
+    tables = np.asarray(tables, dtype=np.int64)
+    if tables.ndim != 2 or tables.shape[1] != 4:
+        raise ValueError("tables must have shape (R, 4)")
+    if (tables < 0).any():
+        raise ValueError("cell counts must be nonnegative")
+    out = np.empty(len(tables))
+    width_bound = int(tables.sum(axis=1).max()) + 1 if len(tables) else 1
+    log_factorial = _log_factorial(width_bound)
+    chunk = max(1, _FISHER_MAX_CELLS // width_bound)
+    for lo in range(0, len(tables), chunk):
+        out[lo : lo + chunk] = _fisher_chunk(tables[lo : lo + chunk], log_factorial)
+    return out
+
+
+def _fisher_chunk(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """Fisher P-values of one chunk; `lg[k]` is log k! for every k the chunk needs.
+
+    Each row's four log k! terms are runs of `lg`, two read forward and two
+    backward from a per-row start, so they are taken as whole rows of
+    window views over a zero-padded copy rather than cell by cell. Cells
+    past a row's support hold padding and are masked out.
+    """
+    r0 = tables[:, 0] + tables[:, 1]
+    r1 = tables[:, 2] + tables[:, 3]
+    c0 = tables[:, 0] + tables[:, 2]
+    n = r0 + r1
+    a_min = np.maximum(0, c0 - r1)
+    span = np.minimum(r0, c0) - a_min
+    width = int(span.max()) + 1
+    valid = np.arange(width)[None, :] <= span[:, None]
+    size = int(n.max()) + 1
+    padded = np.concatenate([np.zeros(width), lg[:size], np.zeros(width)])
+    # forward[s + width] = lg[s], lg[s + 1], ...; backward[size + width - 1 - s] = lg[s], lg[s - 1], ...
+    forward = sliding_window_view(padded, width)
+    backward = sliding_window_view(padded[::-1], width)
+    lp = (
+        (lg[r0] + lg[r1] - lg[n] + lg[c0] + lg[n - c0])[:, None]
+        - forward[a_min + width]
+        - backward[size + width - 1 - (r0 - a_min)]
+        - backward[size + width - 1 - (c0 - a_min)]
+        - forward[r1 - c0 + a_min + width]
+    )
+    lp_obs = lp[np.arange(len(tables)), tables[:, 0] - a_min]
+    keep = (lp <= lp_obs[:, None] + _LOG_TIE) & valid
+    p = np.exp(lp, out=np.zeros_like(lp), where=keep).sum(axis=1)
+    degenerate = (r0 == 0) | (r1 == 0) | (c0 == 0) | (c0 == n)
+    return np.where(degenerate, 1.0, np.minimum(p, 1.0))
+
+
+def uniform4_logpmf(counts: np.ndarray, n: int) -> np.ndarray:
+    """log pmf of Multinomial(n; 1/4, 1/4, 1/4, 1/4) at `counts` (..., 4)."""
+    counts = np.asarray(counts)
+    lg = _log_factorial(n + 1)
+    return lg[n] - lg[counts].sum(axis=-1) + n * math.log(0.25)
+
+
 def _ordering_stat(tables: np.ndarray, n: int, ordering: str) -> np.ndarray:
     """Statistic whose low values mean "more extreme" under the ordering."""
     if ordering == "probability":
-        return exact.uniform4_logpmf(tables, n)
+        return uniform4_logpmf(tables, n)
     if ordering == "chi2":
         # Negated so that, like log pmf, smaller means more extreme.
         return -((np.asarray(tables) - n / 4.0) ** 2).sum(axis=-1)
@@ -194,7 +288,7 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     and the cumulative probability up to each; tied statistics have equal
     probabilities, so their order within a tie leaves the sums unchanged.
     """
-    lg = exact._log_factorial(n + 1)
+    lg = _log_factorial(n + 1)
     ln_quarter = n * math.log(0.25)
     stat = np.empty((n + 1) * (n + 2) * (n + 3) // 6)
     start = 0
@@ -231,7 +325,7 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
     rng = rngstream.stream(seed, 0)
     draws = rng.multinomial(n, [0.25] * 4, size=reps)
 
-    binom_table = exact.binom_two_sided_table(n, 0.5)
+    binom_table = binom_two_sided_table(n)
     p_a = binom_table[draws[:, 2] + draws[:, 3]]
     p_b = binom_table[draws[:, 1] + draws[:, 3]]
 
@@ -247,7 +341,7 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
         p_joint = np.searchsorted(ref_sorted, stat + _STAT_TOL, side="right") / ref_sorted.size
 
     if n < FISHER_PEARSON_SWITCH:
-        p_indep = exact.fisher_two_sided_tables(draws)
+        p_indep = fisher_two_sided_tables(draws)
     else:
         p_indep = _pearson_many(draws)
 
@@ -365,8 +459,8 @@ def audit_row(
     counts: SettingCounts,
     reps: int,
     seed: int,
+    lee_reps: int,
     label: str = "",
-    lee_reps: int | None = None,
     alpha: float = 0.05,
     ordering: str = "probability",
 ) -> AuditRow:
@@ -376,7 +470,6 @@ def audit_row(
     `lee_reps` reps.
     """
     n = counts.total
-    lee_reps = lee_reps if lee_reps is not None else max(_MIN_MC_REPS, reps // 10)
     if n < FISHER_PEARSON_SWITCH:
         test_name, p_indep = "fisher", fisher_2x2(counts)
     else:
@@ -385,8 +478,8 @@ def audit_row(
     return AuditRow(
         label=label,
         n=n,
-        p_rng_a=exact.binom_two_sided(counts.marginal_a, n),
-        p_rng_b=exact.binom_two_sided(counts.marginal_b, n),
+        p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
+        p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),
         p_joint_uniform=multinomial_uniform_mc(counts, reps=reps, seed=seed, ordering=ordering),
         independence_test=test_name,
         p_independence=p_indep,

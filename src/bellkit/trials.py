@@ -160,6 +160,11 @@ def win_indicator(tag: int, setting_a: int, setting_b: int, outcome_a: int, outc
     return (product + 1) // 2
 
 
+def _required_output_xor(tag, setting_a, setting_b):
+    """XOR of the two output bits that wins the game of a heralded tag; scalars or integer arrays alike."""
+    return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
+
+
 def aggregate(trials: TrialSet) -> tuple[int, int]:
     """(k, n): total wins and total heralded trials."""
     return trials.cells().k_n()

@@ -6,7 +6,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from bellkit import exact
+from bellkit import settings_audit
 from bellkit.pvalues import _LGAM_A, _LOG_2PI, _LS2PI, _STIRLERR_TABLE, _STIRLING_S, TIE_RELATIVE_EPS, _sum_exp
 from bellkit.lhv import (
     _T_BIAS_A,
@@ -19,7 +19,6 @@ from bellkit.lhv import (
     _T_SET_A,
     _T_SET_B,
     SimStats,
-    _required_output_xor,
 )
 from bellkit.randomness import MAX_MESSAGE_CHARS
 from bellkit.trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet
@@ -95,14 +94,14 @@ def run_tape(strategy, rng_model, tape, *, state=0, stop_after_heralds=None):
             # Early bit: the trial is scored as won outright. Outcomes are
             # synthesized to win the tag's game at the realized settings.
             bit_a = 1 if row[_T_OUT_A] < 0.5 else 0
-            bit_b = bit_a ^ _required_output_xor(tag, setting_a, setting_b)
+            bit_b = bit_a ^ winning_xor(tag, setting_a, setting_b)
         else:
             out_a, out_b = outputs[state]
             bit_a = 1 if row[_T_OUT_A] < out_a[setting_a] else 0
             bit_b = 1 if row[_T_OUT_B] < out_b[setting_b] else 0
         if tag != HERALD_NONE:
             heralded += 1
-            wins += (bit_a ^ bit_b) == _required_output_xor(tag, setting_a, setting_b)
+            wins += (bit_a ^ bit_b) == winning_xor(tag, setting_a, setting_b)
             early_a += is_early_a
             early_b += is_early_b
             early_any += is_early_a or is_early_b
@@ -144,10 +143,14 @@ def message_to_bit(text, max_chars=MAX_MESSAGE_CHARS):
     return parity
 
 
+def winning_xor(tag, setting_a, setting_b):
+    """The XOR of the two output bits that wins the game of the heralded `tag` at the given settings."""
+    return setting_a & (setting_b ^ 1 if tag == HERALD_PSI_PLUS else setting_b)
+
+
 def wins(strategy, setting_a, setting_b, tag=HERALD_PSI_MINUS):
     """Whether the deterministic `strategy` wins the game of `tag` at the given settings."""
-    goal = setting_a & (setting_b ^ 1 if tag == HERALD_PSI_PLUS else setting_b)
-    return (strategy.output_a(setting_a) ^ strategy.output_b(setting_b)) == goal
+    return (strategy.output_a(setting_a) ^ strategy.output_b(setting_b)) == winning_xor(tag, setting_a, setting_b)
 
 
 def best_deterministic_winprob(tau_a, tau_b):
@@ -192,7 +195,7 @@ def in_second(windows, channel, time_ps):
 
 
 def fisher_chunk_gather(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
-    """`exact._fisher_chunk` as an element gather per cell: the reference its window views must match bit for bit."""
+    """`settings_audit._fisher_chunk` as an element gather per cell: the reference its window views must match bit for bit."""
     r0 = tables[:, 0] + tables[:, 1]
     r1 = tables[:, 2] + tables[:, 3]
     c0 = tables[:, 0] + tables[:, 2]
@@ -228,7 +231,7 @@ def fisher_two_sided_array(n00, n01, n10, n11):
         return 1.0
     a_min = max(0, c0 - r1)
     a = np.arange(a_min, min(r0, c0) + 1)
-    lg = exact._log_factorial(n + 1)
+    lg = settings_audit._log_factorial(n + 1)
     lp = (
         lg[r0]
         - lg[a]
@@ -242,8 +245,17 @@ def fisher_two_sided_array(n00, n01, n10, n11):
     return min(1.0, _sum_exp(lp[keep].tolist()))
 
 
+def binom_two_sided_array(k, n):
+    """The two-tailed binomial test at p = 1/2 as numpy evaluated it over the support: the scalar form's reference."""
+    j = np.arange(n + 1)
+    lg = settings_audit._log_factorial(n + 1)
+    lp = lg[n] - lg[j] - lg[n - j] + j * math.log(0.5) + (n - j) * math.log1p(-0.5)
+    keep = lp <= lp[k] + math.log1p(TIE_RELATIVE_EPS)
+    return min(1.0, _sum_exp(lp[keep].tolist()))
+
+
 def lgam_whole(lo, hi):
-    """log k! for k = lo..hi-1 as numpy arrays, the form `exact._log_factorial` was built with.
+    """log k! for k = lo..hi-1 as numpy arrays, the form the package's log k! table was built with.
 
     The cephes `lgam` steps for whole x = k + 1: the log of the exact
     product (x-1)! below 13, Stirling's series above, on libm's log.

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bellkit import exact, pvalues
+from bellkit import pvalues, settings_audit
 
-from oracles import fisher_chunk_gather
+from oracles import binom_two_sided_array, fisher_chunk_gather
 
 # log sqrt(2 pi) to 50 digits.
 LOG_SQRT_2PI = Decimal("0.91893853320467274178032973640561763986139747363778")
@@ -60,7 +60,7 @@ class TestLogFactorial:
 
     def test_equals_gammaln_bit_for_bit(self):
         n = 2_000_001
-        assert np.array_equal(exact._log_factorial(n)[:n], special.gammaln(np.arange(n) + 1.0))
+        assert np.array_equal(settings_audit._log_factorial(n)[:n], special.gammaln(np.arange(n) + 1.0))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 11, 12, 13, 998, 999, 1000, 1001])
     def test_branch_edges(self, k, monkeypatch):
@@ -68,20 +68,20 @@ class TestLogFactorial:
         # series and x >= 1000 the three-term one; k is the last entry of
         # a fresh table, so each edge is also an end of a build.
         monkeypatch.setattr(pvalues, "_log_factorial_table", array("d"))
-        assert exact._log_factorial(k + 1)[k] == special.gammaln(k + 1.0)
+        assert settings_audit._log_factorial(k + 1)[k] == special.gammaln(k + 1.0)
 
     def test_extension_equals_one_build(self, monkeypatch):
         monkeypatch.setattr(pvalues, "_log_factorial_table", array("d"))
         for size in (1, 3, 12, 13, 14, 999, 1000, 1001, 1002, 5000):
-            grown = exact._log_factorial(size)
+            grown = settings_audit._log_factorial(size)
             assert grown.size == size
         monkeypatch.setattr(pvalues, "_log_factorial_table", array("d"))
-        assert np.array_equal(grown, exact._log_factorial(5000))
+        assert np.array_equal(grown, settings_audit._log_factorial(5000))
         assert np.array_equal(grown, special.gammaln(np.arange(5000) + 1.0))
 
     def test_smaller_request_reuses_the_table(self):
-        table = exact._log_factorial(100)
-        assert np.shares_memory(exact._log_factorial(50), table)
+        table = settings_audit._log_factorial(100)
+        assert np.shares_memory(settings_audit._log_factorial(50), table)
         assert not table.flags.writeable
 
 
@@ -170,13 +170,6 @@ class TestBinomSurvival:
             for k in (0, 1, n // 2, n):
                 assert pvalues.binom_survival(k, n, 1.0) == 1.0
 
-    def test_two_sided_tests_keep_the_open_interval(self):
-        for p in (0.0, 1.0):
-            with pytest.raises(ValueError, match=r"\(0, 1\), got"):
-                exact.binom_two_sided(2, 4, p)
-            with pytest.raises(ValueError, match=r"\(0, 1\), got"):
-                exact.binom_two_sided_table(4, p)
-
 
 class TestLoaderTerms:
     """The pieces of the saddle-point pmf that every binomial tail sums."""
@@ -231,21 +224,31 @@ class TestBinomTwoSided:
         half = Fraction(1, 2)
         for n in range(1, 61, 7):
             for k in range(0, n + 1, max(1, n // 5)):
-                got = exact.binom_two_sided(k, n, 0.5)
+                got = pvalues.binom_two_sided(k, n)
                 want = float(binom_two_sided_oracle(k, n, half))
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (k, n)
 
-    def test_asymmetric_p(self):
-        p = Fraction(3, 10)
-        for k, n in [(0, 12), (5, 12), (12, 12), (20, 45)]:
-            got = exact.binom_two_sided(k, n, 0.3)
-            want = float(binom_two_sided_oracle(k, n, p))
-            assert got == pytest.approx(want, rel=1e-10, abs=0)
+    def test_bit_for_bit_with_the_array_form(self):
+        # Every k up to n = 120, and k across 5 sd of the mean and at both
+        # ends at the audits' sizes, odd and even, up to the stream length.
+        # The array form adds, subtracts and multiplies only, and sums on
+        # libm's exp, so it gives the same bits with every numpy kernel.
+        cases = [(k, n) for n in range(1, 121) for k in range(n + 1)]
+        for n in (300, 1000, 2000, 3999, 4000, 4001, 5000, 17_494):
+            near_mean = np.linspace(n / 2 - 2.5 * math.sqrt(n), n / 2 + 2.5 * math.sqrt(n), 13).round()
+            cases += [(k, n) for k in {0, 1, n - 1, n, *map(int, near_mean)}]
+        for k, n in cases:
+            assert pvalues.binom_two_sided(k, n).hex() == binom_two_sided_array(k, n).hex(), (k, n)
+
+    def test_domain_errors(self):
+        for k, n in ((5, 4), (-1, 4), (0, 0)):
+            with pytest.raises(ValueError):
+                pvalues.binom_two_sided(k, n)
 
     def test_table_matches_scalar(self):
-        table = exact.binom_two_sided_table(245, 0.5)
+        table = settings_audit.binom_two_sided_table(245)
         for m in (0, 1, 53, 113, 122, 123, 132, 200, 245):
-            assert table[m] == pytest.approx(exact.binom_two_sided(m, 245, 0.5), rel=1e-12, abs=0)
+            assert table[m] == pytest.approx(pvalues.binom_two_sided(m, 245), rel=1e-12, abs=0)
 
 
 def fisher_tables_gammaln(tables: np.ndarray, max_cells: int) -> np.ndarray:
@@ -309,15 +312,16 @@ class TestFisherTwoSided:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)
         draws = rng.multinomial(245, [0.25] * 4, size=200)
-        vec = exact.fisher_two_sided_tables(draws)
+        vec = settings_audit.fisher_two_sided_tables(draws)
         for row, p in zip(draws, vec):
             assert p == pytest.approx(pvalues.fisher_two_sided(*(int(c) for c in row)), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("n, reps, max_cells", [(1, 50, 4_000_000), (37, 300, 500), (245, 2000, 4_000_000),
                                                     (4000, 2000, 4_000_000)])
-    def test_table_lookup_matches_gammaln_form(self, n, reps, max_cells):
+    def test_table_lookup_matches_gammaln_form(self, n, reps, max_cells, monkeypatch):
+        monkeypatch.setattr(settings_audit, "_FISHER_MAX_CELLS", max_cells)
         draws = np.random.default_rng(n).multinomial(n, [0.25] * 4, size=reps)
-        got = exact.fisher_two_sided_tables(draws, max_cells=max_cells)
+        got = settings_audit.fisher_two_sided_tables(draws)
         assert np.array_equal(got, fisher_tables_gammaln(draws, max_cells))
 
     @pytest.mark.parametrize("n, max_cells", [(1, 4_000_000), (2, 7), (37, 500), (37, 4_000_000), (245, 3_000),
@@ -328,18 +332,18 @@ class TestFisherTwoSided:
         margins = [[n, 0, 0, 0], [0, n, 0, 0], [0, 0, n, 0], [0, 0, 0, n], [n - n // 2, n // 2, 0, 0],
                    [n - n // 2, 0, n // 2, 0]]
         tables = np.vstack([draws, margins]).astype(np.int64)
-        lg = exact._log_factorial(n + 1)
+        lg = settings_audit._log_factorial(n + 1)
         chunk = max(1, max_cells // (n + 1))
         for lo in range(0, len(tables), chunk):
             part = tables[lo : lo + chunk]
-            new, old = exact._fisher_chunk(part, lg), fisher_chunk_gather(part, lg)
+            new, old = settings_audit._fisher_chunk(part, lg), fisher_chunk_gather(part, lg)
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
     def test_rejects_bad_cells(self):
         with pytest.raises(ValueError):
             pvalues.fisher_two_sided(-1, 2, 3, 4)
         with pytest.raises(ValueError, match="nonnegative"):
-            exact.fisher_two_sided_tables(np.array([[-1, 2, 3, 4]]))
+            settings_audit.fisher_two_sided_tables(np.array([[-1, 2, 3, 4]]))
 
 
 class TestChi2Survival:
@@ -375,5 +379,5 @@ class TestUniform4Logpmf:
         n = 245
         draws = rng.multinomial(n, [0.25] * 4, size=20)
         want = stats.multinomial.logpmf(draws, n, [0.25] * 4)
-        got = exact.uniform4_logpmf(draws, n)
+        got = settings_audit.uniform4_logpmf(draws, n)
         np.testing.assert_allclose(got, want, rtol=1e-10)

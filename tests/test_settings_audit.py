@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import exact
+from bellkit import pvalues
 from bellkit import settings_audit as sa
 from bellkit.settings_audit import (
     McPValue,
@@ -36,24 +36,34 @@ class TestSettingCounts:
         with pytest.raises(ValueError):
             SettingCounts(-1, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [53.0, True])
+    def test_rejects_a_count_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match=f"^n00 must be a nonnegative integer, got {value!r}$"):
+            SettingCounts(value, 79, 62, 51)
+
+    def test_stores_numpy_integers_as_int(self):
+        counts = SettingCounts(np.int64(53), 79, np.uint8(62), 51)
+        assert counts == FIRST_RUN
+        assert type(counts.n00) is int and type(counts.n10) is int and type(counts.total) is int
+
 
 class TestBinomUniform:
-    """The marginal tests audit_row makes: exact.binom_two_sided on each side's count of setting 1."""
+    """The marginal tests audit_row makes: pvalues.binom_two_sided on each side's count of setting 1."""
 
     def test_most_balanced_split_is_one(self):
         counts = SettingCounts(61, 61, 61, 62)  # marginal A = 123 of 245
-        assert exact.binom_two_sided(counts.marginal_a, counts.total) == pytest.approx(1.0, abs=1e-12)
+        assert pvalues.binom_two_sided(counts.marginal_a, counts.total) == pytest.approx(1.0, abs=1e-12)
 
     def test_first_run_marginals_match_exact_oracle(self):
         half = Fraction(1, 2)
         want_a = float(binom_two_sided_oracle(113, 245, half))
         want_b = float(binom_two_sided_oracle(130, 245, half))
-        assert exact.binom_two_sided(FIRST_RUN.marginal_a, 245) == pytest.approx(want_a, rel=1e-12, abs=0)
-        assert exact.binom_two_sided(FIRST_RUN.marginal_b, 245) == pytest.approx(want_b, rel=1e-12, abs=0)
+        assert pvalues.binom_two_sided(FIRST_RUN.marginal_a, 245) == pytest.approx(want_a, rel=1e-12, abs=0)
+        assert pvalues.binom_two_sided(FIRST_RUN.marginal_b, 245) == pytest.approx(want_b, rel=1e-12, abs=0)
 
     def test_extreme_marginal(self):
         counts = SettingCounts(0, 0, 122, 123)  # marginal A = 245 of 245
-        assert exact.binom_two_sided(counts.marginal_a, 245) == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
+        assert pvalues.binom_two_sided(counts.marginal_a, 245) == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
 
 
 class TestMultinomialUniformMc:
@@ -248,7 +258,7 @@ def bisected_threshold(min_p: np.ndarray, target: float) -> float:
 
 def null_table_double_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact joint-uniformity null, enumerated row by row as it first was, on the package's log k! table."""
-    lg = exact._log_factorial(n + 1)
+    lg = sa._log_factorial(n + 1)
     ln_quarter = n * math.log(0.25)
     stats, probs = [], []
     for c0 in range(n + 1):

@@ -94,7 +94,7 @@ def test_rng_bias_executes_only_what_it_uses(tmp_path):
     assert result.returncode == 0, result.stderr
     executed = json.loads(result.stdout)
     assert executed["randomness"] and executed["pvalues"]
-    for name in ("trials", "exact", "lhv", "heralding", "settings_audit"):
+    for name in ("trials", "lhv", "heralding", "settings_audit"):
         assert not executed.get(name, False), name
 
 
