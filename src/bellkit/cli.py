@@ -55,9 +55,7 @@ _STRATEGIES = (  # sorted(lhv.CATALOG)
     "state-mixing",
     "streak-keyed",
 )
-_BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")  # lhv.BIAS_DISTRIBUTIONS
 _MAX_MESSAGE_CHARS = 140  # randomness.MAX_MESSAGE_CHARS
-_ORDERINGS = ("probability", "chi2")  # settings_audit.ORDERINGS
 
 COMBINE_CAVEAT = (
     "fisher treats the runs as independent tests; merge pools them into a single "
@@ -268,8 +266,8 @@ def _cmd_bound(args: argparse.Namespace) -> dict[str, object]:
 
 def _cmd_simulate(args: argparse.Namespace) -> dict[str, object]:
     strategy = lhv.make_strategy(args.strategy)
-    model = lhv.RngModel(f=args.f, tau=args.tau, bias_dist=args.bias_dist)
-    trialset, stats = lhv.simulate_with_stats(strategy, model, args.attempts, args.seed)
+    bias = pvalues.BiasParams(f=args.f, tau=args.tau)
+    trialset, stats = lhv.simulate_with_stats(strategy, bias, args.attempts, args.seed)
     if args.trials_out:
         trials_mod.write_trials(args.trials_out, trialset)
     return {
@@ -314,7 +312,6 @@ def _cmd_adversary(args: argparse.Namespace) -> dict[str, object]:
         seed=args.seed,
         f=args.f,
         tau=args.tau,
-        bias_dist=args.bias_dist,
         strategies=names,
     )
     return report.to_dict()
@@ -469,7 +466,6 @@ def _cmd_audit(args: argparse.Namespace) -> dict[str, object] | str:
         label=args.label,
         lee_reps=args.lee_reps,
         alpha=args.alpha,
-        ordering=args.ordering,
     )
     if args.format == "csv":
         return f"{settings_audit.AuditRow.CSV_HEADER}\n{row.to_csv_row()}"
@@ -538,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, required=True)
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--bias-dist", choices=_BIAS_DISTRIBUTIONS, default="point")
     p.add_argument("--trials-out", default=None, help="JSON-lines trial file to write")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
@@ -559,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--bias-dist", choices=_BIAS_DISTRIBUTIONS, default="point")
     p.add_argument("--strategies", default=None, help="comma-separated catalog names")
     _add_common(p)
     p.set_defaults(func=_cmd_adversary)
@@ -636,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--lee-reps", type=int, default=10_000)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--ordering", choices=_ORDERINGS, default="probability")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)

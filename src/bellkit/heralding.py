@@ -32,6 +32,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from dataclasses import InitVar, dataclass, replace
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -248,8 +249,11 @@ def sweep(
 ) -> list[SweepRow]:
     """Reclassify at each common window-start offset and score the result.
 
+    beta, the per-trial winning-probability bound, must lie in [3/4, 1].
     Detections of an attempt id that has no record raise.
     """
+    if not 0.75 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [3/4, 1], got {beta}")
     rows = _attempt_rows(detections, table)
     out = []
     for offset in offsets_ps:
@@ -450,6 +454,10 @@ def synth_experiment(
 _DETECTION_HEADER = "attempt_id,channel,time_ps"
 _DETECTION_ROW = "%d,%d,%d\r\n"
 
+# An integer as np.loadtxt reads one once its surrounding blanks are
+# stripped: ASCII digits after an optional sign.
+_INT64_FIELD = re.compile(r"[+-]?[0-9]+")
+
 
 def write_detections(target: str | IO[str], detections: DetectionTable) -> None:
     """CSV with header attempt_id,channel,time_ps and CRLF line ends, rows in the order given."""
@@ -485,6 +493,8 @@ def _malformed_detection_line(body: str) -> str:
             if len(fields) != 3:
                 raise ValueError(f"expected 3 fields, got {len(fields)}")
             for field in fields:
+                if not _INT64_FIELD.fullmatch(field.strip()):
+                    raise ValueError(f"not an integer: {field!r}")
                 np.int64(int(field))
         except (ValueError, OverflowError) as exc:
             return f"line {lineno}: {exc}"

@@ -16,10 +16,9 @@ B's. Everything else is allowed and adversarial:
 
 * memory of the full past record, through the state, which also decides
   whether the box heralds, skips or picks the game variant,
-* setting bits whose per-trial bias b is drawn from a distribution with
-  known mean. The bias always favours setting 0 on both sides:
-  Pr[setting = 0] = 1/2 + b. The all-0 classical optimum loses only at
-  settings (1, 1), so this is the direction that helps it,
+* setting bits biased by tau towards setting 0, independently on each
+  side: Pr[setting = 0] = 1/2 + tau. The all-0 classical optimum loses
+  only at settings (1, 1), so this is the direction that helps it,
 * "early" setting bits, produced soon enough to be signalled across, in
   which case the trial is scored as an outright win (the worst case).
 
@@ -42,9 +41,8 @@ from . import rngstream
 from .pvalues import BiasParams, beta_win_lemma, pvalue_complete
 from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet, _required_output_xor
 
-BIAS_DISTRIBUTIONS = ("point", "two_point", "uniform")
-
-# Tape column layout, one row of uniform draws per attempt.
+# Tape column layout, one row of uniform draws per attempt. The two bias
+# columns are drawn but not read, so that every other column keeps its place.
 _T_HERALD, _T_EARLY_A, _T_EARLY_B, _T_BIAS_A, _T_BIAS_B, _T_SET_A, _T_SET_B, _T_OUT_A, _T_OUT_B = range(9)
 
 # _play_heralded gives up on a strategy that needs more attempts than this
@@ -54,39 +52,6 @@ _MAX_ATTEMPT_FACTOR = 1000
 # _play_heralded draws at most this many tape rows at once, so its memory
 # does not grow with the number of runs.
 _BATCH_ROWS = 1 << 14
-
-
-@dataclass(frozen=True)
-class RngModel:
-    """Imperfect random number generator shared by both sides.
-
-    f is the probability that a setting bit is early; tau is the mean of
-    the per-trial bias distribution. Three bias shapes with the same mean
-    are available: a point mass at tau, a {0, 1/2} two-point mixture
-    (weight 2*tau on the predictable value), and uniform on [0, 2*tau].
-    """
-
-    f: float = 0.0
-    tau: float = 0.0
-    bias_dist: str = "point"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"early probability f must lie in [0, 1], got {self.f}")
-        if not 0.0 <= self.tau <= 0.5:
-            raise ValueError(f"mean bias tau must lie in [0, 1/2], got {self.tau}")
-        if self.bias_dist not in BIAS_DISTRIBUTIONS:
-            raise ValueError(f"bias_dist must be one of {BIAS_DISTRIBUTIONS}, got {self.bias_dist!r}")
-
-    def settings(self, u_bias: np.ndarray, u_setting: np.ndarray) -> np.ndarray:
-        """Setting bits from a side's bias and setting draws: 0 if below 1/2 + b."""
-        if self.bias_dist == "point":
-            bias = self.tau
-        elif self.bias_dist == "two_point":
-            bias = np.where(u_bias < 2.0 * self.tau, 0.5, 0.0)
-        else:
-            bias = u_bias * 2.0 * self.tau
-        return (u_setting >= 0.5 + bias).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -223,7 +188,7 @@ def _compile(strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray, np
 
 def _run_tapes(
     strategy: Strategy,
-    rng_model: RngModel,
+    params: BiasParams,
     tapes: np.ndarray,
     state: np.ndarray,
     stop_after_heralds: np.ndarray | None = None,
@@ -238,13 +203,13 @@ def _run_tapes(
     """
     cuts, record, step = _compile(strategy)
     n_states = record.shape[-1]
-    early_a = tapes[..., _T_EARLY_A] < rng_model.f
-    early_b = tapes[..., _T_EARLY_B] < rng_model.f
+    early_a = tapes[..., _T_EARLY_A] < params.f
+    early_b = tapes[..., _T_EARLY_B] < params.f
     early_any = early_a | early_b
     key = np.ravel_multi_index(
         (
-            rng_model.settings(tapes[..., _T_BIAS_A], tapes[..., _T_SET_A]),
-            rng_model.settings(tapes[..., _T_BIAS_B], tapes[..., _T_SET_B]),
+            tapes[..., _T_SET_A] >= 0.5 + params.tau,
+            tapes[..., _T_SET_B] >= 0.5 + params.tau,
             early_any,
             tapes[..., _T_OUT_A] < 0.5,
             *(np.searchsorted(c, tapes[..., i], side="right") for c, i in zip(cuts, (_T_HERALD, _T_OUT_A, _T_OUT_B))),
@@ -277,7 +242,7 @@ def _run_tapes(
 
 def simulate_with_stats(
     strategy: Strategy,
-    rng_model: RngModel,
+    params: BiasParams,
     attempts: int,
     seed: int,
 ) -> tuple[TrialSet, SimStats]:
@@ -285,7 +250,7 @@ def simulate_with_stats(
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     tape = rngstream.stream(seed).random((1, attempts, 9))
-    records, counts, _ = _run_tapes(strategy, rng_model, tape, np.zeros(1, dtype=np.int64))
+    records, counts, _ = _run_tapes(strategy, params, tape, np.zeros(1, dtype=np.int64))
     return _trials(records[0]), SimStats(*counts[0].tolist())
 
 
@@ -295,7 +260,7 @@ def _trials(records: np.ndarray) -> TrialSet:
     return TrialSet(np.arange(1, len(records) + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b)
 
 
-def _play_heralded(strategy: Strategy, rng_model: RngModel, n_heralds: int, seed: int, runs: range) -> np.ndarray:
+def _play_heralded(strategy: Strategy, params: BiasParams, n_heralds: int, seed: int, runs: range) -> np.ndarray:
     """Each run's counts, one row of SimStats fields, after `n_heralds` scored trials.
 
     Run r draws its tape from rngstream.stream(seed, r) in blocks of
@@ -324,7 +289,7 @@ def _play_heralded(strategy: Strategy, rng_model: RngModel, n_heralds: int, seed
             for tape, run in zip(tapes, active):
                 rngs[run - first].random(out=tape)
             need = n_heralds - counts[active, 1]
-            _, played, state[active] = _run_tapes(strategy, rng_model, tapes, state[active], need)
+            _, played, state[active] = _run_tapes(strategy, params, tapes, state[active], need)
             counts[active] += played
             active = active[counts[active, 1] < n_heralds]
     return counts
@@ -435,7 +400,6 @@ def adversary_suite(
     seed: int,
     f: float = 0.0,
     tau: float = 0.0,
-    bias_dist: str = "point",
     strategies: Sequence[str] | None = None,
 ) -> AdversaryReport:
     """False-rejection rate of pvalue_complete over adaptive LHV runs.
@@ -453,8 +417,8 @@ def adversary_suite(
     names = tuple(strategies) if strategies is not None else MEMORY_CATALOG
     if not names:
         raise ValueError("need at least one strategy")
-    rng_model = RngModel(f=f, tau=tau, bias_dist=bias_dist)
-    beta = beta_win_lemma(BiasParams(f=f, tau=tau))
+    params = BiasParams(f=f, tau=tau)
+    beta = beta_win_lemma(params)
     k_reject = _least_rejected_wins(n, beta, alpha)
 
     per_strategy = {name: [0, 0] for name in names}
@@ -462,7 +426,7 @@ def adversary_suite(
     for chunk, name in enumerate(names):
         quota = runs // len(names) + (1 if chunk < runs % len(names) else 0)
         strategy = make_strategy(name)
-        wins = _play_heralded(strategy, rng_model, n, seed, range(run_index, run_index + quota))[:, 2]
+        wins = _play_heralded(strategy, params, n, seed, range(run_index, run_index + quota))[:, 2]
         per_strategy[name][0] += int(np.count_nonzero(wins >= k_reject))
         per_strategy[name][1] += quota
         run_index += quota

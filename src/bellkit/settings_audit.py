@@ -39,19 +39,17 @@ from . import pvalues, rngstream
 from .pvalues import _LOG_TIE, _check_counts
 from .trials import _check_domains, _read_path, _read_records
 
-ORDERINGS = ("probability", "chi2")
-
 # Test 4 convention: Fisher exact below, Pearson chi-squared above.
 FISHER_PEARSON_SWITCH = 5000
 
 # Exact enumeration of the joint-uniformity null is used up to this n
 # (about 4.7 million tables); larger n falls back to a shared Monte Carlo
-# reference sample of the ordering statistic.
+# reference sample of the log pmf.
 _ENUMERATION_LIMIT = 300
 
 _MIN_MC_REPS = 1000
 
-# Float guard when comparing ordering statistics for "at least as extreme".
+# Float guard when comparing log pmfs for "at least as extreme".
 _STAT_TOL = 1e-9
 
 # Most entries in the padded support matrix of one chunk of `fisher_two_sided_tables`.
@@ -128,7 +126,6 @@ class McPValue:
 
     p: float
     mc_error: float
-    reps: int
 
 
 def _log_factorial(size: int) -> np.ndarray:
@@ -210,30 +207,14 @@ def uniform4_logpmf(counts: np.ndarray, n: int) -> np.ndarray:
     return lg[n] - lg[counts].sum(axis=-1) + n * math.log(0.25)
 
 
-def _ordering_stat(tables: np.ndarray, n: int, ordering: str) -> np.ndarray:
-    """Statistic whose low values mean "more extreme" under the ordering."""
-    if ordering == "probability":
-        return uniform4_logpmf(tables, n)
-    if ordering == "chi2":
-        # Negated so that, like log pmf, smaller means more extreme.
-        return -((np.asarray(tables) - n / 4.0) ** 2).sum(axis=-1)
-    raise ValueError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
-
-
-def multinomial_uniform_mc(
-    counts: SettingCounts,
-    reps: int,
-    seed: int,
-    ordering: str = "probability",
-) -> McPValue:
+def multinomial_uniform_mc(counts: SettingCounts, reps: int, seed: int) -> McPValue:
     """Monte Carlo joint-uniformity test of the four setting-pair counts.
 
     Estimates the probability that a uniform multinomial draw of the same
-    size is at least as extreme as the observed table. "Extreme" follows
-    the chosen ordering: outcome probability (the exact-test convention,
-    default) or the chi-squared distance from equal counts. The estimate
-    is (1 + hits) / (1 + reps), which counts the observed table as one of
-    the draws, so it is never zero and valid at every rep count (Phipson &
+    size is at least as extreme as the observed table, that is, no more
+    probable (the exact-test convention). The estimate is
+    (1 + hits) / (1 + reps), which counts the observed table as one of the
+    draws, so it is never zero and valid at every rep count (Phipson &
     Smyth, "Permutation P-values should never be zero", SAGMB 9, 2010).
     """
     n = counts.total
@@ -243,10 +224,10 @@ def multinomial_uniform_mc(
         raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
     rng = rngstream.stream(seed)
     draws = rng.multinomial(n, [0.25] * 4, size=reps)
-    stat = _ordering_stat(draws, n, ordering)
-    stat_obs = float(_ordering_stat(counts.as_array(), n, ordering))
+    stat = uniform4_logpmf(draws, n)
+    stat_obs = float(uniform4_logpmf(counts.as_array(), n))
     p = (1 + int(np.count_nonzero(stat <= stat_obs + _STAT_TOL))) / (1 + reps)
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps), reps=reps)
+    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps))
 
 
 def fisher_2x2(counts: SettingCounts) -> float:
@@ -312,7 +293,7 @@ def _pearson_many(tables: np.ndarray) -> np.ndarray:
     return np.array([1.0 if s is None else pvalues.chi2_survival(s, 1) for s in statistics])
 
 
-def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarray:
+def _lee_local_pvalues(n: int, reps: int, seed: int) -> np.ndarray:
     """(reps, 4) local P-values of the four tests under uniform settings.
 
     Draws the tables from stream 0 of the seed. The joint-uniformity test
@@ -329,14 +310,14 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
     p_a = binom_table[draws[:, 2] + draws[:, 3]]
     p_b = binom_table[draws[:, 1] + draws[:, 3]]
 
-    stat = _ordering_stat(draws, n, ordering)
-    if n <= _ENUMERATION_LIMIT and ordering == "probability":
+    stat = uniform4_logpmf(draws, n)
+    if n <= _ENUMERATION_LIMIT:
         stat_sorted, cum = _uniform4_null_table(n)
         pos = np.searchsorted(stat_sorted, stat + _STAT_TOL, side="right")
         p_joint = cum[np.maximum(pos, 1) - 1]
     else:
         ref_rng = rngstream.stream(seed, 1)
-        ref_stat = _ordering_stat(ref_rng.multinomial(n, [0.25] * 4, size=max(reps, 100_000)), n, ordering)
+        ref_stat = uniform4_logpmf(ref_rng.multinomial(n, [0.25] * 4, size=max(reps, 100_000)), n)
         ref_sorted = np.sort(ref_stat)
         p_joint = np.searchsorted(ref_sorted, stat + _STAT_TOL, side="right") / ref_sorted.size
 
@@ -348,13 +329,7 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, ordering: str) -> np.ndarra
     return np.column_stack([p_a, p_b, p_joint, p_indep])
 
 
-def look_elsewhere(
-    n: int,
-    alpha: float,
-    reps: int,
-    seed: int,
-    ordering: str = "probability",
-) -> tuple[McPValue, float]:
+def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue, float]:
     """Joint rejection probability at `alpha` and the per-test threshold, from one tape.
 
     Monte Carlo over `reps` uniform setting tables of size n: the
@@ -368,10 +343,10 @@ def look_elsewhere(
     if reps < _MIN_MC_REPS:
         raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
     if alpha == 1.0:
-        return McPValue(p=1.0, mc_error=0.0, reps=reps), 1.0
-    min_p = _lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
+        return McPValue(p=1.0, mc_error=0.0), 1.0
+    min_p = _lee_local_pvalues(n, reps, seed).min(axis=1)
     p = float(np.mean(min_p < alpha))
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps), reps=reps), _threshold_quantile(min_p, alpha)
+    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps)), _threshold_quantile(min_p, alpha)
 
 
 _THRESHOLD_GRID = 2.0**60
@@ -419,7 +394,6 @@ class AuditRow:
     p_joint_lee: McPValue
     alpha: float
     seed: int
-    ordering: str
 
     CSV_HEADER = (
         "label,n,p_rng_a,p_rng_b,p_joint_uniform,independence_test,"
@@ -451,7 +425,6 @@ class AuditRow:
             "p_joint_lee_mc_error": self.p_joint_lee.mc_error,
             "alpha": self.alpha,
             "seed": self.seed,
-            "ordering": self.ordering,
         }
 
 
@@ -462,7 +435,6 @@ def audit_row(
     lee_reps: int,
     label: str = "",
     alpha: float = 0.05,
-    ordering: str = "probability",
 ) -> AuditRow:
     """Run all four tests plus the look-elsewhere correction on one table.
 
@@ -474,18 +446,17 @@ def audit_row(
         test_name, p_indep = "fisher", fisher_2x2(counts)
     else:
         test_name, p_indep = "pearson", pearson_chi2(counts)
-    p_joint_lee, p_threshold = look_elsewhere(n, alpha, lee_reps, seed, ordering)
+    p_joint_lee, p_threshold = look_elsewhere(n, alpha, lee_reps, seed)
     return AuditRow(
         label=label,
         n=n,
         p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
         p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),
-        p_joint_uniform=multinomial_uniform_mc(counts, reps=reps, seed=seed, ordering=ordering),
+        p_joint_uniform=multinomial_uniform_mc(counts, reps=reps, seed=seed),
         independence_test=test_name,
         p_independence=p_indep,
         p_threshold=p_threshold,
         p_joint_lee=p_joint_lee,
         alpha=alpha,
         seed=seed,
-        ordering=ordering,
     )

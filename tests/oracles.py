@@ -9,8 +9,6 @@ import numpy as np
 from bellkit import settings_audit
 from bellkit.pvalues import _LGAM_A, _LOG_2PI, _LS2PI, _STIRLERR_TABLE, _STIRLING_S, TIE_RELATIVE_EPS, _sum_exp
 from bellkit.lhv import (
-    _T_BIAS_A,
-    _T_BIAS_B,
     _T_EARLY_A,
     _T_EARLY_B,
     _T_HERALD,
@@ -62,22 +60,13 @@ def streak_digests(items):
     return digests
 
 
-def sample_bias(rng_model, u):
-    """The per-trial setting bias b that `rng_model` draws from the uniform `u`."""
-    if rng_model.bias_dist == "point":
-        return rng_model.tau
-    if rng_model.bias_dist == "two_point":
-        return 0.5 if u < 2.0 * rng_model.tau else 0.0
-    return u * 2.0 * rng_model.tau
-
-
-def run_tape(strategy, rng_model, tape, *, state=0, stop_after_heralds=None):
+def run_tape(strategy, params, tape, *, state=0, stop_after_heralds=None):
     """Play the tape one row at a time from machine state `state`.
 
     Returns the played attempts as trials indexed from 1, the counters and
     the state after the last attempt played.
     """
-    f = rng_model.f
+    f, tau = params.f, params.tau
     herald, outputs, next_state = strategy.herald, strategy.outputs, strategy.next_state
     rows = []
     heralded = wins = early_a = early_b = early_any = 0
@@ -88,8 +77,8 @@ def run_tape(strategy, rng_model, tape, *, state=0, stop_after_heralds=None):
         tag = tag_below if row[_T_HERALD] < cut else tag_above
         is_early_a = row[_T_EARLY_A] < f
         is_early_b = row[_T_EARLY_B] < f
-        setting_a = 0 if row[_T_SET_A] < 0.5 + sample_bias(rng_model, row[_T_BIAS_A]) else 1
-        setting_b = 0 if row[_T_SET_B] < 0.5 + sample_bias(rng_model, row[_T_BIAS_B]) else 1
+        setting_a = 0 if row[_T_SET_A] < 0.5 + tau else 1
+        setting_b = 0 if row[_T_SET_B] < 0.5 + tau else 1
         if is_early_a or is_early_b:
             # Early bit: the trial is scored as won outright. Outcomes are
             # synthesized to win the tag's game at the realized settings.
@@ -114,14 +103,14 @@ def run_tape(strategy, rng_model, tape, *, state=0, stop_after_heralds=None):
     return TrialSet(np.arange(1, attempts + 1), tag, setting_a, setting_b, 1 - 2 * bit_a, 1 - 2 * bit_b), stats, state
 
 
-def play_heralded(strategy, rng_model, n_heralds, rng):
+def play_heralded(strategy, params, n_heralds, rng):
     """Counters of one run drawn from `rng` in blocks of max(64, 1.5 n) rows until `n_heralds` trials are scored."""
     block = max(64, int(1.5 * n_heralds))
     totals = [0] * 6
     state = 0
     while totals[1] < n_heralds:
         tape = rng.random((block, 9)).tolist()
-        _, stats, state = run_tape(strategy, rng_model, tape, state=state, stop_after_heralds=n_heralds - totals[1])
+        _, stats, state = run_tape(strategy, params, tape, state=state, stop_after_heralds=n_heralds - totals[1])
         totals = [total + count for total, count in zip(totals, astuple(stats))]
     return SimStats(*totals)
 

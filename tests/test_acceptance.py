@@ -13,7 +13,7 @@ import pytest
 
 from bellkit import lhv, settings_audit
 from bellkit.heralding import StreamParams, WindowConfig, sweep, synth_experiment
-from bellkit.lhv import CATALOG, MEMORY_CATALOG, RngModel, adversary_suite
+from bellkit.lhv import CATALOG, MEMORY_CATALOG, adversary_suite
 from bellkit.pvalues import (
     BiasParams,
     beta_win_expanded,
@@ -87,14 +87,14 @@ def test_criterion_03_fisher_method():
 def test_criterion_04_multinomial_uniformity_mc():
     counts = SettingCounts(53, 79, 62, 51)
     start = time.perf_counter()
-    result = multinomial_uniform_mc(counts, reps=100_000, seed=5, ordering="probability")
+    result = multinomial_uniform_mc(counts, reps=100_000, seed=5)
     elapsed = time.perf_counter() - start
     ok = abs(result.p - 0.053) <= 0.012 and elapsed < 30.0
     report(
         4,
         ok,
         f"multinomial_uniform_mc = {result.p:.4f} +- {result.mc_error:.4f} "
-        f"(target 0.053 +- 0.012, probability ordering), {elapsed:.1f} s",
+        f"(target 0.053 +- 0.012), {elapsed:.1f} s",
     )
 
 
@@ -161,8 +161,9 @@ def test_criterion_08_adversary_validity():
     bound_ok = True
     worst = ""
     for name, (f, tau) in itertools.product(sorted(CATALOG), [(0.0, 0.0), (0.0, 0.1), (0.05, 0.0), (0.1, 0.05)]):
-        beta = beta_win_lemma(BiasParams(f, tau))
-        counts = lhv._play_heralded(lhv.make_strategy(name), RngModel(f=f, tau=tau), 20_000, 13, range(1))
+        params = BiasParams(f, tau)
+        beta = beta_win_lemma(params)
+        counts = lhv._play_heralded(lhv.make_strategy(name), params, 20_000, 13, range(1))
         stats = lhv.SimStats(*counts[0].tolist())
         rate, n = stats.win_rate, stats.heralded
         limit = beta + 3 * math.sqrt(beta * (1 - beta) / n)

@@ -382,6 +382,20 @@ class TestHerald:
         )
         assert code == 1 and "1 detections" in err and "99" in err
 
+    @pytest.mark.parametrize("beta", ["0.5", "1.5"])
+    def test_sweep_rejects_beta_outside_three_quarters_to_one(self, capsys, tmp_path, beta):
+        detections = str(tmp_path / "d.csv")
+        attempts = str(tmp_path / "a.jsonl")
+        sweep_csv = tmp_path / "sweep.csv"
+        run_json(capsys, "herald", "synth", "--attempts", "2000", "--seed", "3", "--detections-out", detections,
+                 "--attempts-out", attempts)
+        code, out, err = run(
+            capsys, "herald", "sweep", "--detections", detections, "--attempts", attempts, "--offsets=-1000:0:500",
+            "--beta", beta, "--sweep-out", str(sweep_csv),
+        )
+        assert (code, out, err) == (1, "", f"error: beta must lie in [3/4, 1], got {float(beta)}\n")
+        assert not sweep_csv.exists()
+
     def test_sweep_rejects_non_integer_window_field(self, capsys, tmp_path):
         detections = str(tmp_path / "d.csv")
         attempts = str(tmp_path / "a.jsonl")
@@ -535,34 +549,36 @@ class TestTrialOutputsPinned:
 class TestLhvOutputsPinned:
     """Digests of simulate and adversary outputs as the class-per-strategy simulator wrote them.
 
-    Run in the temporary directory with relative file names, since the
-    simulate report's config hash covers the trial file path.
+    Cases with f, tau > 0 play the one bias law, a point mass at tau; their
+    trial files are the ones the simulator wrote under that law. Run in the
+    temporary directory with relative file names, since the simulate
+    report's config hash covers the trial file path.
     """
 
     SIMULATE = {
         "classical-optimal": (
-            "878f34b6c009fc72ecb747115cea0691a9bd45fe4694d961f8e43f315bf6635e",
-            "76a62d08931e84ea45c58fb30da586ccb2aaf79cb38f4127d2d5b6220a0f9fba",
+            "c147e97c7944bb3656ebf562f8d47549e384e4f915282cacbf69884c783b51a9",
+            "f8e2f9918ea31473e8e8eb1373353da6d229f725ece74fe67de58f80c03d57f4",
         ),
         "coin-flip": (
-            "06edf131675104c36aa2ff2be2fbd0ba91dba4b6459102e8bb7515d8db67ec32",
-            "314976d1354fd6ba743cb720d895d1f5f103a162f6976217a76d1ed19cd338e2",
+            "fa83fe41f514b653cc91b4bfc542d01bc00a6df71c5d8fb3a8a0b27b14b5b1e8",
+            "b731432ed7c55186dc543a0f3e074b6e0bf885156e3e37adf44ecfc506911b2d",
         ),
         "herald-gating": (
-            "f8e66598d08a063089ad3838e5a309c382881fea28e21a6340e4ebe0ff6943e6",
-            "d3b79f5650171600ee99ccb8cec2de844826c44df50ae94ccae2d5d33e241de5",
+            "6f2e0bd1cba4915fc92e9a26f22e0d6a6feb09ebb7455d2855d597fb1302b5aa",
+            "d0fca77073168ec77ec8c5cd09509bbd7da06b2704e0622deb7627aaefdd90f0",
         ),
         "loss-switching": (
-            "6c03112fa243f0f98a70a9abffb944aeba4f104957a6947f9fc61efca60efb72",
-            "3d7fa077752d9c3f31413702c2d20404d39c1cdfb1807f9bce50c96d8a1c089c",
+            "c7dfa6546802fa4ab935e8b92531972a8b72783e76c206c2b6c68112cc514342",
+            "07649987c2723b28b5d55a21acc0716f1e66a31949ec3da49ad4d5d7b6cc4726",
         ),
         "state-mixing": (
-            "bf891d88339f6d4dcb33f45b8d49c023fbaab31ce587830980353f66a5216d4e",
-            "41c6c913f6d2960666207837ec1b39d179b9e035810fd8cd08bd226284b028cb",
+            "4d0a1c3f1407caaf355b5a3886a57ec4ec2cfca2103695313e657488c040d032",
+            "b436258c643332981cf15048f580931b95ce3fcae5de051282c46d86874f624c",
         ),
         "streak-keyed": (
-            "58e17b48f6f231581e76a510d9fcaf6e4ec07f572e1966429d4e7aa52f5f5045",
-            "8e2896ed8abb8f92beea0bd5d686998b4cb3737679bf319cbaddebbef81cc1c2",
+            "3c832c8888e7ea191f63352f09ac8b046ebfa771907a59e459c7ae388962661b",
+            "a75a8f00019af678fd6662afb0795e07854ca2d40d34c3f65b8bd19ac52f22af",
         ),
     }
 
@@ -571,7 +587,7 @@ class TestLhvOutputsPinned:
         monkeypatch.chdir(tmp_path)
         code, _, err = run(
             capsys, "simulate", "--strategy", strategy, "--attempts", "3000", "--f", "0.03", "--tau", "0.08",
-            "--bias-dist", "uniform", "--seed", "11", "--trials-out", "trials.jsonl", "--out", "report.json",
+            "--seed", "11", "--trials-out", "trials.jsonl", "--out", "report.json",
         )
         assert code == 0, err
         assert (sha256("trials.jsonl"), sha256("report.json")) == self.SIMULATE[strategy]
@@ -580,21 +596,14 @@ class TestLhvOutputsPinned:
         "args, digests",
         [
             (
-                ("--f", "0.03", "--tau", "0.08", "--bias-dist", "two_point"),
-                (
-                    "906d0f561b7ef4db446a415e60c41401ce76fc46988897a251059f329e16e5eb",
-                    "c549fb3034a837e09dffb6d6cafd7a17842533e2ef1c0bf14754db0596f2e01d",
-                ),
-            ),
-            (
-                ("--bias-dist", "point", "--tau", "0.5"),
+                ("--tau", "0.5"),
                 (
                     "79fb72258cc6e942fb65a8f43d54cfb09cd80b04a5ede25bb8c89d553e1d63c5",
-                    "2aaf72df00ae50da7989e007293384c460f9e4f911a168e705b6ac332f68f691",
+                    "cff51c225ccf0540189e095142053ce4ebd8863055b690680dc20b73c3ce7c15",
                 ),
             ),
         ],
-        ids=["two-point", "point-tau-half"],
+        ids=["point-tau-half"],
     )
     def test_herald_gating_simulate_bytes(self, capsys, tmp_path, monkeypatch, args, digests):
         monkeypatch.chdir(tmp_path)
@@ -608,19 +617,19 @@ class TestLhvOutputsPinned:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            ((), "785b592e23eb31590e9d453535f88ef59f778c3dd2e5007033e770ecf4e8adbe"),
+            ((), "f026cf237cc4e989e9c73a8b8e446a138e80f2b7acbd51c025b21be725504bfb"),
             (
-                ("--f", "0.05", "--tau", "0.1", "--bias-dist", "two_point", "--strategies",
+                ("--f", "0.05", "--tau", "0.1", "--strategies",
                  "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
-                "2de176143ee95d8d0b110765ee68643975d83fb1d3d97f1918b323ae37021f22",
+                "b798658d3d042d16140c34f25e10f3fbf2162e14bc0dc7a1297cc31e2030df77",
             ),
             (
-                ("--f", "0.03", "--tau", "0.08", "--bias-dist", "uniform", "--strategies",
+                ("--f", "0.03", "--tau", "0.08", "--strategies",
                  "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
-                "1b3c93e338bb0d75769d53eec7eac53a920ebf99d8652aaa7498208bc3ad8b3d",
+                "3d7e4db5004d54cf5a2d20da960243fe42f46500a36c9cece955d83546e53dd8",
             ),
         ],
-        ids=["default-catalog", "all-strategies", "all-strategies-uniform"],
+        ids=["default-catalog", "all-strategies", "all-strategies-low-bias"],
     )
     def test_adversary_report_bytes(self, capsys, tmp_path, args, digest):
         out = str(tmp_path / "adversary.json")
@@ -632,7 +641,7 @@ class TestLhvOutputsPinned:
         out = str(tmp_path / "adversary.json")
         code, _, err = run(capsys, "adversary", "--n", "1", "--runs", "600", "--seed", "3", "--out", out)
         assert code == 0, err
-        assert sha256(out) == "3854c2734783f8c83b28a2770a14d7bd968fb4f6b5dcb876d136eb37526563fc"
+        assert sha256(out) == "621b4ba299dfd7ede0d2893cc3c26109f1aab8f2e5526cb9ff87bac047bfa95c"
 
     def test_adversary_bytes_across_batches(self, capsys, tmp_path):
         # 150 runs per strategy of max(64, 1.5 * 400) = 600 tape rows each
@@ -641,7 +650,7 @@ class TestLhvOutputsPinned:
         out = str(tmp_path / "adversary.json")
         code, _, err = run(capsys, "adversary", "--n", "400", "--runs", "600", "--seed", "3", "--out", out)
         assert code == 0, err
-        assert sha256(out) == "dd21418f15cd8099f99b8ee0673c14901b87b4f4dc845b61d74d103d63464cc7"
+        assert sha256(out) == "b6e9d3920e4258f349ab4b843a7f173bef16fde451ea21be028b2c47ad6ad3c9"
 
 
 class TestAuditOutputsPinned:
@@ -649,6 +658,8 @@ class TestAuditOutputsPinned:
 
     Except p_joint_uniform, which is now (1 + hits) / (1 + reps): 5349/100001
     and 9690/100001 here, where the raw fractions were 0.05348 and 0.09689.
+    The JSON reports also no longer name an ordering, which moves their
+    config hash.
     """
 
     @pytest.mark.parametrize(
@@ -656,12 +667,12 @@ class TestAuditOutputsPinned:
         [
             (
                 ("--counts", "53,79,62,51"),
-                "9975e435b97982934255adc1e019735507f17e0ab3ffa66f7ffccb9900192772",
+                "aa6cd2fdc230c2880345771ac36726621c77236ebe4fb49c4a46eb59cb7901d1",
                 "2e8bea713e07302383c227067e26669b074f47a799006c803b8bd5e7ae16d625",
             ),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
-                "6adbdb6c81d2a7e74b4b1f8a2285b8cd3b4b317648fdcfde19aa0034179b7006",
+                "f74805b759136af91c9eaef5ae26fee7031db5c116087af604dc5ada1192c77a",
                 "e34524f26a99122f0eea91f4cfd1078f86416f294ca7acb31959d81f453bd21f",
             ),
         ],
@@ -969,6 +980,26 @@ class TestInfrastructure:
         assert code == 1 and out == ""
         assert err == f"error: {path}: invalid JSON: Expecting value: line 1 column 18 (char 17)\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("simulate", "--attempts", "10"), "--bias-dist", "point"),
+            (("adversary", "--n", "10", "--runs", "4"), "--bias-dist", "point"),
+            (("audit", "--counts", "53,79,62,51", "--reps", "1000", "--lee-reps", "1000"), "--ordering", "probability"),
+        ],
+        ids=["simulate", "adversary", "audit"],
+    )
+    def test_removed_bias_and_ordering_options_exit_one(self, capsys, tmp_path, argv, flag, value):
+        # Settings have one bias law and the joint-uniformity test one ordering.
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (1, "") and f"unrecognized arguments: {flag} {value}" in err
+        config = tmp_path / "config.json"
+        dest = flag[2:].replace("-", "_")
+        for key in {flag[2:], dest}:
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            code, out, err = run(capsys, "--config", str(config), *argv)
+            assert (code, out) == (1, "") and f"keys ['{dest}'] name no option" in err
+
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "audit", "--counts", "1,2,3,4", "--bogus")
         assert code == 1
@@ -1132,9 +1163,6 @@ class TestParserConstants:
             (("combine",), "beta_form", pvalues.BOUND_FORMS),
             (("bound",), "beta_form", pvalues.BOUND_FORMS),
             (("simulate",), "strategy", sorted(lhv.CATALOG)),
-            (("simulate",), "bias_dist", lhv.BIAS_DISTRIBUTIONS),
-            (("adversary",), "bias_dist", lhv.BIAS_DISTRIBUTIONS),
-            (("audit",), "ordering", settings_audit.ORDERINGS),
         ],
     )
     def test_choices_copy_the_module_constant(self, path, dest, want):

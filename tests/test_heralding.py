@@ -290,6 +290,18 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"2 detections .*attempt_id 99"):
             herald_tags(events, attempts, WINDOWS)
 
+    @pytest.mark.parametrize("beta", [0.5, math.nextafter(0.75, 0.0), math.nextafter(1.0, 2.0), 1.5, math.nan])
+    def test_sweep_rejects_beta_outside_three_quarters_to_one(self, beta):
+        # The check comes first: these detections of an unknown attempt would raise too.
+        events, attempts = small_dataset(click(99, 0, 5_426_100))
+        with pytest.raises(ValueError, match=r"^beta must lie in \[3/4, 1\], got "):
+            sweep(events, attempts, WINDOWS, [0], beta=beta)
+
+    @pytest.mark.parametrize("beta", [0.75, 1.0])
+    def test_sweep_accepts_beta_at_either_end(self, beta):
+        events, attempts = small_dataset()
+        assert len(sweep(events, attempts, WINDOWS, [0, 1], beta=beta)) == 2
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -346,11 +358,18 @@ class TestInputChecks:
             ("0,0,5\r\n0,x,7\r\n", r"line 3: .*'x'"),
             ("0,0,5\r\n0,1,7,9\r\n", r"line 3: expected 3 fields, got 4"),
             ("0,0,5\r\n9223372036854775808,1,7\r\n", r"line 3: .*int"),
+            # int() reads these two, np.loadtxt does not.
+            ("+5,0,05\r\n 0,1,-0\r\n2,0,1_000\r\n", r"^line 4: not an integer: '1_000'$"),
+            ("0,0,5\r\n\r\n2,0,\u0663\r\n", r"^line 4: not an integer: '\u0663'$"),
         ],
     )
     def test_read_detections_names_bad_line(self, body, message):
         with pytest.raises(ValueError, match=message):
             read_detections(io.StringIO("attempt_id,channel,time_ps\r\n" + body))
+
+    def test_read_detections_takes_signs_blanks_and_leading_zeros(self):
+        back = read_detections(io.StringIO("attempt_id,channel,time_ps\r\n+5,0,05\r\n 0,1,-0\r\n"))
+        assert detection_rows(back) == [click(5, 0, 5), click(0, 1, 0)]
 
     def test_readers_given_a_path_name_the_file(self, tmp_path):
         attempts = tmp_path / "a.jsonl"

@@ -16,7 +16,6 @@ from bellkit import lhv, rngstream, trials
 from bellkit.lhv import (
     CATALOG,
     MEMORY_CATALOG,
-    RngModel,
     SimStats,
     adversary_suite,
     make_strategy,
@@ -123,26 +122,26 @@ class TestBestDeterministicWinprob:
 
 class TestSimulate:
     def test_classical_optimum_win_rate(self):
-        rate, n = win_rate("classical-optimal", RngModel(), 200_000, seed=1)
+        rate, n = win_rate("classical-optimal", BiasParams(), 200_000, seed=1)
         assert abs(rate - 0.75) <= three_sigma(0.75, n)
 
     def test_all_early_wins_every_trial(self):
-        rate, _ = win_rate("classical-optimal", RngModel(f=1.0), 20_000, seed=2)
+        rate, _ = win_rate("classical-optimal", BiasParams(f=1.0), 20_000, seed=2)
         assert rate == 1.0
 
     def test_bias_exploitation_reaches_bound(self):
         # At tau = 0.1 on both sides the optimum is 0.84.
-        rate, n = win_rate("classical-optimal", RngModel(tau=0.1), 200_000, seed=3)
+        rate, n = win_rate("classical-optimal", BiasParams(tau=0.1), 200_000, seed=3)
         assert abs(rate - 0.84) <= three_sigma(0.84, n)
 
     def test_early_fraction_matches_f(self):
         f = 0.05
-        _, stats = simulate_with_stats(make_strategy("classical-optimal"), RngModel(f=f), 100_000, seed=4)
+        _, stats = simulate_with_stats(make_strategy("classical-optimal"), BiasParams(f=f), 100_000, seed=4)
         for early in (stats.early_a, stats.early_b):
             assert abs(early / stats.heralded - f) <= three_sigma(f, stats.heralded)
 
     def test_records_and_scoring_agree(self):
-        model = RngModel(f=0.02, tau=0.05, bias_dist="two_point")
+        model = BiasParams(f=0.02, tau=0.05)
         trialset, stats = simulate_with_stats(make_strategy("loss-switching"), model, 20_000, seed=5)
         k, n = aggregate(trialset)
         assert (k, n) == (stats.wins, stats.heralded)
@@ -151,7 +150,7 @@ class TestSimulate:
     def test_blocks_play_as_one_tape(self):
         # play_heralded draws its tape in blocks of max(64, 1.5 n) rows; the
         # machine state must carry from one block into the next.
-        model = RngModel()
+        model = BiasParams()
         n_heralds, block = 100, 150
         spanned = 0
         for seed in range(20, 30):
@@ -165,36 +164,31 @@ class TestSimulate:
 
     def test_determinism_per_seed(self):
         a, b, c = (
-            simulate_with_stats(make_strategy("streak-keyed"), RngModel(tau=0.1), 2000, seed=seed)[0]
+            simulate_with_stats(make_strategy("streak-keyed"), BiasParams(tau=0.1), 2000, seed=seed)[0]
             for seed in (6, 6, 7)
         )
         assert columns(a) == columns(b)
         assert columns(a) != columns(c)
 
 
-MODELS = [
-    RngModel(f=f, tau=tau, bias_dist=dist)
-    for dist in lhv.BIAS_DISTRIBUTIONS
-    for f, tau in [(0.0, 0.0), (0.03, 0.08), (1.0, 0.0), (0.0, 0.5)]
-]
+# Each setting's bias is a point mass at tau.
+MODELS = [BiasParams(f=f, tau=tau) for f, tau in [(0.0, 0.0), (0.03, 0.08), (1.0, 0.0), (0.0, 0.5)]]
 
 
 def threshold_tape(strategy, model, rows, seed):
     """A tape whose draws sit on the comparisons the engine makes, or at random.
 
-    Each draw is 0.0, a herald cut, 1/2, 1/2 + b, an output probability, f,
-    2 tau (the two-point bias cut) or a uniform value. Every third row puts
-    each setting draw exactly on 1/2 + b for that row's bias draw.
+    Each draw is 0.0, a herald cut, 1/2, 1/2 + tau, an output probability,
+    f or a uniform value. Every third row puts each setting draw exactly on
+    1/2 + tau.
     """
-    special = {0.0, 0.5, model.f, 0.5 + model.tau, 2.0 * model.tau, 1.0}
+    special = {0.0, 0.5, model.f, 0.5 + model.tau, 1.0}
     special.update(cut for cut, _, _ in strategy.herald)
     special.update(p for side_tables in strategy.outputs for side in side_tables for p in side)
     rng = np.random.default_rng(seed)
     values = np.array(sorted(special))
     tape = np.where(rng.random((rows, 9)) < 0.5, rng.choice(values, (rows, 9)), rng.random((rows, 9)))
-    for row in tape[::3]:
-        row[lhv._T_SET_A] = 0.5 + oracles.sample_bias(model, row[lhv._T_BIAS_A])
-        row[lhv._T_SET_B] = 0.5 + oracles.sample_bias(model, row[lhv._T_BIAS_B])
+    tape[::3, [lhv._T_SET_A, lhv._T_SET_B]] = 0.5 + model.tau
     return tape
 
 
@@ -202,7 +196,7 @@ class TestTapeEngine:
     """The lockstep engine against the row-at-a-time oracle, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.bias_dist}-{m.f}-{m.tau}")
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"point-{m.f}-{m.tau}")
     def test_matches_row_oracle(self, name, model):
         strategy = make_strategy(name)
         for seed, tape in enumerate([rngstream.stream(21).random((500, 9)), threshold_tape(strategy, model, 500, 22)]):
@@ -218,7 +212,7 @@ class TestTapeEngine:
         # Eight runs from different states and with different herald
         # targets share one call; each must play as it would alone.
         strategy = make_strategy(name)
-        model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
+        model = BiasParams(f=0.03, tau=0.08)
         tapes = np.stack([threshold_tape(strategy, model, 120, seed) for seed in range(8)])
         state = np.arange(8) % len(strategy.herald)
         stop = np.array([1, 2, 5, 40, 80, 119, 120, 500])
@@ -235,7 +229,7 @@ class TestTapeEngine:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("n_heralds", [1, 7, 100])
     def test_heralded_runs_match_oracle(self, name, n_heralds):
-        model = RngModel(f=0.03, tau=0.08, bias_dist="two_point")
+        model = BiasParams(f=0.03, tau=0.08)
         strategy = make_strategy(name)
         got = lhv._play_heralded(strategy, model, n_heralds, 4, range(40))
         want = [oracles.play_heralded(strategy, model, n_heralds, rngstream.stream(4, i)) for i in range(40)]
@@ -246,7 +240,7 @@ class TestTapeEngine:
         # heralds: runs go on for two or three blocks of 150 rows and stop
         # inside the last, some while their batch mates have finished.
         sparse = lhv.Strategy("sparse", ((0.3, -1, 0),), (((0.0, 0.5), (0.5, 1.0)),), ((0,) * 48,))
-        model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
+        model = BiasParams(f=0.03, tau=0.08)
         got = lhv._play_heralded(sparse, model, 100, 5, range(40))
         want = [oracles.play_heralded(sparse, model, 100, rngstream.stream(5, i)) for i in range(40)]
         assert [SimStats(*row) for row in got.tolist()] == want
@@ -256,7 +250,7 @@ class TestTapeEngine:
     def test_gives_up_on_a_strategy_that_never_heralds(self):
         silent = lhv.Strategy("silent", ((0.0, 0, 0),), (((0.0, 0.0), (0.0, 0.0)),), ((0,) * 48,))
         with pytest.raises(RuntimeError, match="produced 0 heralds in 1024 attempts"):
-            lhv._play_heralded(silent, RngModel(), 1, 6, range(3))
+            lhv._play_heralded(silent, BiasParams(), 1, 6, range(3))
 
     def test_gives_up_naming_the_first_run_short_of_heralds(self):
         # A box that heralds one attempt in 2,000 rarely reaches 5 heralds
@@ -265,15 +259,15 @@ class TestTapeEngine:
         # the error names run 1, as playing the runs one by one would.
         rare = lhv.Strategy("rare", ((0.0005, -1, 0),), (((0.0, 0.0), (0.0, 0.0)),), ((0,) * 48,))
         tape = rngstream.stream(1, 1).random((79 * 64, 9)).tolist()
-        _, short, _ = oracles.run_tape(rare, RngModel(), tape, stop_after_heralds=5)
+        _, short, _ = oracles.run_tape(rare, BiasParams(), tape, stop_after_heralds=5)
         with pytest.raises(RuntimeError, match=f"produced {short.heralded} heralds in {79 * 64} attempts"):
-            lhv._play_heralded(rare, RngModel(), 5, 1, range(4))
+            lhv._play_heralded(rare, BiasParams(), 5, 1, range(4))
 
     @pytest.mark.parametrize("n, alpha", [(1, 0.9), (30, 0.3)])
     def test_batch_split_does_not_change_the_report(self, monkeypatch, n, alpha):
         def report():
             return adversary_suite(
-                n=n, runs=45, alpha=alpha, seed=23, f=0.03, tau=0.08, bias_dist="uniform", strategies=sorted(CATALOG)
+                n=n, runs=45, alpha=alpha, seed=23, f=0.03, tau=0.08, strategies=sorted(CATALOG)
             )
 
         monkeypatch.setattr(lhv, "_BATCH_ROWS", 1)
@@ -287,14 +281,13 @@ class TestTapeEngine:
 class TestLocality:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_flipping_b_setting_leaves_a_outcome_unchanged(self, name):
-        model = RngModel(f=0.03, tau=0.08, bias_dist="uniform")
+        model = BiasParams(f=0.03, tau=0.08)
         attempts = 400
         tape = rngstream.stream(8).random((attempts, 9))
         base = play_tape(make_strategy(name), model, tape)[0]
         for position in (50, 200, attempts - 1):
-            # B's setting draw at its extremes: below 1/2 + bias picks B's
-            # preferred setting, above it (bias is at most 2 tau = 0.16 here)
-            # the other one.
+            # B's setting draw at its extremes: below 1/2 + tau picks B's
+            # preferred setting, above it the other one.
             runs = []
             for draw in (0.0, np.nextafter(1.0, 0.0)):
                 perturbed = tape.copy()
@@ -311,18 +304,10 @@ class TestBoundDomination:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("f,tau", [(0.0, 0.0), (0.0, 0.1), (0.05, 0.0), (0.1, 0.05)])
     def test_no_strategy_beats_beta_win(self, name, f, tau):
-        model = RngModel(f=f, tau=tau)
-        beta = beta_win_lemma(BiasParams(f=f, tau=tau))
+        model = BiasParams(f=f, tau=tau)
+        beta = beta_win_lemma(model)
         rate, n = win_rate(name, model, 20_000, seed=9)
         assert rate <= beta + three_sigma(beta, n), (name, f, tau, rate, beta)
-
-    @pytest.mark.parametrize("dist", ["point", "two_point", "uniform"])
-    def test_bias_distributions_share_the_bound(self, dist):
-        tau = 0.1
-        beta = beta_win_lemma(BiasParams(0.0, tau))
-        model = RngModel(tau=tau, bias_dist=dist)
-        rate, n = win_rate("classical-optimal", model, 40_000, seed=10)
-        assert rate <= beta + three_sigma(beta, n), (dist, rate)
 
 
 class TestSimulateReference:

@@ -82,17 +82,9 @@ class TestMultinomialUniformMc:
         result = multinomial_uniform_mc(FIRST_RUN, reps=20_000, seed=3)
         assert result.p == pytest.approx(0.053, abs=0.008)
 
-    def test_chi2_ordering_close_but_distinct(self):
-        result = multinomial_uniform_mc(FIRST_RUN, reps=20_000, seed=3, ordering="chi2")
-        assert result.p == pytest.approx(0.047, abs=0.008)
-
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             multinomial_uniform_mc(FIRST_RUN, reps=10, seed=0)
-
-    def test_unknown_ordering(self):
-        with pytest.raises(ValueError):
-            multinomial_uniform_mc(FIRST_RUN, reps=2000, seed=0, ordering="weird")
 
 
 class TestFisher2x2:
@@ -175,7 +167,7 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [8, 21])
     def test_exact_tests_super_uniform_under_null(self, seed):
         # Under uniform settings Pr[p <= alpha] <= alpha for the exact tests.
-        pvals = sa._lee_local_pvalues(101, reps=4000, seed=seed, ordering="probability")
+        pvals = sa._lee_local_pvalues(101, reps=4000, seed=seed)
         for alpha in (0.01, 0.05, 0.1, 0.3):
             for column in range(4):
                 rate = float(np.mean(pvals[:, column] <= alpha))
@@ -194,10 +186,10 @@ class TestLookElsewhere:
 
         monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
         joint, threshold = look_elsewhere(60, 0.05, reps=2000, seed=5)
-        assert calls == [(60, 2000, 5, "probability")]
-        min_p = tape(60, 2000, 5, "probability").min(axis=1)
+        assert calls == [(60, 2000, 5)]
+        min_p = tape(60, 2000, 5).min(axis=1)
         p = float(np.mean(min_p < 0.05))
-        assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000), reps=2000)
+        assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000))
         assert threshold == sa._threshold_quantile(min_p, 0.05)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
@@ -212,14 +204,14 @@ class TestLeeJoint:
     def test_alpha_one_rejects_by_convention(self, monkeypatch):
         # A threshold of 1 rejects every table, with no tape drawn.
         monkeypatch.setattr(sa, "_lee_local_pvalues", None)
-        assert look_elsewhere(245, 1.0, reps=2000, seed=0)[0] == McPValue(p=1.0, mc_error=0.0, reps=2000)
+        assert look_elsewhere(245, 1.0, reps=2000, seed=0)[0] == McPValue(p=1.0, mc_error=0.0)
 
     def test_monotone_in_alpha_common_random_numbers(self):
         values = [look_elsewhere(60, a, reps=2000, seed=5)[0].p for a in (0.01, 0.02, 0.05, 0.1, 0.2)]
         assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
     def test_bonferroni_sandwich(self):
-        pvals = sa._lee_local_pvalues(60, reps=3000, seed=6, ordering="probability")
+        pvals = sa._lee_local_pvalues(60, reps=3000, seed=6)
         alpha = 0.05
         singles = [float(np.mean(pvals[:, j] < alpha)) for j in range(4)]
         joint = float(np.mean(pvals.min(axis=1) < alpha))
@@ -290,12 +282,11 @@ class TestLeeThreshold:
         assert look_elsewhere(245, 1.0, reps=2000, seed=0)[1] == 1.0
 
     @pytest.mark.parametrize(
-        "n, reps, seed, ordering",
-        [(1, 1000, 3, "probability"), (7, 2000, 4, "probability"), (60, 3000, 5, "chi2"),
-         (245, 10_000, 19, "probability"), (400, 1000, 6, "probability"), (6000, 1000, 7, "probability")],
+        "n, reps, seed",
+        [(1, 1000, 3), (7, 2000, 4), (60, 3000, 5), (245, 10_000, 19), (400, 1000, 6), (6000, 1000, 7)],
     )
-    def test_order_statistic_equals_bisection(self, n, reps, seed, ordering):
-        min_p = sa._lee_local_pvalues(n, reps, seed, ordering).min(axis=1)
+    def test_order_statistic_equals_bisection(self, n, reps, seed):
+        min_p = sa._lee_local_pvalues(n, reps, seed).min(axis=1)
         # target * reps rounds below the count k with k / reps == target for 0.29
         # (3000 reps) and 0.57 (3000, 10000), and up to k + 1 for the value just
         # below 0.05 (3000) and just below 0.0037 (10000).
@@ -356,7 +347,7 @@ class TestAuditRow:
     def test_alpha_one_needs_no_tape(self, monkeypatch):
         monkeypatch.setattr(sa, "_lee_local_pvalues", None)
         row = audit_row(FIRST_RUN, reps=2000, seed=3, lee_reps=1000, alpha=1.0)
-        assert row.p_threshold == 1.0 and row.p_joint_lee == McPValue(p=1.0, mc_error=0.0, reps=1000)
+        assert row.p_threshold == 1.0 and row.p_joint_lee == McPValue(p=1.0, mc_error=0.0)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
