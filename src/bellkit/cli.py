@@ -459,14 +459,7 @@ def _cmd_audit(args: argparse.Namespace) -> dict[str, object] | str:
         if len(values) != 4:
             raise CliError(f"--counts needs exactly four values, got {len(values)}")
         counts = settings_audit.SettingCounts(*values)
-    row = settings_audit.audit_row(
-        counts,
-        reps=args.reps,
-        seed=args.seed,
-        label=args.label,
-        lee_reps=args.lee_reps,
-        alpha=args.alpha,
-    )
+    row = settings_audit.audit_row(counts, seed=args.seed, lee_reps=args.lee_reps, label=args.label, alpha=args.alpha)
     if args.format == "csv":
         return f"{settings_audit.AuditRow.CSV_HEADER}\n{row.to_csv_row()}"
     return row.to_dict()
@@ -627,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="n00,n01,n10,n11")
     p.add_argument("--settings", default=None, help="raw settings stream (JSON-lines) to tabulate")
     p.add_argument("--label", default="")
-    p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--lee-reps", type=int, default=10_000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -174,7 +174,8 @@ def _compile(strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray, np
     """
     cut, tag_below, tag_above = np.array(strategy.herald).T
     outputs = np.array(strategy.outputs)
-    cuts = (np.unique(cut), np.unique(outputs[:, 0]), np.unique(outputs[:, 1]))
+    # Sorted and deduplicated in Python: np.unique would load numpy.ma.
+    cuts = tuple(np.array(sorted(set(v.ravel().tolist()))) for v in (cut, outputs[:, 0], outputs[:, 1]))
     shape = (2, 2, 2, 2, *(len(c) + 1 for c in cuts), len(strategy.herald))
     setting_a, setting_b, early, coin, h, a, b, s = np.indices(shape, sparse=True)
     tag = np.where(h <= np.searchsorted(cuts[0], cut)[s], tag_below[s], tag_above[s]).astype(np.int64)

@@ -5,7 +5,7 @@ counts:
 
 1. side A's marginal is Binomial(n, 1/2)  (exact two-tailed test),
 2. side B's marginal likewise,
-3. the four counts are jointly Multinomial(n; 1/4 each)  (Monte Carlo),
+3. the four counts are jointly Multinomial(n; 1/4 each)  (exact to n = 300),
 4. the sides are independent: Fisher exact below 5000 events, Pearson
    chi-squared above.
 
@@ -29,7 +29,7 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .trials import _check_domains, _read_path, _read_records
 FISHER_PEARSON_SWITCH = 5000
 
 # Exact enumeration of the joint-uniformity null is used up to this n
-# (about 4.7 million tables); larger n falls back to a shared Monte Carlo
+# (about 4.7 million tables); larger n falls back to a Monte Carlo
 # reference sample of the log pmf.
 _ENUMERATION_LIMIT = 300
 
@@ -51,6 +51,9 @@ _MIN_MC_REPS = 1000
 
 # Float guard when comparing log pmfs for "at least as extreme".
 _STAT_TOL = 1e-9
+
+# A joint-uniformity null: the sorted log pmf statistic and, where exact, its cumulative probabilities.
+_Null = tuple[np.ndarray, np.ndarray | None]
 
 # Most entries in the padded support matrix of one chunk of `fisher_two_sided_tables`.
 _FISHER_MAX_CELLS = 4_000_000
@@ -90,9 +93,6 @@ class SettingCounts:
         """Number of events with setting b = 1."""
         return self.n01 + self.n11
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n00, self.n01, self.n10, self.n11], dtype=np.int64)
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], lines: Sequence[int] | None = None) -> "SettingCounts":
         """Tabulate (setting_a, setting_b) pairs.
@@ -122,7 +122,7 @@ def read_settings_stream(source: str | IO[str]) -> SettingCounts:
 
 @dataclass(frozen=True)
 class McPValue:
-    """Monte Carlo P-value estimate with its binomial standard error."""
+    """P-value with its Monte Carlo binomial standard error; an error of 0.0 means the value is exact."""
 
     p: float
     mc_error: float
@@ -207,29 +207,6 @@ def uniform4_logpmf(counts: np.ndarray, n: int) -> np.ndarray:
     return lg[n] - lg[counts].sum(axis=-1) + n * math.log(0.25)
 
 
-def multinomial_uniform_mc(counts: SettingCounts, reps: int, seed: int) -> McPValue:
-    """Monte Carlo joint-uniformity test of the four setting-pair counts.
-
-    Estimates the probability that a uniform multinomial draw of the same
-    size is at least as extreme as the observed table, that is, no more
-    probable (the exact-test convention). The estimate is
-    (1 + hits) / (1 + reps), which counts the observed table as one of the
-    draws, so it is never zero and valid at every rep count (Phipson &
-    Smyth, "Permutation P-values should never be zero", SAGMB 9, 2010).
-    """
-    n = counts.total
-    if n < 1:
-        raise ValueError("need at least one event")
-    if reps < _MIN_MC_REPS:
-        raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
-    rng = rngstream.stream(seed)
-    draws = rng.multinomial(n, [0.25] * 4, size=reps)
-    stat = uniform4_logpmf(draws, n)
-    stat_obs = float(uniform4_logpmf(counts.as_array(), n))
-    p = (1 + int(np.count_nonzero(stat <= stat_obs + _STAT_TOL))) / (1 + reps)
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps))
-
-
 def fisher_2x2(counts: SettingCounts) -> float:
     """Two-sided Fisher exact test on [[n00, n01], [n10, n11]]."""
     if counts.total < 1:
@@ -268,6 +245,9 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     c0 at a time in (c0, c1, c2) order. Returns the sorted statistic values
     and the cumulative probability up to each; tied statistics have equal
     probabilities, so their order within a tie leaves the sums unchanged.
+    The sums add numpy's `exp`, whose last bits depend on the CPU: at n = 245
+    `cum` differs with numpy's AVX-512 kernels off, but not at the paper
+    counts (53, 79, 62, 51), 0.05309022675083941.
     """
     lg = _log_factorial(n + 1)
     ln_quarter = n * math.log(0.25)
@@ -293,13 +273,35 @@ def _pearson_many(tables: np.ndarray) -> np.ndarray:
     return np.array([1.0 if s is None else pvalues.chi2_survival(s, 1) for s in statistics])
 
 
-def _lee_local_pvalues(n: int, reps: int, seed: int) -> np.ndarray:
+def _uniform4_null(n: int, reps: int, seed: int) -> _Null:
+    """`_uniform4_null_table(n)` to the enumeration limit, else a sorted sample from stream 1 with `cum` None."""
+    if n <= _ENUMERATION_LIMIT:
+        return _uniform4_null_table(n)
+    draws = rngstream.stream(seed, 1).multinomial(n, [0.25] * 4, size=max(reps, 100_000))
+    return np.sort(uniform4_logpmf(draws, n)), None
+
+
+def _joint_uniform_pvalue(counts: SettingCounts, null: _Null) -> McPValue:
+    """Probability that a uniform table is no more probable than `counts`, against `null` (`_uniform4_null`).
+
+    Exact on the enumerated null. On a sample of `size` tables it is
+    (1 + hits) / (1 + size), which counts the observed table as one of the
+    draws, so it is never zero (Phipson & Smyth, SAGMB 9, 2010).
+    """
+    stat_sorted, cum = null
+    stat_obs = uniform4_logpmf(astuple(counts), counts.total)
+    hits = int(np.searchsorted(stat_sorted, stat_obs + _STAT_TOL, side="right"))
+    if cum is not None:
+        return McPValue(p=float(cum[hits - 1]), mc_error=0.0)
+    p = (1 + hits) / (1 + stat_sorted.size)
+    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / stat_sorted.size))
+
+
+def _lee_local_pvalues(n: int, reps: int, seed: int, null: _Null | None = None) -> np.ndarray:
     """(reps, 4) local P-values of the four tests under uniform settings.
 
     Draws the tables from stream 0 of the seed. The joint-uniformity test
-    is scored against the exactly enumerated null for n up to the
-    enumeration limit, otherwise against a shared reference sample drawn
-    from stream 1.
+    is scored against `null`, or against `_uniform4_null(n, reps, seed)`.
     """
     if n < 1:
         raise ValueError("need at least one event")
@@ -310,16 +312,9 @@ def _lee_local_pvalues(n: int, reps: int, seed: int) -> np.ndarray:
     p_a = binom_table[draws[:, 2] + draws[:, 3]]
     p_b = binom_table[draws[:, 1] + draws[:, 3]]
 
-    stat = uniform4_logpmf(draws, n)
-    if n <= _ENUMERATION_LIMIT:
-        stat_sorted, cum = _uniform4_null_table(n)
-        pos = np.searchsorted(stat_sorted, stat + _STAT_TOL, side="right")
-        p_joint = cum[np.maximum(pos, 1) - 1]
-    else:
-        ref_rng = rngstream.stream(seed, 1)
-        ref_stat = uniform4_logpmf(ref_rng.multinomial(n, [0.25] * 4, size=max(reps, 100_000)), n)
-        ref_sorted = np.sort(ref_stat)
-        p_joint = np.searchsorted(ref_sorted, stat + _STAT_TOL, side="right") / ref_sorted.size
+    stat_sorted, cum = _uniform4_null(n, reps, seed) if null is None else null
+    pos = np.searchsorted(stat_sorted, uniform4_logpmf(draws, n) + _STAT_TOL, side="right")
+    p_joint = pos / stat_sorted.size if cum is None else cum[np.maximum(pos, 1) - 1]
 
     if n < FISHER_PEARSON_SWITCH:
         p_indep = fisher_two_sided_tables(draws)
@@ -338,13 +333,18 @@ def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue
     (`_threshold_quantile`). A threshold of 1 rejects by convention (every
     P-value is at most 1), so alpha = 1 gives exactly (1, 1.0) with no tape.
     """
+    return _look_elsewhere(n, alpha, reps, seed, None)
+
+
+def _look_elsewhere(n: int, alpha: float, reps: int, seed: int, null: _Null | None) -> tuple[McPValue, float]:
+    """`look_elsewhere` on a tape scored against `null` (`_lee_local_pvalues`)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if reps < _MIN_MC_REPS:
         raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
     if alpha == 1.0:
         return McPValue(p=1.0, mc_error=0.0), 1.0
-    min_p = _lee_local_pvalues(n, reps, seed).min(axis=1)
+    min_p = _lee_local_pvalues(n, reps, seed, null).min(axis=1)
     p = float(np.mean(min_p < alpha))
     return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps)), _threshold_quantile(min_p, alpha)
 
@@ -428,31 +428,25 @@ class AuditRow:
         }
 
 
-def audit_row(
-    counts: SettingCounts,
-    reps: int,
-    seed: int,
-    lee_reps: int,
-    label: str = "",
-    alpha: float = 0.05,
-) -> AuditRow:
+def audit_row(counts: SettingCounts, seed: int, lee_reps: int, label: str = "", alpha: float = 0.05) -> AuditRow:
     """Run all four tests plus the look-elsewhere correction on one table.
 
-    `p_joint_lee` and `p_threshold` are `look_elsewhere(n, alpha, ...)` on
-    `lee_reps` reps.
+    One null (`_uniform4_null`) scores the observed table, as `p_joint_uniform`,
+    and the tape of `look_elsewhere(n, alpha, lee_reps, seed)`.
     """
     n = counts.total
     if n < FISHER_PEARSON_SWITCH:
         test_name, p_indep = "fisher", fisher_2x2(counts)
     else:
         test_name, p_indep = "pearson", pearson_chi2(counts)
-    p_joint_lee, p_threshold = look_elsewhere(n, alpha, lee_reps, seed)
+    null = _uniform4_null(n, lee_reps, seed)
+    p_joint_lee, p_threshold = _look_elsewhere(n, alpha, lee_reps, seed, null)
     return AuditRow(
         label=label,
         n=n,
         p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
         p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),
-        p_joint_uniform=multinomial_uniform_mc(counts, reps=reps, seed=seed),
+        p_joint_uniform=_joint_uniform_pvalue(counts, null),
         independence_test=test_name,
         p_independence=p_indep,
         p_threshold=p_threshold,

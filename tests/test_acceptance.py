@@ -23,7 +23,7 @@ from bellkit.pvalues import (
     pvalue_conventional,
 )
 from bellkit.randomness import BitStream, block8, combine_streams, estimate_bias
-from bellkit.settings_audit import SettingCounts, fisher_2x2, look_elsewhere, multinomial_uniform_mc
+from bellkit.settings_audit import SettingCounts, audit_row, fisher_2x2, look_elsewhere
 from bellkit.trials import aggregate, chsh_s
 
 from oracles import best_deterministic_winprob
@@ -87,15 +87,10 @@ def test_criterion_03_fisher_method():
 def test_criterion_04_multinomial_uniformity_mc():
     counts = SettingCounts(53, 79, 62, 51)
     start = time.perf_counter()
-    result = multinomial_uniform_mc(counts, reps=100_000, seed=5)
+    result = audit_row(counts, seed=5, lee_reps=1000).p_joint_uniform
     elapsed = time.perf_counter() - start
-    ok = abs(result.p - 0.053) <= 0.012 and elapsed < 30.0
-    report(
-        4,
-        ok,
-        f"multinomial_uniform_mc = {result.p:.4f} +- {result.mc_error:.4f} "
-        f"(target 0.053 +- 0.012), {elapsed:.1f} s",
-    )
+    ok = abs(result.p - 0.053) <= 0.012 and result.mc_error == 0.0 and elapsed < 30.0
+    report(4, ok, f"audit p_joint_uniform = {result.p:.6f}, exact (target 0.053 +- 0.012), {elapsed:.1f} s")
 
 
 def test_criterion_05_fisher_exact_settings_table():

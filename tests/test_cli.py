@@ -656,10 +656,12 @@ class TestLhvOutputsPinned:
 class TestAuditOutputsPinned:
     """Digests of audit reports as the bisecting, twice-taped audit wrote them.
 
-    Except p_joint_uniform, which is now (1 + hits) / (1 + reps): 5349/100001
-    and 9690/100001 here, where the raw fractions were 0.05348 and 0.09689.
-    The JSON reports also no longer name an ordering, which moves their
-    config hash.
+    Except p_joint_uniform, which is now read off the null that also scores
+    the look-elsewhere tape: the exact enumerated value 0.05309022675083941
+    (error 0.0) at n = 245, and (1 + hits) / (1 + 100,000) = 9687/100001
+    against the reference sample at n = 4,000. The JSON reports also no
+    longer name an ordering, and their config hash no longer covers a reps
+    option, so the hash moved.
     """
 
     @pytest.mark.parametrize(
@@ -667,13 +669,13 @@ class TestAuditOutputsPinned:
         [
             (
                 ("--counts", "53,79,62,51"),
-                "aa6cd2fdc230c2880345771ac36726621c77236ebe4fb49c4a46eb59cb7901d1",
-                "2e8bea713e07302383c227067e26669b074f47a799006c803b8bd5e7ae16d625",
+                "f094aba858f21db095bf48a660ca20a5f11ff829d8a5620942676b2b033f6853",
+                "71e6e1b76ec26b9d15733b65f9b9dd1aefb177ba83b251a1184e48f8dabe73a7",
             ),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
-                "f74805b759136af91c9eaef5ae26fee7031db5c116087af604dc5ada1192c77a",
-                "e34524f26a99122f0eea91f4cfd1078f86416f294ca7acb31959d81f453bd21f",
+                "56a35f87d7f2af60f999ccced4ff65d799a6fab8bd8fbd6edbc03f2d8857f669",
+                "9a514bc76451bb14a96c9d15d6fae4b35bbd75a4a990349344b9a00eca8ce8cd",
             ),
         ],
         ids=["paper-counts", "n4000"],
@@ -785,8 +787,6 @@ class TestAudit:
             "audit",
             "--counts",
             "53,79,62,51",
-            "--reps",
-            "2000",
             "--lee-reps",
             "1000",
             "--seed",
@@ -802,8 +802,6 @@ class TestAudit:
             "audit",
             "--counts",
             "53,79,62,51",
-            "--reps",
-            "2000",
             "--lee-reps",
             "1000",
             "--seed",
@@ -817,12 +815,12 @@ class TestAudit:
         assert ",245," in lines[1]
 
     def test_counts_arity(self, capsys):
-        code, _, err = run(capsys, "audit", "--counts", "1,2,3", "--reps", "2000", "--seed", "0")
+        code, _, err = run(capsys, "audit", "--counts", "1,2,3", "--seed", "0")
         assert code == 1 and "four" in err
 
     @pytest.mark.parametrize("counts", ["53,79,,62,51", "53,79,62,51,"])
     def test_counts_empty_field_exits_one(self, capsys, counts):
-        code, out, err = run(capsys, "audit", "--counts", counts, "--reps", "1000", "--lee-reps", "1000")
+        code, out, err = run(capsys, "audit", "--counts", counts, "--lee-reps", "1000")
         assert code == 1 and out == "" and "--counts" in err
 
     def test_too_few_lee_reps_exit_one_at_every_alpha(self, capsys):
@@ -833,7 +831,7 @@ class TestAudit:
     @pytest.mark.parametrize("label", ["run 1, day 2", 'line\nbreak and "quote"'])
     def test_csv_label_reads_back_whole(self, capsys, tmp_path, label):
         out = tmp_path / "audit.csv"
-        run(capsys, "audit", "--counts", "53,79,62,51", "--reps", "1000", "--lee-reps", "1000", "--format", "csv",
+        run(capsys, "audit", "--counts", "53,79,62,51", "--lee-reps", "1000", "--format", "csv",
             "--label", label, "--out", str(out))
         with open(out, newline="", encoding="utf-8") as handle:
             header, row = csv.reader(handle)
@@ -885,8 +883,8 @@ class TestInfrastructure:
             ["bound", "--n", "300", "--k", "237", "--tau-grid", "0:0.01:0.001"],
             ["combine", "--mode", "merge", "--counts", "245:196,300:237"],
             ["combine", "--mode", "fisher", "--pvalues", "0.039,0.061"],
-            ["audit", "--counts", "53,79,62,51", "--reps", "2000", "--lee-reps", "1000"],
-            ["audit", "--counts", "1300,1250,1200,1250", "--reps", "1000", "--lee-reps", "1000"],
+            ["audit", "--counts", "53,79,62,51", "--lee-reps", "1000"],
+            ["audit", "--counts", "1300,1250,1200,1250", "--lee-reps", "1000"],
             ["adversary", "--n", "10", "--runs", "4"],
             ["simulate", "--strategy", "streak-keyed", "--attempts", "200", "--trials-out", "lhv.jsonl"],
             ["rng", "extract", "--messages", "messages.txt", "--bits-out", "a.txt"],
@@ -925,8 +923,6 @@ class TestInfrastructure:
                 "audit",
                 "--counts",
                 "53,79,62,51",
-                "--reps",
-                "2000",
                 "--lee-reps",
                 "1000",
                 "--seed",
@@ -938,19 +934,19 @@ class TestInfrastructure:
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
     def test_seed_changes_output(self, capsys):
-        a = run_json(capsys, "audit", "--counts", "53,79,62,51", "--reps", "2000", "--lee-reps", "1000", "--seed", "1")
-        b = run_json(capsys, "audit", "--counts", "53,79,62,51", "--reps", "2000", "--lee-reps", "1000", "--seed", "2")
-        assert a["p_joint_uniform"] != b["p_joint_uniform"]
+        a = run_json(capsys, "audit", "--counts", "53,79,62,51", "--lee-reps", "1000", "--seed", "1")
+        b = run_json(capsys, "audit", "--counts", "53,79,62,51", "--lee-reps", "1000", "--seed", "2")
+        assert a["p_joint_lee"] != b["p_joint_lee"]
 
     def test_config_file_provides_defaults(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"reps": 2000, "lee_reps": 1000, "seed": 11}), encoding="utf-8")
+        config.write_text(json.dumps({"lee-reps": 1000, "seed": 11}), encoding="utf-8")
         report = run_json(capsys, "--config", str(config), "audit", "--counts", "53,79,62,51")
         assert report["seed"] == 11
 
     def test_flag_overrides_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"reps": 2000, "lee_reps": 1000, "seed": 11}), encoding="utf-8")
+        config.write_text(json.dumps({"lee-reps": 1000, "seed": 11}), encoding="utf-8")
         report = run_json(
             capsys, "--config", str(config), "audit", "--counts", "53,79,62,51", "--seed", "12"
         )
@@ -985,12 +981,14 @@ class TestInfrastructure:
         [
             (("simulate", "--attempts", "10"), "--bias-dist", "point"),
             (("adversary", "--n", "10", "--runs", "4"), "--bias-dist", "point"),
-            (("audit", "--counts", "53,79,62,51", "--reps", "1000", "--lee-reps", "1000"), "--ordering", "probability"),
+            (("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"), "--ordering", "probability"),
+            (("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"), "--reps", "1000"),
         ],
-        ids=["simulate", "adversary", "audit"],
+        ids=["simulate", "adversary", "audit", "audit-reps"],
     )
     def test_removed_bias_and_ordering_options_exit_one(self, capsys, tmp_path, argv, flag, value):
-        # Settings have one bias law and the joint-uniformity test one ordering.
+        # Settings have one bias law, the joint-uniformity test one ordering,
+        # and the audit one null, whose size --lee-reps sets.
         code, out, err = run(capsys, *argv, flag, value)
         assert (code, out) == (1, "") and f"unrecognized arguments: {flag} {value}" in err
         config = tmp_path / "config.json"
@@ -1027,7 +1025,7 @@ class TestReportEnvelope:
         ("rng", "bias", "--bits", "a.txt"),
         ("rng", "combine", "--classical", "a.txt", "--quantum", "q.txt", "--bits-out", "c.txt"),
         ("rng", "independence", "--a", "c.txt", "--b", "q.txt"),
-        ("audit", "--counts", "53,79,62,51", "--reps", "1000", "--lee-reps", "1000"),
+        ("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"),
     ]
 
     @staticmethod
@@ -1082,7 +1080,7 @@ class TestConfigValues:
             ({"seed": 1.5}, ("simulate", "--attempts", "10"), "seed: invalid int value 1.5"),
             ({"packed": "no"}, ("rng", "extract", "--messages", "m.txt", "--bits-out", "b.txt"),
              'packed must be true or false, got "no"'),
-            ({"reps": 1500.5}, ("audit", "--counts", "53,79,62,51"), "reps: invalid int value 1500.5"),
+            ({"lee-reps": 1500.5}, ("audit", "--counts", "53,79,62,51"), "lee-reps: invalid int value 1500.5"),
             ({"label": None}, ("audit", "--counts", "53,79,62,51"), "label must be a string or a number, got null"),
             ({"lee-reps": [1000]}, ("audit", "--counts", "53,79,62,51"),
              "lee-reps must be a string or a number, got [1000]"),
@@ -1126,8 +1124,6 @@ class TestAuditSettingsStream:
             "audit",
             "--settings",
             str(settings),
-            "--reps",
-            "2000",
             "--lee-reps",
             "1000",
             "--seed",
@@ -1139,7 +1135,7 @@ class TestAuditSettingsStream:
         settings = tmp_path / "settings.jsonl"
         settings.write_text('{"setting_a": 0, "setting_b": 0}\n', encoding="utf-8")
         code, _, err = run(
-            capsys, "audit", "--counts", "1,2,3,4", "--settings", str(settings), "--reps", "2000"
+            capsys, "audit", "--counts", "1,2,3,4", "--settings", str(settings)
         )
         assert code == 1 and "exactly one" in err
 

@@ -1,4 +1,5 @@
 """Setting-choice uniformity tests and look-elsewhere machinery."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from bellkit.settings_audit import (
     audit_row,
     fisher_2x2,
     look_elsewhere,
-    multinomial_uniform_mc,
     pearson_chi2,
 )
 
@@ -66,25 +66,62 @@ class TestBinomUniform:
         assert pvalues.binom_two_sided(counts.marginal_a, 245) == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
 
 
-class TestMultinomialUniformMc:
+def joint_uniform(counts, reps=1000, seed=0):
+    """The audit's joint-uniformity P-value of `counts`, on the null built from `reps` and `seed`."""
+    return sa._joint_uniform_pvalue(counts, sa._uniform4_null(counts.total, reps, seed))
+
+
+def joint_uniform_oracle(cells):
+    """Probability, as a Fraction, that a Multinomial(n; 1/4 each) table is no more probable than `cells`."""
+    n = sum(cells)
+
+    def prob(table):
+        return Fraction(math.factorial(n), math.prod(math.factorial(c) for c in table) * 4**n)
+
+    tables = (t for t in itertools.product(range(n + 1), repeat=3) if sum(t) <= n)
+    observed = prob(cells)
+    return sum(p for p in (prob((*t, n - sum(t))) for t in tables) if p <= observed)
+
+
+class TestJointUniform:
+    """p_joint_uniform: the observed table scored against the null that scores the look-elsewhere tape."""
+
     def test_balanced_counts_near_one(self):
-        counts = SettingCounts(61, 61, 61, 62)
-        result = multinomial_uniform_mc(counts, reps=2000, seed=1)
-        assert result.p > 0.97
+        result = joint_uniform(SettingCounts(61, 61, 61, 62))
+        assert result.p > 0.97 and result.mc_error == 0.0
 
-    def test_extreme_counts_below_resolution(self):
-        # No draw is as extreme, and the estimate counts the observed table as one.
-        counts = SettingCounts(245, 0, 0, 0)
-        result = multinomial_uniform_mc(counts, reps=2000, seed=2)
-        assert result.p == 1 / 2001
+    def test_corner_table_is_the_four_corners_mass(self):
+        result = joint_uniform(SettingCounts(245, 0, 0, 0))
+        assert result.p == pytest.approx(float(4 * Fraction(1, 4) ** 245), rel=1e-12, abs=0)
+        assert result.mc_error == 0.0
 
-    def test_first_run_value_probability_ordering(self):
-        result = multinomial_uniform_mc(FIRST_RUN, reps=20_000, seed=3)
-        assert result.p == pytest.approx(0.053, abs=0.008)
+    def test_extreme_table_above_the_enumeration_limit(self):
+        # No reference table is as extreme, and the estimate counts the observed table as one.
+        result = joint_uniform(SettingCounts(400, 0, 0, 0), reps=1000, seed=2)
+        p = 1 / (1 + 100_000)
+        assert result == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 100_000))
 
-    def test_reps_floor(self):
-        with pytest.raises(ValueError):
-            multinomial_uniform_mc(FIRST_RUN, reps=10, seed=0)
+    def test_first_run_is_the_enumerated_value(self):
+        result = joint_uniform(FIRST_RUN)
+        assert result.p == pytest.approx(0.05309022675084, rel=0, abs=1e-12)
+        assert result.mc_error == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_every_table_against_fraction_enumeration(self, n):
+        null = sa._uniform4_null(n, 1000, 0)
+        for t in itertools.product(range(n + 1), repeat=3):
+            if sum(t) <= n:
+                cells = (*t, n - sum(t))
+                got = sa._joint_uniform_pvalue(SettingCounts(*cells), null)
+                assert got.p == pytest.approx(float(joint_uniform_oracle(cells)), rel=1e-12, abs=0), cells
+
+    def test_reference_sample_agrees_with_the_enumeration(self):
+        # Just above the limit the reference sample stands in for the enumeration it no longer makes.
+        counts = SettingCounts(65, 90, 76, 70)
+        exact = sa._joint_uniform_pvalue(counts, sa._uniform4_null_table(counts.total)).p
+        estimate = joint_uniform(counts, seed=3)
+        assert estimate.mc_error > 0.0
+        assert abs(estimate.p - exact) <= 4.0 * estimate.mc_error
 
 
 class TestFisher2x2:
@@ -186,7 +223,7 @@ class TestLookElsewhere:
 
         monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
         joint, threshold = look_elsewhere(60, 0.05, reps=2000, seed=5)
-        assert calls == [(60, 2000, 5)]
+        assert calls == [(60, 2000, 5, None)]
         min_p = tape(60, 2000, 5).min(axis=1)
         p = float(np.mean(min_p < 0.05))
         assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000))
@@ -319,7 +356,7 @@ class TestLeeThreshold:
 
 class TestAuditRow:
     def test_row_assembly_and_serialization(self):
-        row = audit_row(FIRST_RUN, reps=2000, seed=11, label="run-1", lee_reps=1000)
+        row = audit_row(FIRST_RUN, seed=11, label="run-1", lee_reps=1000)
         assert row.n == 245
         assert row.independence_test == "fisher"
         assert row.p_independence == pytest.approx(0.029, abs=0.002)
@@ -339,26 +376,49 @@ class TestAuditRow:
             return tape(*args)
 
         monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
-        row = audit_row(counts, reps=2000, seed=3, lee_reps=lee_reps, alpha=0.02)
+        row = audit_row(counts, seed=3, lee_reps=lee_reps, alpha=0.02)
         assert len(calls) == 1
         monkeypatch.undo()
         assert (row.p_joint_lee, row.p_threshold) == look_elsewhere(counts.total, 0.02, reps=lee_reps, seed=3)
 
     def test_alpha_one_needs_no_tape(self, monkeypatch):
         monkeypatch.setattr(sa, "_lee_local_pvalues", None)
-        row = audit_row(FIRST_RUN, reps=2000, seed=3, lee_reps=1000, alpha=1.0)
+        row = audit_row(FIRST_RUN, seed=3, lee_reps=1000, alpha=1.0)
         assert row.p_threshold == 1.0 and row.p_joint_lee == McPValue(p=1.0, mc_error=0.0)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must lie in"):
-            audit_row(FIRST_RUN, reps=2000, seed=3, lee_reps=1000, alpha=alpha)
+            audit_row(FIRST_RUN, seed=3, lee_reps=1000, alpha=alpha)
 
     def test_pearson_branch_for_large_n(self):
         big = SettingCounts(2600, 2400, 2400, 2600)
-        row = audit_row(big, reps=2000, seed=12, lee_reps=1000)
+        row = audit_row(big, seed=12, lee_reps=1000)
         assert row.independence_test == "pearson"
         assert row.p_independence == pytest.approx(6.33e-5, abs=3e-7)
+
+    @pytest.mark.parametrize("counts", [FIRST_RUN, SettingCounts(942, 985, 1040, 1033)])
+    def test_one_null_per_audit(self, monkeypatch, counts):
+        # The enumeration at n <= 300, or the one reference sample from stream 1 above.
+        tables, streams = [], []
+        table, stream = sa._uniform4_null_table, sa.rngstream.stream
+
+        def counted_table(n):
+            tables.append(n)
+            return table(n)
+
+        def counted_stream(seed, stream_id=0):
+            streams.append(stream_id)
+            return stream(seed, stream_id)
+
+        monkeypatch.setattr(sa, "_uniform4_null_table", counted_table)
+        monkeypatch.setattr(sa.rngstream, "stream", counted_stream)
+        row = audit_row(counts, seed=11, lee_reps=1000)
+        monkeypatch.undo()
+        exact = counts.total <= sa._ENUMERATION_LIMIT
+        assert (tables, sorted(streams)) == (([counts.total], [0]) if exact else ([], [0, 1]))
+        assert row.p_joint_uniform == joint_uniform(counts, reps=1000, seed=11)
+        assert (row.p_joint_uniform.mc_error == 0.0) == exact
 
 
 class TestSettingsStream:

@@ -1,8 +1,9 @@
 """Start-up pays only for the command that runs.
 
 `import bellkit`, `import bellkit.pvalues`, `--version`, `--help`, a usage
-error, `bound`, `combine` and the four `rng` commands load no numpy, and a
-command executes only the analysis modules it uses. Each check runs in a
+error, `bound`, `combine` and the four `rng` commands load no numpy,
+`simulate` and `adversary` load no `numpy.ma`, and a command executes only
+the analysis modules it uses. Each check runs in a
 fresh interpreter, since the test process has long loaded everything.
 """
 import json
@@ -77,6 +78,17 @@ def test_loads_no_numpy(args, want_code, rng_inputs):
     assert code == want_code
     assert "bellkit" in names
     assert not any(name == "numpy" or name.startswith("numpy.") for name in names)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["simulate", "--strategy", "herald-gating", "--attempts", "2000"], ["adversary", "--n", "20", "--runs", "12"]],
+    ids=["simulate", "adversary"],
+)
+def test_lhv_commands_load_no_masked_arrays(args, tmp_path):
+    code, names = imported_modules("-m", "bellkit.cli", *args, cwd=tmp_path)
+    assert code == 0 and "numpy" in names
+    assert not any(name == "numpy.ma" or name.startswith("numpy.ma.") for name in names)
 
 
 def test_rng_bias_executes_only_what_it_uses(tmp_path):
