@@ -6,8 +6,8 @@ Subsystems:
 * `pvalues`: complete (memory-robust) and conventional P-values, the
   RNG-imperfection winning-probability bound, Fisher's method.
 * `lhv`: local-hidden-variable adversary simulation and bound validation.
-* `heralding`: detection-window classification, offset sweeps, synthetic
-  photon streams.
+* `heralding`: detection-window classification, offset sweeps, a synthetic
+  experiment.
 * `randomness`: text-to-bit extraction, XOR whitening, bias and
   independence audits.
 * `settings_audit`: setting-choice uniformity tests with look-elsewhere
@@ -38,7 +38,6 @@ _EXPORTS = {
     "pvalues": (
         "BiasParams",
         "PValueReport",
-        "beta_win",
         "beta_win_expanded",
         "beta_win_lemma",
         "fisher_combine",

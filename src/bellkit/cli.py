@@ -1,8 +1,10 @@
 """Command-line interface tying the analysis modules into reproducible runs.
 
-Every report embeds the tool version, the seed and a hash of the resolved
-configuration: every option of the command except --out, output paths
-included. Identical configuration and seed give byte-identical output files.
+Every JSON report embeds the tool version, the seed and a hash of the
+resolved configuration: every option of the command except --out, output
+paths included. `audit --format csv` is the exception: it prints a bare CSV
+header and row with none of them. Identical configuration and seed give
+byte-identical output files.
 A --config file supplies the command's defaults; each value is checked as
 the same flag's would be. Exit codes: 0 success, 1 domain or validation
 error, 2 I/O error.
@@ -46,7 +48,6 @@ _lazy_module("rngstream")
 
 # Literal copies of module constants, so that building the parser executes no
 # analysis module; tests/test_cli.py checks each against its source.
-_BOUND_FORMS = ("lemma", "expanded")  # pvalues.BOUND_FORMS
 _STRATEGIES = (  # sorted(lhv.CATALOG)
     "classical-optimal",
     "coin-flip",
@@ -163,8 +164,7 @@ def _cmd_analyze(args: argparse.Namespace) -> dict[str, object]:
     table = trialset.cells()
     k, n = table.k_n()
     estimate = trials_mod.chsh_s(table)
-    bias = pvalues.BiasParams(f=args.f, tau=args.tau)
-    beta = pvalues.beta_win(bias, form=args.beta_form)
+    beta = pvalues.beta_win_lemma(pvalues.BiasParams(f=args.f, tau=args.tau))
     cells = {
         f"tag={tag},a={a},b={b}": {"e": cell.e, "count": cell.count, "stderr": cell.stderr}
         for (tag, a, b), cell in sorted(table.correlators().items())
@@ -223,7 +223,7 @@ def _cmd_combine(args: argparse.Namespace) -> dict[str, object]:
             pairs.append((run_n, run_k))
         n = sum(p[0] for p in pairs)
         k = sum(p[1] for p in pairs)
-        beta = pvalues.beta_win(pvalues.BiasParams(f=args.f, tau=args.tau), form=args.beta_form)
+        beta = pvalues.beta_win_lemma(pvalues.BiasParams(f=args.f, tau=args.tau))
         report = pvalues.PValueReport(
             method="merged",
             p=pvalues.pvalue_complete(n, k, beta),
@@ -243,19 +243,18 @@ def _cmd_bound(args: argparse.Namespace) -> dict[str, object]:
     if args.curve_out and not args.tau_grid:
         raise CliError("--curve-out needs --tau-grid")
     bias = pvalues.BiasParams(f=args.f, tau=args.tau)
+    beta = pvalues.beta_win_lemma(bias)
+    # beta_expanded is printed for comparison only; no P-value uses it (see bellkit.pvalues).
     payload: dict[str, object] = {
         "f": args.f,
         "tau": args.tau,
-        "beta_lemma": pvalues.beta_win_lemma(bias),
+        "beta_lemma": beta,
         "beta_expanded": pvalues.beta_win_expanded(bias),
     }
     if args.n is not None:
-        beta = pvalues.beta_win(bias, form=args.beta_form)
         payload["p_complete"] = pvalues.pvalue_complete(args.n, args.k, beta)
         if args.tau_grid:
-            curve = pvalues.pvalue_vs_tau_curve(
-                args.n, args.k, _parse_float_range(args.tau_grid), f=args.f, form=args.beta_form
-            )
+            curve = pvalues.pvalue_vs_tau_curve(args.n, args.k, _parse_float_range(args.tau_grid), f=args.f)
             if args.curve_out:
                 pvalues.write_curve_csv(args.curve_out, curve)
                 payload["curve_file"] = args.curve_out
@@ -340,35 +339,26 @@ def _load_windows(path: str | None) -> heralding.WindowConfig:
 
 
 def _cmd_herald_synth(args: argparse.Namespace) -> dict[str, object]:
-    if args.mode == "experiment" and not args.attempts_out:
-        raise CliError("--attempts-out is required in experiment mode")
-    if args.mode == "stream" and args.attempts_out is not None:
-        raise CliError("--attempts-out: attempt records are written only in experiment mode")
     windows = _load_windows(args.window_config)
     stream_params = heralding.StreamParams(
         decay_ps=args.decay_ps,
-        signal_prob=args.signal_prob,
         reflection_amplitude=args.reflection_amplitude,
         reflection_center_ps=args.reflection_center_ps,
         reflection_sigma_ps=args.reflection_sigma_ps,
         afterpulse_prob=args.afterpulse_prob,
         dark_rate=args.dark_rate,
     )
-    if args.mode == "experiment":
-        events, records = heralding.synth_experiment(
-            stream_params,
-            windows,
-            attempts=args.attempts,
-            seed=args.seed,
-            entangle_prob=args.entangle_prob,
-            win_prob=args.win_prob,
-        )
-        heralding.write_attempts(args.attempts_out, records)
-    else:
-        events = heralding.synth_stream(stream_params, windows, attempts=args.attempts, seed=args.seed)
+    events, records = heralding.synth_experiment(
+        stream_params,
+        windows,
+        attempts=args.attempts,
+        seed=args.seed,
+        entangle_prob=args.entangle_prob,
+        win_prob=args.win_prob,
+    )
+    heralding.write_attempts(args.attempts_out, records)
     heralding.write_detections(args.detections_out, events)
     return {
-        "mode": args.mode,
         "attempts": args.attempts,
         "detections": len(events),
         "detections_file": args.detections_out,
@@ -497,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trials", help="JSON-lines trial file")
     p.add_argument("--f", type=float, default=0.0, help="early-number probability bound")
     p.add_argument("--tau", type=float, default=0.0, help="mean bias bound")
-    p.add_argument("--beta-form", choices=_BOUND_FORMS, default="lemma")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_analyze)
 
@@ -507,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="comma-separated n:k pairs (merge mode)")
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--beta-form", choices=_BOUND_FORMS, default="lemma")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_combine)
 
@@ -517,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--tau-grid", default=None, help="start:stop:step grid of tau values")
-    p.add_argument("--beta-form", choices=_BOUND_FORMS, default="lemma")
     p.add_argument("--curve-out", default=None, help="CSV file for the (tau, p) curve")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_bound)
@@ -554,12 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     herald = sub.add_parser("herald", help="heralding-window tools")
     herald_sub = herald.add_subparsers(dest="herald_command", required=True)
 
-    p = herald_sub.add_parser("synth", help="generate synthetic detections")
-    p.add_argument("--mode", choices=("stream", "experiment"), default="experiment")
+    p = herald_sub.add_parser("synth", help="generate synthetic detections and attempt records")
     p.add_argument("--attempts", type=int, required=True)
     p.add_argument("--window-config", default=None, help="JSON window config file")
     p.add_argument("--decay-ps", type=float, default=12_000.0)
-    p.add_argument("--signal-prob", type=float, default=0.5)
     p.add_argument("--entangle-prob", type=float, default=0.3)
     p.add_argument("--win-prob", type=float, default=(2.0 + 2.0**0.5) / 4.0)
     p.add_argument("--reflection-amplitude", type=float, default=0.0)
@@ -568,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--afterpulse-prob", type=float, default=0.0)
     p.add_argument("--dark-rate", type=float, default=0.0)
     p.add_argument("--detections-out", required=True)
-    p.add_argument("--attempts-out", default=None)
+    p.add_argument("--attempts-out", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_herald_synth)
 

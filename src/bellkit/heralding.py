@@ -18,13 +18,13 @@ complete-analysis P-value and the non-herald counts per offset. Swept
 P-values are LOCAL: scanning offsets multiplies hypotheses, so they carry
 no global significance.
 
-A phenomenological stream generator produces synthetic detections:
-exponentially decaying emission from the window start, a Gaussian
-reflection pulse centred before the window, same-channel afterpulses in
-round 2 and uniform dark counts. The experiment-level generator adds
-settings and outcomes whose correlations are real only for genuinely
-entangled attempts, which is what makes reflection-polluted windows
-degrade S.
+`synth_experiment` draws a synthetic experiment. Its detections are
+phenomenological: one photon per round from each entangled attempt,
+decaying exponentially from the window start, a Gaussian reflection pulse
+centred before the window, same-channel afterpulses in round 2 and uniform
+dark counts. Its attempt records hold settings and outcomes whose
+correlations are real only for entangled attempts, which is what makes
+reflection-polluted windows degrade S.
 """
 from __future__ import annotations
 
@@ -281,17 +281,18 @@ def sweep(
 
 @dataclass(frozen=True)
 class StreamParams:
-    """Knobs of the phenomenological detection generator.
+    """Knobs of the phenomenological detections that `synth_experiment` draws.
 
-    Rates are per attempt: signal_prob per round (one photon on a random
-    channel), reflection_amplitude is the Poisson mean of reflection clicks
-    per channel and round, dark_rate the Poisson mean of dark counts per
+    Signal photons come from entangled attempts only, one per round, with
+    emission times decaying at decay_ps; `synth_experiment`'s entangle_prob
+    sets how many attempts are entangled. Rates are per attempt:
+    reflection_amplitude is the Poisson mean of reflection clicks per
+    channel and round, dark_rate the Poisson mean of dark counts per
     channel across the modelled span. The reflection centre is relative to
     the channel's window start and should be negative (before the window).
     """
 
     decay_ps: float = 12_000.0
-    signal_prob: float = 0.5
     reflection_amplitude: float = 0.0
     reflection_center_ps: float = -2_000.0
     reflection_sigma_ps: float = 250.0
@@ -300,9 +301,8 @@ class StreamParams:
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("signal_prob", "afterpulse_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.afterpulse_prob <= 1.0:
+            raise ValueError(f"afterpulse_prob must lie in [0, 1], got {self.afterpulse_prob}")
         for name in ("reflection_amplitude", "dark_rate"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -314,20 +314,36 @@ def _round_anchor(windows: WindowConfig, channel: int, round_index: int) -> int:
     return windows.start(channel) + (windows.second_window_offset_ps if round_index == 1 else 0)
 
 
-def _generate_detections(
+def synth_experiment(
     params: StreamParams,
     windows: WindowConfig,
     attempts: int,
-    rng: np.random.Generator,
-    signal_rounds: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> DetectionTable:
-    """Common machinery behind the stream and experiment generators.
+    seed: int,
+    entangle_prob: float = 0.3,
+    win_prob: float = (2.0 + math.sqrt(2.0)) / 4.0,
+) -> tuple[DetectionTable, AttemptTable]:
+    """Detections plus per-attempt settings and outcomes.
 
-    `signal_rounds` holds, per round, (attempt indices, channels) of signal
-    photons; reflections, afterpulses and dark counts are added here. Rows
-    come out sorted by (attempt, exact time), ties in draw order, and times
-    are rounded half to even and clamped at 0.
+    Entangled attempts emit one signal photon in each round, on a uniformly
+    random channel; their outcomes win the game of the state implied by the
+    two signal channels with probability `win_prob`. All other attempts
+    produce uncorrelated outcomes, so heralds caused by reflections,
+    afterpulses or dark counts carry no violation. Detection rows come out
+    sorted by (attempt, exact time), ties in draw order, and times are
+    rounded half to even and clamped at 0.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be >= 1, got {attempts}")
+    if not 0.0 <= entangle_prob <= 1.0:
+        raise ValueError(f"entangle_prob must lie in [0, 1], got {entangle_prob}")
+    if not 0.0 <= win_prob <= 1.0:
+        raise ValueError(f"win_prob must lie in [0, 1], got {win_prob}")
+    rng = rngstream.stream(seed)
+    entangled = rng.random(attempts) < entangle_prob
+    idx = np.flatnonzero(entangled)
+    ch_round1 = rng.integers(0, 2, size=len(idx))
+    ch_round2 = rng.integers(0, 2, size=len(idx))
+
     ids: list[np.ndarray] = []
     channels: list[np.ndarray] = []
     times: list[np.ndarray] = []
@@ -337,7 +353,7 @@ def _generate_detections(
         channels.append(np.broadcast_to(channel, attempt.shape))
         times.append(time)
 
-    for round_index, (idx, chans) in enumerate(signal_rounds):
+    for round_index, chans in enumerate((ch_round1, ch_round2)):
         anchors = np.where(chans == 0, _round_anchor(windows, 0, round_index), _round_anchor(windows, 1, round_index))
         add(idx, chans, anchors + rng.exponential(params.decay_ps, size=len(idx)))
 
@@ -375,61 +391,7 @@ def _generate_detections(
 
     attempt, channel, time = (np.concatenate(column) for column in (ids, channels, times))
     order = np.lexsort((time, attempt))
-    return DetectionTable(attempt[order], channel[order], np.maximum(np.rint(time[order]), 0.0).astype(np.int64))
-
-
-def synth_stream(
-    params: StreamParams,
-    windows: WindowConfig,
-    attempts: int,
-    seed: int,
-) -> DetectionTable:
-    """Synthetic detection stream without any entanglement bookkeeping.
-
-    Each round emits a signal photon with probability signal_prob on a
-    uniformly random channel, plus the reflection, afterpulse and dark
-    processes configured in `params`.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    rng = rngstream.stream(seed)
-    rounds = []
-    for _ in (0, 1):
-        emitted = rng.random(attempts) < params.signal_prob
-        idx = np.flatnonzero(emitted)
-        channels = rng.integers(0, 2, size=len(idx))
-        rounds.append((idx, channels))
-    return _generate_detections(params, windows, attempts, rng, rounds)
-
-
-def synth_experiment(
-    params: StreamParams,
-    windows: WindowConfig,
-    attempts: int,
-    seed: int,
-    entangle_prob: float = 0.3,
-    win_prob: float = (2.0 + math.sqrt(2.0)) / 4.0,
-) -> tuple[DetectionTable, AttemptTable]:
-    """Detections plus per-attempt settings and outcomes.
-
-    Entangled attempts emit one signal photon in each round; their outcomes
-    win the game of the state implied by the two signal channels with
-    probability `win_prob`. All other attempts produce uncorrelated
-    outcomes, so heralds caused by reflections, afterpulses or dark counts
-    carry no violation.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if not 0.0 <= entangle_prob <= 1.0:
-        raise ValueError(f"entangle_prob must lie in [0, 1], got {entangle_prob}")
-    if not 0.0 <= win_prob <= 1.0:
-        raise ValueError(f"win_prob must lie in [0, 1], got {win_prob}")
-    rng = rngstream.stream(seed)
-    entangled = rng.random(attempts) < entangle_prob
-    idx = np.flatnonzero(entangled)
-    ch_round1 = rng.integers(0, 2, size=len(idx))
-    ch_round2 = rng.integers(0, 2, size=len(idx))
-    detections = _generate_detections(params, windows, attempts, rng, [(idx, ch_round1), (idx, ch_round2)])
+    detections = DetectionTable(attempt[order], channel[order], np.maximum(np.rint(time[order]), 0.0).astype(np.int64))
 
     true_tag = np.zeros(attempts, dtype=np.int64)
     true_tag[idx] = np.where(ch_round1 != ch_round2, HERALD_PSI_MINUS, HERALD_PSI_PLUS)

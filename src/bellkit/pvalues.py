@@ -12,23 +12,25 @@ Two analyses of the same (k wins out of n trials) record:
 The winning-probability bound accounts for imperfect random number
 generators through two knobs: f, the probability that a setting bit is
 produced early enough to be signalled across, and tau, the mean of the
-per-trial bias distribution. Two algebraic forms of the bound are exposed
-because they genuinely differ:
+per-trial bias distribution. Every P-value is taken at `beta_win_lemma`,
+the rigorous form
+2f - f^2 + (1-f)^2 (3/4 + tau' - tau'^2) with
+tau' = min((2 tau + f) / (2 (1 - f)), 1/2), which folds the early-number
+budget into the effective on-time bias. At tau = 0 it reduces to
+3/4 + f - f^2.
 
-* `beta_win_lemma` is the rigorous form
-  2f - f^2 + (1-f)^2 (3/4 + tau' - tau'^2) with
-  tau' = min((2 tau + f) / (2 (1 - f)), 1/2), which folds the early-number
-  budget into the effective on-time bias. At tau = 0 it reduces to
-  3/4 + f - f^2.
-* `beta_win_expanded` is the weaker polynomial obtained by substituting
-  tau directly for tau', expanding to
-  3/4 + f/2 - f^2/4 + tau - tau^2 - 2 f tau + f^2 tau + 2 f tau^2
-  - f^2 tau^2. It makes the f/2 <-> tau exchange symmetry explicit:
-  expanded(f, 0) = expanded(0, f/2).
+`beta_win_expanded` is the weaker polynomial obtained by substituting tau
+directly for tau', expanding to
+3/4 + f/2 - f^2/4 + tau - tau^2 - 2 f tau + f^2 tau + 2 f tau^2
+- f^2 tau^2. It makes the f/2 <-> tau exchange symmetry explicit:
+expanded(f, 0) = expanded(0, f/2). The `bound` command prints it for
+comparison only: no P-value uses it, because it lies below the lemma
+bound wherever 0 < f < 1 and tau < 1/2 (0.7744 against 0.7975 at
+f = 0.05, tau = 0), and a local strategy can reach the lemma bound, so a
+tail taken at the expanded form would be anti-conservative.
 
-The complete analysis defaults to the lemma form; pass form="expanded" to
-select the other. Also here: Fisher's method for combining independent
-P-values and the tau sensitivity curve of the complete analysis.
+Also here: Fisher's method for combining independent P-values and the tau
+sensitivity curve of the complete analysis.
 
 Every scalar test is here too: the tails (binomial in Loader's saddle-point
 form, chi-squared, normal), the two-tailed binomial test at p = 1/2 and
@@ -44,8 +46,6 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import count
 from typing import IO, Iterable, Mapping, Sequence
-
-BOUND_FORMS = ("lemma", "expanded")
 
 REPORT_METHODS = ("conventional", "complete", "fisher", "merged")
 
@@ -322,15 +322,6 @@ def beta_win_expanded(params: BiasParams) -> float:
     )
 
 
-def beta_win(params: BiasParams, form: str = "lemma") -> float:
-    """Winning-probability bound in the requested algebraic form."""
-    if form == "lemma":
-        return beta_win_lemma(params)
-    if form == "expanded":
-        return beta_win_expanded(params)
-    raise ValueError(f"unknown bound form {form!r}, expected one of {BOUND_FORMS}")
-
-
 def pvalue_complete(n: int, k: int, beta: float) -> float:
     """Pr[Bin(n, beta) >= k]: the memory-robust P-value bound.
 
@@ -360,13 +351,7 @@ def fisher_combine(pvalues: Sequence[float]) -> float:
     return max(chi2_survival(statistic, 2 * len(pvalues)), _MIN_P)
 
 
-def pvalue_vs_tau_curve(
-    n: int,
-    k: int,
-    tau_grid: Iterable[float],
-    f: float = 0.0,
-    form: str = "lemma",
-) -> list[tuple[float, float]]:
+def pvalue_vs_tau_curve(n: int, k: int, tau_grid: Iterable[float], f: float = 0.0) -> list[tuple[float, float]]:
     """Complete-analysis P-value at each mean bias tau in the grid.
 
     The curve is nondecreasing in tau because the winning-probability bound
@@ -374,7 +359,7 @@ def pvalue_vs_tau_curve(
     """
     curve = []
     for tau in tau_grid:
-        beta = beta_win(BiasParams(f=f, tau=tau), form=form)
+        beta = beta_win_lemma(BiasParams(f=f, tau=tau))
         curve.append((float(tau), pvalue_complete(n, k, beta)))
     return curve
 

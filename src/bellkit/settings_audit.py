@@ -215,17 +215,17 @@ def fisher_2x2(counts: SettingCounts) -> float:
 
 
 def pearson_chi2(counts: SettingCounts) -> float:
-    """Pearson chi-squared independence test on the 2x2 table, 1 dof."""
+    """Pearson chi-squared independence test on the 2x2 table, 1 dof.
+
+    A table with an empty row or column has P-value 1, as in `fisher_2x2`.
+    """
     if counts.total < 1:
         raise ValueError("need at least one event")
-    statistic = _pearson_statistic(counts.n00, counts.n01, counts.n10, counts.n11)
-    if statistic is None:
-        raise ValueError("zero margin: expected cell counts vanish")
-    return pvalues.chi2_survival(statistic, 1)
+    return pvalues.chi2_survival(_pearson_statistic(counts.n00, counts.n01, counts.n10, counts.n11), 1)
 
 
-def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float | None:
-    """n (n00 n11 - n01 n10)^2 / (r0 r1 c0 c1), None on a zero margin.
+def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float:
+    """n (n00 n11 - n01 n10)^2 / (r0 r1 c0 c1), 0 on a zero margin (P-value 1).
 
     Exact in integers up to the one rounding of the division, where the sum
     of four (observed - expected)^2 / expected terms loses digits to
@@ -234,7 +234,7 @@ def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float | None:
     n00, n01, n10, n11 = int(n00), int(n01), int(n10), int(n11)
     margins = (n00 + n01) * (n10 + n11) * (n00 + n10) * (n01 + n11)
     if margins == 0:
-        return None
+        return 0.0
     return (n00 + n01 + n10 + n11) * (n00 * n11 - n01 * n10) ** 2 / margins
 
 
@@ -268,9 +268,9 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pearson_many(tables: np.ndarray) -> np.ndarray:
-    """pearson_chi2 of each (n00, n01, n10, n11) row; degenerate margins give 1."""
-    statistics = (_pearson_statistic(*row) for row in np.asarray(tables, dtype=np.int64).tolist())
-    return np.array([1.0 if s is None else pvalues.chi2_survival(s, 1) for s in statistics])
+    """pearson_chi2 of each (n00, n01, n10, n11) row."""
+    rows = np.asarray(tables, dtype=np.int64).tolist()
+    return np.array([pvalues.chi2_survival(_pearson_statistic(*row), 1) for row in rows])
 
 
 def _uniform4_null(n: int, reps: int, seed: int) -> _Null:

@@ -265,6 +265,31 @@ class TestBound:
         assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, n, k, beta_path",
+    [
+        (("analyze", "ref.jsonl"), 64, 64, ("beta",)),
+        (("combine", "--mode", "merge", "--counts", "245:196,300:237"), 545, 433, ("inputs", "beta")),
+        (("bound", "--n", "300", "--k", "237"), 300, 237, ("beta_lemma",)),
+    ],
+    ids=["analyze", "combine", "bound"],
+)
+def test_complete_pvalue_at_the_lemma_bound(capsys, tmp_path, monkeypatch, argv, n, k, beta_path):
+    # At f = 0.05, tau = 0.01 the expanded form lies below the lemma bound;
+    # every P-value is taken at the lemma bound.
+    monkeypatch.chdir(tmp_path)
+    run_json(capsys, "simulate-reference", "--win-prob-minus", "1.0", "--attempts", "64", "--trials-out", "ref.jsonl")
+    report = run_json(capsys, *argv, "--f", "0.05", "--tau", "0.01")
+    bias = pvalues.BiasParams(f=0.05, tau=0.01)
+    beta = pvalues.beta_win_lemma(bias)
+    assert beta > pvalues.beta_win_expanded(bias)
+    reported = report
+    for key in beta_path:
+        reported = reported[key]
+    assert reported == beta
+    assert report.get("p_complete", report.get("p")) == pvalues.pvalue_complete(n, k, beta)
+
+
 class TestSimulateAndAdversary:
     def test_simulate_writes_trials(self, capsys, tmp_path):
         trials_file = str(tmp_path / "lhv.jsonl")
@@ -423,32 +448,6 @@ class TestHerald:
         assert "second_window_offset_ps (0) must be at least len_first_ps (50000)" in err
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_stream_mode_requires_no_attempts_out(self, capsys, tmp_path):
-        detections = str(tmp_path / "d.csv")
-        report = run_json(
-            capsys,
-            "herald",
-            "synth",
-            "--mode",
-            "stream",
-            "--attempts",
-            "200",
-            "--seed",
-            "6",
-            "--detections-out",
-            detections,
-        )
-        assert report["attempts_file"] is None
-
-    def test_stream_mode_rejects_attempts_out(self, capsys, tmp_path):
-        code, out, err = run(
-            capsys, "herald", "synth", "--mode", "stream", "--attempts", "100", "--seed", "3",
-            "--detections-out", str(tmp_path / "d.csv"), "--attempts-out", str(tmp_path / "never.jsonl"),
-        )
-        assert code == 1 and out == ""
-        assert "--attempts-out: attempt records are written only in experiment mode" in err
-        assert list(tmp_path.iterdir()) == []
-
     def test_experiment_mode_requires_attempts_out(self, capsys, tmp_path, monkeypatch):
         # Checked before anything is synthesised or written.
         monkeypatch.setattr(cli.heralding, "synth_experiment", None)
@@ -496,16 +495,6 @@ class TestHeraldOutputsPinned:
         assert sha256(sweep_csv) == "b9ef80efa8a7a6934bffeea6ba0a4fba22337f0c1a1a340358a5e63bf9d230ed"
         assert report["attempts"] == 30000
 
-    def test_stream_synth_bytes(self, capsys, tmp_path):
-        detections = str(tmp_path / "d.csv")
-        run_json(
-            capsys, "herald", "synth", "--mode", "stream", "--attempts", "2000", "--seed", "6",
-            "--reflection-amplitude", "0.5", "--afterpulse-prob", "0.3", "--dark-rate", "0.01",
-            "--detections-out", detections,
-        )
-        assert sha256(detections) == "809a76f1f8e2ea23a6f838e354f83e2f52fcf2eb857298258fba5ab186ad59ee"
-        assert len(open(detections, "rb").read().splitlines()) == 7441
-
 
 class TestTrialOutputsPinned:
     """Digests of trial files and their analyze reports as the per-row Trial code wrote them.
@@ -524,13 +513,13 @@ class TestTrialOutputsPinned:
                  "--herald-rate", "0.3", "--seed", "11"),
                 "ref.jsonl",
                 "73f7aa3dd2d4a24a56d2e44ca0e2411263fe5653090a7fe4b0b6914025a295ef",
-                "6d967bcc1bf58800b61e701d444a76f4d0d0f4b82e1c1a76cdcfdea974025300",
+                "04c7a10b61a4fbc3d95b0149cc3b77f3ce64bddf172ce031854a512d866c630d",
             ),
             (
                 ("simulate", "--strategy", "herald-gating", "--attempts", "3000", "--seed", "11"),
                 "lhv.jsonl",
                 "4757374fd2649d2203d787aa833523294e511b37cf5c3367e2118a83b747854b",
-                "038a67747736202760116fb5e0b4dd59a48c335e484972ef2866b42200f567fd",
+                "9a7e74e3e3e3cc9b439db43c288859231daf40342102138577e2e2fe5dba10c0",
             ),
         ],
         ids=["simulate-reference", "simulate"],
@@ -828,6 +817,12 @@ class TestAudit:
             code, out, err = run(capsys, "audit", "--counts", "53,79,62,51", "--alpha", alpha, "--lee-reps", "5")
             assert (code, out) == (1, "") and "need at least 1000 Monte Carlo repetitions, got 5" in err, alpha
 
+    @pytest.mark.parametrize("counts", ["5000,0,0,0", "2500,2500,0,0"])
+    def test_pearson_on_a_zero_margin_is_one(self, capsys, counts):
+        # As Fisher's test below 5,000 events, and as the look-elsewhere tape scores such tables.
+        report = run_json(capsys, "audit", "--counts", counts, "--lee-reps", "1000")
+        assert (report["independence_test"], report["p_independence"]) == ("pearson", 1.0)
+
     @pytest.mark.parametrize("label", ["run 1, day 2", 'line\nbreak and "quote"'])
     def test_csv_label_reads_back_whole(self, capsys, tmp_path, label):
         out = tmp_path / "audit.csv"
@@ -869,6 +864,9 @@ def run_without_scipy(tmp_path, commands):
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+SYNTH = ("herald", "synth", "--attempts", "200", "--detections-out", "d.csv", "--attempts-out", "a.jsonl")
 
 
 class TestInfrastructure:
@@ -983,12 +981,20 @@ class TestInfrastructure:
             (("adversary", "--n", "10", "--runs", "4"), "--bias-dist", "point"),
             (("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"), "--ordering", "probability"),
             (("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"), "--reps", "1000"),
+            (("analyze", "ref.jsonl"), "--beta-form", "expanded"),
+            (("combine", "--mode", "merge", "--counts", "245:196"), "--beta-form", "expanded"),
+            (("bound", "--n", "300", "--k", "237"), "--beta-form", "expanded"),
+            (SYNTH, "--mode", "stream"),
+            (SYNTH, "--signal-prob", "0.5"),
         ],
-        ids=["simulate", "adversary", "audit", "audit-reps"],
+        ids=["simulate", "adversary", "audit", "audit-reps", "analyze-beta-form", "combine-beta-form",
+             "bound-beta-form", "synth-mode", "synth-signal-prob"],
     )
     def test_removed_bias_and_ordering_options_exit_one(self, capsys, tmp_path, argv, flag, value):
         # Settings have one bias law, the joint-uniformity test one ordering,
-        # and the audit one null, whose size --lee-reps sets.
+        # and the audit one null, whose size --lee-reps sets. Every P-value is
+        # taken at the lemma bound, and herald synth draws one synthetic
+        # experiment, detections and attempt records both.
         code, out, err = run(capsys, *argv, flag, value)
         assert (code, out) == (1, "") and f"unrecognized arguments: {flag} {value}" in err
         config = tmp_path / "config.json"
@@ -1074,8 +1080,7 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "config, argv, message",
         [
-            ({"mode": "bogus"}, ("herald", "synth", "--attempts", "10", "--detections-out", "d.csv"),
-             "mode: 'bogus' is not one of ['stream', 'experiment']"),
+            ({"mode": "bogus"}, ("combine", "--mode", "merge"), "mode: 'bogus' is not one of ['fisher', 'merge']"),
             ({"format": "xml"}, ("audit", "--counts", "53,79,62,51"), "format: 'xml' is not one of ['json', 'csv']"),
             ({"seed": 1.5}, ("simulate", "--attempts", "10"), "seed: invalid int value 1.5"),
             ({"packed": "no"}, ("rng", "extract", "--messages", "m.txt", "--bits-out", "b.txt"),
@@ -1097,9 +1102,9 @@ class TestConfigValues:
 
     def test_values_act_as_their_flags(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        config = {"n": "300", "k": 237, "tau": 0, "beta-form": "expanded", "tau_grid": "0:0.002:0.001"}
+        config = {"n": "300", "k": 237, "tau": 0, "curve-out": "curve.csv", "tau_grid": "0:0.002:0.001"}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        flags = ("bound", "--n", "300", "--k", "237", "--tau", "0", "--beta-form", "expanded",
+        flags = ("bound", "--n", "300", "--k", "237", "--tau", "0", "--curve-out", "curve.csv",
                  "--tau-grid", "0:0.002:0.001")
         assert run(capsys, "--config", "config.json", "bound") == run(capsys, *flags)
 
@@ -1152,17 +1157,8 @@ class TestParserConstants:
             parser = subparsers.choices[name]
         return next(a for a in parser._actions if a.dest == dest)
 
-    @pytest.mark.parametrize(
-        "path, dest, want",
-        [
-            (("analyze",), "beta_form", pvalues.BOUND_FORMS),
-            (("combine",), "beta_form", pvalues.BOUND_FORMS),
-            (("bound",), "beta_form", pvalues.BOUND_FORMS),
-            (("simulate",), "strategy", sorted(lhv.CATALOG)),
-        ],
-    )
-    def test_choices_copy_the_module_constant(self, path, dest, want):
-        assert list(self.action(path, dest).choices) == list(want)
+    def test_choices_copy_the_module_constant(self):
+        assert list(self.action(("simulate",), "strategy").choices) == sorted(lhv.CATALOG)
 
     def test_max_chars_default_copies_the_module_constant(self):
         assert self.action(("rng", "extract"), "max_chars").default == randomness.MAX_MESSAGE_CHARS

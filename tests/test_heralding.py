@@ -1,4 +1,4 @@
-"""Window classification, offset sweeps and the synthetic stream generator."""
+"""Window classification, offset sweeps and the synthetic experiment."""
 import io
 import math
 import re
@@ -18,7 +18,6 @@ from bellkit.heralding import (
     read_detections,
     sweep,
     synth_experiment,
-    synth_stream,
     write_attempts,
     write_detections,
     write_sweep_csv,
@@ -387,10 +386,16 @@ class TestInputChecks:
         assert len(read_detections(io.StringIO("attempt_id,channel,time_ps\r\n"))) == 0
 
 
+def synth_detections(params, attempts, seed, entangle_prob):
+    """The detections of `synth_experiment`, whose entangled attempts emit one photon per round."""
+    return synth_experiment(params, WINDOWS, attempts=attempts, seed=seed, entangle_prob=entangle_prob)[0]
+
+
 class TestSynthStream:
+    """The detection stream that `synth_experiment` draws from `StreamParams`."""
+
     def test_no_reflection_no_dark_all_clicks_from_window_start(self):
-        params = StreamParams(signal_prob=0.8)
-        events = synth_stream(params, WINDOWS, attempts=2000, seed=1)
+        events = synth_detections(StreamParams(), attempts=2000, seed=1, entangle_prob=0.8)
         assert events
         for _, channel, time_ps in detection_rows(events):
             starts = [
@@ -401,8 +406,8 @@ class TestSynthStream:
             assert time_ps >= min(starts)
 
     def test_reflection_places_clicks_before_window(self):
-        params = StreamParams(signal_prob=0.0, reflection_amplitude=1.0)
-        events = synth_stream(params, WINDOWS, attempts=500, seed=2)
+        params = StreamParams(reflection_amplitude=1.0)
+        events = synth_detections(params, attempts=500, seed=2, entangle_prob=0.0)
         assert events
         early = [
             (channel, time_ps)
@@ -415,26 +420,29 @@ class TestSynthStream:
         assert len(early) > 0.9 * len(events)
 
     def test_afterpulse_zero_means_no_retriggers(self):
-        params = StreamParams(signal_prob=0.0, reflection_amplitude=0.5, afterpulse_prob=0.0)
-        events = synth_stream(params, WINDOWS, attempts=800, seed=3)
+        params = StreamParams(reflection_amplitude=0.5, afterpulse_prob=0.0)
+        events = synth_detections(params, attempts=800, seed=3, entangle_prob=0.0)
         # Without afterpulses, dark counts or signal, nothing lands inside
         # the second windows: reflections sit ~1800 ps before each start.
         assert not any(in_second(WINDOWS, channel, time_ps) for _, channel, time_ps in detection_rows(events))
 
     def test_afterpulses_land_in_second_window_same_channel(self):
-        quiet = StreamParams(signal_prob=0.0, reflection_amplitude=0.5, afterpulse_prob=0.0)
-        loud = StreamParams(signal_prob=0.0, reflection_amplitude=0.5, afterpulse_prob=0.9)
-        base = synth_stream(quiet, WINDOWS, attempts=800, seed=4)
-        with_ap = synth_stream(loud, WINDOWS, attempts=800, seed=4)
+        quiet = StreamParams(reflection_amplitude=0.5, afterpulse_prob=0.0)
+        loud = StreamParams(reflection_amplitude=0.5, afterpulse_prob=0.9)
+        base = synth_detections(quiet, attempts=800, seed=4, entangle_prob=0.0)
+        with_ap = synth_detections(loud, attempts=800, seed=4, entangle_prob=0.0)
         extra = len(with_ap) - len(base)
         assert extra > 100
-        second_round = [row for row in detection_rows(with_ap) if in_second(WINDOWS, row[1], row[2])]
+        rows = detection_rows(with_ap)
+        second_round = [row for row in rows if in_second(WINDOWS, row[1], row[2])]
         assert len(second_round) > 100
+        # Each is an afterpulse: its attempt has an earlier click on the same channel.
+        for attempt, channel, time_ps in second_round:
+            assert any(a == attempt and c == channel and t < time_ps for a, c, t in rows)
 
     def test_decay_constant_recovered_within_five_percent(self):
         decay = 12_000.0
-        params = StreamParams(decay_ps=decay, signal_prob=1.0)
-        events = synth_stream(params, WINDOWS, attempts=60_000, seed=5)
+        events = synth_detections(StreamParams(decay_ps=decay), attempts=60_000, seed=5, entangle_prob=1.0)
         window = WINDOWS.len_first_ps
         dts = [
             time_ps - WINDOWS.start(channel)
@@ -459,8 +467,8 @@ class TestSynthStream:
 
     def test_psi_plus_fraction_rises_with_afterpulse(self):
         def plus_fraction(afterpulse, seed):
-            params = StreamParams(signal_prob=0.35, afterpulse_prob=afterpulse)
-            events = synth_stream(params, WINDOWS, attempts=6000, seed=seed)
+            params = StreamParams(afterpulse_prob=afterpulse)
+            events = synth_detections(params, attempts=6000, seed=seed, entangle_prob=0.35)
             tags = tags_by_attempt(events, WINDOWS).values()
             plus = sum(1 for t in tags if t == 1)
             heralded = sum(1 for t in tags if t != 0)
@@ -471,7 +479,7 @@ class TestSynthStream:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            StreamParams(signal_prob=1.5)
+            StreamParams(afterpulse_prob=1.5)
         with pytest.raises(ValueError):
             StreamParams(reflection_amplitude=-1.0)
         with pytest.raises(ValueError):

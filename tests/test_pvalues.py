@@ -9,7 +9,6 @@ from scipy import stats
 from bellkit.pvalues import (
     BiasParams,
     PValueReport,
-    beta_win,
     beta_win_expanded,
     beta_win_lemma,
     fisher_combine,
@@ -70,13 +69,6 @@ class TestBetaWinExpanded:
             for tau in np.linspace(0.0, 0.25, 26):
                 params = BiasParams(float(f), float(tau))
                 assert beta_win_lemma(params) >= beta_win_expanded(params) - 1e-12
-
-    def test_form_dispatcher(self):
-        params = BiasParams(0.1, 0.05)
-        assert beta_win(params) == beta_win_lemma(params)
-        assert beta_win(params, form="expanded") == beta_win_expanded(params)
-        with pytest.raises(ValueError):
-            beta_win(params, form="nope")
 
 
 class TestPvalueComplete:

@@ -177,9 +177,11 @@ class TestPearsonChi2:
             want = [pearson_chi2(SettingCounts(*row.tolist())) for row in tables]
             assert sa._pearson_many(tables).tolist() == want
 
-    def test_zero_margin_errors(self):
-        with pytest.raises(ValueError):
-            pearson_chi2(SettingCounts(0, 0, 10, 10))
+    def test_degenerate_margin_is_one(self):
+        # As for fisher_2x2, and as the look-elsewhere tape scores such tables.
+        for cells in ((0, 0, 10, 10), (5000, 0, 0, 0), (2500, 2500, 0, 0)):
+            assert pearson_chi2(SettingCounts(*cells)) == 1.0
+            assert sa._pearson_many(np.array([cells])).tolist() == [1.0]
 
     def test_statistic_is_the_rational_sum_rounded_once(self):
         # The first table is the look-elsewhere threshold's at n = 5,000, where
