@@ -1,9 +1,8 @@
 """Command-line interface tying the analysis modules into reproducible runs.
 
-Every JSON report embeds the tool version, the seed and a hash of the
-resolved configuration: every option of the command except --out, output
-paths included. `audit --format csv` is the exception: it prints a bare CSV
-header and row with none of them. Identical configuration and seed give
+Every command writes one JSON report, which embeds the tool version, the
+seed and a hash of the resolved configuration: every option of the command
+except --out, output paths included. Identical configuration and seed give
 byte-identical output files.
 A --config file supplies the command's defaults; each value is checked as
 the same flag's would be. Exit codes: 0 success, 1 domain or validation
@@ -99,7 +98,7 @@ def _report_envelope(command: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+    text += "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -404,12 +403,12 @@ def _cmd_rng_extract(args: argparse.Namespace) -> dict[str, object]:
         stream = randomness.extract_bits(messages, max_chars=args.max_chars)
     except ValueError as exc:
         raise CliError(f"{args.messages}: {exc}") from None
-    randomness.write_bits(args.bits_out, stream, packed=args.packed)
+    randomness.write_bits(args.bits_out, stream)
     return {"messages": len(messages), "bits": len(stream), "bits_file": args.bits_out}
 
 
 def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:
-    stream = randomness.read_bits(args.bits, packed=args.packed)
+    stream = randomness.read_bits(args.bits)
     if args.block8:
         stream = randomness.block8(stream)
     estimate = randomness.estimate_bias(stream)
@@ -422,16 +421,16 @@ def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _cmd_rng_combine(args: argparse.Namespace) -> dict[str, object]:
-    classical = randomness.read_bits(args.classical, packed=args.packed)
-    quantum = randomness.read_bits(args.quantum, packed=args.packed)
+    classical = randomness.read_bits(args.classical)
+    quantum = randomness.read_bits(args.quantum)
     combined = randomness.combine_streams(classical, quantum)
-    randomness.write_bits(args.bits_out, combined, packed=args.packed)
+    randomness.write_bits(args.bits_out, combined)
     return {"bits": len(combined), "bits_file": args.bits_out}
 
 
 def _cmd_rng_independence(args: argparse.Namespace) -> dict[str, object]:
-    stream_a = randomness.read_bits(args.a, packed=args.packed)
-    stream_b = randomness.read_bits(args.b, packed=args.packed)
+    stream_a = randomness.read_bits(args.a)
+    stream_b = randomness.read_bits(args.b)
     if args.truncate:
         n = min(len(stream_a), len(stream_b))
         stream_a, stream_b = (randomness.BitStream(stream.bits[:n]) for stream in (stream_a, stream_b))
@@ -439,7 +438,7 @@ def _cmd_rng_independence(args: argparse.Namespace) -> dict[str, object]:
     return {"n": len(stream_a), "p": p}
 
 
-def _cmd_audit(args: argparse.Namespace) -> dict[str, object] | str:
+def _cmd_audit(args: argparse.Namespace) -> dict[str, object]:
     if (args.counts is None) == (args.settings is None):
         raise CliError("provide exactly one of --counts or --settings")
     if args.settings is not None:
@@ -450,8 +449,6 @@ def _cmd_audit(args: argparse.Namespace) -> dict[str, object] | str:
             raise CliError(f"--counts needs exactly four values, got {len(values)}")
         counts = settings_audit.SettingCounts(*values)
     row = settings_audit.audit_row(counts, seed=args.seed, lee_reps=args.lee_reps, label=args.label, alpha=args.alpha)
-    if args.format == "csv":
-        return f"{settings_audit.AuditRow.CSV_HEADER}\n{row.to_csv_row()}"
     return row.to_dict()
 
 
@@ -574,13 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--messages", required=True)
     p.add_argument("--max-chars", type=int, default=_MAX_MESSAGE_CHARS)
     p.add_argument("--bits-out", required=True)
-    p.add_argument("--packed", action="store_true", help="write packed binary bits")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_extract)
 
     p = rng_sub.add_parser("bias", help="bias of a bit stream")
     p.add_argument("--bits", required=True)
-    p.add_argument("--packed", action="store_true")
     p.add_argument("--block8", action="store_true", help="XOR 8-bit blocks first")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_bias)
@@ -588,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = rng_sub.add_parser("combine", help="XOR 8 classical bits with 1 quantum bit")
     p.add_argument("--classical", required=True)
     p.add_argument("--quantum", required=True)
-    p.add_argument("--packed", action="store_true")
     p.add_argument("--bits-out", required=True)
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_combine)
@@ -596,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = rng_sub.add_parser("independence", help="Fisher exact independence of two streams")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--packed", action="store_true")
     p.add_argument("--truncate", action="store_true", help="truncate to the shorter stream")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_independence)
@@ -607,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="")
     p.add_argument("--lee-reps", type=int, default=10_000)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
 
@@ -624,7 +616,7 @@ def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict[str, o
     defaults = {}
     for key, value in config.items():
         action = options[key.replace("-", "_")]
-        switch = action.nargs == 0  # a store_true flag such as --packed
+        switch = action.nargs == 0  # a store_true flag such as --block8
         if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
             expected = "true or false" if switch else "a string or a number"
             raise CliError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
@@ -651,10 +643,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
         result = args.func(args)
-        if isinstance(result, str):
-            _emit(result, args.out)
-        else:
-            _emit(json.dumps(_report_envelope(command, args, result), indent=2, sort_keys=True), args.out)
+        _emit(json.dumps(_report_envelope(command, args, result), indent=2, sort_keys=True), args.out)
         return 0
     except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)

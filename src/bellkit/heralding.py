@@ -279,6 +279,10 @@ def sweep(
     return out
 
 
+# Mean delay of an afterpulse after its channel's second-round window start.
+_AFTERPULSE_DECAY_PS = 1_500.0
+
+
 @dataclass(frozen=True)
 class StreamParams:
     """Knobs of the phenomenological detections that `synth_experiment` draws.
@@ -297,7 +301,6 @@ class StreamParams:
     reflection_center_ps: float = -2_000.0
     reflection_sigma_ps: float = 250.0
     afterpulse_prob: float = 0.0
-    afterpulse_decay_ps: float = 1_500.0
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -306,7 +309,7 @@ class StreamParams:
         for name in ("reflection_amplitude", "dark_rate"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.decay_ps <= 0 or self.reflection_sigma_ps <= 0 or self.afterpulse_decay_ps <= 0:
+        if self.decay_ps <= 0 or self.reflection_sigma_ps <= 0:
             raise ValueError("time constants must be positive")
 
 
@@ -373,7 +376,7 @@ def synth_experiment(
         candidates = int(np.count_nonzero(early))
         if candidates:
             fired = rng.random(candidates) < params.afterpulse_prob
-            delays = rng.exponential(params.afterpulse_decay_ps, size=candidates)
+            delays = rng.exponential(_AFTERPULSE_DECAY_PS, size=candidates)
             retriggered = channel[early][fired]
             add(attempt[early][fired], retriggered, second_start[retriggered] + delays[fired])
 

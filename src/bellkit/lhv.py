@@ -367,8 +367,7 @@ class AdversaryReport:
 
     @property
     def mc_error(self) -> float:
-        rate = self.rejection_rate
-        return math.sqrt(rate * (1.0 - rate) / self.runs)
+        return _rate_error(self.rejections, self.runs)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -379,10 +378,16 @@ class AdversaryReport:
             "rejection_rate": self.rejection_rate,
             "mc_error": self.mc_error,
             "by_strategy": {
-                name: {"rejections": r, "runs": m, "rate": r / m}
+                name: {"rejections": r, "runs": m, "rate": r / m, "mc_error": _rate_error(r, m)}
                 for name, (r, m) in self.by_strategy.items()
             },
         }
+
+
+def _rate_error(rejections: int, runs: int) -> float:
+    """Binomial standard error sqrt(rate (1 - rate) / runs) of the rejection rate rejections / runs."""
+    rate = rejections / runs
+    return math.sqrt(rate * (1.0 - rate) / runs)
 
 
 def _least_rejected_wins(n: int, beta: float, alpha: float) -> int:

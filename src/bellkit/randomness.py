@@ -174,53 +174,26 @@ def _undecodable_line(path: str) -> str:
     return "file is not valid UTF-8"
 
 
-def write_bits(target: str, stream: BitStream, packed: bool = False) -> None:
-    """Write bits as ASCII 0/1 lines, or packed binary with a length header.
-
-    The packed format is an 8-byte big-endian bit count followed by the
-    bits packed MSB-first.
-    """
-    digits = stream.bits.translate(bytes.maketrans(b"\x00\x01", b"01"))
-    if packed:
-        size = -(-len(stream) // 8)
-        # Base 2 converts in linear time; the last byte's pad bits are 0.
-        data = len(stream).to_bytes(8, "big") + int(digits.ljust(8 * size, b"0") or b"0", 2).to_bytes(size, "big")
-    else:
-        data = bytearray(b"\n" * (2 * len(stream)))
-        data[::2] = digits
+def write_bits(target: str, stream: BitStream) -> None:
+    """Write bits as ASCII lines, one 0 or 1 each."""
+    data = bytearray(b"\n" * (2 * len(stream)))
+    data[::2] = stream.bits.translate(bytes.maketrans(b"\x00\x01", b"01"))
     with open(target, "wb") as handle:
         handle.write(data)
 
 
-def read_bits(source: str, packed: bool = False) -> BitStream:
+def read_bits(source: str) -> BitStream:
     """Read a bit file written by write_bits; a malformed file raises, naming it.
 
-    ASCII files hold one 0 or 1 per line, empty lines skipped; errors name
-    the line. A packed file must be exactly as long as its header's bit
-    count requires, with the pad bits of its last byte 0.
+    The file holds one 0 or 1 per line, empty lines skipped; errors name
+    the line.
     """
-    with open(source, "rb") if packed else open(source, "r", encoding="utf-8") as handle:
+    with open(source, "r", encoding="utf-8") as handle:
         try:
-            return BitStream(_bit_digits(handle, packed).translate(bytes.maketrans(b"01", b"\x00\x01")))
+            words = [line.strip() for line in handle.read().split("\n")]
+            if set(words) - {"0", "1", ""}:
+                lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
+                raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-
-
-def _bit_digits(handle: IO, packed: bool) -> bytes:
-    """The bits of an open bit file as ASCII digits; see read_bits."""
-    if not packed:
-        words = [line.strip() for line in handle.read().split("\n")]
-        if set(words) - {"0", "1", ""}:
-            lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
-            raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
-        return "".join(words).encode("ascii")
-    raw = handle.read()
-    if len(raw) < 8:
-        raise ValueError("truncated packed bit file")
-    count = int.from_bytes(raw[:8], "big")
-    size = -(-count // 8)
-    if len(raw) - 8 != size:
-        raise ValueError(f"header promises {count} bits in {size} bytes, file holds {len(raw) - 8}")
-    if count % 8 and raw[-1] & (0xFF >> count % 8):
-        raise ValueError(f"pad bits after bit {count} must be 0, last byte is 0b{raw[-1]:08b}")
-    return format(int.from_bytes(raw[8:], "big"), f"0{8 * size}b")[:count].encode("ascii")
+    return BitStream("".join(words).encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01")))

@@ -25,8 +25,6 @@ Fisher tests are the scalar ones in `bellkit.pvalues`.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from dataclasses import astuple, dataclass
@@ -394,21 +392,6 @@ class AuditRow:
     p_joint_lee: McPValue
     alpha: float
     seed: int
-
-    CSV_HEADER = (
-        "label,n,p_rng_a,p_rng_b,p_joint_uniform,independence_test,"
-        "p_independence,p_threshold,p_joint_lee"
-    )
-
-    def to_csv_row(self) -> str:
-        """The CSV_HEADER fields without a line end; a label holding a comma, quote or line break is quoted."""
-        line = io.StringIO()
-        # The default "\r\n" terminator makes csv.writer quote a field holding either character.
-        csv.writer(line).writerow(
-            [self.label, self.n, repr(self.p_rng_a), repr(self.p_rng_b), repr(self.p_joint_uniform.p),
-             self.independence_test, repr(self.p_independence), repr(self.p_threshold), repr(self.p_joint_lee.p)]
-        )
-        return line.getvalue().removesuffix("\r\n")
 
     def to_dict(self) -> dict[str, object]:
         return {

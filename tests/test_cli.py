@@ -1,5 +1,4 @@
 """Command-line surface: pipelines, exit codes, determinism."""
-import csv
 import hashlib
 import json
 import math
@@ -10,7 +9,7 @@ import sys
 import pytest
 
 import bellkit
-from bellkit import cli, lhv, pvalues, randomness, settings_audit
+from bellkit import cli, lhv, pvalues, randomness
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 
@@ -541,7 +540,8 @@ class TestLhvOutputsPinned:
     Cases with f, tau > 0 play the one bias law, a point mass at tau; their
     trial files are the ones the simulator wrote under that law. Run in the
     temporary directory with relative file names, since the simulate
-    report's config hash covers the trial file path.
+    report's config hash covers the trial file path. The adversary reports
+    also give each strategy's rejection rate its Monte Carlo error.
     """
 
     SIMULATE = {
@@ -606,16 +606,16 @@ class TestLhvOutputsPinned:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            ((), "f026cf237cc4e989e9c73a8b8e446a138e80f2b7acbd51c025b21be725504bfb"),
+            ((), "8c6a0a4f8447eaf02a4c621297c88e05e4c05644ca5eb213b52a39630eb45cfe"),
             (
                 ("--f", "0.05", "--tau", "0.1", "--strategies",
                  "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
-                "b798658d3d042d16140c34f25e10f3fbf2162e14bc0dc7a1297cc31e2030df77",
+                "da19b510f39eceeba345bd2b3bca58a9b4bf12d07229c7138bb934f095164706",
             ),
             (
                 ("--f", "0.03", "--tau", "0.08", "--strategies",
                  "classical-optimal,coin-flip,loss-switching,streak-keyed,herald-gating,state-mixing"),
-                "3d7e4db5004d54cf5a2d20da960243fe42f46500a36c9cece955d83546e53dd8",
+                "6a5da81de170a156599268ba73d487a389a5a13aa3144d7366213a8e2e9260cd",
             ),
         ],
         ids=["default-catalog", "all-strategies", "all-strategies-low-bias"],
@@ -630,7 +630,7 @@ class TestLhvOutputsPinned:
         out = str(tmp_path / "adversary.json")
         code, _, err = run(capsys, "adversary", "--n", "1", "--runs", "600", "--seed", "3", "--out", out)
         assert code == 0, err
-        assert sha256(out) == "621b4ba299dfd7ede0d2893cc3c26109f1aab8f2e5526cb9ff87bac047bfa95c"
+        assert sha256(out) == "077c3015cb0e97502dfd7aac59521c2040dd78853201778014e4129f7dcfbe9b"
 
     def test_adversary_bytes_across_batches(self, capsys, tmp_path):
         # 150 runs per strategy of max(64, 1.5 * 400) = 600 tape rows each
@@ -639,7 +639,7 @@ class TestLhvOutputsPinned:
         out = str(tmp_path / "adversary.json")
         code, _, err = run(capsys, "adversary", "--n", "400", "--runs", "600", "--seed", "3", "--out", out)
         assert code == 0, err
-        assert sha256(out) == "b6e9d3920e4258f349ab4b843a7f173bef16fde451ea21be028b2c47ad6ad3c9"
+        assert sha256(out) == "a55b4b8e4713a0cd666b00abb140d8c0fcf93c7e912cb2518568af6769dc7c9e"
 
 
 class TestAuditOutputsPinned:
@@ -648,52 +648,44 @@ class TestAuditOutputsPinned:
     Except p_joint_uniform, which is now read off the null that also scores
     the look-elsewhere tape: the exact enumerated value 0.05309022675083941
     (error 0.0) at n = 245, and (1 + hits) / (1 + 100,000) = 9687/100001
-    against the reference sample at n = 4,000. The JSON reports also no
-    longer name an ordering, and their config hash no longer covers a reps
-    option, so the hash moved.
+    against the reference sample at n = 4,000. The reports also no longer
+    name an ordering, and their config hash no longer covers a reps or a
+    format option, so the hash moved.
     """
 
     @pytest.mark.parametrize(
-        "args, json_digest, csv_digest",
+        "args, digest",
         [
-            (
-                ("--counts", "53,79,62,51"),
-                "f094aba858f21db095bf48a660ca20a5f11ff829d8a5620942676b2b033f6853",
-                "71e6e1b76ec26b9d15733b65f9b9dd1aefb177ba83b251a1184e48f8dabe73a7",
-            ),
+            (("--counts", "53,79,62,51"), "f5f0f07060b96977d61f2d2f98573e498eb7bfaa7a88358d5bfc0433758ae6b6"),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
-                "56a35f87d7f2af60f999ccced4ff65d799a6fab8bd8fbd6edbc03f2d8857f669",
-                "9a514bc76451bb14a96c9d15d6fae4b35bbd75a4a990349344b9a00eca8ce8cd",
+                "da55157efaa334f0c74582d7b12927e24259dff3fd1553a5eea7086d7dbe2b78",
             ),
         ],
         ids=["paper-counts", "n4000"],
     )
-    def test_report_bytes(self, capsys, tmp_path, args, json_digest, csv_digest):
-        for fmt, digest in (("json", json_digest), ("csv", csv_digest)):
-            out = str(tmp_path / f"audit.{fmt}")
-            code, _, err = run(capsys, "audit", *args, "--seed", "11", "--format", fmt, "--out", out)
-            assert code == 0, err
-            assert sha256(out) == digest
+    def test_report_bytes(self, capsys, tmp_path, args, digest):
+        out = str(tmp_path / "audit.json")
+        code, _, err = run(capsys, "audit", *args, "--seed", "11", "--out", out)
+        assert code == 0, err
+        assert sha256(out) == digest
 
 
 class TestRngOutputsPinned:
     """Digests of bit files and rng reports as the tuple-of-ints BitStream code wrote them.
 
     Run in the temporary directory with relative file names, since each
-    report's config hash covers the file paths.
+    report's config hash covers the file paths. That hash no longer covers
+    a packed option, so it moved.
     """
 
     DIGESTS = {
         "bits.txt": "fccbe6709147c31fc39f2c93d5b0efc14c0644460700d9ea50580d91059849dc",
-        "bits.bin": "a4b056b6906e02f87acf789c297a387a7ea056e76bf7051bcfd9b586a71dd784",
         "combined.txt": "4fd92e01248b8b5c965603e52a5d3176f7f3f87bdc0873441febb5f7bbd4b675",
-        "extract.json": "fa20df6e6b3536a2b15d10b58268ae774f61fe989d67ff0a469e7e59556dd3fb",
-        "extract-packed.json": "876301a188dec4595629c92aa23ecee14fe0e1df5f9f2dbba5e7952b1ca7c2d6",
-        "bias.json": "863b09514c3ef4dc6f453023b8329d4d67b4ce2d0205b2bbac1d69b669c12cff",
-        "bias-packed.json": "bac70f525acb2ea143fb92d583e4f464e3388ec8f0a27b886c039263ca03ce04",
-        "combine.json": "a229001c22f4eacc51582b1912bd1655ff455567d3d25f6f1afcc1129a9d5558",
-        "independence.json": "f11191ea6e9b549138f8ee5a017ca8d206cb47d73c01bb3e3cb4b1f2b9901490",
+        "extract.json": "81b9a93042be5e66a7da4c191b170b1bf063b5c7c6f1b2c545913ebac81c92cc",
+        "bias.json": "e80861a901cb8a2f448db7510b1bee79d3ccf9a3af73b33fc6625a1abca360b5",
+        "combine.json": "8892f016094176183d6336697a5dbe4e62cf5a05353bdea020f35f3eb7cb0bf6",
+        "independence.json": "393088a7484fb34e7bda99b3bc9a451f8f1d07695a43abad360b0188b1ab52c0",
     }
 
     def test_bit_files_and_report_bytes(self, capsys, tmp_path, monkeypatch):
@@ -715,9 +707,7 @@ class TestRngOutputsPinned:
             handle.write("".join(f"{draw(2)}\n" for _ in range(100)))
         commands = [
             ("extract.json", "rng", "extract", "--messages", "messages.txt", "--bits-out", "bits.txt"),
-            ("extract-packed.json", "rng", "extract", "--messages", "messages.txt", "--bits-out", "bits.bin", "--packed"),
             ("bias.json", "rng", "bias", "--bits", "bits.txt", "--block8"),
-            ("bias-packed.json", "rng", "bias", "--bits", "bits.bin", "--packed"),
             ("combine.json", "rng", "combine", "--classical", "bits.txt", "--quantum", "quantum.txt",
              "--bits-out", "combined.txt"),
             ("independence.json", "rng", "independence", "--a", "combined.txt", "--b", "quantum.txt"),
@@ -785,24 +775,6 @@ class TestAudit:
         assert report["independence_test"] == "fisher"
         assert report["p_independence"] == pytest.approx(0.029, abs=0.002)
 
-    def test_csv_format(self, capsys):
-        code, out, err = run(
-            capsys,
-            "audit",
-            "--counts",
-            "53,79,62,51",
-            "--lee-reps",
-            "1000",
-            "--seed",
-            "7",
-            "--format",
-            "csv",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("label,n,")
-        assert ",245," in lines[1]
-
     def test_counts_arity(self, capsys):
         code, _, err = run(capsys, "audit", "--counts", "1,2,3", "--seed", "0")
         assert code == 1 and "four" in err
@@ -822,16 +794,6 @@ class TestAudit:
         # As Fisher's test below 5,000 events, and as the look-elsewhere tape scores such tables.
         report = run_json(capsys, "audit", "--counts", counts, "--lee-reps", "1000")
         assert (report["independence_test"], report["p_independence"]) == ("pearson", 1.0)
-
-    @pytest.mark.parametrize("label", ["run 1, day 2", 'line\nbreak and "quote"'])
-    def test_csv_label_reads_back_whole(self, capsys, tmp_path, label):
-        out = tmp_path / "audit.csv"
-        run(capsys, "audit", "--counts", "53,79,62,51", "--lee-reps", "1000", "--format", "csv",
-            "--label", label, "--out", str(out))
-        with open(out, newline="", encoding="utf-8") as handle:
-            header, row = csv.reader(handle)
-        assert header == settings_audit.AuditRow.CSV_HEADER.split(",")
-        assert len(row) == len(header) and row[:2] == [label, "245"]
 
 
 def run_without_scipy(tmp_path, commands):
@@ -986,32 +948,36 @@ class TestInfrastructure:
             (("bound", "--n", "300", "--k", "237"), "--beta-form", "expanded"),
             (SYNTH, "--mode", "stream"),
             (SYNTH, "--signal-prob", "0.5"),
+            (("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"), "--format", "csv"),
+            (("rng", "extract", "--messages", "m.txt", "--bits-out", "b.txt"), "--packed", None),
+            (("rng", "bias", "--bits", "b.txt"), "--packed", None),
+            (("rng", "combine", "--classical", "b.txt", "--quantum", "q.txt", "--bits-out", "c.txt"), "--packed", None),
+            (("rng", "independence", "--a", "b.txt", "--b", "q.txt"), "--packed", None),
         ],
         ids=["simulate", "adversary", "audit", "audit-reps", "analyze-beta-form", "combine-beta-form",
-             "bound-beta-form", "synth-mode", "synth-signal-prob"],
+             "bound-beta-form", "synth-mode", "synth-signal-prob", "audit-format", "extract-packed", "bias-packed",
+             "combine-packed", "independence-packed"],
     )
-    def test_removed_bias_and_ordering_options_exit_one(self, capsys, tmp_path, argv, flag, value):
+    def test_removed_options_exit_one(self, capsys, tmp_path, argv, flag, value):
         # Settings have one bias law, the joint-uniformity test one ordering,
         # and the audit one null, whose size --lee-reps sets. Every P-value is
         # taken at the lemma bound, and herald synth draws one synthetic
-        # experiment, detections and attempt records both.
-        code, out, err = run(capsys, *argv, flag, value)
-        assert (code, out) == (1, "") and f"unrecognized arguments: {flag} {value}" in err
+        # experiment, detections and attempt records both. Every command
+        # writes its JSON report, and every bit file is ASCII. A value of None
+        # marks a flag that takes none; its config value is true.
+        given = (flag,) if value is None else (flag, value)
+        code, out, err = run(capsys, *argv, *given)
+        assert (code, out) == (1, "") and f"unrecognized arguments: {' '.join(given)}" in err
         config = tmp_path / "config.json"
         dest = flag[2:].replace("-", "_")
         for key in {flag[2:], dest}:
-            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            config.write_text(json.dumps({key: True if value is None else value}), encoding="utf-8")
             code, out, err = run(capsys, "--config", str(config), *argv)
             assert (code, out) == (1, "") and f"keys ['{dest}'] name no option" in err
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "audit", "--counts", "1,2,3,4", "--bogus")
         assert code == 1
-
-    def test_every_report_embeds_version_seed_hash(self, capsys):
-        report = run_json(capsys, "bound", "--f", "0", "--tau", "0")
-        for key in ("tool", "version", "config_hash", "seed", "command"):
-            assert key in report
 
 
 class TestReportEnvelope:
@@ -1054,10 +1020,30 @@ class TestReportEnvelope:
         canonical = json.dumps(params, sort_keys=True, default=str)
         return " ".join(path), hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
+    @staticmethod
+    def write_inputs(directory):
+        """The messages and quantum bits that the rng commands in COMMANDS read."""
+        (directory / "messages.txt").write_text("".join(f"msg {i}\n" for i in range(64)), encoding="utf-8")
+        (directory / "q.txt").write_text("".join(f"{i % 2}\n" for i in range(8)), encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=lambda argv: "-".join(argv[: 2 if argv[0] in ("herald", "rng") else 1])
+    )
+    def test_every_report_embeds_version_seed_hash(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self.write_inputs(tmp_path)
+        # The commands before argv write the files it reads.
+        for before in self.COMMANDS[: self.COMMANDS.index(argv)]:
+            run_json(capsys, *before)
+        report = run_json(capsys, *argv)
+        seed = getattr(cli.build_parser().parse_args(list(argv)), "seed", None)  # 0 by default, None without --seed
+        assert (report["tool"], report["version"], report["seed"]) == ("bellkit", bellkit.__version__, seed)
+        assert report["command"] == self.expected(list(argv))[0]
+        assert len(report["config_hash"]) == 16
+
     def test_every_command_hashes_every_option_but_out(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "messages.txt").write_text("".join(f"msg {i}\n" for i in range(64)), encoding="utf-8")
-        (tmp_path / "q.txt").write_text("".join(f"{i % 2}\n" for i in range(8)), encoding="utf-8")
+        self.write_inputs(tmp_path)
         leaves = {path for path, _ in self.leaf_parsers(cli.build_parser())}
         assert {path for path in leaves for argv in self.COMMANDS if argv[: len(path)] == path} == leaves
         for argv in self.COMMANDS:
@@ -1081,10 +1067,8 @@ class TestConfigValues:
         "config, argv, message",
         [
             ({"mode": "bogus"}, ("combine", "--mode", "merge"), "mode: 'bogus' is not one of ['fisher', 'merge']"),
-            ({"format": "xml"}, ("audit", "--counts", "53,79,62,51"), "format: 'xml' is not one of ['json', 'csv']"),
             ({"seed": 1.5}, ("simulate", "--attempts", "10"), "seed: invalid int value 1.5"),
-            ({"packed": "no"}, ("rng", "extract", "--messages", "m.txt", "--bits-out", "b.txt"),
-             'packed must be true or false, got "no"'),
+            ({"block8": "no"}, ("rng", "bias", "--bits", "b.txt"), 'block8 must be true or false, got "no"'),
             ({"lee-reps": 1500.5}, ("audit", "--counts", "53,79,62,51"), "lee-reps: invalid int value 1500.5"),
             ({"label": None}, ("audit", "--counts", "53,79,62,51"), "label must be a string or a number, got null"),
             ({"lee-reps": [1000]}, ("audit", "--counts", "53,79,62,51"),
@@ -1092,7 +1076,7 @@ class TestConfigValues:
             ({"tau": {"value": 0.1}}, ("bound",), 'tau must be a string or a number, got {"value": 0.1}'),
             ({"tau": True}, ("bound",), "tau must be a string or a number, got true"),
         ],
-        ids=["choice", "format", "float-seed", "string-switch", "float-reps", "null", "list", "object", "bool"],
+        ids=["choice", "float-seed", "string-switch", "float-reps", "null", "list", "object", "bool"],
     )
     def test_bad_value_exits_one_naming_the_key(self, capsys, tmp_path, monkeypatch, config, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -1110,13 +1094,13 @@ class TestConfigValues:
 
     def test_switch_takes_a_json_boolean(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "messages.txt").write_text("".join(f"msg {i}\n" for i in range(16)), encoding="utf-8")
-        extract = ("rng", "extract", "--messages", "messages.txt", "--bits-out")
-        for packed, flags in ((True, ("--packed",)), (False, ())):
-            (tmp_path / "config.json").write_text(json.dumps({"packed": packed}), encoding="utf-8")
-            run_json(capsys, "--config", "config.json", *extract, "config.bits")
-            run_json(capsys, *extract, "flag.bits", *flags)
-            assert (tmp_path / "config.bits").read_bytes() == (tmp_path / "flag.bits").read_bytes()
+        (tmp_path / "bits.txt").write_text("0\n1\n1\n" * 8, encoding="ascii")
+        bias = ("rng", "bias", "--bits", "bits.txt")
+        for block8, flags, n in ((True, ("--block8",), 3), (False, (), 24)):
+            (tmp_path / "config.json").write_text(json.dumps({"block8": block8}), encoding="utf-8")
+            report = run_json(capsys, "--config", "config.json", *bias)
+            assert report == run_json(capsys, *bias, *flags)
+            assert (report["block8"], report["n"]) == (block8, n)
 
 
 class TestAuditSettingsStream:

@@ -370,6 +370,16 @@ class TestAdversarySuite:
         payload = report.to_dict()
         assert payload["runs"] == 2000
 
+    def test_each_rate_has_its_error(self):
+        # A per-strategy rate carries the binomial error that the pooled rate carries.
+        report = lhv.AdversaryReport(n=50, alpha=0.05, beta=0.75, runs=40, rejections=1,
+                                     by_strategy={"herald-gating": (1, 10), "coin-flip": (0, 30)})
+        payload = report.to_dict()
+        assert payload["by_strategy"]["herald-gating"] == {
+            "rejections": 1, "runs": 10, "rate": 0.1, "mc_error": math.sqrt(0.1 * 0.9 / 10)}
+        assert payload["by_strategy"]["coin-flip"]["mc_error"] == 0.0
+        assert payload["mc_error"] == math.sqrt(0.025 * 0.975 / 40)
+
     def test_runs_split_across_catalog(self):
         report = adversary_suite(n=10, runs=10, alpha=0.05, seed=19, strategies=["classical-optimal", "coin-flip"])
         assert report.by_strategy["classical-optimal"][1] == 5

@@ -312,30 +312,18 @@ class TestIndependence:
 
 
 class TestFileRoundtrip:
-    def test_ascii_and_packed(self, tmp_path):
+    def test_ascii_roundtrip(self, tmp_path):
         rng = rngstream.stream(7)
         stream = BitStream(bits=tuple(int(b) for b in rng.integers(0, 2, size=101)))
-        ascii_path = str(tmp_path / "bits.txt")
-        packed_path = str(tmp_path / "bits.bin")
-        write_bits(ascii_path, stream)
-        write_bits(packed_path, stream, packed=True)
-        assert read_bits(ascii_path).bits == stream.bits
-        assert read_bits(packed_path, packed=True).bits == stream.bits
+        path = str(tmp_path / "bits.txt")
+        write_bits(path, stream)
+        assert read_bits(path).bits == stream.bits
 
     def test_ascii_errors_name_file_and_line(self, tmp_path):
         path = tmp_path / "bits.txt"
         path.write_text("0\n\n1\n2\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: expected 0 or 1, got '2'$"):
             read_bits(str(path))
-
-    @pytest.mark.parametrize("change", [b"\x00", -1], ids=["trailing-byte", "missing-byte"])
-    def test_packed_length_must_match_header(self, tmp_path, change):
-        path = tmp_path / "bits.bin"
-        write_bits(str(path), BitStream(bits=(1, 0, 1) * 7), packed=True)
-        raw = path.read_bytes()
-        path.write_bytes(raw + change if isinstance(change, bytes) else raw[:change])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header promises 21 bits in 3 bytes"):
-            read_bits(str(path), packed=True)
 
     def test_messages_preserve_trailing_spaces(self, tmp_path):
         path = tmp_path / "messages.txt"
@@ -371,11 +359,3 @@ class TestInputErrors:
             read_messages(str(path))
         code = cli.main(["rng", "extract", "--messages", str(path), "--bits-out", str(tmp_path / "bits.txt")])
         assert code == 1 and capsys.readouterr().err.startswith(f"error: {message}")
-
-    def test_packed_pad_bits_must_be_zero(self, tmp_path):
-        path = tmp_path / "bits.bin"
-        path.write_bytes((3).to_bytes(8, "big") + bytes([0b10111111]))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pad bits after bit 3 must be 0, last byte is 0b10111111$"):
-            read_bits(str(path), packed=True)
-        path.write_bytes((3).to_bytes(8, "big") + bytes([0b10100000]))
-        assert list(read_bits(str(path), packed=True).bits) == [1, 0, 1]

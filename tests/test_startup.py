@@ -31,22 +31,19 @@ def imported_modules(*args, cwd=None):
 
 @pytest.fixture
 def rng_inputs(tmp_path):
-    """A directory with messages, and 64 classical and 8 quantum bits as ASCII and packed files."""
+    """A directory with messages, and 64 classical and 8 quantum bits as ASCII files."""
     (tmp_path / "messages.txt").write_text("".join(f"message {i}\n" for i in range(64)), encoding="utf-8")
     for name, bits in (("bits", "01101001" * 8), ("quantum", "10110010")):
         (tmp_path / f"{name}.txt").write_text("".join(b + "\n" for b in bits), encoding="ascii")
-        (tmp_path / f"{name}.bin").write_bytes(len(bits).to_bytes(8, "big") + int(bits, 2).to_bytes(len(bits) // 8, "big"))
     return tmp_path
 
 
-def rng_commands(suffix, *packed):
-    return [
-        ["rng", "extract", "--messages", "messages.txt", "--bits-out", f"out{suffix}", *packed],
-        ["rng", "bias", "--bits", f"bits{suffix}", "--block8", *packed],
-        ["rng", "combine", "--classical", f"bits{suffix}", "--quantum", f"quantum{suffix}", "--bits-out",
-         f"combined{suffix}", *packed],
-        ["rng", "independence", "--a", f"bits{suffix}", "--b", f"bits{suffix}", *packed],
-    ]
+RNG_COMMANDS = [
+    ["rng", "extract", "--messages", "messages.txt", "--bits-out", "out.txt"],
+    ["rng", "bias", "--bits", "bits.txt", "--block8"],
+    ["rng", "combine", "--classical", "bits.txt", "--quantum", "quantum.txt", "--bits-out", "combined.txt"],
+    ["rng", "independence", "--a", "bits.txt", "--b", "bits.txt"],
+]
 
 
 def test_the_probe_sees_numpy():
@@ -67,11 +64,10 @@ def test_the_probe_sees_numpy():
         (["-m", "bellkit.cli", "combine", "--mode", "merge", "--counts", "245:196,300:237"], 0),
         (["-m", "bellkit.cli", "combine", "--mode", "fisher", "--pvalues", "0.039,0.061"], 0),
         (["-c", "import bellkit.pvalues"], 0),
-        *((["-m", "bellkit.cli", *command], 0) for command in rng_commands(".txt") + rng_commands(".bin", "--packed")),
+        *((["-m", "bellkit.cli", *command], 0) for command in RNG_COMMANDS),
     ],
     ids=["import", "version", "help", "usage-error", "subcommand-help", "bound", "combine-merge", "combine-fisher",
-         "import-pvalues", "rng-extract", "rng-bias", "rng-combine", "rng-independence", "rng-extract-packed",
-         "rng-bias-packed", "rng-combine-packed", "rng-independence-packed"],
+         "import-pvalues", "rng-extract", "rng-bias", "rng-combine", "rng-independence"],
 )
 def test_loads_no_numpy(args, want_code, rng_inputs):
     code, names = imported_modules(*args, cwd=rng_inputs)
