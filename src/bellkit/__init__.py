@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "pvalues": (
         "BiasParams",
-        "PValueReport",
         "beta_win_expanded",
         "beta_win_lemma",
         "fisher_combine",

@@ -199,37 +199,35 @@ def _cmd_combine(args: argparse.Namespace) -> dict[str, object]:
             raise CliError(f"could not parse --pvalues: {args.pvalues!r}") from None
         if len(p_list) < 2:
             raise CliError("fisher mode needs at least two P-values")
-        report = pvalues.PValueReport(
-            method="fisher",
-            p=pvalues.fisher_combine(p_list),
-            inputs={"pvalues": p_list},
-            note=COMBINE_CAVEAT,
-        )
-    else:
-        if not args.counts:
-            raise CliError("--counts is required for merge mode")
-        pairs = []
-        for chunk in args.counts.split(","):
-            bits = chunk.split(":")
-            if len(bits) != 2:
-                raise CliError(f"expected n:k pairs in --counts, got {chunk!r}")
-            try:
-                run_n, run_k = int(bits[0]), int(bits[1])
-            except ValueError:
-                raise CliError(f"could not parse --counts: {args.counts!r}") from None
-            if run_n < 1 or not 0 <= run_k <= run_n:
-                raise CliError(f"--counts pair {chunk!r} needs n >= 1 and 0 <= k <= n")
-            pairs.append((run_n, run_k))
-        n = sum(p[0] for p in pairs)
-        k = sum(p[1] for p in pairs)
-        beta = pvalues.beta_win_lemma(pvalues.BiasParams(f=args.f, tau=args.tau))
-        report = pvalues.PValueReport(
-            method="merged",
-            p=pvalues.pvalue_complete(n, k, beta),
-            inputs={"pairs": pairs, "n": n, "k": k, "beta": beta},
-            note=COMBINE_CAVEAT,
-        )
-    return report.to_dict()
+        return {
+            "method": "fisher",
+            "p": pvalues.fisher_combine(p_list),
+            "inputs": {"pvalues": p_list},
+            "note": COMBINE_CAVEAT,
+        }
+    if not args.counts:
+        raise CliError("--counts is required for merge mode")
+    pairs = []
+    for chunk in args.counts.split(","):
+        bits = chunk.split(":")
+        if len(bits) != 2:
+            raise CliError(f"expected n:k pairs in --counts, got {chunk!r}")
+        try:
+            run_n, run_k = int(bits[0]), int(bits[1])
+        except ValueError:
+            raise CliError(f"could not parse --counts: {args.counts!r}") from None
+        if run_n < 1 or not 0 <= run_k <= run_n:
+            raise CliError(f"--counts pair {chunk!r} needs n >= 1 and 0 <= k <= n")
+        pairs.append((run_n, run_k))
+    n = sum(p[0] for p in pairs)
+    k = sum(p[1] for p in pairs)
+    beta = pvalues.beta_win_lemma(pvalues.BiasParams(f=args.f, tau=args.tau))
+    return {
+        "method": "merged",
+        "p": pvalues.pvalue_complete(n, k, beta),
+        "inputs": {"pairs": pairs, "n": n, "k": k, "beta": beta},
+        "note": COMBINE_CAVEAT,
+    }
 
 
 def _cmd_bound(args: argparse.Namespace) -> dict[str, object]:
@@ -398,13 +396,14 @@ def _cmd_herald_sweep(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _cmd_rng_extract(args: argparse.Namespace) -> dict[str, object]:
-    messages = randomness.read_messages(args.messages)
+    with open(args.messages, "rb") as handle:
+        data = handle.read()
     try:
-        stream = randomness.extract_bits(messages, max_chars=args.max_chars)
+        stream = randomness.extract_bits(data, max_chars=args.max_chars)
     except ValueError as exc:
         raise CliError(f"{args.messages}: {exc}") from None
     randomness.write_bits(args.bits_out, stream)
-    return {"messages": len(messages), "bits": len(stream), "bits_file": args.bits_out}
+    return {"messages": len(stream), "bits": len(stream), "bits_file": args.bits_out}
 
 
 def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:

@@ -46,11 +46,11 @@ from .trials import (
     HERALD_PSI_PLUS,
     CellTable,
     _check_columns,
+    _game_outcomes,
     _json_row,
     _read_only,
     _read_path,
     _read_records,
-    _required_output_xor,
     _write_rows,
     chsh_s,
 )
@@ -102,9 +102,6 @@ class WindowConfig:
     def shifted(self, offset_ps: int) -> "WindowConfig":
         """Both channels' window starts moved by a common offset."""
         return replace(self, start_ch0_ps=self.start_ch0_ps + offset_ps, start_ch1_ps=self.start_ch1_ps + offset_ps)
-
-    def to_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _WINDOW_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "WindowConfig":
@@ -401,14 +398,7 @@ def synth_experiment(
     u = rng.random((attempts, 5))
     settings_a = (u[:, 0] < 0.5).astype(np.int64)
     settings_b = (u[:, 1] < 0.5).astype(np.int64)
-    out_a = np.where(u[:, 2] < 0.5, 1, -1)
-    wins = u[:, 3] < win_prob
-    required = 1 - 2 * _required_output_xor(true_tag, settings_a, settings_b)
-    out_b = np.where(
-        true_tag == HERALD_NONE,
-        np.where(u[:, 4] < 0.5, 1, -1),
-        np.where(wins, required * out_a, -required * out_a),
-    )
+    out_a, out_b = _game_outcomes(true_tag, settings_a, settings_b, u[:, 3] < win_prob, u[:, 2], u[:, 4])
     attempt_table = AttemptTable(np.arange(attempts, dtype=np.int64), settings_a, settings_b, out_a, out_b)
     return detections, attempt_table
 

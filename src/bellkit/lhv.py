@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rngstream
 from .pvalues import BiasParams, beta_win_lemma, pvalue_complete
-from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet, _required_output_xor
+from .trials import HERALD_NONE, HERALD_PSI_MINUS, HERALD_PSI_PLUS, TrialSet, _game_outcomes, _required_output_xor
 
 # Tape column layout, one row of uniform draws per attempt. The two bias
 # columns are drawn but not read, so that every other column keeps its place.
@@ -339,14 +339,7 @@ def simulate_reference(
     win_prob = np.zeros(attempts)
     for state, w in win_prob_per_state.items():
         win_prob[tags == state] = w
-    wins = u[:, 4] < win_prob
-    out_a = np.where(u[:, 5] < 0.5, 1, -1)
-    required = 1 - 2 * _required_output_xor(tags, settings_a, settings_b)
-    out_b = np.where(
-        tags == HERALD_NONE,
-        np.where(u[:, 6] < 0.5, 1, -1),
-        np.where(wins, required * out_a, -required * out_a),
-    )
+    out_a, out_b = _game_outcomes(tags, settings_a, settings_b, u[:, 4] < win_prob, u[:, 5], u[:, 6])
     return TrialSet(np.arange(1, attempts + 1), tags, settings_a, settings_b, out_a, out_b)
 
 

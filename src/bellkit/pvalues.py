@@ -43,11 +43,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
-from typing import IO, Iterable, Mapping, Sequence
-
-REPORT_METHODS = ("conventional", "complete", "fisher", "merged")
+from typing import IO, Iterable, Sequence
 
 # Probabilities below double precision are floored so reports always carry
 # a representable positive P-value.
@@ -374,24 +372,3 @@ def write_curve_csv(target: str | IO[str], curve: Sequence[tuple[float, float]])
     for tau, p in curve:
         target.write(f"{tau!r},{p!r}\n")
 
-
-@dataclass(frozen=True)
-class PValueReport:
-    """A P-value with the method that produced it and the inputs echoed."""
-
-    method: str
-    p: float
-    inputs: Mapping[str, object] = field(default_factory=dict)
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.method not in REPORT_METHODS:
-            raise ValueError(f"method must be one of {REPORT_METHODS}, got {self.method!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"P-value must lie in (0, 1], got {self.p}")
-
-    def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {"method": self.method, "p": self.p, "inputs": dict(self.inputs)}
-        if self.note:
-            out["note"] = self.note
-        return out

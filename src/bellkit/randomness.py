@@ -9,17 +9,16 @@ between two bit streams paired by index.
 
 Parity is invariant under character reordering and under leading zeros in
 the binary representation of a code point, so the popcount formulation is
-representation independent. Bits are `bytes`, one byte 0 or 1 per bit,
-and every step is a C-level `bytes` or `int` operation: no numpy.
+representation independent. Data is `bytes` from end to end: the message
+file's bytes go in, each message's bit comes from its UTF-8 bytes, bits
+are `bytes`, one byte 0 or 1 per bit, and bit files are ASCII lines.
+Every step is a C-level `bytes` or `int` operation: no numpy.
 """
 from __future__ import annotations
 
-import contextlib
 import math
-import operator
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable
 
 from .pvalues import fisher_two_sided
 
@@ -28,40 +27,27 @@ MAX_MESSAGE_CHARS = 140
 # Per UTF-8 byte, the parity of its ones, flipped for a lead byte (0xC0 and up): the marker bits of every
 # multibyte sequence hold an odd number of ones, so a message's bytes give the parity of its code points.
 _UTF8_PARITY = bytes((bin(b).count("1") + (b >= 0xC0)) & 1 for b in range(256))
-
-
-def _check_bits(values: Iterable[object]) -> None:
-    """Raise, naming the first row (counted from 1) of `values` that is not the integer 0 or 1."""
-    for row, value in enumerate(values, start=1):
-        if isinstance(value, bool):
-            raise ValueError(f"row {row}: bits must be integers, not bools, got {value!r}")
-        try:
-            bit = operator.index(value)
-        except TypeError:
-            raise ValueError(f"row {row}: bits must be a one-dimensional column of integers, got {value!r}") from None
-        if bit not in (0, 1):
-            raise ValueError(f"row {row}: bits must be 0 or 1, got {bit}")
+# A line's characters are its UTF-8 bytes but the continuation bytes.
+_CONTINUATION_BYTES = bytes(range(0x80, 0xC0))
+# The bytes of even parity but the line feed: deleting them leaves each line's odd-parity bytes.
+_EVEN_BYTES = bytes(b for b in range(256) if not _UTF8_PARITY[b] and b != 0x0A)
 
 
 @dataclass(frozen=True, eq=False)
 class BitStream:
     """Ordered bits as read-only bytes, one byte (0 or 1) per bit.
 
-    Construction takes bytes, or integers in a tuple, list, array or iterator, converted with
-    `operator.index`; bools, numpy's included, are rejected. Errors name the row, counted from 1.
+    Construction takes `bytes` alone; a byte other than 0 or 1 raises, naming its row, counted from 1.
     """
 
     bits: bytes
 
     def __post_init__(self) -> None:
-        values = self.bits if hasattr(self.bits, "__len__") else list(self.bits)
-        bits = values if isinstance(values, bytes) else None
-        if bits is None and bool not in set(map(type, values)):
-            with contextlib.suppress(TypeError, ValueError):
-                bits = bytes(map(operator.index, values))
-        if bits is None or bits.translate(None, b"\x00\x01"):
-            _check_bits(values)
-        object.__setattr__(self, "bits", bits)
+        if not isinstance(self.bits, bytes):
+            raise ValueError(f"bits must be bytes, got {type(self.bits).__name__}")
+        stray = self.bits.translate(None, b"\x00\x01")
+        if stray:
+            raise ValueError(f"row {self.bits.index(stray[0]) + 1}: bits must be 0 or 1, got {stray[0]}")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -76,20 +62,30 @@ class BiasEstimate:
     n: int
 
 
-def extract_bits(messages: Iterable[str], max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
-    """One bit per message: the parity of the total number of ones across its code points.
+def extract_bits(data: bytes, max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
+    """One bit per line of UTF-8 `data`: the parity of the total number of ones across its code points.
 
-    An empty message yields 0 (the empty parity) with a warning; an over-long message
-    raises, naming its line counted from 1, after the empty ones before it warn.
+    Lines end at \\n, \\r\\n or a lone \\r, as text mode reads them; the last
+    needs no terminator. An empty message yields 0 (the empty parity) with a
+    warning; an over-long message raises, naming its line counted from 1,
+    after the empty ones before it warn. Data that is not UTF-8 raises,
+    naming the line and the first undecodable byte.
     """
-    messages = list(messages)
-    lengths = list(map(len, messages))
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(_undecodable_line(data, exc)) from None
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lengths = list(map(len, data.translate(None, _CONTINUATION_BYTES).split(b"\n")))
+    if lengths[-1] == 0:  # a final terminator, or no data at all, starts no message
+        lengths.pop()
     over = next((line for line, size in enumerate(lengths, start=1) if size > max_chars), None)
     for _ in range(lengths[:over].count(0)):
         warnings.warn("empty message maps to bit 0", stacklevel=2)
     if over is not None:
         raise ValueError(f"line {over}: message has {lengths[over - 1]} characters, limit is {max_chars}")
-    return BitStream(bytes([m.encode("utf-8", "surrogatepass").translate(_UTF8_PARITY).count(1) & 1 for m in messages]))
+    odd = data.translate(None, _EVEN_BYTES).split(b"\n")
+    return BitStream(bytes([len(line) & 1 for line in odd[: len(lengths)]]))
 
 
 def _block_parities(bits: bytes) -> bytes:
@@ -145,33 +141,12 @@ def independence_test(a: BitStream, b: BitStream) -> float:
     return fisher_two_sided(len(a) - n11 - n10 - n01, n01, n10, n11)
 
 
-def read_messages(source: str | IO[str]) -> list[str]:
-    """Read one message per line (UTF-8); the line terminator is stripped.
-
-    Given a path, a file that is not UTF-8 raises, naming the file and the
-    line of the first undecodable byte.
-    """
-    if isinstance(source, str):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                return read_messages(handle)
-        except UnicodeDecodeError:
-            raise ValueError(f"{source}: {_undecodable_line(source)}") from None
-    return [line.rstrip("\r\n") for line in source]
-
-
-def _undecodable_line(path: str) -> str:
-    """Message naming the line and byte of the first invalid UTF-8 in the file at `path`."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start]
-        # Lines end at \n, \r\n or \r, as text mode reads them.
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return f"line {line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
-    return "file is not valid UTF-8"
+def _undecodable_line(data: bytes, exc: UnicodeDecodeError) -> str:
+    """Message naming the line and byte of `exc`, the first invalid UTF-8 in `data`."""
+    head = data[: exc.start]
+    # Lines end at \n, \r\n or \r, as text mode reads them.
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
 
 
 def write_bits(target: str, stream: BitStream) -> None:

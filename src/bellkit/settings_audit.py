@@ -295,11 +295,11 @@ def _joint_uniform_pvalue(counts: SettingCounts, null: _Null) -> McPValue:
     return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / stat_sorted.size))
 
 
-def _lee_local_pvalues(n: int, reps: int, seed: int, null: _Null | None = None) -> np.ndarray:
+def _lee_local_pvalues(n: int, reps: int, seed: int, null: _Null) -> np.ndarray:
     """(reps, 4) local P-values of the four tests under uniform settings.
 
     Draws the tables from stream 0 of the seed. The joint-uniformity test
-    is scored against `null`, or against `_uniform4_null(n, reps, seed)`.
+    is scored against `null`, which is `_uniform4_null(n, reps, seed)`.
     """
     if n < 1:
         raise ValueError("need at least one event")
@@ -310,7 +310,7 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, null: _Null | None = None) 
     p_a = binom_table[draws[:, 2] + draws[:, 3]]
     p_b = binom_table[draws[:, 1] + draws[:, 3]]
 
-    stat_sorted, cum = _uniform4_null(n, reps, seed) if null is None else null
+    stat_sorted, cum = null
     pos = np.searchsorted(stat_sorted, uniform4_logpmf(draws, n) + _STAT_TOL, side="right")
     p_joint = pos / stat_sorted.size if cum is None else cum[np.maximum(pos, 1) - 1]
 
@@ -331,11 +331,11 @@ def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue
     (`_threshold_quantile`). A threshold of 1 rejects by convention (every
     P-value is at most 1), so alpha = 1 gives exactly (1, 1.0) with no tape.
     """
-    return _look_elsewhere(n, alpha, reps, seed, None)
+    return _look_elsewhere(n, alpha, reps, seed, _uniform4_null(n, reps, seed))
 
 
-def _look_elsewhere(n: int, alpha: float, reps: int, seed: int, null: _Null | None) -> tuple[McPValue, float]:
-    """`look_elsewhere` on a tape scored against `null` (`_lee_local_pvalues`)."""
+def _look_elsewhere(n: int, alpha: float, reps: int, seed: int, null: _Null) -> tuple[McPValue, float]:
+    """`look_elsewhere` on a tape scored against `null`, the one `audit_row` also scores its table against."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if reps < _MIN_MC_REPS:

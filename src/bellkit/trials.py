@@ -165,6 +165,23 @@ def _required_output_xor(tag, setting_a, setting_b):
     return setting_a & (setting_b ^ (tag == HERALD_PSI_PLUS))
 
 
+def _game_outcomes(tags, settings_a, settings_b, wins, u_a, u_b):
+    """(outcome_a, outcome_b) columns that win each heralded game where `wins` holds and lose it elsewhere.
+
+    Outcome a is +1 where the uniform `u_a` is below 1/2. Outcome b follows
+    from a and the game; on an attempt with no herald it is +1 where `u_b`
+    is below 1/2.
+    """
+    out_a = np.where(u_a < 0.5, 1, -1)
+    required = 1 - 2 * _required_output_xor(tags, settings_a, settings_b)
+    out_b = np.where(
+        tags == HERALD_NONE,
+        np.where(u_b < 0.5, 1, -1),
+        np.where(wins, required * out_a, -required * out_a),
+    )
+    return out_a, out_b
+
+
 def aggregate(trials: TrialSet) -> tuple[int, int]:
     """(k, n): total wins and total heralded trials."""
     return trials.cells().k_n()

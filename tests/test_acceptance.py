@@ -202,14 +202,15 @@ def test_criterion_09_window_sweep_shape():
 
 def test_criterion_10_extraction_sizes_and_xor():
     rng = np.random.default_rng(17)
-    bits = BitStream(bits=tuple(int(b) for b in rng.integers(0, 2, size=139_952)))
+    bits = BitStream(rng.integers(0, 2, size=139_952).astype(np.uint8).tobytes())
     blocks = block8(bits)
     estimate = estimate_bias(blocks)
     size_ok = len(blocks) == 17_494 and abs(estimate.uncertainty - 0.0038) < 5e-5
 
     def combined(rows):
         """combine_streams over rows of eight classical bits and one quantum bit."""
-        return np.frombuffer(combine_streams(BitStream(rows[:, :8].ravel()), BitStream(rows[:, 8])).bits, np.uint8)
+        classical, quantum = (BitStream(column.astype(np.uint8).tobytes()) for column in (rows[:, :8], rows[:, 8]))
+        return np.frombuffer(combine_streams(classical, quantum).bits, np.uint8)
 
     patterns = np.array(list(itertools.product((0, 1), repeat=9)))
     exhaustive_ok = np.array_equal(combined(patterns), patterns.sum(axis=1) % 2)

@@ -1,10 +1,12 @@
 """Command-line surface: pipelines, exit codes, determinism."""
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -12,6 +14,7 @@ import bellkit
 from bellkit import cli, lhv, pvalues, randomness
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
+from oracles import message_to_bit
 
 
 def run(capsys, *argv):
@@ -474,7 +477,7 @@ class TestHeraldOutputsPinned:
 
     def test_experiment_synth_and_sweep_bytes(self, capsys, tmp_path):
         windows = tmp_path / "windows.json"
-        windows.write_text(json.dumps(WindowConfig().to_dict()), encoding="utf-8")
+        windows.write_text(json.dumps(dataclasses.asdict(WindowConfig())), encoding="utf-8")
         detections, attempts, sweep_csv = (str(tmp_path / n) for n in ("d.csv", "a.jsonl", "sweep.csv"))
         run_json(
             capsys, "herald", "synth", "--attempts", "30000", "--seed", "11", "--window-config", str(windows),
@@ -750,6 +753,24 @@ class TestRng:
         assert code == 1 and out == ""
         assert f"{messages}: line 2: message has 141 characters, limit is 140" in err
 
+    def test_extract_splits_lines_as_text_mode_reads_them(self, capsys, tmp_path):
+        # Lines end at \n, \r\n or a lone \r, and at nothing else (form feed, NEL and U+2028 stay
+        # inside a message); the last line needs no terminator.
+        texts = ["héllo", "", "中文 ok", "\U0001f600x", "", "", "\ufeffa\x0c\x1c\x85\u2028 b", "αω 1", "last"]
+        ends = ["\r\n", "\r", "\n", "\r\n", "\r", "\r\n", "\n", "\r", ""]
+        messages = tmp_path / "messages.txt"
+        messages.write_bytes("".join(t + e for t, e in zip(texts, ends)).encode("utf-8"))
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            want = [message_to_bit(text) for text in texts]
+        bits = tmp_path / "bits.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_json(capsys, "rng", "extract", "--messages", str(messages), "--bits-out", str(bits))
+        assert report["messages"] == report["bits"] == len(texts)
+        assert bits.read_text(encoding="ascii") == "".join(f"{b}\n" for b in want)
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected] == ["empty message maps to bit 0"] * 3
+
     def test_independence_length_mismatch_without_truncate(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -858,7 +879,7 @@ class TestInfrastructure:
     def test_tails_above_the_sum_limit_leave_scipy_unloaded(self, tmp_path):
         # analyze on n of about 18,000 heralded trials and a sweep whose last offsets have
         # n = 10,138 and 10,824 take binomial tails above n = 10,000.
-        (tmp_path / "windows.json").write_text(json.dumps(WindowConfig().to_dict()), encoding="utf-8")
+        (tmp_path / "windows.json").write_text(json.dumps(dataclasses.asdict(WindowConfig())), encoding="utf-8")
         commands = [
             ["simulate-reference", "--attempts", "60000", "--herald-rate", "0.3", "--win-prob-minus", "0.78",
              "--win-prob-plus", "0.78", "--seed", "11", "--trials-out", "ref.jsonl"],

@@ -2,7 +2,7 @@
 import io
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -123,7 +123,7 @@ class TestClassify:
 
 class TestWindowConfig:
     def test_dict_roundtrip(self):
-        data = WINDOWS.to_dict()
+        data = asdict(WINDOWS)
         assert WindowConfig.from_dict(data) == WINDOWS
 
     def test_rejects_unknown_keys(self):

@@ -8,7 +8,6 @@ from scipy import stats
 
 from bellkit.pvalues import (
     BiasParams,
-    PValueReport,
     beta_win_expanded,
     beta_win_lemma,
     fisher_combine,
@@ -198,17 +197,3 @@ class TestTauCurve:
         with pytest.raises(ValueError):
             pvalue_vs_tau_curve(300, 237, [0.6])
 
-
-class TestPValueReport:
-    def test_roundtrip(self):
-        report = PValueReport(method="complete", p=0.061, inputs={"n": 300, "k": 237})
-        data = report.to_dict()
-        assert data["method"] == "complete" and data["inputs"]["n"] == 300
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PValueReport(method="bogus", p=0.5)
-        with pytest.raises(ValueError):
-            PValueReport(method="fisher", p=0.0)
-        with pytest.raises(ValueError):
-            PValueReport(method="fisher", p=1.5)

@@ -18,7 +18,6 @@ from bellkit.randomness import (
     extract_bits,
     independence_test,
     read_bits,
-    read_messages,
     write_bits,
 )
 
@@ -27,35 +26,42 @@ def popcount_parity_oracle(text):
     return sum(bin(ord(ch)).count("1") for ch in text) % 2
 
 
+def encode_lines(messages):
+    """The UTF-8 bytes of a message file holding `messages`, one a line."""
+    return "".join(text + "\n" for text in messages).encode("utf-8")
+
+
 def bit(text, max_chars=randomness.MAX_MESSAGE_CHARS):
-    return int(extract_bits([text], max_chars).bits[0])
+    return int(extract_bits(encode_lines([text]), max_chars).bits[0])
 
 
 class TestBitStreamConstruction:
+    # Bytes name their first byte that is not 0 or 1; anything else, integer columns included, is rejected whole.
     @pytest.mark.parametrize(
         "bits, message",
         [
-            (np.array([False, True]), "row 1: bits must be a one-dimensional column of integers, got "),
-            ((0, 1, 1.0), "row 3: bits must be a one-dimensional column of integers, got 1.0"),
-            ((0, True), "row 2: bits must be integers, not bools, got True"),
-            ((0, 1, 2), "row 3: bits must be 0 or 1, got 2"),
-            ((0, -1, 1), "row 2: bits must be 0 or 1, got -1"),
-            ([1, 0, 256], "row 3: bits must be 0 or 1, got 256"),
-            ((2, True), "row 1: bits must be 0 or 1, got 2"),
+            (np.array([False, True]), "bits must be bytes, got ndarray"),
+            ((0, 1, 1.0), "bits must be bytes, got tuple"),
+            ((0, True), "bits must be bytes, got tuple"),
             (b"\x00\x01\x02", "row 3: bits must be 0 or 1, got 2"),
-            (np.array([0, 1, 1, 2], dtype=np.uint8), "row 4: bits must be 0 or 1, got 2"),
-            (iter([0, True]), "row 2: bits must be integers, not bools, got True"),
+            (b"\x00\xff\x01", "row 2: bits must be 0 or 1, got 255"),
+            ([1, 0, 256], "bits must be bytes, got list"),
+            (b"\x02\x01\x03", "row 1: bits must be 0 or 1, got 2"),
+            (b"\x00\x01\x01\x00\x02", "row 5: bits must be 0 or 1, got 2"),
+            (np.array([0, 1, 1, 2], dtype=np.uint8), "bits must be bytes, got ndarray"),
+            (iter([0, True]), "bits must be bytes, got list_iterator"),
+            ([0, 1], "bits must be bytes, got list"),
+            (bytearray(b"\x00\x01"), "bits must be bytes, got bytearray"),
+            ("01", "bits must be bytes, got str"),
         ],
         ids=["numpy-bools", "float", "bool", "two", "minus-one", "beyond-a-byte", "first-bad-row", "bytes-two",
-             "array-two", "iterator-bool"],
+             "array-two", "iterator-bool", "integer-list", "bytearray", "text"],
     )
     def test_rejects_naming_the_row(self, bits, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BitStream(bits)
 
-    @pytest.mark.parametrize("bits", [(0, 1, 1), [0, 1, 1], np.array([0, 1, 1]), np.array([0, 1, 1], dtype=np.uint8),
-                                      b"\x00\x01\x01", bytearray(b"\x00\x01\x01"), iter([0, 1, 1]),
-                                      (b for b in (0, 1, 1))])
+    @pytest.mark.parametrize("bits", [b"\x00\x01\x01"])
     def test_keeps_bits_as_bytes(self, bits):
         stream = BitStream(bits)
         assert type(stream.bits) is bytes and stream.bits == b"\x00\x01\x01" and len(stream) == 3
@@ -75,7 +81,7 @@ class TestMessageToBit:
 
     def test_matches_oracle_on_mixed_unicode(self):
         samples = ["hello world", "Message #42!", "éèê", "\U0001f600\U0001f680", "0" * 140]
-        assert list(extract_bits(samples).bits) == [popcount_parity_oracle(text) for text in samples]
+        assert list(extract_bits(encode_lines(samples)).bits) == [popcount_parity_oracle(text) for text in samples]
         for text in samples:
             assert message_to_bit(text) == popcount_parity_oracle(text)
 
@@ -125,7 +131,7 @@ def extract_run(messages, max_chars):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            outcome = list(extract_bits(iter(messages), max_chars).bits)
+            outcome = list(extract_bits(encode_lines(messages), max_chars).bits)
         except ValueError as exc:
             outcome = str(exc)
     return outcome, [str(w.message) for w in caught]
@@ -164,76 +170,84 @@ class TestVectorisedParity:
         assert joined == oracle_run(messages, 140)
 
     def test_lone_surrogates_and_nul(self):
-        messages = ["\ud800", "a\udfff", "\x00", "\x00\x00a"]
+        # NUL is a character like any other; an encoded surrogate is not UTF-8 at all.
+        messages = ["\x00", "\x00\x00a"]
         assert extract_run(messages, 140) == oracle_run(messages, 140)
+        for surrogate in ("\ud800", "a\udfff"):
+            data = b"ok\n" + surrogate.encode("utf-8", "surrogatepass") + b"\n"
+            with pytest.raises(ValueError, match="^line 2: byte 0xed is not valid UTF-8"):
+                extract_bits(data)
 
     def test_no_messages(self):
-        assert len(extract_bits([])) == 0
+        assert len(extract_bits(b"")) == 0
+        # One line feed is one empty message.
+        with pytest.warns(UserWarning, match="^empty message maps to bit 0$"):
+            assert extract_bits(b"\n").bits == b"\x00"
 
 
 class TestBlock8:
     def test_sixteen_zeros(self):
-        assert list(block8(BitStream(bits=(0,) * 16)).bits) == [0, 0]
+        assert list(block8(BitStream(bytes(16))).bits) == [0, 0]
 
     def test_eight_ones_even_parity(self):
-        assert list(block8(BitStream(bits=(1,) * 8)).bits) == [0]
+        assert list(block8(BitStream(b"\x01" * 8)).bits) == [0]
 
     def test_remainder_dropped(self):
-        stream = BitStream(bits=(1, 0, 0, 0, 0, 0, 0, 0) + (1, 1, 1))
+        stream = BitStream(bytes((1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)))
         assert list(block8(stream).bits) == [1]
 
     def test_dataset_sizes(self):
         # 139952 = 17494 * 8 exactly; 134501 leaves a 5-bit remainder.
-        assert len(block8(BitStream(bits=(0,) * 139952))) == 17494
-        assert len(block8(BitStream(bits=(0,) * 134501))) == 16812
+        assert len(block8(BitStream(bytes(139952)))) == 17494
+        assert len(block8(BitStream(bytes(134501)))) == 16812
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            block8(BitStream(bits=(0,) * 7))
+            block8(BitStream(bytes(7)))
 
     def test_xor_with_zero_stream_is_identity(self):
         rng = rngstream.stream(1)
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=160))
-        base = block8(BitStream(bits=bits))
-        padded = tuple(b ^ 0 for b in bits)
-        assert block8(BitStream(bits=padded)).bits == base.bits
+        bits = rng.integers(0, 2, size=160).tolist()
+        base = block8(BitStream(bytes(bits)))
+        padded = bytes(b ^ 0 for b in bits)
+        assert block8(BitStream(padded)).bits == base.bits
 
     def test_blockwise_parity_oracle(self):
         rng = rngstream.stream(2)
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=83))
-        got = tuple(block8(BitStream(bits=bits)).bits)
+        bits = tuple(rng.integers(0, 2, size=83).tolist())
+        got = tuple(block8(BitStream(bytes(bits))).bits)
         want = tuple(sum(bits[8 * j : 8 * j + 8]) % 2 for j in range(len(bits) // 8))
         assert got == want
 
 
 class TestEstimateBias:
     def test_all_zeros(self):
-        est = estimate_bias(BitStream(bits=(0, 0, 0, 0)))
+        est = estimate_bias(BitStream(bytes(4)))
         assert est.bias == 0.5 and est.uncertainty == 0.25
 
     def test_balanced(self):
-        est = estimate_bias(BitStream(bits=(0, 1, 0, 1)))
+        est = estimate_bias(BitStream(b"\x00\x01" * 2))
         assert est.bias == 0.0 and est.uncertainty == 0.25
 
     def test_dataset_b_uncertainty(self):
-        est = estimate_bias(BitStream(bits=(0, 1) * 8406))
+        est = estimate_bias(BitStream(b"\x00\x01" * 8406))
         assert est.n == 16812
         assert est.uncertainty == pytest.approx(0.003856, abs=5e-6)
         assert round(est.uncertainty, 4) == 0.0039
 
     def test_uncertainty_halves_when_n_quadruples(self):
-        small = estimate_bias(BitStream(bits=(0, 1) * 50))
-        large = estimate_bias(BitStream(bits=(0, 1) * 200))
+        small = estimate_bias(BitStream(b"\x00\x01" * 50))
+        large = estimate_bias(BitStream(b"\x00\x01" * 200))
         assert large.uncertainty == pytest.approx(small.uncertainty / 2, rel=1e-12, abs=0)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            estimate_bias(BitStream(bits=()))
+            estimate_bias(BitStream(b""))
 
 
 def xor_block(classical, quantum):
     """combine_streams on one block: eight classical bits and one quantum bit."""
-    (bit,) = list(combine_streams(BitStream(tuple(classical)), BitStream((quantum,))).bits)
+    (bit,) = list(combine_streams(BitStream(bytes(classical)), BitStream(bytes([quantum]))).bits)
     return bit
 
 
@@ -267,36 +281,36 @@ class TestXorCombine:
         rng = rngstream.stream(4)
         blocks = rng.integers(0, 2, size=(100_000, 9))
         want = blocks.sum(axis=1) % 2
-        got = combine_streams(BitStream(blocks[:, :8].ravel()), BitStream(blocks[:, 8])).bits
+        classical, quantum = (BitStream(column.astype(np.uint8).tobytes()) for column in (blocks[:, :8], blocks[:, 8]))
+        got = combine_streams(classical, quantum).bits
         assert list(got) == want.tolist()
 
 
 class TestCombineStreams:
     def test_blockwise(self):
-        classical = BitStream(bits=(1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0))
-        quantum = BitStream(bits=(0, 1))
+        classical = BitStream(bytes((1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0)))
+        quantum = BitStream(b"\x00\x01")
         assert list(combine_streams(classical, quantum).bits) == [1, 1]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            combine_streams(BitStream(bits=(0,) * 9), BitStream(bits=(0,)))
+            combine_streams(BitStream(bytes(9)), BitStream(bytes(1)))
 
 
 class TestIndependence:
     def test_identical_streams_detected(self):
         rng = rngstream.stream(5)
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=2000))
-        stream = BitStream(bits=bits)
+        stream = BitStream(bytes(rng.integers(0, 2, size=2000).tolist()))
         assert independence_test(stream, stream) < 1e-100
 
     def test_balanced_table_is_one(self):
-        a = BitStream(bits=(0,) * 5 + (0,) * 5 + (1,) * 5 + (1,) * 5)
-        b = BitStream(bits=(0,) * 5 + (1,) * 5 + (0,) * 5 + (1,) * 5)
+        a = BitStream(bytes(10) + b"\x01" * 10)
+        b = BitStream((bytes(5) + b"\x01" * 5) * 2)
         assert independence_test(a, b) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            independence_test(BitStream(bits=(0, 1)), BitStream(bits=(0,)))
+            independence_test(BitStream(b"\x00\x01"), BitStream(bytes(1)))
 
     def test_calibration_under_independence(self):
         # Independent fair streams: the P-value distribution should be close
@@ -304,8 +318,8 @@ class TestIndependence:
         rng = rngstream.stream(6)
         pvals = []
         for _ in range(200):
-            a = BitStream(bits=tuple(int(x) for x in rng.integers(0, 2, size=20_000)))
-            b = BitStream(bits=tuple(int(x) for x in rng.integers(0, 2, size=20_000)))
+            a = BitStream(bytes(rng.integers(0, 2, size=20_000).tolist()))
+            b = BitStream(bytes(rng.integers(0, 2, size=20_000).tolist()))
             pvals.append(independence_test(a, b))
         ks = stats.kstest(pvals, "uniform")
         assert ks.pvalue > 1e-3
@@ -314,7 +328,7 @@ class TestIndependence:
 class TestFileRoundtrip:
     def test_ascii_roundtrip(self, tmp_path):
         rng = rngstream.stream(7)
-        stream = BitStream(bits=tuple(int(b) for b in rng.integers(0, 2, size=101)))
+        stream = BitStream(bytes(rng.integers(0, 2, size=101).tolist()))
         path = str(tmp_path / "bits.txt")
         write_bits(path, stream)
         assert read_bits(path).bits == stream.bits
@@ -325,23 +339,23 @@ class TestFileRoundtrip:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: expected 0 or 1, got '2'$"):
             read_bits(str(path))
 
-    def test_messages_preserve_trailing_spaces(self, tmp_path):
-        path = tmp_path / "messages.txt"
-        path.write_text("hello \nworld\n", encoding="utf-8")
-        assert read_messages(str(path)) == ["hello ", "world"]
+    def test_messages_preserve_trailing_spaces(self):
+        # A space has one bit set, so a stripped space would flip the bit.
+        assert message_to_bit("hello ") != message_to_bit("hello")
+        assert list(extract_bits(b"hello \nworld\n").bits) == [message_to_bit("hello "), message_to_bit("world")]
 
     def test_bitstream_rejects_bools(self):
-        with pytest.raises(ValueError, match="bools"):
+        with pytest.raises(ValueError, match="^bits must be bytes, got tuple$"):
             BitStream(bits=(1, True))
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="^bits must be bytes, got ndarray$"):
             BitStream(bits=np.array([True, False]))
 
     def test_extract_bits_names_over_long_line(self):
         with pytest.raises(ValueError, match="^line 2: message has 141 characters, limit is 140$"):
-            extract_bits(["ok", "x" * 141])
+            extract_bits(b"ok\n" + b"x" * 141)
 
     def test_extract_bits_pipeline(self):
-        stream = extract_bits(["A", "a", "Aa"])
+        stream = extract_bits(b"A\na\nAa")
         assert list(stream.bits) == [0, 1, 1]
 
 
@@ -354,8 +368,8 @@ class TestInputErrors:
     def test_bad_utf8_names_file_and_line(self, tmp_path, capsys, raw, line, byte):
         path = tmp_path / "messages.txt"
         path.write_bytes(raw)
-        message = f"{path}: line {line}: byte {byte} is not valid UTF-8"
+        message = f"line {line}: byte {byte} is not valid UTF-8"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            read_messages(str(path))
+            extract_bits(raw)
         code = cli.main(["rng", "extract", "--messages", str(path), "--bits-out", str(tmp_path / "bits.txt")])
-        assert code == 1 and capsys.readouterr().err.startswith(f"error: {message}")
+        assert code == 1 and capsys.readouterr().err.startswith(f"error: {path}: {message}")

@@ -67,6 +67,11 @@ class TestBinomUniform:
         assert pvalues.binom_two_sided(counts.marginal_a, 245) == pytest.approx(2.0 * 0.5**245, rel=1e-10, abs=0)
 
 
+def tape(n, reps, seed):
+    """The look-elsewhere tape of `look_elsewhere(n, alpha, reps, seed)`, scored against its null."""
+    return sa._lee_local_pvalues(n, reps, seed, sa._uniform4_null(n, reps, seed))
+
+
 def joint_uniform(counts, reps=1000, seed=0):
     """The audit's joint-uniformity P-value of `counts`, on the null built from `reps` and `seed`."""
     return sa._joint_uniform_pvalue(counts, sa._uniform4_null(counts.total, reps, seed))
@@ -207,7 +212,7 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [8, 21])
     def test_exact_tests_super_uniform_under_null(self, seed):
         # Under uniform settings Pr[p <= alpha] <= alpha for the exact tests.
-        pvals = sa._lee_local_pvalues(101, reps=4000, seed=seed)
+        pvals = tape(101, 4000, seed)
         for alpha in (0.01, 0.05, 0.1, 0.3):
             for column in range(4):
                 rate = float(np.mean(pvals[:, column] <= alpha))
@@ -226,8 +231,8 @@ class TestLookElsewhere:
 
         monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
         joint, threshold = look_elsewhere(60, 0.05, reps=2000, seed=5)
-        assert calls == [(60, 2000, 5, None)]
-        min_p = tape(60, 2000, 5).min(axis=1)
+        assert [args[:3] for args in calls] == [(60, 2000, 5)]
+        min_p = tape(60, 2000, 5, calls[0][3]).min(axis=1)
         p = float(np.mean(min_p < 0.05))
         assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000))
         assert threshold == sa._threshold_quantile(min_p, 0.05)
@@ -251,7 +256,7 @@ class TestLeeJoint:
         assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
     def test_bonferroni_sandwich(self):
-        pvals = sa._lee_local_pvalues(60, reps=3000, seed=6)
+        pvals = tape(60, 3000, 6)
         alpha = 0.05
         singles = [float(np.mean(pvals[:, j] < alpha)) for j in range(4)]
         joint = float(np.mean(pvals.min(axis=1) < alpha))
@@ -326,7 +331,7 @@ class TestLeeThreshold:
         [(1, 1000, 3), (7, 2000, 4), (60, 3000, 5), (245, 10_000, 19), (400, 1000, 6), (6000, 1000, 7)],
     )
     def test_order_statistic_equals_bisection(self, n, reps, seed):
-        min_p = sa._lee_local_pvalues(n, reps, seed).min(axis=1)
+        min_p = tape(n, reps, seed).min(axis=1)
         # target * reps rounds below the count k with k / reps == target for 0.29
         # (3000 reps) and 0.57 (3000, 10000), and up to k + 1 for the value just
         # below 0.05 (3000) and just below 0.0037 (10000).

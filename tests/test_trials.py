@@ -10,7 +10,6 @@ import pytest
 
 from bellkit import trials
 from bellkit.heralding import AttemptTable, DetectionTable
-from bellkit.randomness import BitStream
 from bellkit.trials import (
     ChshEstimate,
     TrialSet,
@@ -421,7 +420,6 @@ RECORD_TABLES = {
         {"attempt_id": [0, 0, 1], "channel": [0, 1, 1], "time_ps": [5, 6, 7]},
         ("time_ps", 2, -7, "row 2: time_ps must be >= 0, got -7"),
     ),
-    "BitStream": (BitStream, {"bits": [0, 1, 1]}, ("bits", 3, 2, "row 3: bits must be 0 or 1, got 2")),
 }
 
 
@@ -462,7 +460,6 @@ class TestRecordTableConstruction:
         given = {name: np.array(column) for name, column in columns.items()}
         table = cls(**given)
         for name, column in given.items():
-            # A BitStream keeps bytes, the other tables read-only numpy columns.
             stored = memoryview(getattr(table, name))
             assert stored.ndim == 1 and stored.tolist() == column.tolist()
             assert stored.readonly
