@@ -225,15 +225,13 @@ def binom_survival(k: int, n: int, p: float) -> float:
 def chi2_survival(x: float, df: int) -> float:
     """Pr[chi-squared with df degrees of freedom >= x].
 
-    Closed forms for df = 1 and even df, all this package needs; any other
-    df raises.
+    The closed form for even df >= 2, all this package needs (Fisher's
+    method has df = 2k); any other df raises.
     """
-    if df < 1 or (df > 1 and df % 2):
-        raise ValueError(f"degrees of freedom must be 1 or even, got {df}")
+    if df < 2 or df % 2:
+        raise ValueError(f"degrees of freedom must be even and at least 2, got {df}")
     if x <= 0.0:
         return 1.0
-    if df == 1:
-        return math.erfc(math.sqrt(x / 2.0))
     log_half_x = math.log(x / 2.0)
     return min(1.0, _sum_exp([-x / 2.0 + i * log_half_x - _log_k_factorial(i) for i in range(df // 2)]))
 

@@ -6,8 +6,7 @@ counts:
 1. side A's marginal is Binomial(n, 1/2)  (exact two-tailed test),
 2. side B's marginal likewise,
 3. the four counts are jointly Multinomial(n; 1/4 each)  (exact to n = 300),
-4. the sides are independent: Fisher exact below 5000 events, Pearson
-   chi-squared above.
+4. the sides are independent  (Fisher's exact two-sided test at every n).
 
 Running several tests on one dataset inflates the chance that some local
 P-value dips below any fixed threshold (the look-elsewhere effect).
@@ -21,14 +20,18 @@ off without a search.
 
 The tape is scored by numpy kernels over whole supports, in log space on a
 view of `pvalues._log_factorial`; the observed table's own binomial and
-Fisher tests are the scalar ones in `bellkit.pvalues`.
+Fisher tests are the scalar ones in `bellkit.pvalues`. Fisher's kernel
+sums about n/2 support cells per tape table, so the tape's time grows as
+reps * n (about 11 s per 10^4 reps at n = 100,000); `_FISHER_MAX_CELLS`
+bounds its memory.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import astuple, dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,9 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import pvalues, rngstream
 from .pvalues import _LOG_TIE, _check_counts
 from .trials import _check_domains, _read_path, _read_records
-
-# Test 4 convention: Fisher exact below, Pearson chi-squared above.
-FISHER_PEARSON_SWITCH = 5000
 
 # Exact enumeration of the joint-uniformity null is used up to this n
 # (about 4.7 million tables); larger n falls back to a Monte Carlo
@@ -212,30 +212,6 @@ def fisher_2x2(counts: SettingCounts) -> float:
     return pvalues.fisher_two_sided(counts.n00, counts.n01, counts.n10, counts.n11)
 
 
-def pearson_chi2(counts: SettingCounts) -> float:
-    """Pearson chi-squared independence test on the 2x2 table, 1 dof.
-
-    A table with an empty row or column has P-value 1, as in `fisher_2x2`.
-    """
-    if counts.total < 1:
-        raise ValueError("need at least one event")
-    return pvalues.chi2_survival(_pearson_statistic(counts.n00, counts.n01, counts.n10, counts.n11), 1)
-
-
-def _pearson_statistic(n00: int, n01: int, n10: int, n11: int) -> float:
-    """n (n00 n11 - n01 n10)^2 / (r0 r1 c0 c1), 0 on a zero margin (P-value 1).
-
-    Exact in integers up to the one rounding of the division, where the sum
-    of four (observed - expected)^2 / expected terms loses digits to
-    cancellation.
-    """
-    n00, n01, n10, n11 = int(n00), int(n01), int(n10), int(n11)
-    margins = (n00 + n01) * (n10 + n11) * (n00 + n10) * (n01 + n11)
-    if margins == 0:
-        return 0.0
-    return (n00 + n01 + n10 + n11) * (n00 * n11 - n01 * n10) ** 2 / margins
-
-
 def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact null CDF of the log pmf statistic under Multinomial(n; 1/4 each).
 
@@ -263,12 +239,6 @@ def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     cum = np.exp(stat)
     np.cumsum(cum, out=cum)
     return stat, np.minimum(cum, 1.0, out=cum)
-
-
-def _pearson_many(tables: np.ndarray) -> np.ndarray:
-    """pearson_chi2 of each (n00, n01, n10, n11) row."""
-    rows = np.asarray(tables, dtype=np.int64).tolist()
-    return np.array([pvalues.chi2_survival(_pearson_statistic(*row), 1) for row in rows])
 
 
 def _uniform4_null(n: int, reps: int, seed: int) -> _Null:
@@ -314,12 +284,7 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, null: _Null) -> np.ndarray:
     pos = np.searchsorted(stat_sorted, uniform4_logpmf(draws, n) + _STAT_TOL, side="right")
     p_joint = pos / stat_sorted.size if cum is None else cum[np.maximum(pos, 1) - 1]
 
-    if n < FISHER_PEARSON_SWITCH:
-        p_indep = fisher_two_sided_tables(draws)
-    else:
-        p_indep = _pearson_many(draws)
-
-    return np.column_stack([p_a, p_b, p_joint, p_indep])
+    return np.column_stack([p_a, p_b, p_joint, fisher_two_sided_tables(draws)])
 
 
 def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue, float]:
@@ -329,20 +294,21 @@ def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue
     probability that at least one of the four tests yields p < alpha, and
     the largest per-test threshold whose joint rate stays at or below alpha
     (`_threshold_quantile`). A threshold of 1 rejects by convention (every
-    P-value is at most 1), so alpha = 1 gives exactly (1, 1.0) with no tape.
+    P-value is at most 1), so alpha = 1 gives exactly (1, 1.0) with no tape
+    and no null.
     """
-    return _look_elsewhere(n, alpha, reps, seed, _uniform4_null(n, reps, seed))
+    return _look_elsewhere(n, alpha, reps, seed, functools.partial(_uniform4_null, n, reps, seed))
 
 
-def _look_elsewhere(n: int, alpha: float, reps: int, seed: int, null: _Null) -> tuple[McPValue, float]:
-    """`look_elsewhere` on a tape scored against `null`, the one `audit_row` also scores its table against."""
+def _look_elsewhere(n: int, alpha: float, reps: int, seed: int, null: Callable[[], _Null]) -> tuple[McPValue, float]:
+    """`look_elsewhere` on a tape scored against `null()`, called only once `alpha` and `reps` pass their checks."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if reps < _MIN_MC_REPS:
         raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
     if alpha == 1.0:
         return McPValue(p=1.0, mc_error=0.0), 1.0
-    min_p = _lee_local_pvalues(n, reps, seed, null).min(axis=1)
+    min_p = _lee_local_pvalues(n, reps, seed, null()).min(axis=1)
     p = float(np.mean(min_p < alpha))
     return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps)), _threshold_quantile(min_p, alpha)
 
@@ -386,7 +352,6 @@ class AuditRow:
     p_rng_a: float
     p_rng_b: float
     p_joint_uniform: McPValue
-    independence_test: str
     p_independence: float
     p_threshold: float
     p_joint_lee: McPValue
@@ -401,7 +366,7 @@ class AuditRow:
             "p_rng_b": self.p_rng_b,
             "p_joint_uniform": self.p_joint_uniform.p,
             "p_joint_uniform_mc_error": self.p_joint_uniform.mc_error,
-            "independence_test": self.independence_test,
+            "independence_test": "fisher",
             "p_independence": self.p_independence,
             "p_threshold": self.p_threshold,
             "p_joint_lee": self.p_joint_lee.p,
@@ -414,24 +379,20 @@ class AuditRow:
 def audit_row(counts: SettingCounts, seed: int, lee_reps: int, label: str = "", alpha: float = 0.05) -> AuditRow:
     """Run all four tests plus the look-elsewhere correction on one table.
 
-    One null (`_uniform4_null`) scores the observed table, as `p_joint_uniform`,
-    and the tape of `look_elsewhere(n, alpha, lee_reps, seed)`.
+    One null (`_uniform4_null`), built once `alpha` and `lee_reps` pass
+    their checks, scores the observed table, as `p_joint_uniform`, and the
+    tape of `look_elsewhere(n, alpha, lee_reps, seed)`.
     """
     n = counts.total
-    if n < FISHER_PEARSON_SWITCH:
-        test_name, p_indep = "fisher", fisher_2x2(counts)
-    else:
-        test_name, p_indep = "pearson", pearson_chi2(counts)
-    null = _uniform4_null(n, lee_reps, seed)
+    null = functools.cache(functools.partial(_uniform4_null, n, lee_reps, seed))
     p_joint_lee, p_threshold = _look_elsewhere(n, alpha, lee_reps, seed, null)
     return AuditRow(
         label=label,
         n=n,
         p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
         p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),
-        p_joint_uniform=_joint_uniform_pvalue(counts, null),
-        independence_test=test_name,
-        p_independence=p_indep,
+        p_joint_uniform=_joint_uniform_pvalue(counts, null()),
+        p_independence=fisher_2x2(counts),
         p_threshold=p_threshold,
         p_joint_lee=p_joint_lee,
         alpha=alpha,

@@ -812,9 +812,9 @@ class TestAudit:
 
     @pytest.mark.parametrize("counts", ["5000,0,0,0", "2500,2500,0,0"])
     def test_pearson_on_a_zero_margin_is_one(self, capsys, counts):
-        # As Fisher's test below 5,000 events, and as the look-elsewhere tape scores such tables.
+        # At n = 5,000, where Pearson's chi-squared once took over, Fisher's test gives 1 on a zero margin.
         report = run_json(capsys, "audit", "--counts", counts, "--lee-reps", "1000")
-        assert (report["independence_test"], report["p_independence"]) == ("pearson", 1.0)
+        assert (report["independence_test"], report["p_independence"]) == ("fisher", 1.0)
 
 
 def run_without_scipy(tmp_path, commands):
@@ -857,7 +857,7 @@ class TestInfrastructure:
     # subcommand still runs and never loads it.
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # Includes the Pearson audit at n = 5,000, once a chi-squared tail from scipy.
+        # Includes an audit at n = 5,000, where Fisher's look-elsewhere tape runs on the numpy kernel alone.
         (tmp_path / "messages.txt").write_text("".join(f"message {i}\n" for i in range(32)), encoding="utf-8")
         (tmp_path / "b.txt").write_text("\n".join("1100") + "\n", encoding="ascii")
         commands = [
@@ -873,8 +873,8 @@ class TestInfrastructure:
             ["rng", "combine", "--classical", "a.txt", "--quantum", "b.txt", "--bits-out", "c.txt"],
             ["rng", "independence", "--a", "a.txt", "--b", "c.txt", "--truncate"],
         ]
-        pearson_audit = run_without_scipy(tmp_path, commands)[4]
-        assert pearson_audit["n"] == 5000 and pearson_audit["independence_test"] == "pearson"
+        big_audit = run_without_scipy(tmp_path, commands)[4]
+        assert big_audit["n"] == 5000 and big_audit["independence_test"] == "fisher"
 
     def test_tails_above_the_sum_limit_leave_scipy_unloaded(self, tmp_path):
         # analyze on n of about 18,000 heralded trials and a sweep whose last offsets have

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import fisher_exact
 
 from bellkit import pvalues
 from bellkit import settings_audit as sa
@@ -15,7 +16,6 @@ from bellkit.settings_audit import (
     audit_row,
     fisher_2x2,
     look_elsewhere,
-    pearson_chi2,
 )
 
 from test_exact import binom_two_sided_oracle, fisher_two_sided_oracle
@@ -157,57 +157,6 @@ class TestFisher2x2:
         assert fisher_2x2(SettingCounts(0, 0, 5, 7)) == 1.0
 
 
-class TestPearsonChi2:
-    def test_balanced_table_is_one(self):
-        assert pearson_chi2(SettingCounts(2500, 2500, 2500, 2500)) == 1.0
-
-    def test_statistic_sixteen(self):
-        # Margins are all 5000, expecteds 2500, statistic 4 * 100^2 / 2500.
-        got = pearson_chi2(SettingCounts(2600, 2400, 2400, 2600))
-        assert got == pytest.approx(math.erfc(math.sqrt(8.0)), rel=1e-12, abs=0)
-        assert got == pytest.approx(6.33e-5, abs=3e-7)
-
-    def test_quantile_inversion_level(self):
-        # A table whose statistic lands near the 3.8415 critical value has a
-        # P-value near 0.05.
-        counts = SettingCounts(2549, 2451, 2451, 2549)
-        statistic = 4 * (49**2) / 2500
-        assert pearson_chi2(counts) == pytest.approx(math.erfc(math.sqrt(statistic / 2)), rel=1e-12, abs=0)
-        assert 0.04 < pearson_chi2(counts) < 0.06
-
-    def test_vectorized_form_matches_row_by_row(self):
-        # The vectorized form serves the look-elsewhere tape at n >= 5,000.
-        rng = np.random.default_rng(5)
-        for n in (5000, 12_345):
-            tables = rng.multinomial(n, rng.dirichlet([4.0] * 4), size=200)
-            want = [pearson_chi2(SettingCounts(*row.tolist())) for row in tables]
-            assert sa._pearson_many(tables).tolist() == want
-
-    def test_degenerate_margin_is_one(self):
-        # As for fisher_2x2, and as the look-elsewhere tape scores such tables.
-        for cells in ((0, 0, 10, 10), (5000, 0, 0, 0), (2500, 2500, 0, 0)):
-            assert pearson_chi2(SettingCounts(*cells)) == 1.0
-            assert sa._pearson_many(np.array([cells])).tolist() == [1.0]
-
-    def test_statistic_is_the_rational_sum_rounded_once(self):
-        # The first table is the look-elsewhere threshold's at n = 5,000, where
-        # a float sum of the four (O - E)^2 / E terms was 1.1e-14 off in P.
-        rng = np.random.default_rng(8)
-        tables = [(1314, 1177, 1239, 1270), *rng.multinomial(5000, [0.25] * 4, size=50).tolist()]
-        for cells in tables:
-            n00, n01, n10, n11 = cells
-            n = sum(cells)
-            observed = ((n00, n01), (n10, n11))
-            rows, cols = (n00 + n01, n10 + n11), (n00 + n10, n01 + n11)
-            expected = [[Fraction(r * c, n) for c in cols] for r in rows]
-            statistic = float(
-                sum((observed[i][j] - expected[i][j]) ** 2 / expected[i][j] for i in range(2) for j in range(2))
-            )
-            want = math.erfc(math.sqrt(statistic / 2))
-            assert pearson_chi2(SettingCounts(*cells)) == want, cells
-            assert sa._pearson_many(np.array([cells])).tolist() == [want], cells
-
-
 class TestCalibration:
     @pytest.mark.parametrize("seed", [8, 21])
     def test_exact_tests_super_uniform_under_null(self, seed):
@@ -241,6 +190,24 @@ class TestLookElsewhere:
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must lie in"):
             look_elsewhere(245, alpha, reps=2000, seed=0)
+
+    def test_checks_come_before_the_null(self, monkeypatch):
+        # At n = 300 the null is an enumeration and sort of 4.6 million tables.
+        def no_null(*args):
+            raise AssertionError("the null was built")
+
+        monkeypatch.setattr(sa, "_uniform4_null", no_null)
+        for alpha, reps, message in ((1.5, 1000, "alpha must lie in"), (0.05, 10, "need at least 1000")):
+            with pytest.raises(ValueError, match=message):
+                look_elsewhere(300, alpha, reps=reps, seed=0)
+            with pytest.raises(ValueError, match=message):
+                audit_row(SettingCounts(75, 75, 75, 75), seed=0, lee_reps=reps, alpha=alpha)
+        assert look_elsewhere(300, 1.0, reps=1000, seed=0) == (McPValue(p=1.0, mc_error=0.0), 1.0)
+
+    def test_tape_scores_independence_with_fisher_above_the_old_switch(self):
+        # Pearson's chi-squared scored the tape from n = 5,000 until Fisher's test took every n.
+        draws = sa.rngstream.stream(7, 0).multinomial(6000, [0.25] * 4, size=1000)
+        assert np.array_equal(tape(6000, 1000, 7)[:, 3], sa.fisher_two_sided_tables(draws))
 
 
 class TestLeeJoint:
@@ -366,13 +333,12 @@ class TestAuditRow:
     def test_row_assembly_and_serialization(self):
         row = audit_row(FIRST_RUN, seed=11, label="run-1", lee_reps=1000)
         assert row.n == 245
-        assert row.independence_test == "fisher"
         assert row.p_independence == pytest.approx(0.029, abs=0.002)
         data = row.to_dict()
-        assert data["label"] == "run-1"
-        # Every field is reported, each Monte Carlo P-value with its error.
+        assert data["label"] == "run-1" and data["independence_test"] == "fisher"
+        # Every field is reported, each Monte Carlo P-value with its error, and the test's name.
         fields = {field.name for field in dataclasses.fields(row)}
-        assert set(data) == fields | {"p_joint_uniform_mc_error", "p_joint_lee_mc_error"}
+        assert set(data) == fields | {"p_joint_uniform_mc_error", "p_joint_lee_mc_error", "independence_test"}
 
     @pytest.mark.parametrize("counts, lee_reps", [(FIRST_RUN, 2000), (SettingCounts(1300, 1210, 1280, 1250), 1000)])
     def test_one_tape_gives_both_look_elsewhere_values(self, monkeypatch, counts, lee_reps):
@@ -400,10 +366,17 @@ class TestAuditRow:
             audit_row(FIRST_RUN, seed=3, lee_reps=1000, alpha=alpha)
 
     def test_pearson_branch_for_large_n(self):
+        # From n = 5,000 the audit once switched to Pearson's chi-squared; Fisher's test runs here at 10,000.
         big = SettingCounts(2600, 2400, 2400, 2600)
-        row = audit_row(big, seed=12, lee_reps=1000)
-        assert row.independence_test == "pearson"
-        assert row.p_independence == pytest.approx(6.33e-5, abs=3e-7)
+        data = audit_row(big, seed=12, lee_reps=1000).to_dict()
+        want = fisher_exact([[2600, 2400], [2400, 2600]]).pvalue
+        assert data["independence_test"] == "fisher"
+        assert data["p_independence"] == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_fisher_at_twenty_thousand_events(self):
+        counts = SettingCounts(5100, 4950, 4900, 5050)
+        want = fisher_exact([[5100, 4950], [4900, 5050]]).pvalue
+        assert audit_row(counts, seed=12, lee_reps=1000).p_independence == pytest.approx(want, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("counts", [FIRST_RUN, SettingCounts(942, 985, 1040, 1033)])
     def test_one_null_per_audit(self, monkeypatch, counts):
