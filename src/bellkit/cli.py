@@ -5,8 +5,9 @@ seed and a hash of the resolved configuration: every option of the command
 except --out, output paths included. Identical configuration and seed give
 byte-identical output files.
 A --config file supplies the command's defaults; each value is checked as
-the same flag's would be. Exit codes: 0 success, 1 domain or validation
-error, 2 I/O error.
+the same flag's would be. Every option changes the result: one that the
+chosen mode would not read is an error. Exit codes: 0 success, 1 domain or
+validation error, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -44,18 +45,6 @@ heralding, lhv, pvalues, randomness, settings_audit, trials_mod = map(
     _lazy_module, ("heralding", "lhv", "pvalues", "randomness", "settings_audit", "trials")
 )
 _lazy_module("rngstream")
-
-# Literal copies of module constants, so that building the parser executes no
-# analysis module; tests/test_cli.py checks each against its source.
-_STRATEGIES = (  # sorted(lhv.CATALOG)
-    "classical-optimal",
-    "coin-flip",
-    "herald-gating",
-    "loss-switching",
-    "state-mixing",
-    "streak-keyed",
-)
-_MAX_MESSAGE_CHARS = 140  # randomness.MAX_MESSAGE_CHARS
 
 COMBINE_CAVEAT = (
     "fisher treats the runs as independent tests; merge pools them into a single "
@@ -191,6 +180,10 @@ def _cmd_analyze(args: argparse.Namespace) -> dict[str, object]:
 
 def _cmd_combine(args: argparse.Namespace) -> dict[str, object]:
     if args.mode == "fisher":
+        # Each mode reads its own options; one given to the other mode would be ignored.
+        for flag, given in (("--counts", args.counts is not None), ("--f", args.f != 0.0), ("--tau", args.tau != 0.0)):
+            if given:
+                raise CliError(f"{flag} needs --mode merge")
         if not args.pvalues:
             raise CliError("--pvalues is required for fisher mode")
         try:
@@ -205,6 +198,8 @@ def _cmd_combine(args: argparse.Namespace) -> dict[str, object]:
             "inputs": {"pvalues": p_list},
             "note": COMBINE_CAVEAT,
         }
+    if args.pvalues is not None:
+        raise CliError("--pvalues needs --mode fisher")
     if not args.counts:
         raise CliError("--counts is required for merge mode")
     pairs = []
@@ -286,13 +281,7 @@ def _cmd_simulate_reference(args: argparse.Namespace) -> dict[str, object]:
         win_prob[trials_mod.HERALD_PSI_PLUS] = args.win_prob_plus
     if not win_prob:
         raise CliError("need --win-prob-minus and/or --win-prob-plus")
-    trialset = lhv.simulate_reference(
-        win_prob,
-        herald_rate=args.herald_rate,
-        attempts=args.attempts,
-        seed=args.seed,
-        psi_plus_share=args.psi_plus_share,
-    )
+    trialset = lhv.simulate_reference(win_prob, herald_rate=args.herald_rate, attempts=args.attempts, seed=args.seed)
     if args.trials_out:
         trials_mod.write_trials(args.trials_out, trialset)
     k, n = trials_mod.aggregate(trialset)
@@ -351,7 +340,6 @@ def _cmd_herald_synth(args: argparse.Namespace) -> dict[str, object]:
         attempts=args.attempts,
         seed=args.seed,
         entangle_prob=args.entangle_prob,
-        win_prob=args.win_prob,
     )
     heralding.write_attempts(args.attempts_out, records)
     heralding.write_detections(args.detections_out, events)
@@ -399,7 +387,7 @@ def _cmd_rng_extract(args: argparse.Namespace) -> dict[str, object]:
     with open(args.messages, "rb") as handle:
         data = handle.read()
     try:
-        stream = randomness.extract_bits(data, max_chars=args.max_chars)
+        stream = randomness.extract_bits(data)
     except ValueError as exc:
         raise CliError(f"{args.messages}: {exc}") from None
     randomness.write_bits(args.bits_out, stream)
@@ -430,9 +418,6 @@ def _cmd_rng_combine(args: argparse.Namespace) -> dict[str, object]:
 def _cmd_rng_independence(args: argparse.Namespace) -> dict[str, object]:
     stream_a = randomness.read_bits(args.a)
     stream_b = randomness.read_bits(args.b)
-    if args.truncate:
-        n = min(len(stream_a), len(stream_b))
-        stream_a, stream_b = (randomness.BitStream(stream.bits[:n]) for stream in (stream_a, stream_b))
     p = randomness.independence_test(stream_a, stream_b)
     return {"n": len(stream_a), "p": p}
 
@@ -447,7 +432,7 @@ def _cmd_audit(args: argparse.Namespace) -> dict[str, object]:
         if len(values) != 4:
             raise CliError(f"--counts needs exactly four values, got {len(values)}")
         counts = settings_audit.SettingCounts(*values)
-    row = settings_audit.audit_row(counts, seed=args.seed, lee_reps=args.lee_reps, label=args.label, alpha=args.alpha)
+    row = settings_audit.audit_row(counts, seed=args.seed, lee_reps=args.lee_reps, alpha=args.alpha)
     return row.to_dict()
 
 
@@ -506,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("simulate", help="run a local-hidden-variable strategy")
-    p.add_argument("--strategy", choices=_STRATEGIES, default="classical-optimal")
+    p.add_argument("--strategy", default="classical-optimal", help="catalog name")
     p.add_argument("--attempts", type=int, required=True)
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
@@ -518,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--win-prob-minus", type=float, default=None)
     p.add_argument("--win-prob-plus", type=float, default=None)
     p.add_argument("--herald-rate", type=float, default=1.0)
-    p.add_argument("--psi-plus-share", type=float, default=0.5)
     p.add_argument("--attempts", type=int, required=True)
     p.add_argument("--trials-out", default=None)
     _add_common(p)
@@ -542,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-config", default=None, help="JSON window config file")
     p.add_argument("--decay-ps", type=float, default=12_000.0)
     p.add_argument("--entangle-prob", type=float, default=0.3)
-    p.add_argument("--win-prob", type=float, default=(2.0 + 2.0**0.5) / 4.0)
     p.add_argument("--reflection-amplitude", type=float, default=0.0)
     p.add_argument("--reflection-center-ps", type=float, default=-2_000.0)
     p.add_argument("--reflection-sigma-ps", type=float, default=250.0)
@@ -568,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = rng_sub.add_parser("extract", help="one parity bit per message line")
     p.add_argument("--messages", required=True)
-    p.add_argument("--max-chars", type=int, default=_MAX_MESSAGE_CHARS)
     p.add_argument("--bits-out", required=True)
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_extract)
@@ -589,14 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = rng_sub.add_parser("independence", help="Fisher exact independence of two streams")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--truncate", action="store_true", help="truncate to the shorter stream")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_independence)
 
     p = sub.add_parser("audit", help="setting-choice uniformity audit with LEE correction")
     p.add_argument("--counts", default=None, help="n00,n01,n10,n11")
     p.add_argument("--settings", default=None, help="raw settings stream (JSON-lines) to tabulate")
-    p.add_argument("--label", default="")
     p.add_argument("--lee-reps", type=int, default=10_000)
     p.add_argument("--alpha", type=float, default=0.05)
     _add_common(p)

@@ -276,6 +276,9 @@ def sweep(
     return out
 
 
+# An entangled trial's chance to win its game: Tsirelson's bound, (2 + sqrt 2)/4.
+TSIRELSON_WIN_PROB = (2.0 + math.sqrt(2.0)) / 4.0
+
 # Mean delay of an afterpulse after its channel's second-round window start.
 _AFTERPULSE_DECAY_PS = 1_500.0
 
@@ -301,6 +304,9 @@ class StreamParams:
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.afterpulse_prob <= 1.0:
             raise ValueError(f"afterpulse_prob must lie in [0, 1], got {self.afterpulse_prob}")
         for name in ("reflection_amplitude", "dark_rate"):
@@ -320,24 +326,21 @@ def synth_experiment(
     attempts: int,
     seed: int,
     entangle_prob: float = 0.3,
-    win_prob: float = (2.0 + math.sqrt(2.0)) / 4.0,
 ) -> tuple[DetectionTable, AttemptTable]:
     """Detections plus per-attempt settings and outcomes.
 
     Entangled attempts emit one signal photon in each round, on a uniformly
     random channel; their outcomes win the game of the state implied by the
-    two signal channels with probability `win_prob`. All other attempts
-    produce uncorrelated outcomes, so heralds caused by reflections,
-    afterpulses or dark counts carry no violation. Detection rows come out
-    sorted by (attempt, exact time), ties in draw order, and times are
-    rounded half to even and clamped at 0.
+    two signal channels with probability TSIRELSON_WIN_PROB. All other
+    attempts produce uncorrelated outcomes, so heralds caused by
+    reflections, afterpulses or dark counts carry no violation. Detection
+    rows come out sorted by (attempt, exact time), ties in draw order, and
+    times are rounded half to even and clamped at 0.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     if not 0.0 <= entangle_prob <= 1.0:
         raise ValueError(f"entangle_prob must lie in [0, 1], got {entangle_prob}")
-    if not 0.0 <= win_prob <= 1.0:
-        raise ValueError(f"win_prob must lie in [0, 1], got {win_prob}")
     rng = rngstream.stream(seed)
     entangled = rng.random(attempts) < entangle_prob
     idx = np.flatnonzero(entangled)
@@ -398,7 +401,7 @@ def synth_experiment(
     u = rng.random((attempts, 5))
     settings_a = (u[:, 0] < 0.5).astype(np.int64)
     settings_b = (u[:, 1] < 0.5).astype(np.int64)
-    out_a, out_b = _game_outcomes(true_tag, settings_a, settings_b, u[:, 3] < win_prob, u[:, 2], u[:, 4])
+    out_a, out_b = _game_outcomes(true_tag, settings_a, settings_b, u[:, 3] < TSIRELSON_WIN_PROB, u[:, 2], u[:, 4])
     attempt_table = AttemptTable(np.arange(attempts, dtype=np.int64), settings_a, settings_b, out_a, out_b)
     return detections, attempt_table
 

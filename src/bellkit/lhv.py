@@ -296,20 +296,14 @@ def _play_heralded(strategy: Strategy, params: BiasParams, n_heralds: int, seed:
     return counts
 
 
-def simulate_reference(
-    win_prob_per_state: Mapping[int, float],
-    herald_rate: float,
-    attempts: int,
-    seed: int,
-    psi_plus_share: float = 0.5,
-) -> TrialSet:
+def simulate_reference(win_prob_per_state: Mapping[int, float], herald_rate: float, attempts: int, seed: int) -> TrialSet:
     """I.i.d. synthetic experiment with uniform settings.
 
     Each attempt heralds with probability `herald_rate`; heralded attempts
-    split between the two states per `psi_plus_share` (restricted to the
-    states present in `win_prob_per_state`). The trial then wins its game
-    with the state's probability, and outcomes consistent with the win or
-    loss are synthesized. Not an adversary: this is the stand-in for
+    split evenly between the two states of `win_prob_per_state`, or all
+    take its one state. The trial then wins its game with the state's
+    probability, and outcomes consistent with the win or loss are
+    synthesized. Not an adversary: this is the stand-in for
     entangled-state statistics.
     """
     if attempts < 1:
@@ -323,17 +317,12 @@ def simulate_reference(
             raise ValueError(f"states must be -1 or +1, got {state!r}")
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"win probability must lie in [0, 1], got {w}")
-    if not 0.0 <= psi_plus_share <= 1.0:
-        raise ValueError(f"psi_plus_share must lie in [0, 1], got {psi_plus_share}")
-    if HERALD_PSI_PLUS not in win_prob_per_state:
-        psi_plus_share = 0.0
-    elif HERALD_PSI_MINUS not in win_prob_per_state:
-        psi_plus_share = 1.0
+    plus_share = 0.5 if len(win_prob_per_state) == 2 else float(HERALD_PSI_PLUS in win_prob_per_state)
 
     rng = rngstream.stream(seed)
     u = rng.random((attempts, 7))
     heralded = u[:, 0] < herald_rate
-    tags = np.where(heralded, np.where(u[:, 1] < psi_plus_share, HERALD_PSI_PLUS, HERALD_PSI_MINUS), 0)
+    tags = np.where(heralded, np.where(u[:, 1] < plus_share, HERALD_PSI_PLUS, HERALD_PSI_MINUS), 0)
     settings_a = (u[:, 2] < 0.5).astype(int)
     settings_b = (u[:, 3] < 0.5).astype(int)
     win_prob = np.zeros(attempts)

@@ -62,14 +62,14 @@ class BiasEstimate:
     n: int
 
 
-def extract_bits(data: bytes, max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
+def extract_bits(data: bytes) -> BitStream:
     """One bit per line of UTF-8 `data`: the parity of the total number of ones across its code points.
 
     Lines end at \\n, \\r\\n or a lone \\r, as text mode reads them; the last
     needs no terminator. An empty message yields 0 (the empty parity) with a
-    warning; an over-long message raises, naming its line counted from 1,
-    after the empty ones before it warn. Data that is not UTF-8 raises,
-    naming the line and the first undecodable byte.
+    warning; a message over MAX_MESSAGE_CHARS characters raises, naming its
+    line counted from 1, after the empty ones before it warn. Data that is
+    not UTF-8 raises, naming the line and the first undecodable byte.
     """
     try:
         data.decode("utf-8")
@@ -79,11 +79,11 @@ def extract_bits(data: bytes, max_chars: int = MAX_MESSAGE_CHARS) -> BitStream:
     lengths = list(map(len, data.translate(None, _CONTINUATION_BYTES).split(b"\n")))
     if lengths[-1] == 0:  # a final terminator, or no data at all, starts no message
         lengths.pop()
-    over = next((line for line, size in enumerate(lengths, start=1) if size > max_chars), None)
+    over = next((line for line, size in enumerate(lengths, start=1) if size > MAX_MESSAGE_CHARS), None)
     for _ in range(lengths[:over].count(0)):
         warnings.warn("empty message maps to bit 0", stacklevel=2)
     if over is not None:
-        raise ValueError(f"line {over}: message has {lengths[over - 1]} characters, limit is {max_chars}")
+        raise ValueError(f"line {over}: message has {lengths[over - 1]} characters, limit is {MAX_MESSAGE_CHARS}")
     odd = data.translate(None, _EVEN_BYTES).split(b"\n")
     return BitStream(bytes([len(line) & 1 for line in odd[: len(lengths)]]))
 

@@ -347,7 +347,6 @@ def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
 class AuditRow:
     """One dataset's audit: four local P-values plus the joint significance."""
 
-    label: str
     n: int
     p_rng_a: float
     p_rng_b: float
@@ -360,7 +359,6 @@ class AuditRow:
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "label": self.label,
             "n": self.n,
             "p_rng_a": self.p_rng_a,
             "p_rng_b": self.p_rng_b,
@@ -376,7 +374,7 @@ class AuditRow:
         }
 
 
-def audit_row(counts: SettingCounts, seed: int, lee_reps: int, label: str = "", alpha: float = 0.05) -> AuditRow:
+def audit_row(counts: SettingCounts, seed: int, lee_reps: int, alpha: float = 0.05) -> AuditRow:
     """Run all four tests plus the look-elsewhere correction on one table.
 
     One null (`_uniform4_null`), built once `alpha` and `lee_reps` pass
@@ -387,7 +385,6 @@ def audit_row(counts: SettingCounts, seed: int, lee_reps: int, label: str = "", 
     null = functools.cache(functools.partial(_uniform4_null, n, lee_reps, seed))
     p_joint_lee, p_threshold = _look_elsewhere(n, alpha, lee_reps, seed, null)
     return AuditRow(
-        label=label,
         n=n,
         p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
         p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),

@@ -115,14 +115,14 @@ def play_heralded(strategy, params, n_heralds, rng):
     return SimStats(*totals)
 
 
-def message_to_bit(text, max_chars=MAX_MESSAGE_CHARS):
+def message_to_bit(text):
     """Parity of the total number of ones across the code points of `text`, one character at a time.
 
     An over-long message raises; an empty message yields 0 (the empty
     parity) with a warning rather than an error.
     """
-    if len(text) > max_chars:
-        raise ValueError(f"message has {len(text)} characters, limit is {max_chars}")
+    if len(text) > MAX_MESSAGE_CHARS:
+        raise ValueError(f"message has {len(text)} characters, limit is {MAX_MESSAGE_CHARS}")
     if not text:
         warnings.warn("empty message maps to bit 0", stacklevel=2)
         return 0

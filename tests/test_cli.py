@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import bellkit
-from bellkit import cli, lhv, pvalues, randomness
+from bellkit import cli, lhv, pvalues
 from bellkit.heralding import WindowConfig
 from bellkit.trials import read_trials
 from oracles import message_to_bit
@@ -127,6 +127,21 @@ class TestCombine:
     def test_merge_rejects_run_with_more_wins_than_trials(self, capsys):
         code, out, err = run(capsys, "combine", "--mode", "merge", "--counts", "10:8,5:7")
         assert (code, out, err) == (1, "", "error: --counts pair '5:7' needs n >= 1 and 0 <= k <= n\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--mode", "merge", "--counts", "10:5", "--pvalues", "0.1,0.2"), "--pvalues needs --mode fisher"),
+            (("--mode", "fisher", "--pvalues", "0.1,0.2", "--counts", "10:5"), "--counts needs --mode merge"),
+            (("--mode", "fisher", "--pvalues", "0.1,0.2", "--f", "0.01"), "--f needs --mode merge"),
+            (("--mode", "fisher", "--pvalues", "0.1,0.2", "--tau", "0.1"), "--tau needs --mode merge"),
+        ],
+        ids=["merge-pvalues", "fisher-counts", "fisher-f", "fisher-tau"],
+    )
+    def test_option_of_the_other_mode_exits_one(self, capsys, argv, message):
+        # An option that the chosen mode does not read would be silently ignored.
+        code, out, err = run(capsys, "combine", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_merge_rejects_negative_run(self, capsys):
         # The sums (5, 5) alone would pass; each run is checked on its own.
@@ -334,6 +349,12 @@ class TestSimulateAndAdversary:
         code, out, err = run(capsys, "adversary", "--n", "10", "--runs", "4", "--alpha", alpha)
         assert (code, out) == (1, "")
         assert err == f"error: alpha must lie in [0, 1], got {float(alpha)}\n"
+
+    def test_simulate_unknown_strategy_exits_one(self, capsys):
+        # lhv.make_strategy checks the name for simulate as it does for adversary.
+        code, out, err = run(capsys, "simulate", "--strategy", "bogus", "--attempts", "10")
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown strategy 'bogus', expected one of {sorted(lhv.CATALOG)}\n"
 
     @pytest.mark.parametrize("strategies", ["", "coin-flip,"])
     def test_adversary_empty_strategy_name_exits_one(self, capsys, strategies):
@@ -652,17 +673,17 @@ class TestAuditOutputsPinned:
     the look-elsewhere tape: the exact enumerated value 0.05309022675083941
     (error 0.0) at n = 245, and (1 + hits) / (1 + 100,000) = 9687/100001
     against the reference sample at n = 4,000. The reports also no longer
-    name an ordering, and their config hash no longer covers a reps or a
-    format option, so the hash moved.
+    name an ordering or a label, and their config hash no longer covers a
+    reps, a format or a label option, so the hash moved.
     """
 
     @pytest.mark.parametrize(
         "args, digest",
         [
-            (("--counts", "53,79,62,51"), "f5f0f07060b96977d61f2d2f98573e498eb7bfaa7a88358d5bfc0433758ae6b6"),
+            (("--counts", "53,79,62,51"), "dfb5289c85525ed50188f7fc5eb7873fb45294951621108c925eb08d6d386311"),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
-                "da55157efaa334f0c74582d7b12927e24259dff3fd1553a5eea7086d7dbe2b78",
+                "46d461f93b7aa5fdc9672f95317c09c8d6173bb64055b01e8126fcd55eb35b43",
             ),
         ],
         ids=["paper-counts", "n4000"],
@@ -679,16 +700,16 @@ class TestRngOutputsPinned:
 
     Run in the temporary directory with relative file names, since each
     report's config hash covers the file paths. That hash no longer covers
-    a packed option, so it moved.
+    a packed, a max-chars or a truncate option, so it moved.
     """
 
     DIGESTS = {
         "bits.txt": "fccbe6709147c31fc39f2c93d5b0efc14c0644460700d9ea50580d91059849dc",
         "combined.txt": "4fd92e01248b8b5c965603e52a5d3176f7f3f87bdc0873441febb5f7bbd4b675",
-        "extract.json": "81b9a93042be5e66a7da4c191b170b1bf063b5c7c6f1b2c545913ebac81c92cc",
+        "extract.json": "6c1aa205fcf2e0cefeda4d94849ea90ef86550642c5b4f7f0daeb20765b1d3ff",
         "bias.json": "e80861a901cb8a2f448db7510b1bee79d3ccf9a3af73b33fc6625a1abca360b5",
         "combine.json": "8892f016094176183d6336697a5dbe4e62cf5a05353bdea020f35f3eb7cb0bf6",
-        "independence.json": "393088a7484fb34e7bda99b3bc9a451f8f1d07695a43abad360b0188b1ab52c0",
+        "independence.json": "b8c93f74c168a33b5430cc1c1dce14c8030403c9956026141e1dff5ac021c96b",
     }
 
     def test_bit_files_and_report_bytes(self, capsys, tmp_path, monkeypatch):
@@ -741,10 +762,8 @@ class TestRng:
         )
         assert report["bits"] == 10
 
-        report = run_json(
-            capsys, "rng", "independence", "--a", bits, "--b", str(quantum), "--truncate"
-        )
-        assert 0.0 < report["p"] <= 1.0
+        report = run_json(capsys, "rng", "independence", "--a", combined, "--b", str(quantum))
+        assert report["n"] == 10 and 0.0 < report["p"] <= 1.0
 
     def test_extract_names_file_and_line_of_over_long_message(self, capsys, tmp_path):
         messages = tmp_path / "messages.txt"
@@ -871,7 +890,7 @@ class TestInfrastructure:
             ["rng", "extract", "--messages", "messages.txt", "--bits-out", "a.txt"],
             ["rng", "bias", "--bits", "a.txt"],
             ["rng", "combine", "--classical", "a.txt", "--quantum", "b.txt", "--bits-out", "c.txt"],
-            ["rng", "independence", "--a", "a.txt", "--b", "c.txt", "--truncate"],
+            ["rng", "independence", "--a", "b.txt", "--b", "c.txt"],
         ]
         big_audit = run_without_scipy(tmp_path, commands)[4]
         assert big_audit["n"] == 5000 and big_audit["independence_test"] == "fisher"
@@ -974,18 +993,28 @@ class TestInfrastructure:
             (("rng", "bias", "--bits", "b.txt"), "--packed", None),
             (("rng", "combine", "--classical", "b.txt", "--quantum", "q.txt", "--bits-out", "c.txt"), "--packed", None),
             (("rng", "independence", "--a", "b.txt", "--b", "q.txt"), "--packed", None),
+            (("audit", "--counts", "53,79,62,51", "--lee-reps", "1000"), "--label", "run-1"),
+            (("rng", "independence", "--a", "b.txt", "--b", "q.txt"), "--truncate", None),
+            (("simulate-reference", "--win-prob-minus", "0.9", "--attempts", "200"), "--psi-plus-share", "0.25"),
+            (("rng", "extract", "--messages", "m.txt", "--bits-out", "b.txt"), "--max-chars", "280"),
+            (SYNTH, "--win-prob", "0.75"),
         ],
         ids=["simulate", "adversary", "audit", "audit-reps", "analyze-beta-form", "combine-beta-form",
              "bound-beta-form", "synth-mode", "synth-signal-prob", "audit-format", "extract-packed", "bias-packed",
-             "combine-packed", "independence-packed"],
+             "combine-packed", "independence-packed", "audit-label", "independence-truncate",
+             "reference-psi-plus-share", "extract-max-chars", "synth-win-prob"],
     )
     def test_removed_options_exit_one(self, capsys, tmp_path, argv, flag, value):
         # Settings have one bias law, the joint-uniformity test one ordering,
         # and the audit one null, whose size --lee-reps sets. Every P-value is
         # taken at the lemma bound, and herald synth draws one synthetic
         # experiment, detections and attempt records both. Every command
-        # writes its JSON report, and every bit file is ASCII. A value of None
-        # marks a flag that takes none; its config value is true.
+        # writes its JSON report, and every bit file is ASCII. An audit report
+        # names no row, streams of unequal length are an error, the herald
+        # gives both Bell states equally often, a message is at most 140
+        # characters, and an entangled synthetic trial wins at Tsirelson's
+        # bound. A value of None marks a flag that takes none; its config
+        # value is true.
         given = (flag,) if value is None else (flag, value)
         code, out, err = run(capsys, *argv, *given)
         assert (code, out) == (1, "") and f"unrecognized arguments: {' '.join(given)}" in err
@@ -1091,7 +1120,8 @@ class TestConfigValues:
             ({"seed": 1.5}, ("simulate", "--attempts", "10"), "seed: invalid int value 1.5"),
             ({"block8": "no"}, ("rng", "bias", "--bits", "b.txt"), 'block8 must be true or false, got "no"'),
             ({"lee-reps": 1500.5}, ("audit", "--counts", "53,79,62,51"), "lee-reps: invalid int value 1500.5"),
-            ({"label": None}, ("audit", "--counts", "53,79,62,51"), "label must be a string or a number, got null"),
+            ({"settings": None}, ("audit", "--counts", "53,79,62,51"),
+             "settings must be a string or a number, got null"),
             ({"lee-reps": [1000]}, ("audit", "--counts", "53,79,62,51"),
              "lee-reps must be a string or a number, got [1000]"),
             ({"tau": {"value": 0.1}}, ("bound",), 'tau must be a string or a number, got {"value": 0.1}'),
@@ -1148,22 +1178,3 @@ class TestAuditSettingsStream:
             capsys, "audit", "--counts", "1,2,3,4", "--settings", str(settings)
         )
         assert code == 1 and "exactly one" in err
-
-
-class TestParserConstants:
-    # build_parser holds literal copies of module constants, so that --help
-    # and usage errors execute no analysis module; each copy must match.
-
-    @staticmethod
-    def action(path, dest):
-        parser = cli.build_parser()
-        for name in path:
-            subparsers = next(a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction))
-            parser = subparsers.choices[name]
-        return next(a for a in parser._actions if a.dest == dest)
-
-    def test_choices_copy_the_module_constant(self):
-        assert list(self.action(("simulate",), "strategy").choices) == sorted(lhv.CATALOG)
-
-    def test_max_chars_default_copies_the_module_constant(self):
-        assert self.action(("rng", "extract"), "max_chars").default == randomness.MAX_MESSAGE_CHARS

@@ -485,6 +485,13 @@ class TestSynthStream:
         with pytest.raises(ValueError):
             StreamParams(decay_ps=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(asdict(StreamParams())))
+    def test_non_finite_param_names_its_field(self, name, value):
+        # NaN passes every comparison check, and an infinite time constant or centre casts to a garbage time.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            StreamParams(**{name: value})
+
 
 class TestSynthExperiment:
     def test_entangled_attempts_violate_spurious_do_not(self):

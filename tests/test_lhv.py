@@ -331,16 +331,18 @@ class TestSimulateReference:
         assert abs(estimate.s_weighted - 2.0 * math.sqrt(2.0)) < 5 * estimate.sigma
 
     def test_herald_rate_and_state_split(self):
-        ts = simulate_reference({-1: 0.8, +1: 0.8}, herald_rate=0.5, attempts=40_000, seed=14, psi_plus_share=0.25)
+        # Both states given: heralds split evenly between them.
+        ts = simulate_reference({-1: 0.8, +1: 0.8}, herald_rate=0.5, attempts=40_000, seed=14)
         tags = ts.tag.tolist()
         n_heralded = sum(1 for t in tags if t != 0)
         n_plus = sum(1 for t in tags if t == 1)
         assert abs(n_heralded / len(tags) - 0.5) <= three_sigma(0.5, len(tags))
-        assert abs(n_plus / n_heralded - 0.25) <= three_sigma(0.25, n_heralded)
+        assert abs(n_plus / n_heralded - 0.5) <= three_sigma(0.5, n_heralded)
 
     def test_single_state_map_forces_share(self):
-        ts = simulate_reference({+1: 0.9}, herald_rate=1.0, attempts=500, seed=15)
-        assert all(t == 1 for t in ts.tag.tolist())
+        for state in (-1, +1):
+            ts = simulate_reference({state: 0.9}, herald_rate=1.0, attempts=500, seed=15)
+            assert all(t == state for t in ts.tag.tolist())
 
     def test_validation(self):
         with pytest.raises(ValueError):

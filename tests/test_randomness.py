@@ -9,7 +9,7 @@ import pytest
 from oracles import message_to_bit
 from scipy import stats
 
-from bellkit import cli, randomness, rngstream
+from bellkit import cli, rngstream
 from bellkit.randomness import (
     BitStream,
     block8,
@@ -31,8 +31,8 @@ def encode_lines(messages):
     return "".join(text + "\n" for text in messages).encode("utf-8")
 
 
-def bit(text, max_chars=randomness.MAX_MESSAGE_CHARS):
-    return int(extract_bits(encode_lines([text]), max_chars).bits[0])
+def bit(text):
+    return int(extract_bits(encode_lines([text])).bits[0])
 
 
 class TestBitStreamConstruction:
@@ -96,7 +96,6 @@ class TestMessageToBit:
         bit("x" * 140)
         with pytest.raises(ValueError, match="^line 1: message has 141 characters, limit is 140$"):
             bit("x" * 141)
-        bit("x" * 200, max_chars=280)
         with pytest.raises(ValueError, match="^message has 141 characters, limit is 140$"):
             message_to_bit("x" * 141)
 
@@ -110,7 +109,7 @@ def random_messages(seed, count, empty_share=0.05):
     return ["".join(chr(c) for c in rng.choice(alphabet, size=n)) for n in lengths]
 
 
-def oracle_run(messages, max_chars):
+def oracle_run(messages):
     """(bits or the error message, warnings) of the scalar oracle applied message by message."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -118,7 +117,7 @@ def oracle_run(messages, max_chars):
             bits = []
             for lineno, text in enumerate(messages, start=1):
                 try:
-                    bits.append(message_to_bit(text, max_chars))
+                    bits.append(message_to_bit(text))
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
             outcome = bits
@@ -127,11 +126,11 @@ def oracle_run(messages, max_chars):
     return outcome, [str(w.message) for w in caught]
 
 
-def extract_run(messages, max_chars):
+def extract_run(messages):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            outcome = list(extract_bits(encode_lines(messages), max_chars).bits)
+            outcome = list(extract_bits(encode_lines(messages)).bits)
         except ValueError as exc:
             outcome = str(exc)
     return outcome, [str(w.message) for w in caught]
@@ -143,36 +142,39 @@ class TestVectorisedParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_unicode_messages(self, seed):
         messages = [m for m in random_messages(seed, 3000) if len(m) <= 140]
-        outcome, caught = extract_run(messages, 140)
-        assert (outcome, caught) == oracle_run(messages, 140)
+        outcome, caught = extract_run(messages)
+        assert (outcome, caught) == oracle_run(messages)
         assert caught
 
     def test_lengths_140_and_141(self):
+        # The first 141-character message in a random mix is named, after the empty ones before it warn.
         messages = random_messages(7, 400)
         assert {140, 141} <= set(map(len, messages))
-        assert extract_run(messages, 141) == oracle_run(messages, 141)
+        outcome, caught = extract_run(messages)
+        assert outcome.endswith("message has 141 characters, limit is 140")
+        assert (outcome, caught) == oracle_run(messages)
 
     @pytest.mark.parametrize("line", [1, 1024, 1025, 2100])
     def test_over_long_message_names_its_line(self, line):
         messages = [m[:140] for m in random_messages(11, 2100, empty_share=0.2)]
         messages[line - 1] = "\U0001f600" * 141
-        outcome, caught = extract_run(messages, 140)
+        outcome, caught = extract_run(messages)
         assert outcome == f"line {line}: message has 141 characters, limit is 140"
-        assert (outcome, caught) == oracle_run(messages, 140)
+        assert (outcome, caught) == oracle_run(messages)
 
     @pytest.mark.parametrize("chunk", [1, 5, 1024])
     def test_chunk_sizes_agree(self, chunk):
         # A bit depends on its message alone: extracting the messages `chunk`
         # at a time and joining the streams gives the oracle's bits and warnings.
         messages = [m for m in random_messages(12, 2500) if len(m) <= 140]
-        runs = [extract_run(messages[lo : lo + chunk], 140) for lo in range(0, len(messages), chunk)]
+        runs = [extract_run(messages[lo : lo + chunk]) for lo in range(0, len(messages), chunk)]
         joined = [bit for outcome, _ in runs for bit in outcome], [w for _, caught in runs for w in caught]
-        assert joined == oracle_run(messages, 140)
+        assert joined == oracle_run(messages)
 
     def test_lone_surrogates_and_nul(self):
         # NUL is a character like any other; an encoded surrogate is not UTF-8 at all.
         messages = ["\x00", "\x00\x00a"]
-        assert extract_run(messages, 140) == oracle_run(messages, 140)
+        assert extract_run(messages) == oracle_run(messages)
         for surrogate in ("\ud800", "a\udfff"):
             data = b"ok\n" + surrogate.encode("utf-8", "surrogatepass") + b"\n"
             with pytest.raises(ValueError, match="^line 2: byte 0xed is not valid UTF-8"):

@@ -331,11 +331,11 @@ class TestLeeThreshold:
 
 class TestAuditRow:
     def test_row_assembly_and_serialization(self):
-        row = audit_row(FIRST_RUN, seed=11, label="run-1", lee_reps=1000)
+        row = audit_row(FIRST_RUN, seed=11, lee_reps=1000)
         assert row.n == 245
         assert row.p_independence == pytest.approx(0.029, abs=0.002)
         data = row.to_dict()
-        assert data["label"] == "run-1" and data["independence_test"] == "fisher"
+        assert data["independence_test"] == "fisher" and data["seed"] == 11
         # Every field is reported, each Monte Carlo P-value with its error, and the test's name.
         fields = {field.name for field in dataclasses.fields(row)}
         assert set(data) == fields | {"p_joint_uniform_mc_error", "p_joint_lee_mc_error", "independence_test"}
