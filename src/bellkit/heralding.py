@@ -33,7 +33,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -98,10 +98,6 @@ class WindowConfig:
 
     def start(self, channel: int) -> int:
         return self.start_ch0_ps if channel == 0 else self.start_ch1_ps
-
-    def shifted(self, offset_ps: int) -> "WindowConfig":
-        """Both channels' window starts moved by a common offset."""
-        return replace(self, start_ch0_ps=self.start_ch0_ps + offset_ps, start_ch1_ps=self.start_ch1_ps + offset_ps)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "WindowConfig":
@@ -252,10 +248,24 @@ def sweep(
     if not 0.75 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [3/4, 1], got {beta}")
     rows = _attempt_rows(detections, table)
+    # Each detection placed once: time since its channel's window start, that
+    # time less its round-2 window length, and its (attempt row, channel) cell.
+    on_ch1 = detections.channel == 1
+    since_start = detections.time_ps - np.where(on_ch1, windows.start_ch1_ps, windows.start_ch0_ps)
+    less_second = since_start - np.where(on_ch1, windows.len_second_ch1_ps, windows.len_second_ch0_ps)
+    cell = 2 * rows + detections.channel
     out = []
     for offset in offsets_ps:
         offset = int(offset)
-        clicks_1, clicks_2, tag = _round_clicks(detections, rows, len(table), windows.shifted(offset))
+        second_start = offset + windows.second_window_offset_ps
+        first = (since_start >= offset) & (since_start < offset + windows.len_first_ps)
+        second = (since_start >= second_start) & (less_second < second_start)
+        # Clicks per (attempt row, channel); with one click per round, its channel is its channel-1 count.
+        round_1, round_2 = (np.bincount(cell[hit], minlength=2 * len(table)).reshape(-1, 2) for hit in (first, second))
+        clicks_1, clicks_2 = round_1.sum(axis=1), round_2.sum(axis=1)
+        heralded = (clicks_1 == 1) & (clicks_2 == 1)
+        same_channel = round_1[:, 1] == round_2[:, 1]
+        tag = np.where(heralded, np.where(same_channel, HERALD_PSI_PLUS, HERALD_PSI_MINUS), HERALD_NONE)
         cells = CellTable.from_columns(tag, table.setting_a, table.setting_b, table.outcome_a, table.outcome_b)
         k, n = cells.k_n()
         estimate = chsh_s(cells, strict=False)
@@ -320,6 +330,13 @@ def _round_anchor(windows: WindowConfig, channel: int, round_index: int) -> int:
     return windows.start(channel) + (windows.second_window_offset_ps if round_index == 1 else 0)
 
 
+def _attempt_time_order(attempt: np.ndarray, time: np.ndarray) -> np.ndarray:
+    """Row order by attempt, then time, ties kept: complex keys sort by real, then imaginary part."""
+    key = np.empty(len(attempt), dtype=np.complex128)
+    key.real, key.imag = attempt, time  # attempt ids are exact in float64
+    return np.argsort(key, kind="stable")
+
+
 def synth_experiment(
     params: StreamParams,
     windows: WindowConfig,
@@ -334,8 +351,8 @@ def synth_experiment(
     two signal channels with probability TSIRELSON_WIN_PROB. All other
     attempts produce uncorrelated outcomes, so heralds caused by
     reflections, afterpulses or dark counts carry no violation. Detection
-    rows come out sorted by (attempt, exact time), ties in draw order, and
-    times are rounded half to even and clamped at 0.
+    rows come out sorted by (attempt, exact time) in one stable sort, ties
+    in draw order, and times are rounded half to even and clamped at 0.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
@@ -393,7 +410,7 @@ def synth_experiment(
             add(hits, channel, rng.uniform(lo, hi, size=len(hits)))
 
     attempt, channel, time = (np.concatenate(column) for column in (ids, channels, times))
-    order = np.lexsort((time, attempt))
+    order = _attempt_time_order(attempt, time)
     detections = DetectionTable(attempt[order], channel[order], np.maximum(np.rint(time[order]), 0.0).astype(np.int64))
 
     true_tag = np.zeros(attempts, dtype=np.int64)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from .pvalues import fisher_two_sided
 
 MAX_MESSAGE_CHARS = 140
+# Bytes of message data checked as UTF-8 per pass, then up to the end of the line; bounds the decoded copy.
+_DECODE_CHUNK = 1 << 20
 
 # Per UTF-8 byte, the parity of its ones, flipped for a lead byte (0xC0 and up): the marker bits of every
 # multibyte sequence hold an odd number of ones, so a message's bytes give the parity of its code points.
@@ -71,15 +73,24 @@ def extract_bits(data: bytes) -> BitStream:
     line counted from 1, after the empty ones before it warn. Data that is
     not UTF-8 raises, naming the line and the first undecodable byte.
     """
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(_undecodable_line(data, exc)) from None
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = 0
+    while start < len(data):  # slices cut after a line feed, which no multibyte sequence holds
+        end = data.find(b"\n", start + _DECODE_CHUNK) + 1 or len(data)
+        try:
+            data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = start + exc.start  # the first invalid byte; lines end at \n, \r\n or \r, as text mode reads them
+            line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
+            raise ValueError(f"line {line}: byte 0x{data[at]:02x} is not valid UTF-8 ({exc.reason})") from None
+        start = end
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     lengths = list(map(len, data.translate(None, _CONTINUATION_BYTES).split(b"\n")))
     if lengths[-1] == 0:  # a final terminator, or no data at all, starts no message
         lengths.pop()
-    over = next((line for line, size in enumerate(lengths, start=1) if size > MAX_MESSAGE_CHARS), None)
+    over = None
+    if max(lengths, default=0) > MAX_MESSAGE_CHARS:
+        over = next(line for line, size in enumerate(lengths, start=1) if size > MAX_MESSAGE_CHARS)
     for _ in range(lengths[:over].count(0)):
         warnings.warn("empty message maps to bit 0", stacklevel=2)
     if over is not None:
@@ -139,14 +150,6 @@ def independence_test(a: BitStream, b: BitStream) -> float:
     n11 = (int.from_bytes(a.bits, "little") & int.from_bytes(b.bits, "little")).bit_count()
     n10, n01 = a.bits.count(1) - n11, b.bits.count(1) - n11
     return fisher_two_sided(len(a) - n11 - n10 - n01, n01, n10, n11)
-
-
-def _undecodable_line(data: bytes, exc: UnicodeDecodeError) -> str:
-    """Message naming the line and byte of `exc`, the first invalid UTF-8 in `data`."""
-    head = data[: exc.start]
-    # Lines end at \n, \r\n or \r, as text mode reads them.
-    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
 
 
 def write_bits(target: str, stream: BitStream) -> None:

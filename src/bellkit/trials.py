@@ -17,8 +17,8 @@ over them.
 This module also owns what the record tables of trials, attempts and
 detections share: one construction check that makes each column a
 read-only int64 column and checks lengths and domains, and the JSON-lines
-format of integer records, with one reader and one chunked row writer.
-Errors name the row, or the file line.
+format of integer records: one reader and one chunked row writer, both
+on one vectorised row formatter. Errors name the row, or the file line.
 """
 from __future__ import annotations
 
@@ -330,7 +330,7 @@ def chsh_s(table: CellTable, strict: bool = True) -> ChshEstimate | None:
 # ---------------------------------------------------------------------------
 # JSON-lines records of integer fields
 
-# Rows formatted per write call; bounds the transient strings of a large table.
+# Rows formatted per write call; bounds the transient arrays and strings of a large table.
 _WRITE_CHUNK = 65_536
 # Characters read per pass of the record reader's fast path, then up to the
 # end of the line; bounds its transient copies.
@@ -358,22 +358,23 @@ def _read_path(path: str, reader: Callable[[IO[str]], _T], newline: str | None =
 def _compact_rows(chunk: str, row: str, width: int) -> np.ndarray | None:
     """The rows of `chunk` if it is exactly what the writer emits with `row`, else None.
 
-    The integers are parsed in one numpy call and kept only if formatting
-    them with `row` gives `chunk` back, so leading zeros, -0, floats,
-    bools, whitespace, other or reordered keys, empty lines, a missing
-    final newline and values beyond 64 bits all give None.
+    The integers are parsed in one numpy call and kept only if
+    `_format_rows` gives the bytes of `chunk` back, so leading zeros, +, -0,
+    floats, bools, whitespace, other or reordered keys, empty lines, a
+    missing final newline and values beyond 64 bits all give None.
     """
     try:
+        data = chunk.encode("ascii")
         with warnings.catch_warnings():
             # numpy 1.x only warns where numpy 2 raises on unparsed text.
             warnings.simplefilter("error")
-            values = np.fromstring(chunk.encode("ascii").translate(_INTEGER_BYTES), dtype=np.int64, sep=" ")
+            values = np.fromstring(data.translate(_INTEGER_BYTES), dtype=np.int64, sep=" ")
     except (ValueError, Warning):
         return None
-    count = values.size // width
-    if values.size % width or (row * count) % tuple(values.tolist()) != chunk:
+    if values.size % width:
         return None
-    return values.reshape(count, width)
+    rows = values.reshape(-1, width)
+    return rows if _format_rows(rows, row) == data else None
 
 
 def _json_records(source: Iterable[str], fields: Sequence[str], first_line: int) -> tuple[np.ndarray, list[int]]:
@@ -438,12 +439,39 @@ def _read_records(source: IO[str], fields: Sequence[str]) -> tuple[np.ndarray, S
     return rows, range(1, len(rows) + 1)
 
 
+def _format_rows(rows: np.ndarray, row_format: str) -> bytes:
+    """`row_format`, ASCII with one `%d` per column, %-formatted with each row of the int64 `rows` in turn.
+
+    Each field's sign and digits go right-aligned into NUL-padded uint8 rows
+    as wide as its column's widest value, between the literal text; the NULs are then dropped.
+    """
+    literals = [np.frombuffer(part, dtype=np.uint8)[:, None] for part in row_format.encode("ascii").split(b"%d")]
+    blocks = [literals[0]]
+    for column, literal in zip(rows.T, literals[1:]):
+        negative = column < 0
+        # -(2**63) negates to itself, which as uint64 is its magnitude.
+        magnitude = np.where(negative, -column, column).astype(np.uint64)
+        widest = int(magnitude.max(initial=0))
+        if widest < 2**32:
+            magnitude = magnitude.astype(np.uint32)  # divides several times faster
+        digits = np.empty((len(str(widest)), len(rows)), dtype=np.uint8)
+        for k in range(len(digits) - 1, -1, -1):
+            quotient = magnitude // 10
+            # A leading zero becomes NUL; the last digit always stays.
+            digits[k] = (magnitude - 10 * quotient + 48) * ((magnitude != 0) | (k == len(digits) - 1))
+            magnitude = quotient
+        if negative.any():
+            blocks.append(negative[None, :] * np.uint8(ord("-")))
+        blocks += [digits, literal]
+    text = np.concatenate([np.broadcast_to(block, (len(block), len(rows))) for block in blocks])
+    return text.T.tobytes().translate(None, b"\0")
+
+
 def _write_rows(target: IO[str], row_format: str, columns: Sequence[np.ndarray]) -> None:
     """Write `row_format` filled from each row of the integer columns, in chunks of rows."""
     rows = np.column_stack(columns)
     for begin in range(0, len(rows), _WRITE_CHUNK):
-        chunk = rows[begin : begin + _WRITE_CHUNK]
-        target.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+        target.write(_format_rows(rows[begin : begin + _WRITE_CHUNK], row_format).decode("ascii"))
 
 
 def read_trials(source: str | IO[str]) -> TrialSet:

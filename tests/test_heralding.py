@@ -22,7 +22,8 @@ from bellkit.heralding import (
     write_detections,
     write_sweep_csv,
 )
-from bellkit.trials import TrialSet, aggregate
+from bellkit.pvalues import pvalue_complete
+from bellkit.trials import CellTable, TrialSet, aggregate, chsh_s
 
 WINDOWS = WindowConfig()
 
@@ -44,6 +45,11 @@ def attempt_table(*records):
 def detection_rows(detections):
     """(attempt_id, channel, time_ps) of each detection, in table order."""
     return list(zip(detections.attempt_id.tolist(), detections.channel.tolist(), detections.time_ps.tolist()))
+
+
+def shifted(windows, offset_ps):
+    """`windows` with both channels' window starts moved by a common offset, as a sweep moves them."""
+    return replace(windows, start_ch0_ps=windows.start_ch0_ps + offset_ps, start_ch1_ps=windows.start_ch1_ps + offset_ps)
 
 
 def herald_tags(detections, attempts, windows):
@@ -148,13 +154,6 @@ class TestWindowConfig:
     def test_second_round_may_start_where_the_first_ends(self):
         assert WindowConfig(second_window_offset_ps=50_000).second_window_offset_ps == WINDOWS.len_first_ps
 
-    def test_shift_moves_both_rounds(self):
-        shifted = WINDOWS.shifted(-700)
-        assert shifted.start_ch0_ps == WINDOWS.start_ch0_ps - 700
-        assert shifted.start_ch1_ps == WINDOWS.start_ch1_ps - 700
-        t = WINDOWS.start_ch0_ps + WINDOWS.second_window_offset_ps - 700
-        assert in_second(shifted, 0, t)
-
 
 def small_dataset(*extra_clicks):
     events = table(
@@ -181,7 +180,7 @@ class TestBuildAndSweep:
         k, n = aggregate(heralded_trials(events, attempts, WINDOWS))
         assert rows[0].n == n and rows[0].k == k
         tags = herald_tags(events, attempts, WINDOWS).tolist()
-        assert herald_tags(events, attempts, WINDOWS.shifted(0)).tolist() == tags
+        assert herald_tags(events, attempts, shifted(WINDOWS, 0)).tolist() == tags
 
     def test_sweep_no_extra_events_unchanged(self):
         events, attempts = small_dataset()
@@ -271,7 +270,7 @@ class TestColumnarRule:
         )
         offsets = [-1, 0, 1, -400]
         for row in sweep(events, attempts, WINDOWS, offsets):
-            windows = WINDOWS.shifted(row.offset_ps)
+            windows = shifted(WINDOWS, row.offset_ps)
             reasons = [loop_tag_and_reason(pairs, windows)[1] for pairs in clicks.values()]
             assert row.n == reasons.count("heralded")
             assert row.extra_click == reasons.count("extra_click")
@@ -519,6 +518,97 @@ class TestSynthExperiment:
             assert diff <= 2.0 * math.sqrt(rows[offset].sigma ** 2 + s0.sigma ** 2)
         drop = s0.s - rows[-1500].s
         assert drop > 2.0 * math.sqrt(rows[-1500].sigma ** 2 + s0.sigma ** 2)
+
+
+class TestSynthOrder:
+    """The one stable sort of synth_experiment's detections against np.lexsort((time, attempt))."""
+
+    CASES = {
+        # Equal times on both channels of an attempt, ties between attempts' blocks.
+        "equal-times": ([2, 0, 2, 0, 1, 2, 1], [5.0, 5.0, 5.0, 3.0, 5.0, 3.0, 5.0]),
+        "signed-zeros": ([1, 1, 0, 1, 0, 1], [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]),
+        "negative-times": ([0, 0, 1, 0, 1], [-1.5, -1e9, -0.0, 2.0, -1.5]),
+        # Blocks each sorted by attempt but not with one another, as the draws are concatenated.
+        "unsorted-blocks": ([0, 1, 2, 3, 0, 0, 2, 3, 1, 3], [9.0, 8.0, 7.0, 6.0, 1.0, 9.0, 7.0, 6.0, 8.5, 5.0]),
+        "large-ids": ([2**52, 2**52 - 1, 2**52, 0], [1.0, 2.0, 0.5, 3.0]),
+        "empty": ([], []),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_crafted(self, name):
+        attempt, time = (np.array(column) for column in self.CASES[name])
+        attempt = attempt.astype(np.int64)
+        time = time.astype(np.float64)
+        assert heralding._attempt_time_order(attempt, time).tolist() == np.lexsort((time, attempt)).tolist()
+
+    def test_many_ties(self):
+        rng = np.random.default_rng(28)
+        attempt = rng.integers(0, 50, size=5000)
+        time = rng.integers(-3, 4, size=5000).astype(np.float64) * rng.choice([1.0, -1.0], size=5000)
+        assert heralding._attempt_time_order(attempt, time).tolist() == np.lexsort((time, attempt)).tolist()
+
+
+def oracle_sweep_row(detections, attempts, offset, beta=0.75):
+    """The SweepRow at one offset, from the per-offset rule _round_clicks at the shifted windows."""
+    rows = heralding._attempt_rows(detections, attempts)
+    clicks_1, clicks_2, tag = heralding._round_clicks(detections, rows, len(attempts), shifted(WINDOWS, offset))
+    cells = CellTable.from_columns(tag, attempts.setting_a, attempts.setting_b, attempts.outcome_a, attempts.outcome_b)
+    k, n = cells.k_n()
+    estimate = chsh_s(cells, strict=False)
+    extra = (clicks_1 > 1) | (clicks_2 > 1)
+    return heralding.SweepRow(
+        offset_ps=offset,
+        s=None if estimate is None else estimate.s_weighted,
+        sigma=None if estimate is None else estimate.sigma,
+        n=n,
+        k=k,
+        p_local=pvalue_complete(n, k, beta) if n >= 1 else None,
+        no_click=int(np.count_nonzero((clicks_1 == 0) & (clicks_2 == 0))),
+        missing_round=int(np.count_nonzero(~extra & ((clicks_1 > 0) != (clicks_2 > 0)))),
+        extra_click=int(np.count_nonzero(extra)),
+    )
+
+
+class TestSweepAgainstRoundClicks:
+    """sweep places each detection once; at every offset it must give what _round_clicks gives."""
+
+    @staticmethod
+    def dataset(seed):
+        rng = np.random.default_rng(seed)
+        clicks = boundary_clicks(rng, WINDOWS, 400)
+        events = table(*(click(a, c, t) for a, pairs in clicks.items() for c, t in pairs))
+        attempts = attempt_table(
+            *((a, *rng.integers(0, 2, size=2).tolist(), *rng.choice([-1, 1], size=2).tolist()) for a in clicks)
+        )
+        return events, attempts
+
+    def test_offsets_on_window_edges(self):
+        events, attempts = self.dataset(28)
+        # Offsets that put some detection exactly on a window start or end, or one ps to either side.
+        since = events.time_ps - np.where(events.channel == 1, WINDOWS.start_ch1_ps, WINDOWS.start_ch0_ps)
+        second = since - WINDOWS.second_window_offset_ps
+        second_len = np.where(events.channel == 1, WINDOWS.len_second_ch1_ps, WINDOWS.len_second_ch0_ps)
+        ends = [since, since - WINDOWS.len_first_ps, second, second - second_len]
+        rng = np.random.default_rng(29)
+        edges = rng.choice(np.concatenate(ends), size=30, replace=False)
+        offsets = [int(e) + d for e in edges for d in (-1, 0, 1)]
+        rows = sweep(events, attempts, WINDOWS, offsets)
+        assert rows == [oracle_sweep_row(events, attempts, offset) for offset in offsets]
+        assert any(row.n for row in rows)
+
+    def test_unsorted_offsets_with_repeats(self):
+        events, attempts = self.dataset(30)
+        offsets = [0, -1_800, 250, 0, -900, np.int64(-1_800), 3, -2, 250, 1_000_000, 0]
+        rows = sweep(events, attempts, WINDOWS, offsets)
+        assert rows == [oracle_sweep_row(events, attempts, int(offset)) for offset in offsets]
+        assert [row.offset_ps for row in rows] == [int(offset) for offset in offsets]
+
+    def test_synthetic_experiment(self):
+        params = StreamParams(decay_ps=2_500.0, reflection_amplitude=2.0, reflection_center_ps=-1_800.0,
+                              afterpulse_prob=0.02, dark_rate=0.005)
+        events, records = synth_experiment(params, WINDOWS, attempts=3_000, seed=19, entangle_prob=0.55)
+        offsets = list(range(-2_000, 1, 250))
+        assert sweep(events, records, WINDOWS, offsets) == [oracle_sweep_row(events, records, o) for o in offsets]
 
 
 class TestFileFormats:

@@ -1,4 +1,5 @@
 """Randomness extraction pipeline: parity bits, whitening, audits."""
+import io
 import itertools
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 from oracles import message_to_bit
 from scipy import stats
 
-from bellkit import cli, rngstream
+from bellkit import cli, randomness, rngstream
 from bellkit.randomness import (
     BitStream,
     block8,
@@ -179,6 +180,31 @@ class TestVectorisedParity:
             data = b"ok\n" + surrogate.encode("utf-8", "surrogatepass") + b"\n"
             with pytest.raises(ValueError, match="^line 2: byte 0xed is not valid UTF-8"):
                 extract_bits(data)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+    def test_utf8_checked_in_slices(self, monkeypatch, chunk):
+        # Slices cut after a line feed find the first invalid byte that the whole file's decode
+        # finds, and name it by its line in the whole file, whatever ends the lines before it.
+        monkeypatch.setattr(randomness, "_DECODE_CHUNK", chunk)
+        messages = [m for m in random_messages(13, 400) if 0 < len(m) <= 140]  # so no \r meets a \n
+        lines = [text.encode("utf-8") for text in messages]
+        ends = [(b"\n", b"\r\n", b"\r")[i % 3] for i in range(len(lines))]
+        clean = b"".join(line + end for line, end in zip(lines, ends))
+        for data in (clean, b"".join(line + b"\r" for line in lines), b"\n".join(lines)):
+            assert list(extract_bits(data).bits) == [message_to_bit(text) for text in messages]
+        for where in (0, 1, 150, len(lines) - 1):
+            for bad in (b"\x80", b"\xe4\xb8", b"\xed\xa0\x80", b"\xff", b"\xf0\x9f\x98"):
+                data = b"".join(line + end for line, end in zip(lines[:where], ends)) + bad + b"".join(
+                    line + end for line, end in zip(lines[where:], ends[where:])
+                )
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    error = exc
+                line = io.StringIO(data[: error.start].decode("utf-8"), newline=None).read().count("\n") + 1
+                message = f"line {line}: byte 0x{data[error.start]:02x} is not valid UTF-8 ({error.reason})"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    extract_bits(data)
 
     def test_no_messages(self):
         assert len(extract_bits(b"")) == 0

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bellkit import trials
+from bellkit import heralding, trials
 from bellkit.heralding import AttemptTable, DetectionTable
 from bellkit.trials import (
     ChshEstimate,
@@ -398,6 +398,68 @@ class TestRecordReaderFastPath:
         lines[6] = re.sub('"tag":-?[01]', '"tag":true', lines[6])
         with pytest.raises(ValueError, match="^line 7: field tag must be an integer, got True$"):
             read_trials(io.StringIO("\n".join(lines) + "\n"))
+
+
+# The row template of each integer record file.
+ROW_TEMPLATES = {
+    "trials": trials._json_row(trials._TRIAL_FIELDS),
+    "attempts": trials._json_row(heralding._ATTEMPT_FIELDS),
+    "detections": heralding._DETECTION_ROW,
+}
+
+
+def percent_formatted(rows, template):
+    return ((template * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii")
+
+
+def edge_values():
+    """0, +-1, +-(10^k - 1) and +-10^k up to 10^18, and the int64 extremes."""
+    powers = [10**k for k in range(1, 19)]
+    magnitudes = [0, 1, *powers, *(p - 1 for p in powers)]
+    return [*magnitudes, *(-m for m in magnitudes), -(2**63), 2**63 - 1]
+
+
+class TestFormatRows:
+    """_format_rows, the one formatter of every integer record file, against %-formatting."""
+
+    @pytest.mark.parametrize("name", ROW_TEMPLATES)
+    def test_equals_percent_formatting(self, name):
+        template = ROW_TEMPLATES[name]
+        width = template.count("%d")
+        rng = np.random.default_rng(28)
+        edges = np.array(edge_values(), dtype=np.int64)
+        # Each edge value in every column, beside other edge values.
+        edge_rows = np.stack([np.roll(edges, 7 * j) for j in range(width)], axis=1)
+        # Random values of every width, and random 64-bit patterns.
+        widths = (10 ** rng.uniform(0, 18.9, size=(3000, width))).astype(np.int64)
+        signed = widths * rng.choice([-1, 1], size=widths.shape)
+        full = rng.integers(-(2**63), 2**63 - 1, size=(3000, width), endpoint=True)
+        for rows in (edge_rows, widths, signed, full, np.abs(edge_rows[2:40]), signed[:1], signed[:0]):
+            assert trials._format_rows(rows, template) == percent_formatted(rows, template)
+
+    @pytest.mark.parametrize("name", ROW_TEMPLATES)
+    def test_one_column_all_zero_or_all_negative(self, name):
+        template = ROW_TEMPLATES[name]
+        width = template.count("%d")
+        for column in ([0, 0, 0], [-1, -10, -(2**63)], [5, -5, 0]):
+            for j in range(width):
+                rows = np.ones((3, width), dtype=np.int64)
+                rows[:, j] = column
+                assert trials._format_rows(rows, template) == percent_formatted(rows, template)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [trials._TRIAL_FIELDS, heralding._ATTEMPT_FIELDS, ("setting_a", "setting_b")],
+        ids=["trials", "attempts", "settings"],
+    )
+    @pytest.mark.parametrize("odd", ["01", "+1", "-0", "00", "+0"])
+    def test_compact_rows_rejects_non_canonical_integers(self, fields, odd):
+        row = trials._json_row(fields)
+        canonical = row % ((1,) * len(fields))
+        assert trials._compact_rows(canonical * 3, row, len(fields)).tolist() == [[1] * len(fields)] * 3
+        for j in range(len(fields)):
+            line = row.replace("%d", "1", j).replace("%d", odd, 1).replace("%d", "1")
+            assert trials._compact_rows(canonical + line + canonical, row, len(fields)) is None
 
 
 # Valid columns of each record table, and one out-of-domain value per
