@@ -396,7 +396,9 @@ def _cmd_rng_extract(args: argparse.Namespace) -> dict[str, object]:
 
 def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:
     stream = randomness.read_bits(args.bits)
+    unused = 0
     if args.block8:
+        unused = len(stream) % 8
         stream = randomness.block8(stream)
     estimate = randomness.estimate_bias(stream)
     return {
@@ -404,6 +406,7 @@ def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:
         "bias": estimate.bias,
         "uncertainty": estimate.uncertainty,
         "block8": args.block8,
+        "unused_bits": unused,
     }
 
 
@@ -557,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = rng_sub.add_parser("bias", help="bias of a bit stream")
     p.add_argument("--bits", required=True)
-    p.add_argument("--block8", action="store_true", help="XOR 8-bit blocks first")
+    p.add_argument("--block8", action="store_true", help="XOR 8-bit blocks first; a last part-block is left unused")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_bias)
 
@@ -574,10 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rng_independence)
 
-    p = sub.add_parser("audit", help="setting-choice uniformity audit with LEE correction")
+    p = sub.add_parser(
+        "audit",
+        help="setting-choice uniformity audit with LEE correction",
+        description="Up to 300 events every P-value is exact, and --lee-reps and --seed are only checked and "
+        "reported; above 300 they set the Monte Carlo reference sample and look-elsewhere tape.",
+    )
     p.add_argument("--counts", default=None, help="n00,n01,n10,n11")
     p.add_argument("--settings", default=None, help="raw settings stream (JSON-lines) to tabulate")
-    p.add_argument("--lee-reps", type=int, default=10_000)
+    p.add_argument("--lee-reps", type=int, default=10_000,
+                   help="look-elsewhere tape size above 300 events, at least 1000 (default 10000)")
     p.add_argument("--alpha", type=float, default=0.05)
     _add_common(p)
     p.set_defaults(func=_cmd_audit)

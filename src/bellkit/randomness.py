@@ -17,8 +17,10 @@ Every step is a C-level `bytes` or `int` operation: no numpy.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 from .pvalues import fisher_two_sided
 
@@ -26,13 +28,11 @@ MAX_MESSAGE_CHARS = 140
 # Bytes of message data checked as UTF-8 per pass, then up to the end of the line; bounds the decoded copy.
 _DECODE_CHUNK = 1 << 20
 
-# Per UTF-8 byte, the parity of its ones, flipped for a lead byte (0xC0 and up): the marker bits of every
-# multibyte sequence hold an odd number of ones, so a message's bytes give the parity of its code points.
-_UTF8_PARITY = bytes((bin(b).count("1") + (b >= 0xC0)) & 1 for b in range(256))
+# Each byte as it is but a UTF-8 lead byte (0xC0 and up), whose low bit flips: the marker bits of every
+# multibyte sequence hold an odd number of ones, so a line's bytes then hold its code points' parity of ones.
+_LEAD_FLIP = bytes(b ^ (b >= 0xC0) for b in range(256))
 # A line's characters are its UTF-8 bytes but the continuation bytes.
 _CONTINUATION_BYTES = bytes(range(0x80, 0xC0))
-# The bytes of even parity but the line feed: deleting them leaves each line's odd-parity bytes.
-_EVEN_BYTES = bytes(b for b in range(256) if not _UTF8_PARITY[b] and b != 0x0A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,30 +73,40 @@ def extract_bits(data: bytes) -> BitStream:
     line counted from 1, after the empty ones before it warn. Data that is
     not UTF-8 raises, naming the line and the first undecodable byte.
     """
+    bits = bytearray()
+    empty = 0
+    over = None  # line and characters of the first over-long message
     start = 0
     while start < len(data):  # slices cut after a line feed, which no multibyte sequence holds
         end = data.find(b"\n", start + _DECODE_CHUNK) + 1 or len(data)
+        chunk = data[start:end]
         try:
-            data[start:end].decode("utf-8")
+            chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
             at = start + exc.start  # the first invalid byte; lines end at \n, \r\n or \r, as text mode reads them
             line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
             raise ValueError(f"line {line}: byte 0x{data[at]:02x} is not valid UTF-8 ({exc.reason})") from None
         start = end
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lengths = list(map(len, data.translate(None, _CONTINUATION_BYTES).split(b"\n")))
-    if lengths[-1] == 0:  # a final terminator, or no data at all, starts no message
-        lengths.pop()
-    over = None
-    if max(lengths, default=0) > MAX_MESSAGE_CHARS:
-        over = next(line for line, size in enumerate(lengths, start=1) if size > MAX_MESSAGE_CHARS)
-    for _ in range(lengths[:over].count(0)):
+        if over is not None:
+            continue
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lines = chunk.translate(_LEAD_FLIP).split(b"\n")
+        if not lines[-1]:  # the terminator of the slice's last line starts no message
+            lines.pop()
+        for i in [i for i, line in enumerate(lines) if len(line) > MAX_MESSAGE_CHARS]:
+            size = len(lines[i].translate(None, _CONTINUATION_BYTES))
+            if size > MAX_MESSAGE_CHARS:
+                over = (len(bits) + i + 1, size)
+                del lines[i:]
+                break
+        empty += lines.count(b"")
+        bits += bytes(map(operator.and_, map(int.bit_count, map(int.from_bytes, lines, repeat("little"))), repeat(1)))
+    for _ in range(empty):
         warnings.warn("empty message maps to bit 0", stacklevel=2)
     if over is not None:
-        raise ValueError(f"line {over}: message has {lengths[over - 1]} characters, limit is {MAX_MESSAGE_CHARS}")
-    odd = data.translate(None, _EVEN_BYTES).split(b"\n")
-    return BitStream(bytes([len(line) & 1 for line in odd[: len(lengths)]]))
+        raise ValueError(f"line {over[0]}: message has {over[1]} characters, limit is {MAX_MESSAGE_CHARS}")
+    return BitStream(bytes(bits))
 
 
 def _block_parities(bits: bytes) -> bytes:

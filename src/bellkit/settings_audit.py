@@ -9,25 +9,32 @@ counts:
 4. the sides are independent  (Fisher's exact two-sided test at every n).
 
 Running several tests on one dataset inflates the chance that some local
-P-value dips below any fixed threshold (the look-elsewhere effect).
-`look_elsewhere` corrects for it from one Monte Carlo tape of per-rep
-smallest local P-values under uniform settings (common random numbers).
-It returns the joint probability that some test rejects at the per-test
-level alpha, and the largest per-test threshold whose joint rejection
-probability stays at alpha. On that tape the joint rate is a step function
-of the threshold, so the threshold is an order statistic of the tape, read
-off without a search.
+P-value dips below any fixed threshold (the look-elsewhere effect; Gross &
+Vitells, EPJC 70, 525 (2010)). `look_elsewhere` corrects for it from the
+law of the smallest of the four local P-values under uniform settings. It
+returns the joint probability that some test rejects at the per-test level
+alpha, and the largest per-test threshold whose joint rejection
+probability stays at alpha. The joint rate is a step function of the
+threshold, so the threshold is an atom of that law, read off without a
+search.
 
-The tape is scored by numpy kernels over whole supports, in log space on a
-view of `pvalues._log_factorial`; the observed table's own binomial and
-Fisher tests are the scalar ones in `bellkit.pvalues`. Fisher's kernel
-sums about n/2 support cells per tape table, so the tape's time grows as
-reps * n (about 11 s per 10^4 reps at n = 100,000); `_FISHER_MAX_CELLS`
-bounds its memory.
+Up to n = 300 the law is exact (`_ExactNull`). The margins m_a and m_b are
+independent Bin(n, 1/2) under uniform settings, and n11 given both is
+hypergeometric (Mehta & Patel, JASA 78, 427 (1983)), so one hypergeometric
+row per margin pair gives every table's probability and its Fisher
+P-value. The reported masses are sums of libm's `exp` by `math.fsum`, and
+the threshold is the atom's table scored by the scalar tests that score
+the observed one, so they have the same bits on every CPU.
+
+Above n = 300 the law is a Monte Carlo tape of uniform tables (common
+random numbers), and the threshold an order statistic of the tape. The
+tape is scored by numpy kernels over whole supports, in log space on a
+view of `pvalues._log_factorial`. Fisher's kernel sums about n/2 support
+cells per tape table, so the tape's time grows as reps * n (about 11 s per
+10^4 reps at n = 100,000); `_FISHER_MAX_CELLS` bounds its memory.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import astuple, dataclass
@@ -40,9 +47,9 @@ from . import pvalues, rngstream
 from .pvalues import _LOG_TIE, _check_counts
 from .trials import _check_domains, _read_path, _read_records
 
-# Exact enumeration of the joint-uniformity null is used up to this n
-# (about 4.7 million tables); larger n falls back to a Monte Carlo
-# reference sample of the log pmf.
+# The null and the look-elsewhere law are exact up to this n (4.6 million
+# tables, 585,276 of them one per symmetry orbit); above it they are a
+# Monte Carlo reference sample of the log pmf and a Monte Carlo tape.
 _ENUMERATION_LIMIT = 300
 
 _MIN_MC_REPS = 1000
@@ -50,8 +57,17 @@ _MIN_MC_REPS = 1000
 # Float guard when comparing log pmfs for "at least as extreme".
 _STAT_TOL = 1e-9
 
-# A joint-uniformity null: the sorted log pmf statistic and, where exact, its cumulative probabilities.
-_Null = tuple[np.ndarray, np.ndarray | None]
+# The exact law scores only the tables within this much of the most probable one in log P. The rest
+# (mass 7e-8 at n = 245) count as one atom at the largest P-value any of them can have; a law whose
+# threshold or alpha falls at or below that atom is recomputed from every table.
+_DROP_LOG_P = 18.0
+
+# Below the largest term of a mass by this much in log, a term is left out of the sum.
+_NEGLIGIBLE_LOG = 60.0
+
+# P-values within this relative distance are one atom of the min-P law: its numpy sums and the scalar
+# tests agree to about 1e-13.
+_P_TIE = 1e-9
 
 # Most entries in the padded support matrix of one chunk of `fisher_two_sided_tables`.
 _FISHER_MAX_CELLS = 4_000_000
@@ -212,103 +228,231 @@ def fisher_2x2(counts: SettingCounts) -> float:
     return pvalues.fisher_two_sided(counts.n00, counts.n01, counts.n10, counts.n11)
 
 
-def _uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact null CDF of the log pmf statistic under Multinomial(n; 1/4 each).
+class _ExactNull:
+    """The uniform null at n <= `_ENUMERATION_LIMIT`, one row of tables per margin pair.
 
-    Enumerates every table (c0, c1, c2, c3) with sum n, one block of fixed
-    c0 at a time in (c0, c1, c2) order. Returns the sorted statistic values
-    and the cumulative probability up to each; tied statistics have equal
-    probabilities, so their order within a tie leaves the sums unchanged.
-    The sums add numpy's `exp`, whose last bits depend on the CPU: at n = 245
-    `cum` differs with numpy's AVX-512 kernels off, but not at the paper
-    counts (53, 79, 62, 51), 0.05309022675083941.
+    A pair (m_a, m_b) holds the tables with n10 + n11 = m_a and
+    n01 + n11 = m_b, indexed by x = n11; their log probabilities are one
+    hypergeometric row shifted by log P(m_a) + log P(m_b). The null and all
+    four tests are invariant under swapping rows, swapping columns and
+    transposing, so one pair with m_a <= m_b <= n/2 stands for its orbit,
+    weighted by the orbit's size, and its row is x = 0..m_a.
     """
-    lg = _log_factorial(n + 1)
-    ln_quarter = n * math.log(0.25)
-    stat = np.empty((n + 1) * (n + 2) * (n + 3) // 6)
-    start = 0
-    for c0 in range(n + 1):
-        m = n - c0
-        runs = np.arange(m + 1, 0, -1)  # number of c2 values for c1 = 0..m
-        c1 = np.repeat(np.arange(m + 1), runs)
-        c2 = np.arange(c1.size) - np.repeat(np.cumsum(runs) - runs, runs)
-        c3 = m - c1 - c2
-        stat[start : start + c1.size] = lg[n] - (lg[c0] + lg[c1] + lg[c2] + lg[c3]) + ln_quarter
-        start += c1.size
-    stat.sort()
-    cum = np.exp(stat)
-    np.cumsum(cum, out=cum)
-    return stat, np.minimum(cum, 1.0, out=cum)
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ValueError("need at least one event")
+        self.n = n
+        lg = _log_factorial(n + 1)
+        k = np.arange(n + 1)
+        log_binom = lg[n] - lg[k] - lg[n - k] + n * math.log(0.5)
+        self.m_a, self.m_b = np.triu_indices(n // 2 + 1)
+        self.weight = np.where(self.m_a == self.m_b, 4, 8)
+        self.weight[2 * self.m_b == n] = 4
+        self.weight[2 * self.m_a == n] = 1
+        self.row_log_p = log_binom[self.m_a] + log_binom[self.m_b]
+        mode = (self.m_a + 1) * (self.m_b + 1) // (n + 2)
+        self.row_max = self._log_p(self.m_a, self.m_b, mode)
+
+    def _log_p(self, m_a: np.ndarray, m_b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """log P of the table with margins (m_a, m_b) and n11 = x."""
+        n = self.n
+        lg = _log_factorial(n + 1)
+        return lg[n] - (lg[n - m_a - m_b + x] + lg[m_b - x] + lg[m_a - x] + lg[x]) + n * math.log(0.25)
+
+    def rows(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log P of every table in rows `which`, one line per row padded with -inf to the widest, and its mask."""
+        m_a, m_b = self.m_a[which, None], self.m_b[which, None]
+        x = np.arange(int(m_a.max(initial=0)) + 1)
+        valid = x <= m_a
+        return np.where(valid, self._log_p(m_a, m_b, np.minimum(x, m_a)), -np.inf), valid
+
+    def _mass(self, whole: np.ndarray, log_p: np.ndarray, weight: np.ndarray) -> float:
+        """Mass of the rows marked `whole` and of the tables `log_p`, by libm's exp and `math.fsum`.
+
+        Terms more than `_NEGLIGIBLE_LOG` below the largest are left out: at
+        n <= 300 all of them together are under 2e-19 of the sum.
+        """
+        logs = np.concatenate([self.row_log_p[whole], log_p])
+        weights = np.concatenate([self.weight[whole], weight])
+        keep = logs >= logs.max(initial=-math.inf) - _NEGLIGIBLE_LOG
+        terms = map(operator.mul, map(math.exp, logs[keep].tolist()), weights[keep].tolist())
+        return min(1.0, math.fsum(terms))
+
+    def mass_at_most(self, log_p: float) -> float:
+        """Probability that a uniform table is no more probable than log P = `log_p`: the joint-uniformity P-value.
+
+        A row that lies wholly at or below `log_p` adds its margin
+        probability; the other rows add their tables one by one.
+        """
+        limit = log_p + _STAT_TOL
+        whole = self.row_max <= limit
+        part = np.flatnonzero(~whole)
+        table_log_p, valid = self.rows(part)
+        take = valid & (table_log_p <= limit)
+        weight = np.broadcast_to(self.weight[part, None], take.shape)
+        return self._mass(whole, table_log_p[take], weight[take])
+
+    def look_elsewhere(self, alpha: float) -> tuple[McPValue, float]:
+        """The joint rejection probability at `alpha` and the threshold, from the min-P law: both exact."""
+        top = float(self.row_max.max())
+        return self._law_above(alpha, top - _DROP_LOG_P) or self._law_above(alpha, -math.inf)
+
+    def _law_above(self, alpha: float, cut: float) -> tuple[McPValue, float] | None:
+        """`look_elsewhere` scoring the tables with log P >= `cut`, or None if the tables below could change it."""
+        rows = np.flatnonzero(self.row_max >= cut)
+        log_p, valid = self.rows(rows)
+        m_a, m_b = self.m_a[rows, None], self.m_b[rows, None]
+        weight = np.broadcast_to(self.weight[rows, None], log_p.shape)
+
+        p_fisher = _fisher_along_rows(log_p, self.row_log_p[rows])
+        p_fisher[m_a[:, 0] == 0] = 1.0  # a zero margin, as in `pvalues.fisher_two_sided`
+
+        # The joint test over the scored tables, the dropped ones below them all.
+        scored = valid & (log_p >= cut)
+        scored_log_p = log_p[scored]
+        scored_mass = weight[scored] * np.exp(scored_log_p)
+        dropped = max(0.0, 1.0 - float(scored_mass.sum())) if cut > -math.inf else 0.0
+        order = np.argsort(scored_log_p)
+        ranked = scored_log_p[order]
+        cum = dropped + np.cumsum(scored_mass[order])
+        p_joint = np.empty_like(ranked)
+        p_joint[order] = cum[np.searchsorted(ranked, ranked + _STAT_TOL, side="right") - 1]
+        # No dropped table has a joint-uniformity P-value, and so no smallest P-value, above `ceiling`.
+        ceiling = dropped + float(scored_mass[scored_log_p <= cut + _STAT_TOL].sum())
+
+        p_binom = binom_two_sided_table(self.n)
+        min_p = np.minimum.reduce([
+            p_binom[np.broadcast_to(m_a, scored.shape)[scored]],
+            p_binom[np.broadcast_to(m_b, scored.shape)[scored]],
+            p_fisher[scored],
+            np.minimum(p_joint, 1.0),
+        ])
+
+        # The law's atoms, the dropped tables' one first; F is the mass below each atom.
+        values = np.concatenate([[ceiling], min_p])
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        masses = np.concatenate([[dropped], scored_mass])[order]
+        first = np.concatenate([[True], ranked[1:] > ranked[:-1] * (1.0 + _P_TIE)])
+        atom = np.cumsum(first) - 1
+        below = (np.cumsum(masses) - masses)[first]
+        chosen = int(np.searchsorted(below, alpha, side="right")) - 1
+        if cut > -math.inf and (chosen <= atom[np.flatnonzero(order == 0)[0]] or ceiling * (1.0 + _P_TIE) >= alpha):
+            return None
+
+        # The rejecting tables, summed by whole rows where a row holds nothing else.
+        reject = valid & ~scored
+        reject[scored] = min_p * (1.0 + _P_TIE) < alpha
+        whole = np.ones(self.m_a.size, dtype=bool)
+        whole[rows] = (reject == valid).all(axis=1)
+        some = reject & ~whole[rows, None]
+        p = self._mass(whole, log_p[some], weight[some])
+
+        # The threshold, from the scalar tests of the first table (row by row, x up) at the chosen atom.
+        table = int(order[atom == chosen].min()) - 1
+        row, x = (int(i[table]) for i in np.nonzero(scored))
+        a, b = int(m_a[row, 0]), int(m_b[row, 0])
+        threshold = min(
+            pvalues.binom_two_sided(a, self.n),
+            pvalues.binom_two_sided(b, self.n),
+            pvalues.fisher_two_sided(self.n - a - b + x, b - x, a - x, x),
+            self.mass_at_most(float(log_p[row, x])),
+        )
+        return McPValue(p=p, mc_error=0.0), threshold
 
 
-def _uniform4_null(n: int, reps: int, seed: int) -> _Null:
-    """`_uniform4_null_table(n)` to the enumeration limit, else a sorted sample from stream 1 with `cum` None."""
-    if n <= _ENUMERATION_LIMIT:
-        return _uniform4_null_table(n)
+def _fisher_along_rows(log_p: np.ndarray, row_log_p: np.ndarray) -> np.ndarray:
+    """Fisher's two-sided P-value of every table in rows of log P `log_p` (padded with -inf) and masses exp(`row_log_p`).
+
+    Each row's conditional probabilities are ranked and summed; a table's
+    P-value is the sum up to the last table at most `_LOG_TIE` more probable.
+    """
+    order = np.argsort(log_p, axis=1)
+    ranked = np.take_along_axis(log_p, order, axis=1)
+    cum = np.cumsum(np.exp(ranked - row_log_p[:, None]), axis=1)
+    width = log_p.shape[1]
+    last = np.full(log_p.shape, width - 1)
+    last[:, :-1] = np.where(ranked[:, 1:] > ranked[:, :-1] + _LOG_TIE, np.arange(width - 1), width - 1)
+    last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
+    p = np.empty_like(log_p)
+    np.put_along_axis(p, order, np.minimum(np.take_along_axis(cum, last, axis=1), 1.0), axis=1)
+    return p
+
+
+def _uniform4_sample(n: int, reps: int, seed: int) -> np.ndarray:
+    """Sorted log pmf of max(reps, 100,000) uniform tables from stream 1: the reference null above the enumeration limit."""
     draws = rngstream.stream(seed, 1).multinomial(n, [0.25] * 4, size=max(reps, 100_000))
-    return np.sort(uniform4_logpmf(draws, n)), None
+    return np.sort(uniform4_logpmf(draws, n))
 
 
-def _joint_uniform_pvalue(counts: SettingCounts, null: _Null) -> McPValue:
-    """Probability that a uniform table is no more probable than `counts`, against `null` (`_uniform4_null`).
+def _null(n: int, reps: int, seed: int) -> _ExactNull | np.ndarray:
+    """The exact null to the enumeration limit, else the reference sample."""
+    return _ExactNull(n) if n <= _ENUMERATION_LIMIT else _uniform4_sample(n, reps, seed)
 
-    Exact on the enumerated null. On a sample of `size` tables it is
+
+def _joint_uniform_pvalue(counts: SettingCounts, null: _ExactNull | np.ndarray) -> McPValue:
+    """Probability that a uniform table is no more probable than `counts`, against `null` (`_null`).
+
+    Exact on the exact null. On a sample of `size` tables it is
     (1 + hits) / (1 + size), which counts the observed table as one of the
     draws, so it is never zero (Phipson & Smyth, SAGMB 9, 2010).
     """
-    stat_sorted, cum = null
-    stat_obs = uniform4_logpmf(astuple(counts), counts.total)
-    hits = int(np.searchsorted(stat_sorted, stat_obs + _STAT_TOL, side="right"))
-    if cum is not None:
-        return McPValue(p=float(cum[hits - 1]), mc_error=0.0)
-    p = (1 + hits) / (1 + stat_sorted.size)
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / stat_sorted.size))
+    stat_obs = float(uniform4_logpmf(astuple(counts), counts.total))
+    if not isinstance(null, np.ndarray):
+        return McPValue(p=null.mass_at_most(stat_obs), mc_error=0.0)
+    hits = int(np.searchsorted(null, stat_obs + _STAT_TOL, side="right"))
+    p = (1 + hits) / (1 + null.size)
+    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / null.size))
 
 
-def _lee_local_pvalues(n: int, reps: int, seed: int, null: _Null) -> np.ndarray:
-    """(reps, 4) local P-values of the four tests under uniform settings.
+def _lee_local_pvalues(n: int, reps: int, seed: int, sample: np.ndarray) -> np.ndarray:
+    """(reps, 4) local P-values of the four tests on `reps` uniform tables: the look-elsewhere tape.
 
     Draws the tables from stream 0 of the seed. The joint-uniformity test
-    is scored against `null`, which is `_uniform4_null(n, reps, seed)`.
+    is scored against `sample`, which is `_uniform4_sample(n, reps, seed)`.
     """
-    if n < 1:
-        raise ValueError("need at least one event")
-    rng = rngstream.stream(seed, 0)
-    draws = rng.multinomial(n, [0.25] * 4, size=reps)
-
+    draws = rngstream.stream(seed, 0).multinomial(n, [0.25] * 4, size=reps)
     binom_table = binom_two_sided_table(n)
     p_a = binom_table[draws[:, 2] + draws[:, 3]]
     p_b = binom_table[draws[:, 1] + draws[:, 3]]
-
-    stat_sorted, cum = null
-    pos = np.searchsorted(stat_sorted, uniform4_logpmf(draws, n) + _STAT_TOL, side="right")
-    p_joint = pos / stat_sorted.size if cum is None else cum[np.maximum(pos, 1) - 1]
-
+    p_joint = np.searchsorted(sample, uniform4_logpmf(draws, n) + _STAT_TOL, side="right") / sample.size
     return np.column_stack([p_a, p_b, p_joint, fisher_two_sided_tables(draws)])
 
 
-def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue, float]:
-    """Joint rejection probability at `alpha` and the per-test threshold, from one tape.
-
-    Monte Carlo over `reps` uniform setting tables of size n: the
-    probability that at least one of the four tests yields p < alpha, and
-    the largest per-test threshold whose joint rate stays at or below alpha
-    (`_threshold_quantile`). A threshold of 1 rejects by convention (every
-    P-value is at most 1), so alpha = 1 gives exactly (1, 1.0) with no tape
-    and no null.
-    """
-    return _look_elsewhere(n, alpha, reps, seed, functools.partial(_uniform4_null, n, reps, seed))
-
-
-def _look_elsewhere(n: int, alpha: float, reps: int, seed: int, null: Callable[[], _Null]) -> tuple[McPValue, float]:
-    """`look_elsewhere` on a tape scored against `null()`, called only once `alpha` and `reps` pass their checks."""
+def _check_lee(alpha: float, reps: int) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if reps < _MIN_MC_REPS:
         raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
+
+
+def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue, float]:
+    """Joint rejection probability at `alpha` and the per-test threshold, for uniform tables of n events.
+
+    The probability that at least one of the four tests yields p < alpha,
+    and the largest per-test threshold whose joint rate stays at or below
+    alpha. Up to n = 300 both are exact, from the law of the smallest
+    P-value, and `reps` and `seed` are only checked; above, they come from
+    one tape of `reps` tables drawn from `seed` (`_threshold_quantile`). A
+    P-value within 1e-9 (relative) of alpha counts as equal to it. A
+    threshold of 1 rejects by convention (every P-value is at most 1), so
+    alpha = 1 gives exactly (1, 1.0) with no null.
+    """
+    _check_lee(alpha, reps)
+    return _min_p_law(n, alpha, reps, seed, lambda: _null(n, reps, seed))
+
+
+def _min_p_law(
+    n: int, alpha: float, reps: int, seed: int, null: Callable[[], _ExactNull | np.ndarray]
+) -> tuple[McPValue, float]:
+    """`look_elsewhere` against `null()`, `_null(n, reps, seed)`, called once `alpha` and `reps` pass their checks."""
     if alpha == 1.0:
         return McPValue(p=1.0, mc_error=0.0), 1.0
-    min_p = _lee_local_pvalues(n, reps, seed, null()).min(axis=1)
+    law = null()
+    if not isinstance(law, np.ndarray):
+        return law.look_elsewhere(alpha)
+    min_p = _lee_local_pvalues(n, reps, seed, law).min(axis=1)
     p = float(np.mean(min_p < alpha))
     return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps)), _threshold_quantile(min_p, alpha)
 
@@ -317,7 +461,7 @@ _THRESHOLD_GRID = 2.0**60
 
 
 def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
-    """Largest per-test threshold with joint rejection probability <= target.
+    """Largest per-test threshold with joint rejection probability <= target, on a tape.
 
     On a fixed Monte Carlo tape (common random numbers) the joint rate
     `mean(min_p < t)` counts the reps whose smallest local P-value lies
@@ -330,7 +474,8 @@ def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
 
     The result is a Monte Carlo quantile and is reported with no error:
     at n = 245 and target 0.05 with 10^4 reps it ranged over
-    0.0150-0.0213 across seeds 0-1499.
+    0.0150-0.0213 across seeds 0-1499, around the exact 0.02124782, and
+    its joint rate can exceed the target.
     """
     reps = min_p.size
     # k / reps is the same correctly rounded division np.mean makes.
@@ -377,18 +522,19 @@ class AuditRow:
 def audit_row(counts: SettingCounts, seed: int, lee_reps: int, alpha: float = 0.05) -> AuditRow:
     """Run all four tests plus the look-elsewhere correction on one table.
 
-    One null (`_uniform4_null`), built once `alpha` and `lee_reps` pass
-    their checks, scores the observed table, as `p_joint_uniform`, and the
-    tape of `look_elsewhere(n, alpha, lee_reps, seed)`.
+    One null (`_null`), built once `alpha` and `lee_reps` pass their
+    checks, scores the observed table, as `p_joint_uniform`, and gives
+    `look_elsewhere(n, alpha, lee_reps, seed)`.
     """
     n = counts.total
-    null = functools.cache(functools.partial(_uniform4_null, n, lee_reps, seed))
-    p_joint_lee, p_threshold = _look_elsewhere(n, alpha, lee_reps, seed, null)
+    _check_lee(alpha, lee_reps)
+    null = _null(n, lee_reps, seed)
+    p_joint_lee, p_threshold = _min_p_law(n, alpha, lee_reps, seed, lambda: null)
     return AuditRow(
         n=n,
         p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
         p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),
-        p_joint_uniform=_joint_uniform_pvalue(counts, null()),
+        p_joint_uniform=_joint_uniform_pvalue(counts, null),
         p_independence=fisher_2x2(counts),
         p_threshold=p_threshold,
         p_joint_lee=p_joint_lee,

@@ -3,10 +3,11 @@ import itertools
 import math
 import warnings
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from bellkit import settings_audit
+from bellkit import rngstream, settings_audit
 from bellkit.pvalues import _LGAM_A, _LOG_2PI, _LS2PI, _STIRLERR_TABLE, _STIRLING_S, TIE_RELATIVE_EPS, _sum_exp
 from bellkit.lhv import (
     _T_EARLY_A,
@@ -337,3 +338,117 @@ def chi2_survival_array(x, df):
     """Pr[chi-squared with even df >= x], x > 0, as a numpy sum of the Poisson terms."""
     i = np.arange(df // 2)
     return min(1.0, sum_exp_array(-x / 2.0 + i * math.log(x / 2.0) - lgam_whole(0, df // 2)))
+
+
+def binom_two_sided_oracle(k: int, n: int, p: Fraction) -> Fraction:
+    """Minlike two-tailed binomial P-value, exact rational arithmetic."""
+    pmf = [Fraction(math.comb(n, j)) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+    return sum(q for q in pmf if q <= pmf[k])
+
+
+def fisher_two_sided_oracle(n00: int, n01: int, n10: int, n11: int) -> Fraction:
+    """Brute-force hypergeometric table enumeration, exact rational arithmetic."""
+    r0, r1, c0 = n00 + n01, n10 + n11, n00 + n10
+    n = r0 + r1
+    denom = Fraction(math.comb(n, c0))
+    support = range(max(0, c0 - r1), min(r0, c0) + 1)
+    pmf = {a: Fraction(math.comb(r0, a) * math.comb(r1, c0 - a)) / denom for a in support}
+    observed = pmf[n00]
+    return sum(q for q in pmf.values() if q <= observed)
+
+
+def tables_of(n: int, c0: int) -> np.ndarray:
+    """Every table (c0, c1, c2, c3) of n events with the given c0, in (c1, c2) order, as an (m, 4) array."""
+    m = n - c0
+    runs = np.arange(m + 1, 0, -1)  # number of c2 values for c1 = 0..m
+    c1 = np.repeat(np.arange(m + 1), runs)
+    c2 = np.arange(c1.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    return np.column_stack([np.full(c1.size, c0), c1, c2, m - c1 - c2])
+
+
+def uniform4_null_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact null CDF of the log pmf statistic under Multinomial(n; 1/4 each).
+
+    Enumerates every table (c0, c1, c2, c3) with sum n, one block of fixed
+    c0 at a time in (c0, c1, c2) order. Returns the sorted statistic values
+    and the cumulative probability up to each; tied statistics have equal
+    probabilities, so their order within a tie leaves the sums unchanged.
+    The audit scored its tape against this null up to n = 300 until the
+    margin decomposition replaced it. The sums add numpy's `exp`, whose last
+    bits depend on the CPU: at n = 245 `cum` differs with numpy's AVX-512
+    kernels off, but not at the paper counts (53, 79, 62, 51),
+    0.05309022675083941.
+    """
+    lg = settings_audit._log_factorial(n + 1)
+    ln_quarter = n * math.log(0.25)
+    stat = np.empty((n + 1) * (n + 2) * (n + 3) // 6)
+    start = 0
+    for c0 in range(n + 1):
+        m = n - c0
+        runs = np.arange(m + 1, 0, -1)  # number of c2 values for c1 = 0..m
+        c1 = np.repeat(np.arange(m + 1), runs)
+        c2 = np.arange(c1.size) - np.repeat(np.cumsum(runs) - runs, runs)
+        c3 = m - c1 - c2
+        stat[start : start + c1.size] = lg[n] - (lg[c0] + lg[c1] + lg[c2] + lg[c3]) + ln_quarter
+        start += c1.size
+    stat.sort()
+    cum = np.exp(stat)
+    np.cumsum(cum, out=cum)
+    return stat, np.minimum(cum, 1.0, out=cum)
+
+
+def local_pvalues(tables: np.ndarray, n: int, null: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(m, 4) local P-values of `tables` (m, 4) of n events, each by the numpy kernel the tape used.
+
+    The joint-uniformity test is scored against `null`, `uniform4_null_table(n)`.
+    """
+    stat, cum = null
+    binom = settings_audit.binom_two_sided_table(n)
+    pos = np.searchsorted(stat, settings_audit.uniform4_logpmf(tables, n) + settings_audit._STAT_TOL, side="right")
+    return np.column_stack([
+        binom[tables[:, 2] + tables[:, 3]],
+        binom[tables[:, 1] + tables[:, 3]],
+        cum[np.maximum(pos, 1) - 1],
+        settings_audit.fisher_two_sided_tables(tables),
+    ])
+
+
+def enumerated_min_p_law(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(smallest local P-value, probability) of every table of n events, by full enumeration."""
+    null = uniform4_null_table(n)
+    min_p, prob = np.empty_like(null[0]), np.empty_like(null[0])
+    start = 0
+    for c0 in range(n + 1):
+        tables = tables_of(n, c0)
+        end = start + len(tables)
+        min_p[start:end] = local_pvalues(tables, n, null).min(axis=1)
+        prob[start:end] = np.exp(settings_audit.uniform4_logpmf(tables, n))
+        start = end
+    return min_p, prob
+
+
+def lee_tape(n: int, reps: int, seed: int) -> np.ndarray:
+    """(reps, 4) local P-values of the tape the audit drew at n <= 300 before its law was exact, from stream 0 of `seed`."""
+    draws = rngstream.stream(seed, 0).multinomial(n, [0.25] * 4, size=reps)
+    return local_pvalues(draws, n, uniform4_null_table(n))
+
+
+def fraction_min_p_law(n: int) -> list[tuple[Fraction, Fraction]]:
+    """(smallest local P-value, probability) of every table of n events, each an exact rational."""
+    half = Fraction(1, 2)
+    binom = [binom_two_sided_oracle(k, n, half) for k in range(n + 1)]
+    tables = [(*t, n - sum(t)) for t in itertools.product(range(n + 1), repeat=3) if sum(t) <= n]
+    prob = {t: Fraction(math.factorial(n), math.prod(math.factorial(c) for c in t) * 4**n) for t in tables}
+    law = []
+    for t in tables:
+        joint = sum(q for q in prob.values() if q <= prob[t])
+        fisher = fisher_two_sided_oracle(*t) if 0 < t[0] + t[1] < n and 0 < t[0] + t[2] < n else Fraction(1)
+        law.append((min(binom[t[2] + t[3]], binom[t[1] + t[3]], joint, fisher), prob[t]))
+    return law
+
+
+def law_values(law, alpha):
+    """The joint rejection probability P(min_p < alpha) and the largest atom t with P(min_p < t) <= alpha, of `law`."""
+    joint = sum(q for p, q in law if p < alpha)
+    threshold = max(t for t, _ in law if sum(q for p, q in law if p < t) <= alpha)
+    return joint, threshold

@@ -667,20 +667,22 @@ class TestLhvOutputsPinned:
 
 
 class TestAuditOutputsPinned:
-    """Digests of audit reports as the bisecting, twice-taped audit wrote them.
+    """Digests of audit reports.
 
-    Except p_joint_uniform, which is now read off the null that also scores
-    the look-elsewhere tape: the exact enumerated value 0.05309022675083941
-    (error 0.0) at n = 245, and (1 + hits) / (1 + 100,000) = 9687/100001
-    against the reference sample at n = 4,000. The reports also no longer
-    name an ordering or a label, and their config hash no longer covers a
-    reps, a format or a label option, so the hash moved.
+    n4000 is the report as the bisecting, twice-taped audit wrote it, except
+    p_joint_uniform, (1 + hits) / (1 + 100,000) = 9687/100001 against the
+    reference sample. The reports no longer name an ordering or a label, and
+    their config hash no longer covers a reps, a format or a label option,
+    so the hash moved. At the paper counts (n = 245) every value is exact:
+    p_joint_uniform 0.053090226750840304, p_joint_lee 0.12070714715975546
+    and p_threshold 0.0212478182155012, each with error 0.0, where the tape
+    of 10^4 tables gave 0.1163 and 0.021259986479515453.
     """
 
     @pytest.mark.parametrize(
         "args, digest",
         [
-            (("--counts", "53,79,62,51"), "dfb5289c85525ed50188f7fc5eb7873fb45294951621108c925eb08d6d386311"),
+            (("--counts", "53,79,62,51"), "20fa0207cbb682f531cd7408efb18e9e93321beec72afafc04398e9b5da3b628"),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
                 "46d461f93b7aa5fdc9672f95317c09c8d6173bb64055b01e8126fcd55eb35b43",
@@ -700,14 +702,15 @@ class TestRngOutputsPinned:
 
     Run in the temporary directory with relative file names, since each
     report's config hash covers the file paths. That hash no longer covers
-    a packed, a max-chars or a truncate option, so it moved.
+    a packed, a max-chars or a truncate option, so it moved. The bias report
+    now counts the bits its last part-block leaves unused (0 of 800 here).
     """
 
     DIGESTS = {
         "bits.txt": "fccbe6709147c31fc39f2c93d5b0efc14c0644460700d9ea50580d91059849dc",
         "combined.txt": "4fd92e01248b8b5c965603e52a5d3176f7f3f87bdc0873441febb5f7bbd4b675",
         "extract.json": "6c1aa205fcf2e0cefeda4d94849ea90ef86550642c5b4f7f0daeb20765b1d3ff",
-        "bias.json": "e80861a901cb8a2f448db7510b1bee79d3ccf9a3af73b33fc6625a1abca360b5",
+        "bias.json": "680aa70c255ab3d5c8cd232b0dd1d062c8737dde55b8be68a5e7365a1e05dea9",
         "combine.json": "8892f016094176183d6336697a5dbe4e62cf5a05353bdea020f35f3eb7cb0bf6",
         "independence.json": "b8c93f74c168a33b5430cc1c1dce14c8030403c9956026141e1dff5ac021c96b",
     }
@@ -751,7 +754,8 @@ class TestRng:
         assert report["bits"] == 80
 
         report = run_json(capsys, "rng", "bias", "--bits", bits, "--block8")
-        assert report["n"] == 10
+        assert (report["n"], report["unused_bits"]) == (10, 0)
+        assert run_json(capsys, "rng", "bias", "--bits", bits)["unused_bits"] == 0
         assert report["uncertainty"] == pytest.approx(1 / (2 * math.sqrt(10)), rel=1e-12, abs=0)
 
         quantum = tmp_path / "quantum.txt"
@@ -934,9 +938,13 @@ class TestInfrastructure:
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
     def test_seed_changes_output(self, capsys):
-        a = run_json(capsys, "audit", "--counts", "53,79,62,51", "--lee-reps", "1000", "--seed", "1")
-        b = run_json(capsys, "audit", "--counts", "53,79,62,51", "--lee-reps", "1000", "--seed", "2")
+        # Above 300 events, where the look-elsewhere law is a tape; up to 300 it is exact and the seed is only reported.
+        a = run_json(capsys, "audit", "--counts", "80,75,78,82", "--lee-reps", "1000", "--seed", "1")
+        b = run_json(capsys, "audit", "--counts", "80,75,78,82", "--lee-reps", "1000", "--seed", "2")
         assert a["p_joint_lee"] != b["p_joint_lee"]
+        exact = [run_json(capsys, "audit", "--counts", "53,79,62,51", "--seed", seed) for seed in ("1", "2")]
+        values = [{key: v for key, v in report.items() if key not in ("seed", "config_hash")} for report in exact]
+        assert values[0] == values[1]
 
     def test_config_file_provides_defaults(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -10,7 +10,7 @@ from scipy import special, stats
 
 from bellkit import pvalues, settings_audit
 
-from oracles import binom_two_sided_array, fisher_chunk_gather
+from oracles import binom_two_sided_array, binom_two_sided_oracle, fisher_chunk_gather, fisher_two_sided_oracle
 
 # log sqrt(2 pi) to 50 digits.
 LOG_SQRT_2PI = Decimal("0.91893853320467274178032973640561763986139747363778")
@@ -36,23 +36,6 @@ def three_quarters_tail_oracle(k: int, n: int) -> float:
 def assert_relative(got: float, want: float, rel: float) -> None:
     """|got - want| <= rel * |want|, with no absolute floor (pytest.approx passes anything below 1e-12)."""
     assert abs(got - want) <= rel * abs(want), (got, want, abs(got - want) / abs(want) if want else None)
-
-
-def binom_two_sided_oracle(k: int, n: int, p: Fraction) -> Fraction:
-    """Minlike two-tailed binomial P-value, exact rational arithmetic."""
-    pmf = [Fraction(math.comb(n, j)) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
-    return sum(q for q in pmf if q <= pmf[k])
-
-
-def fisher_two_sided_oracle(n00: int, n01: int, n10: int, n11: int) -> Fraction:
-    """Brute-force hypergeometric table enumeration, exact rational arithmetic."""
-    r0, r1, c0 = n00 + n01, n10 + n11, n00 + n10
-    n = r0 + r1
-    denom = Fraction(math.comb(n, c0))
-    support = range(max(0, c0 - r1), min(r0, c0) + 1)
-    pmf = {a: Fraction(math.comb(r0, a) * math.comb(r1, c0 - a)) / denom for a in support}
-    observed = pmf[n00]
-    return sum(q for q in pmf.values() if q <= observed)
 
 
 class TestLogFactorial:

@@ -1,6 +1,7 @@
 """Randomness extraction pipeline: parity bits, whitening, audits."""
 import io
 import itertools
+import json
 import math
 import re
 import warnings
@@ -220,9 +221,15 @@ class TestBlock8:
     def test_eight_ones_even_parity(self):
         assert list(block8(BitStream(b"\x01" * 8)).bits) == [0]
 
-    def test_remainder_dropped(self):
+    def test_remainder_dropped(self, tmp_path, capsys):
         stream = BitStream(bytes((1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)))
         assert list(block8(stream).bits) == [1]
+        # `rng bias --block8` reports the part-block it leaves unused.
+        path = str(tmp_path / "bits.txt")
+        write_bits(path, stream)
+        assert cli.main(["rng", "bias", "--bits", path, "--block8"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n"], report["unused_bits"]) == (1, 3)
 
     def test_dataset_sizes(self):
         # 139952 = 17494 * 8 exactly; 134501 leaves a 5-bit remainder.

@@ -1,5 +1,6 @@
 """Setting-choice uniformity tests and look-elsewhere machinery."""
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -18,9 +19,12 @@ from bellkit.settings_audit import (
     look_elsewhere,
 )
 
-from test_exact import binom_two_sided_oracle, fisher_two_sided_oracle
+import oracles
+from oracles import binom_two_sided_oracle, fisher_two_sided_oracle
 
 FIRST_RUN = SettingCounts(53, 79, 62, 51)
+# Just above the enumeration limit, where the look-elsewhere law is a tape.
+ABOVE_LIMIT = SettingCounts(80, 75, 78, 82)
 
 
 class TestSettingCounts:
@@ -68,13 +72,15 @@ class TestBinomUniform:
 
 
 def tape(n, reps, seed):
-    """The look-elsewhere tape of `look_elsewhere(n, alpha, reps, seed)`, scored against its null."""
-    return sa._lee_local_pvalues(n, reps, seed, sa._uniform4_null(n, reps, seed))
+    """The look-elsewhere tape of `reps` tables from `seed`: the audit's own above n = 300, the one it drew below."""
+    if n <= sa._ENUMERATION_LIMIT:
+        return oracles.lee_tape(n, reps, seed)
+    return sa._lee_local_pvalues(n, reps, seed, sa._uniform4_sample(n, reps, seed))
 
 
 def joint_uniform(counts, reps=1000, seed=0):
     """The audit's joint-uniformity P-value of `counts`, on the null built from `reps` and `seed`."""
-    return sa._joint_uniform_pvalue(counts, sa._uniform4_null(counts.total, reps, seed))
+    return sa._joint_uniform_pvalue(counts, sa._null(counts.total, reps, seed))
 
 
 def joint_uniform_oracle(cells):
@@ -114,7 +120,7 @@ class TestJointUniform:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_every_table_against_fraction_enumeration(self, n):
-        null = sa._uniform4_null(n, 1000, 0)
+        null = sa._null(n, 1000, 0)
         for t in itertools.product(range(n + 1), repeat=3):
             if sum(t) <= n:
                 cells = (*t, n - sum(t))
@@ -124,7 +130,7 @@ class TestJointUniform:
     def test_reference_sample_agrees_with_the_enumeration(self):
         # Just above the limit the reference sample stands in for the enumeration it no longer makes.
         counts = SettingCounts(65, 90, 76, 70)
-        exact = sa._joint_uniform_pvalue(counts, sa._uniform4_null_table(counts.total)).p
+        exact = sa._joint_uniform_pvalue(counts, sa._ExactNull(counts.total)).p
         estimate = joint_uniform(counts, seed=3)
         assert estimate.mc_error > 0.0
         assert abs(estimate.p - exact) <= 4.0 * estimate.mc_error
@@ -171,6 +177,7 @@ class TestCalibration:
 
 class TestLookElsewhere:
     def test_one_tape_gives_both_values(self, monkeypatch):
+        # Above n = 300, where the law is a tape.
         calls = []
         tape = sa._lee_local_pvalues
 
@@ -179,9 +186,9 @@ class TestLookElsewhere:
             return tape(*args)
 
         monkeypatch.setattr(sa, "_lee_local_pvalues", counted)
-        joint, threshold = look_elsewhere(60, 0.05, reps=2000, seed=5)
-        assert [args[:3] for args in calls] == [(60, 2000, 5)]
-        min_p = tape(60, 2000, 5, calls[0][3]).min(axis=1)
+        joint, threshold = look_elsewhere(400, 0.05, reps=2000, seed=5)
+        assert [args[:3] for args in calls] == [(400, 2000, 5)]
+        min_p = tape(400, 2000, 5, calls[0][3]).min(axis=1)
         p = float(np.mean(min_p < 0.05))
         assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000))
         assert threshold == sa._threshold_quantile(min_p, 0.05)
@@ -192,17 +199,20 @@ class TestLookElsewhere:
             look_elsewhere(245, alpha, reps=2000, seed=0)
 
     def test_checks_come_before_the_null(self, monkeypatch):
-        # At n = 300 the null is an enumeration and sort of 4.6 million tables.
+        # The exact law at n = 300, or the reference sample of 100,000 tables above it.
         def no_null(*args):
             raise AssertionError("the null was built")
 
-        monkeypatch.setattr(sa, "_uniform4_null", no_null)
-        for alpha, reps, message in ((1.5, 1000, "alpha must lie in"), (0.05, 10, "need at least 1000")):
-            with pytest.raises(ValueError, match=message):
-                look_elsewhere(300, alpha, reps=reps, seed=0)
-            with pytest.raises(ValueError, match=message):
-                audit_row(SettingCounts(75, 75, 75, 75), seed=0, lee_reps=reps, alpha=alpha)
-        assert look_elsewhere(300, 1.0, reps=1000, seed=0) == (McPValue(p=1.0, mc_error=0.0), 1.0)
+        monkeypatch.setattr(sa, "_ExactNull", no_null)
+        monkeypatch.setattr(sa, "_uniform4_sample", no_null)
+        for counts in (SettingCounts(75, 75, 75, 75), ABOVE_LIMIT):
+            n = counts.total
+            for alpha, reps, message in ((1.5, 1000, "alpha must lie in"), (0.05, 10, "need at least 1000")):
+                with pytest.raises(ValueError, match=message):
+                    look_elsewhere(n, alpha, reps=reps, seed=0)
+                with pytest.raises(ValueError, match=message):
+                    audit_row(counts, seed=0, lee_reps=reps, alpha=alpha)
+            assert look_elsewhere(n, 1.0, reps=1000, seed=0) == (McPValue(p=1.0, mc_error=0.0), 1.0)
 
     def test_tape_scores_independence_with_fisher_above_the_old_switch(self):
         # Pearson's chi-squared scored the tape from n = 5,000 until Fisher's test took every n.
@@ -214,9 +224,11 @@ class TestLeeJoint:
     """The joint rejection probability, look_elsewhere's first value."""
 
     def test_alpha_one_rejects_by_convention(self, monkeypatch):
-        # A threshold of 1 rejects every table, with no tape drawn.
+        # A threshold of 1 rejects every table, with no law computed and no tape drawn.
+        monkeypatch.setattr(sa, "_null", None)
         monkeypatch.setattr(sa, "_lee_local_pvalues", None)
-        assert look_elsewhere(245, 1.0, reps=2000, seed=0)[0] == McPValue(p=1.0, mc_error=0.0)
+        for n in (245, 400):
+            assert look_elsewhere(n, 1.0, reps=2000, seed=0)[0] == McPValue(p=1.0, mc_error=0.0)
 
     def test_monotone_in_alpha_common_random_numbers(self):
         values = [look_elsewhere(60, a, reps=2000, seed=5)[0].p for a in (0.01, 0.02, 0.05, 0.1, 0.2)]
@@ -278,9 +290,11 @@ def null_table_double_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestUniform4NullTable:
+    """The enumerated null that scored the tape at n <= 300, now the oracle of the exact law."""
+
     @pytest.mark.parametrize("n", [1, 2, 5, 37, 245])
     def test_matches_double_loop(self, n):
-        stat, cum = sa._uniform4_null_table(n)
+        stat, cum = oracles.uniform4_null_table(n)
         want_stat, want_cum = null_table_double_loop(n)
         assert np.array_equal(stat, want_stat)
         assert np.array_equal(cum, want_cum)
@@ -290,6 +304,7 @@ class TestLeeThreshold:
     """The per-test threshold, look_elsewhere's second value: an order statistic of the tape."""
 
     def test_target_one(self, monkeypatch):
+        monkeypatch.setattr(sa, "_null", None)
         monkeypatch.setattr(sa, "_lee_local_pvalues", None)
         assert look_elsewhere(245, 1.0, reps=2000, seed=0)[1] == 1.0
 
@@ -340,7 +355,7 @@ class TestAuditRow:
         fields = {field.name for field in dataclasses.fields(row)}
         assert set(data) == fields | {"p_joint_uniform_mc_error", "p_joint_lee_mc_error", "independence_test"}
 
-    @pytest.mark.parametrize("counts, lee_reps", [(FIRST_RUN, 2000), (SettingCounts(1300, 1210, 1280, 1250), 1000)])
+    @pytest.mark.parametrize("counts, lee_reps", [(ABOVE_LIMIT, 2000), (SettingCounts(1300, 1210, 1280, 1250), 1000)])
     def test_one_tape_gives_both_look_elsewhere_values(self, monkeypatch, counts, lee_reps):
         calls = []
         tape = sa._lee_local_pvalues
@@ -380,24 +395,25 @@ class TestAuditRow:
 
     @pytest.mark.parametrize("counts", [FIRST_RUN, SettingCounts(942, 985, 1040, 1033)])
     def test_one_null_per_audit(self, monkeypatch, counts):
-        # The enumeration at n <= 300, or the one reference sample from stream 1 above.
-        tables, streams = [], []
-        table, stream = sa._uniform4_null_table, sa.rngstream.stream
+        # The exact law at n <= 300, with no draws; above, the one reference sample from stream 1 and the tape
+        # from stream 0.
+        nulls, streams = [], []
+        exact_null, stream = sa._ExactNull, sa.rngstream.stream
 
-        def counted_table(n):
-            tables.append(n)
-            return table(n)
+        def counted_null(n):
+            nulls.append(n)
+            return exact_null(n)
 
         def counted_stream(seed, stream_id=0):
             streams.append(stream_id)
             return stream(seed, stream_id)
 
-        monkeypatch.setattr(sa, "_uniform4_null_table", counted_table)
+        monkeypatch.setattr(sa, "_ExactNull", counted_null)
         monkeypatch.setattr(sa.rngstream, "stream", counted_stream)
         row = audit_row(counts, seed=11, lee_reps=1000)
         monkeypatch.undo()
         exact = counts.total <= sa._ENUMERATION_LIMIT
-        assert (tables, sorted(streams)) == (([counts.total], [0]) if exact else ([], [0, 1]))
+        assert (nulls, sorted(streams)) == (([counts.total], []) if exact else ([], [0, 1]))
         assert row.p_joint_uniform == joint_uniform(counts, reps=1000, seed=11)
         assert (row.p_joint_uniform.mc_error == 0.0) == exact
 
@@ -420,3 +436,88 @@ class TestSettingsStream:
         path.write_text('{"setting_a": 2, "setting_b": 0}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             sa.read_settings_stream(str(path))
+
+
+@functools.cache
+def enumerated_law(n):
+    """`oracles.enumerated_min_p_law(n)` with its atoms sorted and the mass below each: (atoms, below, min_p, prob)."""
+    min_p, prob = oracles.enumerated_min_p_law(n)
+    order = np.argsort(min_p)
+    atoms = min_p[order]
+    below = np.concatenate([[0.0], np.cumsum(prob[order])])[np.searchsorted(atoms, atoms, side="left")]
+    return atoms, below, min_p, prob
+
+
+class TestExactLaw:
+    """Up to n = 300 the look-elsewhere values are exact, from the min-P law by margin decomposition."""
+
+    def test_paper_counts(self):
+        # The same bits on every CPU: the CI step without numpy's AVX-512 kernels runs this too.
+        row = audit_row(FIRST_RUN, seed=11, lee_reps=10_000)
+        assert row.p_joint_uniform.p == pytest.approx(0.05309022675083941, rel=1e-12, abs=0)
+        assert row.p_joint_uniform.mc_error == row.p_joint_lee.mc_error == 0.0
+        assert (row.p_joint_uniform.p, row.p_joint_lee.p, row.p_threshold) == (
+            0.053090226750840304, 0.12070714715975546, 0.0212478182155012
+        )
+
+    @pytest.mark.parametrize(
+        "n, joint, threshold, rate",
+        [(245, 0.120707, 0.02124782, 0.04998), (300, 0.128819, 0.01777934, 0.04321)],
+    )
+    def test_full_enumeration(self, n, joint, threshold, rate):
+        # Every table scored by the tape's kernels against the enumerated null. At n = 300 the atom after the
+        # threshold takes the joint rate past alpha, so the rate stays well below it.
+        atoms, below, min_p, prob = enumerated_law(n)
+        for alpha in (0.01, 0.05, 0.1):
+            got_joint, got_threshold = look_elsewhere(n, alpha, reps=1000, seed=0)
+            assert got_joint.p == pytest.approx(prob[min_p < alpha].sum(), rel=1e-10, abs=0)
+            assert got_threshold == pytest.approx(atoms[below <= alpha].max(), rel=1e-10, abs=0)
+            assert prob[min_p < got_threshold * (1 - sa._P_TIE)].sum() <= alpha
+        got_joint, got_threshold = look_elsewhere(n, 0.05, reps=1000, seed=0)
+        assert (round(got_joint.p, 6), round(got_threshold, 8)) == (joint, threshold)
+        assert round(prob[min_p < got_threshold * (1 - sa._P_TIE)].sum(), 5) == rate
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    def test_fraction_law(self, n):
+        # The whole min-P law in rationals. alpha is a rational too: an atom at 1/10 lies below the float 0.1.
+        law = oracles.fraction_min_p_law(n)
+        for alpha in (Fraction(0), Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(3, 10), Fraction(9, 10)):
+            joint, threshold = oracles.law_values(law, alpha)
+            got_joint, got_threshold = look_elsewhere(n, float(alpha), reps=1000, seed=0)
+            assert got_joint == McPValue(p=pytest.approx(float(joint), rel=1e-12, abs=0), mc_error=0.0), alpha
+            assert got_threshold == pytest.approx(float(threshold), rel=1e-12, abs=0), alpha
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 25, 60, 101, 150, 245, 299, 300])
+    def test_rate_at_threshold_within_alpha(self, n):
+        # The law itself, without the convention that a threshold of 1 (n = 1's only atom) rejects.
+        null = sa._ExactNull(n)
+        for alpha in (0.01, 0.05, 0.1):
+            threshold = look_elsewhere(n, alpha, reps=1000, seed=0)[1]
+            assert null.look_elsewhere(threshold)[0].p <= alpha, alpha
+
+    @pytest.mark.parametrize("n, seed", [(60, 7), (245, 7), (245, 11)])
+    def test_old_tape_within_four_sigma(self, n, seed):
+        reps = 10_000
+        min_p = oracles.lee_tape(n, reps, seed).min(axis=1)
+        exact = look_elsewhere(n, 0.05, reps=reps, seed=seed)[0].p
+        rate = float(np.mean(min_p < 0.05))
+        assert abs(rate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / reps)
+
+    def test_reps_and_seed_are_only_checked(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(sa.rngstream, "stream", no_draws)
+        want = look_elsewhere(245, 0.05, reps=1000, seed=0)
+        assert look_elsewhere(245, 0.05, reps=50_000, seed=9) == want
+        assert audit_row(FIRST_RUN, seed=3, lee_reps=2000)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.05, 0.5])
+    def test_scored_tables_give_the_law_of_every_table(self, alpha):
+        # The tables far below the most probable are counted, not scored, unless they could change the values.
+        null = sa._ExactNull(245)
+        full = null._law_above(alpha, -math.inf)
+        assert null.look_elsewhere(alpha) == full
+        truncated = null._law_above(alpha, float(null.row_max.max()) - sa._DROP_LOG_P)
+        assert truncated in (full, None)
+        assert (truncated is None) == (alpha == 1e-9)
