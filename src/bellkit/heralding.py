@@ -65,6 +65,12 @@ _WINDOW_FIELDS = (
 )
 
 
+def _check_picoseconds(name: str, value: object) -> None:
+    """Raise, naming `name`, unless `value` is a Python or numpy integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer number of picoseconds, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Two-round heralding windows, per channel, all times in picoseconds.
@@ -86,8 +92,7 @@ class WindowConfig:
     def __post_init__(self) -> None:
         for name in _WINDOW_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer number of picoseconds, got {value!r}")
+            _check_picoseconds(name, value)
             if name.startswith("len_") and value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         if self.second_window_offset_ps < self.len_first_ps:
@@ -186,32 +191,6 @@ def _attempt_rows(detections: DetectionTable, attempts: AttemptTable) -> np.ndar
     return rows
 
 
-def _round_clicks(
-    detections: DetectionTable, rows: np.ndarray, size: int, windows: WindowConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-window clicks per attempt row in round 1 and round 2, and the herald tag.
-
-    `rows[i]` is the attempt row, out of `size`, of detection i. On channel
-    c, round 1 is [start_c, start_c + len_first) and round 2 is
-    [start_c + second_window_offset, ... + len_second_c).
-    """
-    on_ch1 = detections.channel == 1
-    since_start = detections.time_ps - np.where(on_ch1, windows.start_ch1_ps, windows.start_ch0_ps)
-    first = (since_start >= 0) & (since_start < windows.len_first_ps)
-    since_second = since_start - windows.second_window_offset_ps
-    len_second = np.where(on_ch1, windows.len_second_ch1_ps, windows.len_second_ch0_ps)
-    second = (since_second >= 0) & (since_second < len_second)
-    clicks_1 = np.bincount(rows[first], minlength=size)
-    clicks_2 = np.bincount(rows[second], minlength=size)
-    # With one click per round, a round's channel is its count of channel-1 clicks.
-    same_channel = np.bincount(rows[first & on_ch1], minlength=size) == np.bincount(
-        rows[second & on_ch1], minlength=size
-    )
-    heralded = (clicks_1 == 1) & (clicks_2 == 1)
-    tag = np.where(heralded, np.where(same_channel, HERALD_PSI_PLUS, HERALD_PSI_MINUS), HERALD_NONE)
-    return clicks_1, clicks_2, tag
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One window offset's reclassified analysis. P-values are local only.
@@ -243,10 +222,14 @@ def sweep(
     """Reclassify at each common window-start offset and score the result.
 
     beta, the per-trial winning-probability bound, must lie in [3/4, 1].
+    Each offset must be an integer, as a `WindowConfig` field must.
     Detections of an attempt id that has no record raise.
     """
     if not 0.75 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [3/4, 1], got {beta}")
+    offsets_ps = list(offsets_ps)
+    for offset in offsets_ps:
+        _check_picoseconds("offset", offset)
     rows = _attempt_rows(detections, table)
     # Each detection placed once: time since its channel's window start, that
     # time less its round-2 window length, and its (attempt row, channel) cell.
@@ -480,8 +463,10 @@ def read_detections(source: str | IO[str]) -> DetectionTable:
     """Read a detections CSV into columns; a bad row raises, naming its line.
 
     Empty lines are skipped. Every other line must hold three integers, a
-    channel of 0 or 1 and a time of at least 0. Given a path, errors also
-    name the file.
+    channel of 0 or 1 and a time of at least 0. An integer is np.loadtxt's:
+    ASCII digits after an optional sign, blanks around it ignored, so `+5`,
+    ` 0`, `05` and `-0` read as 5, 0, 5 and 0, where the JSON-lines readers
+    take only canonical integers. Given a path, errors also name the file.
     """
     if isinstance(source, str):
         return _read_path(source, read_detections, newline="")

@@ -392,11 +392,11 @@ def adversary_suite(
 ) -> AdversaryReport:
     """False-rejection rate of pvalue_complete over adaptive LHV runs.
 
-    Splits `runs` across the strategy catalog; every run plays until n
-    trials are scored and rejects when pvalue_complete(n, k, beta) <= alpha
-    with beta the lemma-form bound at (f, tau). Validity contract: the rate
-    stays at or below alpha up to Monte Carlo error, for each strategy and
-    pooled.
+    Splits `runs` across `strategies` (default the memory catalog), each
+    named at most once; every run plays until n trials are scored and
+    rejects when pvalue_complete(n, k, beta) <= alpha with beta the
+    lemma-form bound at (f, tau). Validity contract: the rate stays at or
+    below alpha up to Monte Carlo error, for each strategy and pooled.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -405,25 +405,26 @@ def adversary_suite(
     names = tuple(strategies) if strategies is not None else MEMORY_CATALOG
     if not names:
         raise ValueError("need at least one strategy")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"strategy {repeated[0]!r} is named more than once")
     params = BiasParams(f=f, tau=tau)
     beta = beta_win_lemma(params)
     k_reject = _least_rejected_wins(n, beta, alpha)
 
-    per_strategy = {name: [0, 0] for name in names}
+    per_strategy = {}
     run_index = 0
     for chunk, name in enumerate(names):
         quota = runs // len(names) + (1 if chunk < runs % len(names) else 0)
         strategy = make_strategy(name)
         wins = _play_heralded(strategy, params, n, seed, range(run_index, run_index + quota))[:, 2]
-        per_strategy[name][0] += int(np.count_nonzero(wins >= k_reject))
-        per_strategy[name][1] += quota
+        per_strategy[name] = (int(np.count_nonzero(wins >= k_reject)), quota)
         run_index += quota
-    total_reject = sum(r for r, _ in per_strategy.values())
     return AdversaryReport(
         n=n,
         alpha=alpha,
         beta=beta,
         runs=runs,
-        rejections=total_reject,
+        rejections=sum(r for r, _ in per_strategy.values()),
         by_strategy={name: (r, m) for name, (r, m) in per_strategy.items() if m > 0},
     )

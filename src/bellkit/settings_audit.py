@@ -18,7 +18,9 @@ probability stays at alpha. The joint rate is a step function of the
 threshold, so the threshold is an atom of that law, read off without a
 search.
 
-Up to n = 300 the law is exact (`_ExactNull`). The margins m_a and m_b are
+`_null` alone picks how the law is found: exactly (`_ExactNull`) up to
+n = 300, by sampling (`_SampledNull`) above. Both answer `p_joint_uniform`
+and `look_elsewhere`. In the exact law, the margins m_a and m_b are
 independent Bin(n, 1/2) under uniform settings, and n11 given both is
 hypergeometric (Mehta & Patel, JASA 78, 427 (1983)), so one hypergeometric
 row per margin pair gives every table's probability and its Fisher
@@ -27,7 +29,8 @@ the threshold is the atom's table scored by the scalar tests that score
 the observed one, so they have the same bits on every CPU.
 
 Above n = 300 the law is a Monte Carlo tape of uniform tables (common
-random numbers), and the threshold an order statistic of the tape. The
+random numbers), scored against a reference sample of the log pmf
+(`_SampledNull`), and the threshold an order statistic of the tape. The
 tape is scored by numpy kernels over whole supports, in log space on a
 view of `pvalues._log_factorial`. Fisher's kernel sums about n/2 support
 cells per tape table, so the tape's time grows as reps * n (about 11 s per
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -148,15 +151,31 @@ def _log_factorial(size: int) -> np.ndarray:
 
 
 def binom_two_sided_table(n: int) -> np.ndarray:
-    """[pvalues.binom_two_sided(k, n) for k in 0..n] in O(n log n): the log pmf sorted, accumulated and looked up."""
+    """[pvalues.binom_two_sided(k, n) for k in 0..n] in O(n log n): the log pmf as one row of `_two_sided_rows`."""
     _check_counts(0, n)
     k = np.arange(n + 1)
     lg = _log_factorial(n + 1)
     lp = lg[n] - lg[k] - lg[n - k] + k * math.log(0.5) + (n - k) * math.log1p(-0.5)
-    order = np.argsort(lp, kind="stable")
-    cum = np.cumsum(np.exp(lp[order]))
-    pos = np.searchsorted(lp[order], lp + _LOG_TIE, side="right")
-    return np.minimum(cum[np.maximum(pos, 1) - 1], 1.0)
+    return _two_sided_rows(lp[None])[0]
+
+
+def _two_sided_rows(log_p: np.ndarray, row_log_p: np.ndarray | float = 0.0) -> np.ndarray:
+    """Two-sided P-value of every entry of the rows of log P `log_p` (padded with -inf), row masses exp(`row_log_p`).
+
+    Each row is ranked and its probabilities summed; an entry's P-value is
+    the sum up to the last entry at most `_LOG_TIE` more probable.
+    `row_log_p` broadcasts against `log_p`, one value per row.
+    """
+    order = np.argsort(log_p, axis=1)
+    ranked = np.take_along_axis(log_p, order, axis=1)
+    cum = np.cumsum(np.exp(ranked - row_log_p), axis=1)
+    width = log_p.shape[1]
+    last = np.full(log_p.shape, width - 1)
+    last[:, :-1] = np.where(ranked[:, 1:] > ranked[:, :-1] + _LOG_TIE, np.arange(width - 1), width - 1)
+    last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
+    p = np.empty_like(log_p)
+    np.put_along_axis(p, order, np.minimum(np.take_along_axis(cum, last, axis=1), 1.0), axis=1)
+    return p
 
 
 def fisher_two_sided_tables(tables: np.ndarray) -> np.ndarray:
@@ -279,7 +298,7 @@ class _ExactNull:
         terms = map(operator.mul, map(math.exp, logs[keep].tolist()), weights[keep].tolist())
         return min(1.0, math.fsum(terms))
 
-    def mass_at_most(self, log_p: float) -> float:
+    def p_joint_uniform(self, log_p: float) -> McPValue:
         """Probability that a uniform table is no more probable than log P = `log_p`: the joint-uniformity P-value.
 
         A row that lies wholly at or below `log_p` adds its margin
@@ -291,7 +310,7 @@ class _ExactNull:
         table_log_p, valid = self.rows(part)
         take = valid & (table_log_p <= limit)
         weight = np.broadcast_to(self.weight[part, None], take.shape)
-        return self._mass(whole, table_log_p[take], weight[take])
+        return McPValue(p=self._mass(whole, table_log_p[take], weight[take]), mc_error=0.0)
 
     def look_elsewhere(self, alpha: float) -> tuple[McPValue, float]:
         """The joint rejection probability at `alpha` and the threshold, from the min-P law: both exact."""
@@ -305,7 +324,7 @@ class _ExactNull:
         m_a, m_b = self.m_a[rows, None], self.m_b[rows, None]
         weight = np.broadcast_to(self.weight[rows, None], log_p.shape)
 
-        p_fisher = _fisher_along_rows(log_p, self.row_log_p[rows])
+        p_fisher = _two_sided_rows(log_p, self.row_log_p[rows, None])
         p_fisher[m_a[:, 0] == 0] = 1.0  # a zero margin, as in `pvalues.fisher_two_sided`
 
         # The joint test over the scored tables, the dropped ones below them all.
@@ -357,53 +376,15 @@ class _ExactNull:
             pvalues.binom_two_sided(a, self.n),
             pvalues.binom_two_sided(b, self.n),
             pvalues.fisher_two_sided(self.n - a - b + x, b - x, a - x, x),
-            self.mass_at_most(float(log_p[row, x])),
+            self.p_joint_uniform(float(log_p[row, x])).p,
         )
         return McPValue(p=p, mc_error=0.0), threshold
-
-
-def _fisher_along_rows(log_p: np.ndarray, row_log_p: np.ndarray) -> np.ndarray:
-    """Fisher's two-sided P-value of every table in rows of log P `log_p` (padded with -inf) and masses exp(`row_log_p`).
-
-    Each row's conditional probabilities are ranked and summed; a table's
-    P-value is the sum up to the last table at most `_LOG_TIE` more probable.
-    """
-    order = np.argsort(log_p, axis=1)
-    ranked = np.take_along_axis(log_p, order, axis=1)
-    cum = np.cumsum(np.exp(ranked - row_log_p[:, None]), axis=1)
-    width = log_p.shape[1]
-    last = np.full(log_p.shape, width - 1)
-    last[:, :-1] = np.where(ranked[:, 1:] > ranked[:, :-1] + _LOG_TIE, np.arange(width - 1), width - 1)
-    last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
-    p = np.empty_like(log_p)
-    np.put_along_axis(p, order, np.minimum(np.take_along_axis(cum, last, axis=1), 1.0), axis=1)
-    return p
 
 
 def _uniform4_sample(n: int, reps: int, seed: int) -> np.ndarray:
     """Sorted log pmf of max(reps, 100,000) uniform tables from stream 1: the reference null above the enumeration limit."""
     draws = rngstream.stream(seed, 1).multinomial(n, [0.25] * 4, size=max(reps, 100_000))
     return np.sort(uniform4_logpmf(draws, n))
-
-
-def _null(n: int, reps: int, seed: int) -> _ExactNull | np.ndarray:
-    """The exact null to the enumeration limit, else the reference sample."""
-    return _ExactNull(n) if n <= _ENUMERATION_LIMIT else _uniform4_sample(n, reps, seed)
-
-
-def _joint_uniform_pvalue(counts: SettingCounts, null: _ExactNull | np.ndarray) -> McPValue:
-    """Probability that a uniform table is no more probable than `counts`, against `null` (`_null`).
-
-    Exact on the exact null. On a sample of `size` tables it is
-    (1 + hits) / (1 + size), which counts the observed table as one of the
-    draws, so it is never zero (Phipson & Smyth, SAGMB 9, 2010).
-    """
-    stat_obs = float(uniform4_logpmf(astuple(counts), counts.total))
-    if not isinstance(null, np.ndarray):
-        return McPValue(p=null.mass_at_most(stat_obs), mc_error=0.0)
-    hits = int(np.searchsorted(null, stat_obs + _STAT_TOL, side="right"))
-    p = (1 + hits) / (1 + null.size)
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / null.size))
 
 
 def _lee_local_pvalues(n: int, reps: int, seed: int, sample: np.ndarray) -> np.ndarray:
@@ -420,11 +401,40 @@ def _lee_local_pvalues(n: int, reps: int, seed: int, sample: np.ndarray) -> np.n
     return np.column_stack([p_a, p_b, p_joint, fisher_two_sided_tables(draws)])
 
 
+class _SampledNull:
+    """The uniform null above `_ENUMERATION_LIMIT`: the reference sample (`_uniform4_sample`) and the tape it scores."""
+
+    def __init__(self, n: int, reps: int, seed: int) -> None:
+        self.n, self.reps, self.seed = n, reps, seed
+        self.sample = _uniform4_sample(n, reps, seed)
+
+    def p_joint_uniform(self, log_p: float) -> McPValue:
+        """(1 + hits) / (1 + size): the observed table counts as a draw, so never 0 (Phipson & Smyth, SAGMB 9, 2010)."""
+        hits = int(np.searchsorted(self.sample, log_p + _STAT_TOL, side="right"))
+        p = (1 + hits) / (1 + self.sample.size)
+        return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / self.sample.size))
+
+    def look_elsewhere(self, alpha: float) -> tuple[McPValue, float]:
+        """The joint rejection rate at `alpha` on one tape of `reps` tables from `seed`, and its threshold quantile."""
+        min_p = _lee_local_pvalues(self.n, self.reps, self.seed, self.sample).min(axis=1)
+        p = float(np.mean(min_p < alpha))
+        return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / self.reps)), _threshold_quantile(min_p, alpha)
+
+
+def _null(n: int, reps: int, seed: int) -> _ExactNull | _SampledNull:
+    """The uniform null of n events: exact to the enumeration limit, else sampled. The one switch between the two."""
+    return _ExactNull(n) if n <= _ENUMERATION_LIMIT else _SampledNull(n, reps, seed)
+
+
 def _check_lee(alpha: float, reps: int) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if reps < _MIN_MC_REPS:
         raise ValueError(f"need at least {_MIN_MC_REPS} Monte Carlo repetitions, got {reps}")
+
+
+# A threshold of 1 rejects every table by convention, so alpha = 1 gives these look-elsewhere values with no null.
+_REJECT_ALL = (McPValue(p=1.0, mc_error=0.0), 1.0)
 
 
 def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue, float]:
@@ -437,24 +447,11 @@ def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue
     one tape of `reps` tables drawn from `seed` (`_threshold_quantile`). A
     P-value within 1e-9 (relative) of alpha counts as equal to it. A
     threshold of 1 rejects by convention (every P-value is at most 1), so
-    alpha = 1 gives exactly (1, 1.0) with no null.
+    alpha = 1 gives exactly (1, 1.0) with no null. The null (`_null`) is
+    built only once `alpha` and `reps` pass their checks.
     """
     _check_lee(alpha, reps)
-    return _min_p_law(n, alpha, reps, seed, lambda: _null(n, reps, seed))
-
-
-def _min_p_law(
-    n: int, alpha: float, reps: int, seed: int, null: Callable[[], _ExactNull | np.ndarray]
-) -> tuple[McPValue, float]:
-    """`look_elsewhere` against `null()`, `_null(n, reps, seed)`, called once `alpha` and `reps` pass their checks."""
-    if alpha == 1.0:
-        return McPValue(p=1.0, mc_error=0.0), 1.0
-    law = null()
-    if not isinstance(law, np.ndarray):
-        return law.look_elsewhere(alpha)
-    min_p = _lee_local_pvalues(n, reps, seed, law).min(axis=1)
-    p = float(np.mean(min_p < alpha))
-    return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / reps)), _threshold_quantile(min_p, alpha)
+    return _REJECT_ALL if alpha == 1.0 else _null(n, reps, seed).look_elsewhere(alpha)
 
 
 _THRESHOLD_GRID = 2.0**60
@@ -529,12 +526,12 @@ def audit_row(counts: SettingCounts, seed: int, lee_reps: int, alpha: float = 0.
     n = counts.total
     _check_lee(alpha, lee_reps)
     null = _null(n, lee_reps, seed)
-    p_joint_lee, p_threshold = _min_p_law(n, alpha, lee_reps, seed, lambda: null)
+    p_joint_lee, p_threshold = _REJECT_ALL if alpha == 1.0 else null.look_elsewhere(alpha)
     return AuditRow(
         n=n,
         p_rng_a=pvalues.binom_two_sided(counts.marginal_a, n),
         p_rng_b=pvalues.binom_two_sided(counts.marginal_b, n),
-        p_joint_uniform=_joint_uniform_pvalue(counts, null),
+        p_joint_uniform=null.p_joint_uniform(float(uniform4_logpmf(astuple(counts), n))),
         p_independence=fisher_2x2(counts),
         p_threshold=p_threshold,
         p_joint_lee=p_joint_lee,

@@ -184,6 +184,30 @@ def in_second(windows, channel, time_ps):
     return start <= time_ps < start + len_second(windows, channel)
 
 
+def round_clicks(detections, rows, size, windows):
+    """In-window clicks per attempt row in round 1 and round 2, and the herald tag: the sweep's rule at one offset.
+
+    `rows[i]` is the attempt row, out of `size`, of detection i. On channel
+    c, round 1 is [start_c, start_c + len_first) and round 2 is
+    [start_c + second_window_offset, ... + len_second_c).
+    """
+    on_ch1 = detections.channel == 1
+    since_start = detections.time_ps - np.where(on_ch1, windows.start_ch1_ps, windows.start_ch0_ps)
+    first = (since_start >= 0) & (since_start < windows.len_first_ps)
+    since_second = since_start - windows.second_window_offset_ps
+    len_second = np.where(on_ch1, windows.len_second_ch1_ps, windows.len_second_ch0_ps)
+    second = (since_second >= 0) & (since_second < len_second)
+    clicks_1 = np.bincount(rows[first], minlength=size)
+    clicks_2 = np.bincount(rows[second], minlength=size)
+    # With one click per round, a round's channel is its count of channel-1 clicks.
+    same_channel = np.bincount(rows[first & on_ch1], minlength=size) == np.bincount(
+        rows[second & on_ch1], minlength=size
+    )
+    heralded = (clicks_1 == 1) & (clicks_2 == 1)
+    tag = np.where(heralded, np.where(same_channel, HERALD_PSI_PLUS, HERALD_PSI_MINUS), HERALD_NONE)
+    return clicks_1, clicks_2, tag
+
+
 def fisher_chunk_gather(tables: np.ndarray, lg: np.ndarray) -> np.ndarray:
     """`settings_audit._fisher_chunk` as an element gather per cell: the reference its window views must match bit for bit."""
     r0 = tables[:, 0] + tables[:, 1]
@@ -242,6 +266,17 @@ def binom_two_sided_array(k, n):
     lp = lg[n] - lg[j] - lg[n - j] + j * math.log(0.5) + (n - j) * math.log1p(-0.5)
     keep = lp <= lp[k] + math.log1p(TIE_RELATIVE_EPS)
     return min(1.0, _sum_exp(lp[keep].tolist()))
+
+
+def binom_two_sided_table_sorted(n):
+    """`settings_audit.binom_two_sided_table` as it was: the log pmf stably sorted, accumulated and looked up."""
+    k = np.arange(n + 1)
+    lg = settings_audit._log_factorial(n + 1)
+    lp = lg[n] - lg[k] - lg[n - k] + k * math.log(0.5) + (n - k) * math.log1p(-0.5)
+    order = np.argsort(lp, kind="stable")
+    cum = np.cumsum(np.exp(lp[order]))
+    pos = np.searchsorted(lp[order], lp + math.log1p(TIE_RELATIVE_EPS), side="right")
+    return np.minimum(cum[np.maximum(pos, 1) - 1], 1.0)
 
 
 def lgam_whole(lo, hi):

@@ -363,6 +363,13 @@ class TestSimulateAndAdversary:
         assert (code, out) == (1, "")
         assert err.startswith("error: unknown strategy '', expected one of ['classical-optimal', ")
 
+    def test_adversary_repeated_strategy_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "adversary", "--n", "20", "--runs", "12", "--strategies", "coin-flip,coin-flip,classical-optimal"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: strategy 'coin-flip' is named more than once\n"
+
     def test_adversary_with_every_bit_early(self, capsys):
         # f = 1 makes the bound 1: every run wins every trial and none is rejected.
         report = run_json(capsys, "adversary", "--n", "10", "--runs", "4", "--f", "1.0")

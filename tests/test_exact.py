@@ -10,7 +10,13 @@ from scipy import special, stats
 
 from bellkit import pvalues, settings_audit
 
-from oracles import binom_two_sided_array, binom_two_sided_oracle, fisher_chunk_gather, fisher_two_sided_oracle
+from oracles import (
+    binom_two_sided_array,
+    binom_two_sided_oracle,
+    binom_two_sided_table_sorted,
+    fisher_chunk_gather,
+    fisher_two_sided_oracle,
+)
 
 # log sqrt(2 pi) to 50 digits.
 LOG_SQRT_2PI = Decimal("0.91893853320467274178032973640561763986139747363778")
@@ -227,6 +233,13 @@ class TestBinomTwoSided:
         for k, n in ((5, 4), (-1, 4), (0, 0)):
             with pytest.raises(ValueError):
                 pvalues.binom_two_sided(k, n)
+
+    def test_table_is_the_sorted_lookup_bit_for_bit(self):
+        # The table is one row of the ranking kernel that gives the exact audit's Fisher P-values; the sorted,
+        # accumulated and looked-up log pmf it replaced is its oracle.
+        for n in (*range(1, 400), 1000, 4000, 4001, 10_000, 20_000, 100_000):
+            want = binom_two_sided_table_sorted(n)
+            assert np.array_equal(settings_audit.binom_two_sided_table(n).view(np.int64), want.view(np.int64)), n
 
     def test_table_matches_scalar(self):
         table = settings_audit.binom_two_sided_table(245)

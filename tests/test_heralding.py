@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from oracles import in_first, in_second, len_second
+from oracles import in_first, in_second, len_second, round_clicks
 
 from bellkit import heralding, trials
 from bellkit.heralding import (
@@ -55,7 +55,7 @@ def shifted(windows, offset_ps):
 def herald_tags(detections, attempts, windows):
     """Herald tag per row of `attempts`, by the rule the sweep applies at each offset."""
     rows = heralding._attempt_rows(detections, attempts)
-    return heralding._round_clicks(detections, rows, len(attempts), windows)[2]
+    return round_clicks(detections, rows, len(attempts), windows)[2]
 
 
 def tags_by_attempt(detections, windows):
@@ -294,6 +294,20 @@ class TestInputChecks:
         events, attempts = small_dataset(click(99, 0, 5_426_100))
         with pytest.raises(ValueError, match=r"^beta must lie in \[3/4, 1\], got "):
             sweep(events, attempts, WINDOWS, [0], beta=beta)
+
+    @pytest.mark.parametrize("offset", [-1800.7, True, 2.0, np.float64(-400.0), "0", None])
+    def test_sweep_rejects_an_offset_that_is_not_an_integer(self, offset):
+        # Checked as a WindowConfig field is: a float offset is not truncated, and a bool is not an offset.
+        events, attempts = small_dataset()
+        message = f"offset must be an integer number of picoseconds, got {offset!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(events, attempts, WINDOWS, [0, offset])
+
+    def test_sweep_accepts_numpy_integer_offsets(self):
+        events, attempts = small_dataset()
+        offsets = [np.int32(-400), np.uint16(3), np.int64(0), 7]
+        assert [row.offset_ps for row in sweep(events, attempts, WINDOWS, offsets)] == [-400, 3, 0, 7]
+        assert sweep(events, attempts, WINDOWS, np.array([-400, 0])) == sweep(events, attempts, WINDOWS, [-400, 0])
 
     @pytest.mark.parametrize("beta", [0.75, 1.0])
     def test_sweep_accepts_beta_at_either_end(self, beta):
@@ -549,9 +563,9 @@ class TestSynthOrder:
 
 
 def oracle_sweep_row(detections, attempts, offset, beta=0.75):
-    """The SweepRow at one offset, from the per-offset rule _round_clicks at the shifted windows."""
+    """The SweepRow at one offset, from the per-offset rule `oracles.round_clicks` at the shifted windows."""
     rows = heralding._attempt_rows(detections, attempts)
-    clicks_1, clicks_2, tag = heralding._round_clicks(detections, rows, len(attempts), shifted(WINDOWS, offset))
+    clicks_1, clicks_2, tag = round_clicks(detections, rows, len(attempts), shifted(WINDOWS, offset))
     cells = CellTable.from_columns(tag, attempts.setting_a, attempts.setting_b, attempts.outcome_a, attempts.outcome_b)
     k, n = cells.k_n()
     estimate = chsh_s(cells, strict=False)
@@ -570,7 +584,7 @@ def oracle_sweep_row(detections, attempts, offset, beta=0.75):
 
 
 class TestSweepAgainstRoundClicks:
-    """sweep places each detection once; at every offset it must give what _round_clicks gives."""
+    """sweep places each detection once; at every offset it must give what `oracles.round_clicks` gives."""
 
     @staticmethod
     def dataset(seed):

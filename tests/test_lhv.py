@@ -387,11 +387,12 @@ class TestAdversarySuite:
         assert report.by_strategy["classical-optimal"][1] == 5
         assert report.by_strategy["coin-flip"][1] == 5
 
-    def test_repeated_name_pools_its_chunks(self):
+    def test_repeated_name_rejected(self, monkeypatch):
+        # A name given twice would take two shares of the runs; the check comes before any run is played.
+        monkeypatch.setattr(lhv, "_play_heralded", None)
         names = ["coin-flip", "classical-optimal", "coin-flip"]
-        report = adversary_suite(n=10, runs=9, alpha=0.3, seed=19, strategies=names)
-        assert report.by_strategy["coin-flip"][1] == 6
-        assert report.by_strategy["classical-optimal"][1] == 3
+        with pytest.raises(ValueError, match="^strategy 'coin-flip' is named more than once$"):
+            adversary_suite(n=10, runs=9, alpha=0.3, seed=19, strategies=names)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

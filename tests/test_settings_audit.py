@@ -78,9 +78,14 @@ def tape(n, reps, seed):
     return sa._lee_local_pvalues(n, reps, seed, sa._uniform4_sample(n, reps, seed))
 
 
+def log_p(counts):
+    """log P of `counts` under uniform settings: the statistic the joint-uniformity test ranks."""
+    return float(sa.uniform4_logpmf(dataclasses.astuple(counts), counts.total))
+
+
 def joint_uniform(counts, reps=1000, seed=0):
     """The audit's joint-uniformity P-value of `counts`, on the null built from `reps` and `seed`."""
-    return sa._joint_uniform_pvalue(counts, sa._null(counts.total, reps, seed))
+    return sa._null(counts.total, reps, seed).p_joint_uniform(log_p(counts))
 
 
 def joint_uniform_oracle(cells):
@@ -124,13 +129,13 @@ class TestJointUniform:
         for t in itertools.product(range(n + 1), repeat=3):
             if sum(t) <= n:
                 cells = (*t, n - sum(t))
-                got = sa._joint_uniform_pvalue(SettingCounts(*cells), null)
+                got = null.p_joint_uniform(log_p(SettingCounts(*cells)))
                 assert got.p == pytest.approx(float(joint_uniform_oracle(cells)), rel=1e-12, abs=0), cells
 
     def test_reference_sample_agrees_with_the_enumeration(self):
         # Just above the limit the reference sample stands in for the enumeration it no longer makes.
         counts = SettingCounts(65, 90, 76, 70)
-        exact = sa._joint_uniform_pvalue(counts, sa._ExactNull(counts.total)).p
+        exact = sa._ExactNull(counts.total).p_joint_uniform(log_p(counts)).p
         estimate = joint_uniform(counts, seed=3)
         assert estimate.mc_error > 0.0
         assert abs(estimate.p - exact) <= 4.0 * estimate.mc_error
