@@ -581,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         "audit",
         help="setting-choice uniformity audit with LEE correction",
         description="Up to 300 events every P-value is exact, and --lee-reps and --seed are only checked and "
-        "reported; above 300 they set the Monte Carlo reference sample and look-elsewhere tape.",
+        "reported; above 300 they set the Monte Carlo reference sample and look-elsewhere tape, and the per-test "
+        "threshold is Bonferroni's alpha/4.",
     )
     p.add_argument("--counts", default=None, help="n00,n01,n10,n11")
     p.add_argument("--settings", default=None, help="raw settings stream (JSON-lines) to tabulate")

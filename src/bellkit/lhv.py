@@ -393,9 +393,9 @@ def adversary_suite(
     """False-rejection rate of pvalue_complete over adaptive LHV runs.
 
     Splits `runs` across `strategies` (default the memory catalog), each
-    named at most once; every run plays until n trials are scored and
-    rejects when pvalue_complete(n, k, beta) <= alpha with beta the
-    lemma-form bound at (f, tau). Validity contract: the rate stays at or
+    named at most once and given at least one run; every run plays until
+    n trials are scored and rejects when pvalue_complete(n, k, beta) <=
+    alpha with beta the lemma-form bound at (f, tau). Validity contract: the rate stays at or
     below alpha up to Monte Carlo error, for each strategy and pooled.
     """
     if runs < 1:
@@ -408,6 +408,8 @@ def adversary_suite(
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ValueError(f"strategy {repeated[0]!r} is named more than once")
+    if runs < len(names):
+        raise ValueError(f"runs must be at least the number of strategies, {len(names)}, got {runs}")
     params = BiasParams(f=f, tau=tau)
     beta = beta_win_lemma(params)
     k_reject = _least_rejected_wins(n, beta, alpha)
@@ -426,5 +428,5 @@ def adversary_suite(
         beta=beta,
         runs=runs,
         rejections=sum(r for r, _ in per_strategy.values()),
-        by_strategy={name: (r, m) for name, (r, m) in per_strategy.items() if m > 0},
+        by_strategy=per_strategy,
     )

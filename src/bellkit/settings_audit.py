@@ -13,10 +13,8 @@ P-value dips below any fixed threshold (the look-elsewhere effect; Gross &
 Vitells, EPJC 70, 525 (2010)). `look_elsewhere` corrects for it from the
 law of the smallest of the four local P-values under uniform settings. It
 returns the joint probability that some test rejects at the per-test level
-alpha, and the largest per-test threshold whose joint rejection
-probability stays at alpha. The joint rate is a step function of the
-threshold, so the threshold is an atom of that law, read off without a
-search.
+alpha, and a per-test threshold whose joint rejection probability stays at
+alpha.
 
 `_null` alone picks how the law is found: exactly (`_ExactNull`) up to
 n = 300, by sampling (`_SampledNull`) above. Both answer `p_joint_uniform`
@@ -24,17 +22,20 @@ and `look_elsewhere`. In the exact law, the margins m_a and m_b are
 independent Bin(n, 1/2) under uniform settings, and n11 given both is
 hypergeometric (Mehta & Patel, JASA 78, 427 (1983)), so one hypergeometric
 row per margin pair gives every table's probability and its Fisher
-P-value. The reported masses are sums of libm's `exp` by `math.fsum`, and
+P-value. The threshold, the largest whose joint rate is at most alpha, is
+an atom of the law (the rate is a step function of it), read off without a
+search. The reported masses are sums of libm's `exp` by `math.fsum`, and
 the threshold is the atom's table scored by the scalar tests that score
 the observed one, so they have the same bits on every CPU.
 
-Above n = 300 the law is a Monte Carlo tape of uniform tables (common
-random numbers), scored against a reference sample of the log pmf
-(`_SampledNull`), and the threshold an order statistic of the tape. The
-tape is scored by numpy kernels over whole supports, in log space on a
-view of `pvalues._log_factorial`. Fisher's kernel sums about n/2 support
-cells per tape table, so the tape's time grows as reps * n (about 11 s per
-10^4 reps at n = 100,000); `_FISHER_MAX_CELLS` bounds its memory.
+Above n = 300 the joint rate comes from a Monte Carlo tape of uniform
+tables (common random numbers), scored against a reference sample of the
+log pmf (`_SampledNull`), and the threshold is Bonferroni's alpha / 4,
+which needs no draws. The tape is scored by numpy kernels over whole
+supports, in log space on a view of `pvalues._log_factorial`. Fisher's
+kernel sums about n/2 support cells per tape table, so the tape's time
+grows as reps * n (about 11 s per 10^4 reps at n = 100,000);
+`_FISHER_MAX_CELLS` bounds its memory.
 """
 from __future__ import annotations
 
@@ -415,10 +416,14 @@ class _SampledNull:
         return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / self.sample.size))
 
     def look_elsewhere(self, alpha: float) -> tuple[McPValue, float]:
-        """The joint rejection rate at `alpha` on one tape of `reps` tables from `seed`, and its threshold quantile."""
+        """The joint rejection rate at `alpha` on one tape of `reps` tables from `seed`, and Bonferroni's alpha / 4.
+
+        Each of the four valid P-values falls below alpha / 4 with probability at most alpha / 4, so the
+        joint rate there is at most alpha, with no draws and the same value on every CPU.
+        """
         min_p = _lee_local_pvalues(self.n, self.reps, self.seed, self.sample).min(axis=1)
         p = float(np.mean(min_p < alpha))
-        return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / self.reps)), _threshold_quantile(min_p, alpha)
+        return McPValue(p=p, mc_error=math.sqrt(p * (1.0 - p) / self.reps)), alpha / 4
 
 
 def _null(n: int, reps: int, seed: int) -> _ExactNull | _SampledNull:
@@ -441,10 +446,11 @@ def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue
     """Joint rejection probability at `alpha` and the per-test threshold, for uniform tables of n events.
 
     The probability that at least one of the four tests yields p < alpha,
-    and the largest per-test threshold whose joint rate stays at or below
-    alpha. Up to n = 300 both are exact, from the law of the smallest
-    P-value, and `reps` and `seed` are only checked; above, they come from
-    one tape of `reps` tables drawn from `seed` (`_threshold_quantile`). A
+    and a per-test threshold whose joint rate stays at or below alpha. Up
+    to n = 300 both are exact, from the law of the smallest P-value: the
+    threshold is the largest such, and `reps` and `seed` are only checked.
+    Above, the rate comes from one tape of `reps` tables drawn from `seed`,
+    and the threshold is Bonferroni's alpha / 4, which needs no draws. A
     P-value within 1e-9 (relative) of alpha counts as equal to it. A
     threshold of 1 rejects by convention (every P-value is at most 1), so
     alpha = 1 gives exactly (1, 1.0) with no null. The null (`_null`) is
@@ -452,37 +458,6 @@ def look_elsewhere(n: int, alpha: float, reps: int, seed: int) -> tuple[McPValue
     """
     _check_lee(alpha, reps)
     return _REJECT_ALL if alpha == 1.0 else _null(n, reps, seed).look_elsewhere(alpha)
-
-
-_THRESHOLD_GRID = 2.0**60
-
-
-def _threshold_quantile(min_p: np.ndarray, target: float) -> float:
-    """Largest per-test threshold with joint rejection probability <= target, on a tape.
-
-    On a fixed Monte Carlo tape (common random numbers) the joint rate
-    `mean(min_p < t)` counts the reps whose smallest local P-value lies
-    below t. With k the largest count such that k / reps <= target, the
-    rate stays within the target exactly for t up to the k-th smallest
-    min_p (counted from 0), which is therefore the threshold. It is
-    floored to a multiple of 2^-60, the grid a 60-step bisection of
-    [0, 1] resolves; this changes only thresholds below 1/256, where
-    float64 is finer than that grid.
-
-    The result is a Monte Carlo quantile and is reported with no error:
-    at n = 245 and target 0.05 with 10^4 reps it ranged over
-    0.0150-0.0213 across seeds 0-1499, around the exact 0.02124782, and
-    its joint rate can exceed the target.
-    """
-    reps = min_p.size
-    # k / reps is the same correctly rounded division np.mean makes.
-    k = min(int(target * reps), reps - 1)
-    while k + 1 < reps and (k + 1) / reps <= target:
-        k += 1
-    while k > 0 and k / reps > target:
-        k -= 1
-    v = float(np.partition(min_p, k)[k])
-    return math.floor(v * _THRESHOLD_GRID) / _THRESHOLD_GRID
 
 
 @dataclass(frozen=True)

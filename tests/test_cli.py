@@ -370,6 +370,13 @@ class TestSimulateAndAdversary:
         assert (code, out) == (1, "")
         assert err == "error: strategy 'coin-flip' is named more than once\n"
 
+    def test_adversary_fewer_runs_than_strategies_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "adversary", "--n", "5", "--runs", "2", "--strategies", "coin-flip,classical-optimal,loss-switching"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: runs must be at least the number of strategies, 3, got 2\n"
+
     def test_adversary_with_every_bit_early(self, capsys):
         # f = 1 makes the bound 1: every run wins every trial and none is rejected.
         report = run_json(capsys, "adversary", "--n", "10", "--runs", "4", "--f", "1.0")
@@ -678,9 +685,11 @@ class TestAuditOutputsPinned:
 
     n4000 is the report as the bisecting, twice-taped audit wrote it, except
     p_joint_uniform, (1 + hits) / (1 + 100,000) = 9687/100001 against the
-    reference sample. The reports no longer name an ordering or a label, and
-    their config hash no longer covers a reps, a format or a label option,
-    so the hash moved. At the paper counts (n = 245) every value is exact:
+    reference sample, and p_threshold, Bonferroni's 0.05 / 4 = 0.0125 where
+    the tape's order statistic gave 0.01932, whose true joint rate is
+    0.05705. The reports no longer name an ordering or a label, and their
+    config hash no longer covers a reps, a format or a label option, so the
+    hash moved. At the paper counts (n = 245) every value is exact:
     p_joint_uniform 0.053090226750840304, p_joint_lee 0.12070714715975546
     and p_threshold 0.0212478182155012, each with error 0.0, where the tape
     of 10^4 tables gave 0.1163 and 0.021259986479515453.
@@ -692,7 +701,7 @@ class TestAuditOutputsPinned:
             (("--counts", "53,79,62,51"), "20fa0207cbb682f531cd7408efb18e9e93321beec72afafc04398e9b5da3b628"),
             (
                 ("--counts", "942,985,1040,1033", "--lee-reps", "2000"),
-                "46d461f93b7aa5fdc9672f95317c09c8d6173bb64055b01e8126fcd55eb35b43",
+                "105686063ec36edc3c3fe83ab550d415f8fc13fbdcdd3c9b3530dea5703fd2e5",
             ),
         ],
         ids=["paper-counts", "n4000"],

@@ -394,6 +394,15 @@ class TestAdversarySuite:
         with pytest.raises(ValueError, match="^strategy 'coin-flip' is named more than once$"):
             adversary_suite(n=10, runs=9, alpha=0.3, seed=19, strategies=names)
 
+    def test_fewer_runs_than_strategies_rejected(self, monkeypatch):
+        # With 2 runs for 3 names the last name would get none and be left out of the report.
+        names = ["coin-flip", "classical-optimal", "loss-switching"]
+        report = adversary_suite(n=5, runs=3, alpha=0.05, seed=0, strategies=names)
+        assert [(name, runs) for name, (_, runs) in report.by_strategy.items()] == [(name, 1) for name in names]
+        monkeypatch.setattr(lhv, "_play_heralded", None)
+        with pytest.raises(ValueError, match="^runs must be at least the number of strategies, 3, got 2$"):
+            adversary_suite(n=5, runs=2, alpha=0.05, seed=0, strategies=names)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             adversary_suite(n=10, runs=10, alpha=0.05, seed=0, strategies=["nope"])

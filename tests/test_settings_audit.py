@@ -196,7 +196,7 @@ class TestLookElsewhere:
         min_p = tape(400, 2000, 5, calls[0][3]).min(axis=1)
         p = float(np.mean(min_p < 0.05))
         assert joint == McPValue(p=p, mc_error=math.sqrt(p * (1 - p) / 2000))
-        assert threshold == sa._threshold_quantile(min_p, 0.05)
+        assert threshold == 0.05 / 4
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
@@ -259,24 +259,6 @@ class TestLeeJoint:
             look_elsewhere(245, 0.05, reps=10, seed=0)
 
 
-def bisected_threshold(min_p: np.ndarray, target: float) -> float:
-    """The threshold search as a 60-step bisection of the joint rate on one tape."""
-
-    def joint(threshold):
-        return float(np.mean(min_p < threshold))
-
-    if joint(1.0) <= target:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if joint(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def null_table_double_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact joint-uniformity null, enumerated row by row as it first was, on the package's log k! table."""
     lg = sa._log_factorial(n + 1)
@@ -306,7 +288,7 @@ class TestUniform4NullTable:
 
 
 class TestLeeThreshold:
-    """The per-test threshold, look_elsewhere's second value: an order statistic of the tape."""
+    """The per-test threshold, look_elsewhere's second value: exact up to n = 300, alpha / 4 above."""
 
     def test_target_one(self, monkeypatch):
         monkeypatch.setattr(sa, "_null", None)
@@ -317,22 +299,26 @@ class TestLeeThreshold:
         "n, reps, seed",
         [(1, 1000, 3), (7, 2000, 4), (60, 3000, 5), (245, 10_000, 19), (400, 1000, 6), (6000, 1000, 7)],
     )
-    def test_order_statistic_equals_bisection(self, n, reps, seed):
-        min_p = tape(n, reps, seed).min(axis=1)
-        # target * reps rounds below the count k with k / reps == target for 0.29
-        # (3000 reps) and 0.57 (3000, 10000), and up to k + 1 for the value just
-        # below 0.05 (3000) and just below 0.0037 (10000).
-        edges = (0.29, 0.57, math.nextafter(0.05, 0.0), math.nextafter(0.0037, 0.0))
-        for target in (1e-4, 5e-4, 1e-3, 3e-3, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9, 0.999, *edges):
-            assert sa._threshold_quantile(min_p, target) == bisected_threshold(min_p, target), target
+    def test_rate_at_threshold_within_target(self, n, reps, seed):
+        # Up to n = 300 the exact law gives the true rate at the threshold; above, the threshold is Bonferroni's.
+        null = sa._ExactNull(n) if n <= sa._ENUMERATION_LIMIT else None
+        for target in (0.0, 1e-4, 5e-4, 1e-3, 3e-3, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9, 0.999):
+            threshold = look_elsewhere(n, target, reps=reps, seed=seed)[1]
+            if null:
+                assert null.look_elsewhere(threshold)[0].p <= target, target
+            else:
+                assert threshold == target / 4, target
 
-    def test_thresholds_below_the_bisection_grid_step_are_floored(self):
-        # 0.0031 is finer than the 2^-60 grid; 1e-19 lies below its first step.
-        min_p = np.array([1e-19, 0.0031, 0.2, 0.7])
-        assert sa._threshold_quantile(min_p, 0.0) == bisected_threshold(min_p, 0.0) == 0.0
-        floored = sa._threshold_quantile(min_p, 0.25)
-        assert floored == bisected_threshold(min_p, 0.25) < 0.0031
-        assert sa._threshold_quantile(min_p, 0.5) == bisected_threshold(min_p, 0.5) == 0.2
+    @pytest.mark.parametrize("n", [301, 400, 1000])
+    def test_bonferroni_above_the_limit_is_within_the_exact_law(self, n):
+        # The shipped exact law, lifted past its limit, is the reference.
+        null = sa._ExactNull(n)
+        exact = null.look_elsewhere(0.05)[1]
+        for seed in range(5):
+            threshold = look_elsewhere(n, 0.05, reps=2000, seed=seed)[1]
+            assert threshold == 0.0125
+            assert threshold <= exact, seed
+            assert null.look_elsewhere(threshold)[0].p <= 0.05, seed
 
     def test_self_consistency_fixed_point(self):
         alpha0 = 0.07
