@@ -16,11 +16,20 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import sys
 import types
 from typing import Sequence
 
 from . import __version__
+
+# No command calls BLAS, yet numpy's OpenBLAS starts a spinning worker thread
+# per extra core when numpy loads, about 70 ms of CPU on two cores. It reads
+# this variable once, then, so it is set here, before any command can load
+# numpy (perfbench's tracer walks the modules before main() runs), and not in
+# bellkit/__init__.py, which leaves a library caller's environment alone.
+# A value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _lazy_module(name: str) -> types.ModuleType:
@@ -303,10 +312,13 @@ def _cmd_adversary(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _load_json_object(path: str, what: str) -> dict:
-    """The JSON object in the file at `path`; malformed JSON or another value raises, naming the file."""
+    """The JSON object in the file at `path`; bytes not UTF-8, malformed JSON or another value raise, naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                raise CliError(f"{path}: {randomness._utf8_error(raw.read())}") from None
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -64,6 +64,23 @@ class BiasEstimate:
     n: int
 
 
+def _utf8_error(data: bytes, start: int = 0) -> str:
+    """Where `data` stops being UTF-8 from `start` on: the line, counted from 1, and its first invalid byte.
+
+    Lines end at \\n, \\r\\n or a lone \\r, as text mode reads them. For error
+    paths only: a reader whose text-mode read of a file failed calls this on
+    the file's bytes, read again, since the decoder's position is not one in
+    the file.
+    """
+    try:
+        str(memoryview(data)[start:], "utf-8")
+    except UnicodeDecodeError as exc:
+        at = start + exc.start
+        line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
+        return f"line {line}: byte 0x{data[at]:02x} is not valid UTF-8 ({exc.reason})"
+    return "not valid UTF-8 when first read, valid when read again"
+
+
 def extract_bits(data: bytes) -> BitStream:
     """One bit per line of UTF-8 `data`: the parity of the total number of ones across its code points.
 
@@ -82,10 +99,8 @@ def extract_bits(data: bytes) -> BitStream:
         chunk = data[start:end]
         try:
             chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            at = start + exc.start  # the first invalid byte; lines end at \n, \r\n or \r, as text mode reads them
-            line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
-            raise ValueError(f"line {line}: byte 0x{data[at]:02x} is not valid UTF-8 ({exc.reason})") from None
+        except UnicodeDecodeError:
+            raise ValueError(_utf8_error(data, start)) from None
         start = end
         if over is not None:
             continue
@@ -182,6 +197,9 @@ def read_bits(source: str) -> BitStream:
             if set(words) - {"0", "1", ""}:
                 lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
                 raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
+        except UnicodeDecodeError:
+            with open(source, "rb") as raw:
+                raise ValueError(f"{source}: {_utf8_error(raw.read())}") from None
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
     return BitStream("".join(words).encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01")))

@@ -351,6 +351,11 @@ def _read_path(path: str, reader: Callable[[IO[str]], _T], newline: str | None =
     with open(path, "r", encoding="utf-8", newline=newline) as handle:
         try:
             return reader(handle)
+        except UnicodeDecodeError:
+            from .randomness import _utf8_error  # numpy-free; loaded on this error path only
+
+            with open(path, "rb") as raw:
+                raise ValueError(f"{path}: {_utf8_error(raw.read())}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

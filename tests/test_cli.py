@@ -1202,3 +1202,62 @@ class TestAuditSettingsStream:
             capsys, "audit", "--counts", "1,2,3,4", "--settings", str(settings)
         )
         assert code == 1 and "exactly one" in err
+
+
+class TestUndecodableInput:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A directory holding one valid file for each reader, each large enough to span many decoder reads."""
+        root = tmp_path_factory.mktemp("inputs")
+        assert cli.main([
+            "simulate-reference", "--attempts", "5000", "--herald-rate", "0.3", "--win-prob-minus", "0.78",
+            "--seed", "1", "--trials-out", str(root / "trials.jsonl"), "--out", str(root / "r1.json"),
+        ]) == 0
+        assert cli.main([
+            "herald", "synth", "--attempts", "2000", "--seed", "3", "--detections-out", str(root / "det.csv"),
+            "--attempts-out", str(root / "att.jsonl"), "--out", str(root / "r2.json"),
+        ]) == 0
+        (root / "settings.jsonl").write_text(
+            "".join(json.dumps({"setting_a": i % 2, "setting_b": i // 2 % 2}) + "\n" for i in range(2000)),
+            encoding="utf-8",
+        )
+        (root / "bits.txt").write_text("0\n1\n" * 1000, encoding="ascii")
+        (root / "messages.txt").write_text("".join(f"message {i}\n" for i in range(500)), encoding="utf-8")
+        (root / "config.json").write_text(json.dumps({"f": 0.01, "tau": 0.0}, indent=1), encoding="utf-8")
+        (root / "windows.json").write_text(
+            json.dumps(dataclasses.asdict(WindowConfig()), indent=1), encoding="utf-8"
+        )
+        return root
+
+    @pytest.mark.parametrize(
+        "name, line, argv",
+        [
+            ("trials.jsonl", 4000, ["analyze", "{path}"]),
+            ("att.jsonl", 1500, ["herald", "sweep", "--detections", "det.csv", "--attempts", "{path}",
+                                 "--offsets=0:0:1", "--sweep-out", "s.csv"]),
+            ("det.csv", 1000, ["herald", "sweep", "--detections", "{path}", "--attempts", "att.jsonl",
+                               "--offsets=0:0:1", "--sweep-out", "s.csv"]),
+            ("settings.jsonl", 1800, ["audit", "--settings", "{path}"]),
+            ("bits.txt", 1500, ["rng", "bias", "--bits", "{path}"]),
+            ("messages.txt", 300, ["rng", "extract", "--messages", "{path}", "--bits-out", "b.txt"]),
+            ("config.json", 2, ["--config", "{path}", "bound"]),
+            ("windows.json", 3, ["herald", "synth", "--attempts", "20", "--window-config", "{path}",
+                                 "--detections-out", "d.csv", "--attempts-out", "a.jsonl"]),
+        ],
+        ids=["trials", "attempts", "detections", "settings", "bits", "messages", "config", "window-config"],
+    )
+    def test_names_the_file_and_line(self, capsys, tmp_path, monkeypatch, inputs, name, line, argv):
+        # The byte sits far past the text decoder's first read, where its position within a read is no
+        # offset in the file; lines end at \r\n in the detections file.
+        lines = (inputs / name).read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        bad = tmp_path / name
+        bad.write_bytes(b"\n".join(lines))
+        monkeypatch.chdir(inputs)
+        code, _, err = run(capsys, *(arg.format(path=bad) for arg in argv))
+        assert (code, err) == (1, f"error: {bad}: line {line}: byte 0xff is not valid UTF-8 (invalid start byte)\n")
+
+    def test_a_file_valid_when_read_again_says_so(self):
+        from bellkit.randomness import _utf8_error
+
+        assert _utf8_error(b"ok\n") == "not valid UTF-8 when first read, valid when read again"

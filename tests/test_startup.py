@@ -3,8 +3,10 @@
 `import bellkit`, `import bellkit.pvalues`, `--version`, `--help`, a usage
 error, `bound`, `combine` and the four `rng` commands load no numpy,
 `simulate` and `adversary` load no `numpy.ma`, and a command executes only
-the analysis modules it uses. Each check runs in a
-fresh interpreter, since the test process has long loaded everything.
+the analysis modules it uses. The CLI starts numpy's OpenBLAS with one
+thread unless the caller set OPENBLAS_NUM_THREADS, and `import bellkit`
+leaves the variable alone. Each check runs in a fresh interpreter, since
+the test process has long loaded everything.
 """
 import json
 import os
@@ -27,6 +29,43 @@ def imported_modules(*args, cwd=None):
     )
     names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
     return result.returncode, names
+
+
+def openblas_probe(code, **env):
+    """(OPENBLAS_NUM_THREADS, threads or None off Linux) after `code` in a fresh process without the variable.
+
+    This process has imported bellkit.cli, which set the variable, so the
+    child's environment is built without it and with `env` on top.
+    """
+    script = (
+        f"{code}\nimport json, os\n"
+        "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    child_env = {key: value for key, value in ENV.items() if key != "OPENBLAS_NUM_THREADS"} | env
+    result = subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return tuple(json.loads(result.stdout))
+
+
+class TestOpenblasThreads:
+    def test_the_cli_starts_openblas_with_one_thread(self):
+        value, threads = openblas_probe("import bellkit.cli\nimport numpy")
+        assert value == "1"
+        assert threads in (1, None)
+
+    def test_a_callers_value_is_kept(self):
+        assert openblas_probe("import bellkit.cli\nimport numpy", OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+    def test_the_library_leaves_the_environment_alone(self):
+        assert openblas_probe("import bellkit")[0] is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+    def test_the_probe_sees_a_worker_thread(self):
+        # Control: without the variable, numpy's OpenBLAS starts a worker per extra usable core.
+        value, threads = openblas_probe("import numpy")
+        assert value is None
+        assert threads > 1 if len(os.sched_getaffinity(0)) > 1 else threads == 1
 
 
 @pytest.fixture
