@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import types
-from typing import Sequence
+from typing import IO, Sequence
 
 from . import __version__
 
@@ -311,29 +311,22 @@ def _cmd_adversary(args: argparse.Namespace) -> dict[str, object]:
     return report.to_dict()
 
 
-def _load_json_object(path: str, what: str) -> dict:
-    """The JSON object in the file at `path`; bytes not UTF-8, malformed JSON or another value raise, naming the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                raise CliError(f"{path}: {randomness._utf8_error(raw.read())}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON: {exc}") from None
+def _json_object(source: IO[str], what: str) -> dict:
+    """The JSON object read from `source`; malformed JSON or another value raise."""
+    try:
+        data = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise CliError(f"{path}: {what} must be a JSON object")
+        raise CliError(f"{what} must be a JSON object")
     return data
 
 
 def _load_windows(path: str | None) -> heralding.WindowConfig:
     if path is None:
         return heralding.WindowConfig()
-    data = _load_json_object(path, "window config")
-    try:
-        return heralding.WindowConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    with pvalues._reading(path) as source:
+        return heralding.WindowConfig.from_dict(_json_object(source, "window config"))
 
 
 def _cmd_herald_synth(args: argparse.Namespace) -> dict[str, object]:
@@ -409,10 +402,13 @@ def _cmd_rng_extract(args: argparse.Namespace) -> dict[str, object]:
 def _cmd_rng_bias(args: argparse.Namespace) -> dict[str, object]:
     stream = randomness.read_bits(args.bits)
     unused = 0
-    if args.block8:
-        unused = len(stream) % 8
-        stream = randomness.block8(stream)
-    estimate = randomness.estimate_bias(stream)
+    try:  # each check here is of the file's number of bits
+        if args.block8:
+            unused = len(stream) % 8
+            stream = randomness.block8(stream)
+        estimate = randomness.estimate_bias(stream)
+    except ValueError as exc:
+        raise CliError(f"{args.bits}: {exc}") from None
     return {
         "n": estimate.n,
         "bias": estimate.bias,
@@ -433,6 +429,9 @@ def _cmd_rng_combine(args: argparse.Namespace) -> dict[str, object]:
 def _cmd_rng_independence(args: argparse.Namespace) -> dict[str, object]:
     stream_a = randomness.read_bits(args.a)
     stream_b = randomness.read_bits(args.b)
+    for path, stream in ((args.a, stream_a), (args.b, stream_b)):
+        if len(stream) == 0:
+            raise CliError(f"{path}: cannot test empty streams")
     p = randomness.independence_test(stream_a, stream_b)
     return {"n": len(stream_a), "p": p}
 
@@ -442,6 +441,8 @@ def _cmd_audit(args: argparse.Namespace) -> dict[str, object]:
         raise CliError("provide exactly one of --counts or --settings")
     if args.settings is not None:
         counts = settings_audit.read_settings_stream(args.settings)
+        if counts.total == 0:
+            raise CliError(f"{args.settings}: need at least one event")
     else:
         values = _parse_int_list(args.counts, "--counts")
         if len(values) != 4:
@@ -609,26 +610,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict[str, object]:
     """The config file at `path` as defaults of `command`, each value checked as its flag would be."""
-    config = _load_json_object(path, "config")
     options = {action.dest: action for action in command._actions if action.dest != "help"}
-    unknown = sorted(set(key.replace("-", "_") for key in config) - set(options))
-    if unknown:
-        raise CliError(f"{path}: keys {unknown} name no option of {command.prog}")
     defaults = {}
-    for key, value in config.items():
-        action = options[key.replace("-", "_")]
-        switch = action.nargs == 0  # a store_true flag such as --block8
-        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
-            expected = "true or false" if switch else "a string or a number"
-            raise CliError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
-        if not switch:
-            try:
-                value = (action.type or str)(str(value))
-            except ValueError:
-                raise CliError(f"{path}: {key}: invalid {action.type.__name__} value {value!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise CliError(f"{path}: {key}: {value!r} is not one of {list(action.choices)}")
-        defaults[action.dest] = value
+    with pvalues._reading(path) as source:
+        config = _json_object(source, "config")
+        unknown = sorted(set(key.replace("-", "_") for key in config) - set(options))
+        if unknown:
+            raise CliError(f"keys {unknown} name no option of {command.prog}")
+        for key, value in config.items():
+            action = options[key.replace("-", "_")]
+            switch = action.nargs == 0  # a store_true flag such as --block8
+            if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+                expected = "true or false" if switch else "a string or a number"
+                raise CliError(f"{key} must be {expected}, got {json.dumps(value)}")
+            if not switch:
+                try:
+                    value = (action.type or str)(str(value))
+                except ValueError:
+                    raise CliError(f"{key}: invalid {action.type.__name__} value {value!r}") from None
+                if action.choices is not None and value not in action.choices:
+                    raise CliError(f"{key}: {value!r} is not one of {list(action.choices)}")
+            defaults[action.dest] = value
     return defaults
 
 

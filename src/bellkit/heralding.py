@@ -34,12 +34,12 @@ import itertools
 import math
 import re
 from dataclasses import InitVar, dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import rngstream
-from .pvalues import pvalue_complete
+from .pvalues import _reading, pvalue_complete
 from .trials import (
     HERALD_NONE,
     HERALD_PSI_MINUS,
@@ -49,7 +49,6 @@ from .trials import (
     _game_outcomes,
     _json_row,
     _read_only,
-    _read_path,
     _read_records,
     _write_rows,
     chsh_s,
@@ -417,14 +416,11 @@ _DETECTION_ROW = "%d,%d,%d\r\n"
 _INT64_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
-def write_detections(target: str | IO[str], detections: DetectionTable) -> None:
+def write_detections(path: str, detections: DetectionTable) -> None:
     """CSV with header attempt_id,channel,time_ps and CRLF line ends, rows in the order given."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_detections(handle, detections)
-        return
-    target.write(_DETECTION_HEADER + "\r\n")
-    _write_rows(target, _DETECTION_ROW, [getattr(detections, f) for f in _DETECTION_FIELDS])
+    with open(path, "w", encoding="utf-8", newline="") as target:
+        target.write(_DETECTION_HEADER + "\r\n")
+        _write_rows(target, _DETECTION_ROW, [getattr(detections, f) for f in _DETECTION_FIELDS])
 
 
 class _BodyLines:
@@ -435,7 +431,6 @@ class _BodyLines:
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(self._body.split("\n"), start=2):
-            line = line.rstrip("\r")
             if line:
                 yield lineno, line
 
@@ -459,69 +454,61 @@ def _malformed_detection_line(body: str) -> str:
     return "detections are not rows of three integers"
 
 
-def read_detections(source: str | IO[str]) -> DetectionTable:
-    """Read a detections CSV into columns; a bad row raises, naming its line.
+def read_detections(path: str) -> DetectionTable:
+    """Read a detections CSV into columns; a bad row raises, naming the file and its line.
 
     Empty lines are skipped. Every other line must hold three integers, a
     channel of 0 or 1 and a time of at least 0. An integer is np.loadtxt's:
     ASCII digits after an optional sign, blanks around it ignored, so `+5`,
     ` 0`, `05` and `-0` read as 5, 0, 5 and 0, where the JSON-lines readers
-    take only canonical integers. Given a path, errors also name the file.
+    take only canonical integers.
     """
-    if isinstance(source, str):
-        return _read_path(source, read_detections, newline="")
-    header = source.readline().rstrip("\r\n")
-    if header != _DETECTION_HEADER:
-        raise ValueError(f"expected header {_DETECTION_HEADER}, got {header!r}")
-    body = source.read()
-    if not body.strip("\r\n"):
-        return DetectionTable([], [], [])
-    try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape[1] != 3:
-        raise ValueError(_malformed_detection_line(body))
-    return DetectionTable(*rows.T, lines=_BodyLines(body))
+    with _reading(path) as source:
+        header = source.readline().rstrip("\n")
+        if header != _DETECTION_HEADER:
+            raise ValueError(f"expected header {_DETECTION_HEADER}, got {header!r}")
+        body = source.read()
+        if not body.strip("\n"):
+            return DetectionTable([], [], [])
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape[1] != 3:
+            raise ValueError(_malformed_detection_line(body))
+        return DetectionTable(*rows.T, lines=_BodyLines(body))
 
 
-def write_attempts(target: str | IO[str], table: AttemptTable) -> None:
+def write_attempts(path: str, table: AttemptTable) -> None:
     """JSON-lines of attempt records, compact, in attempt_id order."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            write_attempts(handle, table)
-        return
-    _write_rows(target, _json_row(_ATTEMPT_FIELDS), [getattr(table, f) for f in _ATTEMPT_FIELDS])
+    with open(path, "w", encoding="utf-8", newline="") as target:
+        _write_rows(target, _json_row(_ATTEMPT_FIELDS), [getattr(table, f) for f in _ATTEMPT_FIELDS])
 
 
-def read_attempts(source: str | IO[str]) -> AttemptTable:
-    """Read JSON-lines attempt records; a bad record raises, naming its line.
+def read_attempts(path: str) -> AttemptTable:
+    """Read JSON-lines attempt records; a bad record raises, naming the file and its line.
 
     Every field must be an integer, settings 0 or 1, outcomes +1 or -1, and
-    no attempt_id may repeat. Given a path, errors also name the file.
+    no attempt_id may repeat.
     """
-    if isinstance(source, str):
-        return _read_path(source, read_attempts)
-    rows, lines = _read_records(source, _ATTEMPT_FIELDS)
-    return AttemptTable(*rows.T, lines=lines)
+    with _reading(path) as source:
+        rows, lines = _read_records(source, _ATTEMPT_FIELDS)
+        return AttemptTable(*rows.T, lines=lines)
 
 
-def write_sweep_csv(target: str | IO[str], rows: Sequence[SweepRow]) -> None:
+def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
     """CSV with header offset_ps,S,sigma,n,k,p_local; missing values empty."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_sweep_csv(handle, rows)
-        return
-    writer = csv.writer(target)
-    writer.writerow(["offset_ps", "S", "sigma", "n", "k", "p_local"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.offset_ps,
-                "" if row.s is None else repr(row.s),
-                "" if row.sigma is None else repr(row.sigma),
-                row.n,
-                row.k,
-                "" if row.p_local is None else repr(row.p_local),
-            ]
-        )
+    with open(path, "w", encoding="utf-8", newline="") as target:
+        writer = csv.writer(target)
+        writer.writerow(["offset_ps", "S", "sigma", "n", "k", "p_local"])
+        for row in rows:
+            writer.writerow(
+                [
+                    row.offset_ps,
+                    "" if row.s is None else repr(row.s),
+                    "" if row.sigma is None else repr(row.sigma),
+                    row.n,
+                    row.k,
+                    "" if row.p_local is None else repr(row.p_local),
+                ]
+            )

@@ -38,14 +38,21 @@ Fisher's exact test on one 2x2 table, with the compensated sum of
 exponentials and the one log k! table, which `bellkit.settings_audit` views
 as a numpy array. They use `math` (libm) alone: this module needs no numpy,
 and a P-value has the same bits on every CPU.
+
+It also holds the opener, `_reading`, through which every reader of a
+text input opens its file: UTF-8 with universal newlines, errors named by
+file and line. It sits here because every command that reads a file
+already loads this numpy-free module, so the `rng` commands stay without
+numpy and no command loads a module for it.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from array import array
 from dataclasses import dataclass
 from itertools import count
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 # Probabilities below double precision are floored so reports always carry
 # a representable positive P-value.
@@ -360,13 +367,44 @@ def pvalue_vs_tau_curve(n: int, k: int, tau_grid: Iterable[float], f: float = 0.
     return curve
 
 
-def write_curve_csv(target: str | IO[str], curve: Sequence[tuple[float, float]]) -> None:
+def write_curve_csv(path: str, curve: Sequence[tuple[float, float]]) -> None:
     """Write a (tau, p) curve as two-column CSV."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            write_curve_csv(handle, curve)
-        return
-    target.write("tau,p\n")
-    for tau, p in curve:
-        target.write(f"{tau!r},{p!r}\n")
+    with open(path, "w", encoding="utf-8", newline="") as target:
+        target.write("tau,p\n")
+        for tau, p in curve:
+            target.write(f"{tau!r},{p!r}\n")
 
+
+def _utf8_error(data: bytes, start: int = 0) -> str:
+    """Where `data` stops being UTF-8 from `start` on: the line, counted from 1, and its first invalid byte.
+
+    Lines end at \\n, \\r\\n or a lone \\r, as text mode reads them. For error
+    paths only: a reader whose text-mode read of a file failed calls this on
+    the file's bytes, read again, since the decoder's position is not one in
+    the file.
+    """
+    try:
+        str(memoryview(data)[start:], "utf-8")
+    except UnicodeDecodeError as exc:
+        at = start + exc.start
+        line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
+        return f"line {line}: byte 0x{data[at]:02x} is not valid UTF-8 ({exc.reason})"
+    return "not valid UTF-8 when first read, valid when read again"
+
+
+@contextlib.contextmanager
+def _reading(path: str) -> Iterator[IO[str]]:
+    """The text file at `path`, read as UTF-8 with universal newlines.
+
+    A ValueError raised in the block, the caller's checks of the content
+    included, comes back prefixed with the path; an undecodable byte comes
+    back as `_utf8_error` names it.
+    """
+    with open(path, "r", encoding="utf-8") as source:
+        try:
+            yield source
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                raise ValueError(f"{path}: {_utf8_error(raw.read())}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import repeat
 
-from .pvalues import fisher_two_sided
+from .pvalues import _reading, _utf8_error, fisher_two_sided
 
 MAX_MESSAGE_CHARS = 140
 # Bytes of message data checked as UTF-8 per pass, then up to the end of the line; bounds the decoded copy.
@@ -62,23 +62,6 @@ class BiasEstimate:
     bias: float
     uncertainty: float
     n: int
-
-
-def _utf8_error(data: bytes, start: int = 0) -> str:
-    """Where `data` stops being UTF-8 from `start` on: the line, counted from 1, and its first invalid byte.
-
-    Lines end at \\n, \\r\\n or a lone \\r, as text mode reads them. For error
-    paths only: a reader whose text-mode read of a file failed calls this on
-    the file's bytes, read again, since the decoder's position is not one in
-    the file.
-    """
-    try:
-        str(memoryview(data)[start:], "utf-8")
-    except UnicodeDecodeError as exc:
-        at = start + exc.start
-        line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
-        return f"line {line}: byte 0x{data[at]:02x} is not valid UTF-8 ({exc.reason})"
-    return "not valid UTF-8 when first read, valid when read again"
 
 
 def extract_bits(data: bytes) -> BitStream:
@@ -185,21 +168,15 @@ def write_bits(target: str, stream: BitStream) -> None:
         handle.write(data)
 
 
-def read_bits(source: str) -> BitStream:
+def read_bits(path: str) -> BitStream:
     """Read a bit file written by write_bits; a malformed file raises, naming it.
 
     The file holds one 0 or 1 per line, empty lines skipped; errors name
     the line.
     """
-    with open(source, "r", encoding="utf-8") as handle:
-        try:
-            words = [line.strip() for line in handle.read().split("\n")]
-            if set(words) - {"0", "1", ""}:
-                lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
-                raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
-        except UnicodeDecodeError:
-            with open(source, "rb") as raw:
-                raise ValueError(f"{source}: {_utf8_error(raw.read())}") from None
-        except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+    with _reading(path) as source:
+        words = [line.strip() for line in source.read().split("\n")]
+        if set(words) - {"0", "1", ""}:
+            lineno, word = next((i, w) for i, w in enumerate(words, start=1) if w not in ("0", "1", ""))
+            raise ValueError(f"line {lineno}: expected 0 or 1, got {word!r}")
     return BitStream("".join(words).encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01")))

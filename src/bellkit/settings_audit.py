@@ -42,14 +42,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pvalues, rngstream
-from .pvalues import _LOG_TIE, _check_counts
-from .trials import _check_domains, _read_path, _read_records
+from .pvalues import _LOG_TIE, _check_counts, _reading
+from .trials import _check_domains, _read_records
 
 # The null and the look-elsewhere law are exact up to this n (4.6 million
 # tables, 585,276 of them one per symmetry orbit); above it they are a
@@ -128,14 +128,13 @@ class SettingCounts:
         return cls(*np.bincount(2 * setting_a + setting_b, minlength=4).tolist())
 
 
-def read_settings_stream(source: str | IO[str]) -> SettingCounts:
+def read_settings_stream(path: str) -> SettingCounts:
     """Tabulate a raw settings stream: JSON-lines of setting_a, setting_b.
 
-    A bad record raises, naming its line (and the file, given a path).
+    A bad record raises, naming the file and its line.
     """
-    if isinstance(source, str):
-        return _read_path(source, read_settings_stream)
-    return SettingCounts.from_pairs(*_read_records(source, ("setting_a", "setting_b")))
+    with _reading(path) as source:
+        return SettingCounts.from_pairs(*_read_records(source, ("setting_a", "setting_b")))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,11 @@ import math
 import operator
 import warnings
 from dataclasses import InitVar, dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .pvalues import _reading
 
 HERALD_PSI_MINUS = -1
 HERALD_NONE = 0
@@ -338,26 +340,10 @@ _READ_CHUNK = 1 << 20
 # Every byte but a digit or '-' as a space, so a compact record reads as its integers.
 _INTEGER_BYTES = bytes(c if chr(c) in "0123456789-" else 32 for c in range(256))
 
-_T = TypeVar("_T")
-
 
 def _json_row(fields: Sequence[str]) -> str:
     """The compact JSON-lines template of one record, keys in `fields` order."""
     return "{" + ",".join(f'"{name}":%d' for name in fields) + "}\n"
-
-
-def _read_path(path: str, reader: Callable[[IO[str]], _T], newline: str | None = None) -> _T:
-    """`reader` applied to the text file at `path`; its errors are prefixed with the path."""
-    with open(path, "r", encoding="utf-8", newline=newline) as handle:
-        try:
-            return reader(handle)
-        except UnicodeDecodeError:
-            from .randomness import _utf8_error  # numpy-free; loaded on this error path only
-
-            with open(path, "rb") as raw:
-                raise ValueError(f"{path}: {_utf8_error(raw.read())}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 def _compact_rows(chunk: str, row: str, width: int) -> np.ndarray | None:
@@ -479,18 +465,14 @@ def _write_rows(target: IO[str], row_format: str, columns: Sequence[np.ndarray])
         target.write(_format_rows(rows[begin : begin + _WRITE_CHUNK], row_format).decode("ascii"))
 
 
-def read_trials(source: str | IO[str]) -> TrialSet:
-    """Read a JSON-lines trial file; a bad record raises, naming its line (and the file, given a path)."""
-    if isinstance(source, str):
-        return _read_path(source, read_trials)
-    rows, lines = _read_records(source, _TRIAL_FIELDS)
-    return TrialSet(*rows.T, lines=lines)
+def read_trials(path: str) -> TrialSet:
+    """Read a JSON-lines trial file; a bad record raises, naming the file and its line."""
+    with _reading(path) as source:
+        rows, lines = _read_records(source, _TRIAL_FIELDS)
+        return TrialSet(*rows.T, lines=lines)
 
 
-def write_trials(target: str | IO[str], trials: TrialSet) -> None:
+def write_trials(path: str, trials: TrialSet) -> None:
     """Write trials as compact JSON-lines, one record per line, keys in field order."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            write_trials(handle, trials)
-        return
-    _write_rows(target, _json_row(_TRIAL_FIELDS), [getattr(trials, name) for name in _TRIAL_FIELDS])
+    with open(path, "w", encoding="utf-8", newline="") as target:
+        _write_rows(target, _json_row(_TRIAL_FIELDS), [getattr(trials, name) for name in _TRIAL_FIELDS])

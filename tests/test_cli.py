@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -1258,6 +1259,83 @@ class TestUndecodableInput:
         assert (code, err) == (1, f"error: {bad}: line {line}: byte 0xff is not valid UTF-8 (invalid start byte)\n")
 
     def test_a_file_valid_when_read_again_says_so(self):
-        from bellkit.randomness import _utf8_error
+        from bellkit.pvalues import _utf8_error
 
         assert _utf8_error(b"ok\n") == "not valid UTF-8 when first read, valid when read again"
+
+
+class TestLineEnds:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A directory holding one small valid file for each text input."""
+        root = tmp_path_factory.mktemp("line-ends")
+        assert cli.main([
+            "simulate-reference", "--attempts", "2000", "--herald-rate", "0.3", "--win-prob-minus", "0.78",
+            "--seed", "1", "--trials-out", str(root / "trials.jsonl"), "--out", str(root / "r1.json"),
+        ]) == 0
+        assert cli.main([
+            "herald", "synth", "--attempts", "300", "--seed", "3", "--detections-out", str(root / "det.csv"),
+            "--attempts-out", str(root / "att.jsonl"), "--out", str(root / "r2.json"),
+        ]) == 0
+        (root / "settings.jsonl").write_text(
+            "".join(json.dumps({"setting_a": i % 2, "setting_b": i // 3 % 2}) + "\n" for i in range(200)),
+            encoding="utf-8",
+        )
+        (root / "bits.txt").write_text("0\n1\n1\n" * 30, encoding="ascii")
+        (root / "config.json").write_text(json.dumps({"f": 0.01, "tau": 0.02}, indent=1), encoding="utf-8")
+        (root / "windows.json").write_text(
+            json.dumps(dataclasses.asdict(WindowConfig()), indent=1), encoding="utf-8"
+        )
+        return root
+
+    @pytest.mark.parametrize(
+        "name, argv, outputs",
+        [
+            ("trials.jsonl", ["analyze", "trials.jsonl"], []),
+            ("att.jsonl", ["herald", "sweep", "--detections", "det.csv", "--attempts", "att.jsonl",
+                           "--offsets=-1000:0:500", "--sweep-out", "s.csv"], ["s.csv"]),
+            ("det.csv", ["herald", "sweep", "--detections", "det.csv", "--attempts", "att.jsonl",
+                         "--offsets=-1000:0:500", "--sweep-out", "s.csv"], ["s.csv"]),
+            ("settings.jsonl", ["audit", "--settings", "settings.jsonl"], []),
+            ("bits.txt", ["rng", "bias", "--bits", "bits.txt"], []),
+            ("windows.json", ["herald", "synth", "--attempts", "50", "--window-config", "windows.json",
+                              "--detections-out", "d.csv", "--attempts-out", "a.jsonl"], ["d.csv", "a.jsonl"]),
+            ("config.json", ["--config", "config.json", "bound"], []),
+        ],
+        ids=["trials", "attempts", "detections", "settings", "bits", "window-config", "config"],
+    )
+    def test_every_line_end_gives_the_same_outputs(self, capsys, tmp_path, monkeypatch, inputs, name, argv, outputs):
+        text = (inputs / name).read_bytes().replace(b"\r\n", b"\n")
+        assert text.count(b"\n") > 1
+        results = []
+        for label, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            workdir = tmp_path / label
+            shutil.copytree(inputs, workdir)
+            (workdir / name).write_bytes(text.replace(b"\n", end))
+            monkeypatch.chdir(workdir)
+            code, _, err = run(capsys, *argv, "--out", "report.json")
+            assert code == 0, f"{label}: {err}"
+            results.append({out: (workdir / out).read_bytes() for out in ("report.json", *outputs)})
+        assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "{empty}"], "no trials"),
+        (["audit", "--settings", "{empty}"], "need at least one event"),
+        (["rng", "bias", "--bits", "{empty}"], "cannot estimate bias of an empty stream"),
+        (["rng", "bias", "--bits", "{empty}", "--block8"], "need at least 8 bits, got 0"),
+        (["rng", "independence", "--a", "{empty}", "--b", "bits.txt"], "cannot test empty streams"),
+        (["rng", "independence", "--a", "bits.txt", "--b", "{empty}"], "cannot test empty streams"),
+        (["rng", "independence", "--a", "{empty}", "--b", "{empty}"], "cannot test empty streams"),
+    ],
+    ids=["analyze", "audit", "rng-bias", "rng-bias-block8", "independence-a", "independence-b", "independence-both"],
+)
+def test_an_input_with_no_record_names_itself(capsys, tmp_path, monkeypatch, argv, message):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n", encoding="utf-8")
+    (tmp_path / "bits.txt").write_text("0\n1\n", encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *(arg.format(empty=empty) for arg in argv))
+    assert (code, err) == (1, f"error: {empty}: {message}\n")

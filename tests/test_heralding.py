@@ -1,5 +1,4 @@
 """Window classification, offset sweeps and the synthetic experiment."""
-import io
 import math
 import re
 from dataclasses import asdict, replace
@@ -26,6 +25,13 @@ from bellkit.pvalues import pvalue_complete
 from bellkit.trials import CellTable, TrialSet, aggregate, chsh_s
 
 WINDOWS = WindowConfig()
+
+
+def text_file(tmp_path, text):
+    """The path of a file in `tmp_path` holding `text` as UTF-8, its line ends as given."""
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    return str(path)
 
 
 def click(attempt, channel, time_ps):
@@ -329,10 +335,10 @@ class TestInputChecks:
             ),
         ],
     )
-    def test_read_attempts_rejects_bad_records(self, line, message):
+    def test_read_attempts_rejects_bad_records(self, tmp_path, line, message):
         good = '{"attempt_id":0,"setting_a":1,"setting_b":0,"outcome_a":-1,"outcome_b":1}'
         with pytest.raises(ValueError, match=message):
-            read_attempts(io.StringIO(f"{good}\n\n{line}\n"))
+            read_attempts(text_file(tmp_path, f"{good}\n\n{line}\n"))
 
     @pytest.mark.parametrize(
         "columns, message",
@@ -349,7 +355,7 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             AttemptTable(**fields)
 
-    def test_readers_check_attempts_once(self, monkeypatch):
+    def test_readers_check_attempts_once(self, monkeypatch, tmp_path):
         calls = []
         check = trials._check_domains
 
@@ -358,7 +364,7 @@ class TestInputChecks:
             return check(*args)
 
         monkeypatch.setattr(trials, "_check_domains", counted)
-        attempts = read_attempts(io.StringIO('{"attempt_id":1,"setting_a":0,"setting_b":1,"outcome_a":1,"outcome_b":-1}\n'))
+        attempts = read_attempts(text_file(tmp_path, '{"attempt_id":1,"setting_a":0,"setting_b":1,"outcome_a":1,"outcome_b":-1}\n'))
         AttemptTable(attempts.attempt_id, attempts.setting_a, attempts.setting_b, attempts.outcome_a, attempts.outcome_b)
         assert len(calls) == 2
 
@@ -375,12 +381,13 @@ class TestInputChecks:
             ("0,0,5\r\n\r\n2,0,\u0663\r\n", r"^line 4: not an integer: '\u0663'$"),
         ],
     )
-    def test_read_detections_names_bad_line(self, body, message):
-        with pytest.raises(ValueError, match=message):
-            read_detections(io.StringIO("attempt_id,channel,time_ps\r\n" + body))
+    def test_read_detections_names_bad_line(self, tmp_path, body, message):
+        path = text_file(tmp_path, "attempt_id,channel,time_ps\r\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: {message.removeprefix('^')}"):
+            read_detections(path)
 
-    def test_read_detections_takes_signs_blanks_and_leading_zeros(self):
-        back = read_detections(io.StringIO("attempt_id,channel,time_ps\r\n+5,0,05\r\n 0,1,-0\r\n"))
+    def test_read_detections_takes_signs_blanks_and_leading_zeros(self, tmp_path):
+        back = read_detections(text_file(tmp_path, "attempt_id,channel,time_ps\r\n+5,0,05\r\n 0,1,-0\r\n"))
         assert detection_rows(back) == [click(5, 0, 5), click(0, 1, 0)]
 
     def test_readers_given_a_path_name_the_file(self, tmp_path):
@@ -393,10 +400,10 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(str(detections))}: line 2: channel"):
             read_detections(str(detections))
 
-    def test_read_detections_skips_empty_lines(self):
-        back = read_detections(io.StringIO("attempt_id,channel,time_ps\r\n0,0,5\r\n\r\n1,1,6\r\n"))
+    def test_read_detections_skips_empty_lines(self, tmp_path):
+        back = read_detections(text_file(tmp_path, "attempt_id,channel,time_ps\r\n0,0,5\r\n\r\n1,1,6\r\n"))
         assert detection_rows(back) == [click(0, 0, 5), click(1, 1, 6)]
-        assert len(read_detections(io.StringIO("attempt_id,channel,time_ps\r\n"))) == 0
+        assert len(read_detections(text_file(tmp_path, "attempt_id,channel,time_ps\r\n"))) == 0
 
 
 def synth_detections(params, attempts, seed, entangle_prob):
@@ -626,33 +633,33 @@ class TestSweepAgainstRoundClicks:
 
 
 class TestFileFormats:
-    def test_detections_roundtrip(self):
+    def test_detections_roundtrip(self, tmp_path):
         events = [click(0, 0, 5_426_100), click(1, 1, 5_425_200)]
-        buffer = io.StringIO()
-        write_detections(buffer, table(*events))
-        back = read_detections(io.StringIO(buffer.getvalue()))
+        path = str(tmp_path / "d.csv")
+        write_detections(path, table(*events))
+        back = read_detections(path)
         assert detection_rows(back) == events
 
-    def test_detections_header_required(self):
+    def test_detections_header_required(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
-            read_detections(io.StringIO("1,2,3\n"))
+            read_detections(text_file(tmp_path, "1,2,3\n"))
 
-    def test_attempts_roundtrip(self):
+    def test_attempts_roundtrip(self, tmp_path):
         records = [(0, 0, 1, 1, -1), (1, 1, 0, -1, -1)]
-        buffer = io.StringIO()
-        write_attempts(buffer, attempt_table(*records))
-        back = read_attempts(io.StringIO(buffer.getvalue()))
+        path = str(tmp_path / "a.jsonl")
+        write_attempts(path, attempt_table(*records))
+        back = read_attempts(path)
         columns = (back.attempt_id, back.setting_a, back.setting_b, back.outcome_a, back.outcome_b)
         assert list(zip(*(column.tolist() for column in columns))) == records
 
-    def test_attempts_rejects_bad_fields(self):
+    def test_attempts_rejects_bad_fields(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
-            read_attempts(io.StringIO('{"attempt_id": 0}\n'))
+            read_attempts(text_file(tmp_path, '{"attempt_id": 0}\n'))
 
-    def test_sweep_csv_missing_values_empty(self):
+    def test_sweep_csv_missing_values_empty(self, tmp_path):
         rows = sweep(table(first_click(0), second_click(1)), attempt_table((0, 0, 0, 1, 1)), WINDOWS, [0, 9_999_999])
-        buffer = io.StringIO()
-        write_sweep_csv(buffer, rows)
-        lines = buffer.getvalue().strip().splitlines()
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(str(path), rows)
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "offset_ps,S,sigma,n,k,p_local"
         assert lines[2].endswith(",0,0,")

@@ -31,6 +31,13 @@ def win_rule_oracle(tag, setting_a, setting_b, outcome_a, outcome_b):
     return 0
 
 
+def text_file(tmp_path, text):
+    """The path of a file in `tmp_path` holding `text` as UTF-8, its line ends as given."""
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    return str(path)
+
+
 def make_trials(rows):
     columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
     return TrialSet(np.arange(1, len(rows) + 1), *columns)
@@ -232,11 +239,11 @@ class TestTrialSetValidation:
 
 
 class TestJsonLines:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         ts = make_trials([(-1, 0, 1, 1, -1), (0, 1, 0, -1, -1), (1, 1, 1, -1, 1)])
-        buffer = io.StringIO()
-        write_trials(buffer, ts)
-        back = read_trials(io.StringIO(buffer.getvalue()))
+        path = str(tmp_path / "trials.jsonl")
+        write_trials(path, ts)
+        back = read_trials(path)
         assert trial_rows(back) == trial_rows(ts)
 
     @pytest.mark.parametrize(
@@ -252,16 +259,16 @@ class TestJsonLines:
             {"index": 0, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1, "outcome_b": 1},
         ],
     )
-    def test_rejects_out_of_domain(self, record):
+    def test_rejects_out_of_domain(self, tmp_path, record):
         with pytest.raises(ValueError, match="line 1"):
-            read_trials(io.StringIO(json.dumps(record) + "\n"))
+            read_trials(text_file(tmp_path, json.dumps(record) + "\n"))
 
-    def test_rejects_bad_json_with_line_number(self):
+    def test_rejects_bad_json_with_line_number(self, tmp_path):
         good = json.dumps(
             {"index": 1, "tag": -1, "setting_a": 0, "setting_b": 0, "outcome_a": 1, "outcome_b": 1}
         )
         with pytest.raises(ValueError, match="line 2"):
-            read_trials(io.StringIO(good + "\nnot json\n"))
+            read_trials(text_file(tmp_path, good + "\nnot json\n"))
 
     @pytest.mark.parametrize(
         "index, message",
@@ -274,8 +281,6 @@ class TestJsonLines:
         path.write_text(
             json.dumps({"index": 1, **record}) + "\n\n" + json.dumps({"index": index, **record}) + "\n", encoding="utf-8"
         )
-        with pytest.raises(ValueError, match=message):
-            read_trials(io.StringIO(path.read_text(encoding="utf-8")))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             read_trials(str(path))
 
@@ -392,12 +397,13 @@ class TestRecordReaderFastPath:
         monkeypatch.setattr(trials, "_json_records", None)
         assert trial_rows(read_trials(str(path))) == trial_rows(ts)
 
-    def test_errors_after_compact_chunks_name_their_line(self, monkeypatch):
+    def test_errors_after_compact_chunks_name_their_line(self, monkeypatch, tmp_path):
         monkeypatch.setattr(trials, "_READ_CHUNK", 40)
         lines = trial_lines(8)
         lines[6] = re.sub('"tag":-?[01]', '"tag":true', lines[6])
-        with pytest.raises(ValueError, match="^line 7: field tag must be an integer, got True$"):
-            read_trials(io.StringIO("\n".join(lines) + "\n"))
+        path = text_file(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: line 7: field tag must be an integer, got True$"):
+            read_trials(path)
 
 
 # The row template of each integer record file.
